@@ -84,7 +84,7 @@ def test_one_percent_delta_beats_full_rebuild(benchmark, tmp_path):
 
     session = RunSession.from_corpus_store(store)
     base_started = time.perf_counter()
-    session.run_incremental(CLASS_NAME, executor="serial")
+    session.run(CLASS_NAME, executor="serial")
     base_seconds = time.perf_counter() - base_started
 
     # The 1% delta arrives.
@@ -95,9 +95,7 @@ def test_one_percent_delta_beats_full_rebuild(benchmark, tmp_path):
 
     def incremental_run():
         started = time.perf_counter()
-        result = session.run_incremental(
-            CLASS_NAME, executor="serial", use_cache=False
-        )
+        result = session.run(CLASS_NAME, executor="serial")
         return time.perf_counter() - started, result.canonical_json()
 
     incremental_seconds, incremental_blob = benchmark.pedantic(

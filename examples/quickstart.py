@@ -61,10 +61,10 @@ def main() -> None:
         f"{truly_new} verified new against ground truth."
     )
 
-    # The session caches stage artifacts: an identical re-run is ~free.
+    # The session stores stage artifacts: an identical re-run is ~free.
     session.run("Song")
-    info = session.cache_info()
-    print(f"re-run served from cache: {info['hits']} stage hits")
+    hits = session.last_incremental_report.stage_hits()
+    print(f"re-run served from the artifact store: {hits} stage hits")
 
     ingest_and_rerun(session, result)
 

@@ -8,7 +8,7 @@ stages**:
 
 * :class:`RunSession` (:mod:`repro.api`) — owns a world (KB + corpus)
   loaded once, serves single runs, batch runs, stage substitution,
-  observer hooks and an artifact cache across runs.
+  observer hooks and a content-keyed artifact store across runs.
 * :mod:`repro.pipeline.stages` — the paper's four Figure-1 components as
   registered :class:`PipelineStage` objects (``schema_match`` →
   ``cluster`` → ``fuse`` → ``detect``) over a shared
@@ -54,7 +54,7 @@ Quickstart::
     print(result.summary())
     print(timer.report())
 
-    # Batch runs share the session's world and artifact cache:
+    # Batch runs share the session's world and artifact store:
     results = session.run_many(["Song", "Settlement"])
 
 The legacy entry point still works unchanged::

@@ -13,14 +13,15 @@ them:
 * ``observers=`` — per-stage timing/progress hooks
   (:class:`~repro.pipeline.stages.PipelineObserver`).
 
-Repeated runs are cheap: the session keeps an **artifact cache** keyed on
-``(class, stage, iteration, config-hash, restrictions, lineage)`` —
-re-running the same experiment skips every completed upstream stage, and
-a run that only changes a downstream stage reuses the untouched prefix.
-The lineage component (the exact sequence of stages executed before the
-cached one) guarantees a cached artifact is only reused when everything
-that influenced it is identical, including the cross-iteration feedback
-loop.
+Every run goes through the session's content-keyed
+:class:`~repro.pipeline.artifacts.ArtifactStore` — in memory by default,
+on disk under ``<store>/artifacts`` for :meth:`RunSession.from_corpus_store`
+sessions.  Each default stage, each table's analysis and each entity's
+detection is keyed on fingerprints of all of its inputs, so a repeated
+run loads every stage, a run after a corpus delta recomputes only what
+the delta touched, and a run for a second class reuses the
+class-independent table analyses of the first.  ``use_cache=False``
+reuses and stores nothing.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from typing import Iterable, Sequence
 
 from repro import faults as faults_registry
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.newdetect.detector import DetectionResult
 from repro.perf.kernels import KernelCache
 from repro.pipeline.artifacts import (
     ARTIFACTS_DIRNAME,
     ArtifactStore,
     IncrementalBackend,
     IncrementalRunReport,
-    PERSISTED_FIELDS,
 )
 from repro.pipeline.delta import (
     CorpusDelta,
@@ -117,33 +116,15 @@ class ProgressObserver(PipelineObserver):
         )
 
 
-def _fork(value):
-    """A mutation-safe snapshot of a cached stage output.
-
-    Stage outputs are lists of immutable-ish artifacts plus the
-    :class:`DetectionResult` (whose dicts ``dedup_new_entities`` mutates
-    after detection) — copy the containers, share the elements.
-    """
-    if isinstance(value, list):
-        return list(value)
-    if isinstance(value, DetectionResult):
-        return DetectionResult(
-            classifications=dict(value.classifications),
-            correspondences=dict(value.correspondences),
-            best_scores=dict(value.best_scores),
-        )
-    return value
-
-
 class _PersistentStage:
-    """Wraps a default stage with the on-disk artifact store.
+    """Wraps a default stage with the session's artifact store.
 
     Only registry-resolved default stages are wrapped (their inputs are
     exactly fingerprintable); the key embeds every input's digest, so a
     hit is byte-identical to recomputing by the purity invariant of
     :mod:`repro.pipeline.artifacts`.  On a miss the inner stage runs —
     with its per-table/per-entity caches warmed by the same backend —
-    and the fresh artifact is persisted.
+    and the state fields it ``provides`` are stored.
     """
 
     def __init__(self, inner: PipelineStage, backend: IncrementalBackend) -> None:
@@ -151,7 +132,6 @@ class _PersistentStage:
         self.name = inner.name
         self.provides = inner.provides
         self._backend = backend
-        self._fields = PERSISTED_FIELDS[inner.name]
 
     def run(self, state: PipelineState) -> PipelineState:
         key = self._backend.stage_key(self.name, state)
@@ -169,63 +149,9 @@ class _PersistentStage:
             key,
             {
                 field_name: getattr(state, field_name)
-                for field_name in self._fields
+                for field_name in self.provides
             },
         )
-        return state
-
-
-class _CachedStage:
-    """Wraps a stage with the session's artifact cache.
-
-    ``stage_id`` distinguishes registry-named stages from substituted
-    instances (a custom stage that reuses a default stage's ``name``
-    must never be served the default stage's artifacts).  ``lineage``
-    is shared by all wrappers of one run and records the (stage,
-    iteration) sequence executed so far — two runs may share a cached
-    artifact only while their execution histories are identical.
-    """
-
-    def __init__(
-        self,
-        inner: PipelineStage,
-        session: "RunSession",
-        key_base: tuple,
-        lineage: list,
-        stage_id: tuple,
-    ) -> None:
-        self.inner = inner
-        self.name = getattr(inner, "name", type(inner).__name__)
-        #: None marks a stage that opted out of the state-field contract
-        #: (no ``provides``) — it always runs, never caches.
-        self.provides = getattr(inner, "provides", None)
-        self._session = session
-        self._key_base = key_base
-        self._lineage = lineage
-        self._stage_id = stage_id
-
-    def run(self, state: PipelineState) -> PipelineState:
-        key = (
-            self._key_base,
-            self._stage_id,
-            state.iteration,
-            tuple(self._lineage),
-        )
-        self._lineage.append((self._stage_id, state.iteration))
-        if self.provides is None:
-            return self.inner.run(state)
-        cached = self._session._artifacts.get(key)
-        if cached is not None:
-            self._session.cache_hits += 1
-            for field_name, value in cached.items():
-                setattr(state, field_name, _fork(value))
-            return state
-        self._session.cache_misses += 1
-        state = self.inner.run(state)
-        self._session._artifacts[key] = {
-            field_name: _fork(getattr(state, field_name))
-            for field_name in self.provides
-        }
         return state
 
 
@@ -233,8 +159,8 @@ class RunSession:
     """A long-lived service over one world (KB + corpus).
 
     The expensive inputs are loaded once and shared by every run; the
-    artifact cache makes repeated and partially-overlapping runs skip
-    completed upstream stages.  Construct directly from a synthetic
+    artifact store makes repeated and partially-overlapping runs skip
+    work whose inputs are unchanged.  Construct directly from a synthetic
     :class:`~repro.synthesis.world.World`, from explicit KB/corpus
     objects, via :meth:`from_seed`, or via :meth:`from_directory` for a
     world saved by ``repro build-world``.
@@ -263,9 +189,6 @@ class RunSession:
         self.config = config or PipelineConfig()
         self.models = models
         self.observers: list[PipelineObserver] = list(observers)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._artifacts: dict = {}
         #: Session-scoped kernel memos (token-pair similarities plus the
         #: registered row-pair caches) shared by every run; cleared at
         #: the corpus-epoch guard because pair caches key on row ids.
@@ -273,11 +196,10 @@ class RunSession:
         #: Strong references keep cache-key identity tokens stable.
         self._identity_registry: list[object] = []
         self._default_models: dict[str, PipelineModels] = {}
-        #: Persistent artifact store for incremental runs (see
-        #: :meth:`attach_artifact_store`); ``None`` keeps the session
-        #: purely in-memory.
-        self.artifact_store: ArtifactStore | None = None
-        #: Reuse/recompute statistics of the latest incremental run.
+        #: The stage cache of every run: in memory until
+        #: :meth:`attach_artifact_store` switches it to a directory.
+        self.artifact_store = ArtifactStore()
+        #: Reuse/recompute statistics of the latest cached run.
         self.last_incremental_report: IncrementalRunReport | None = None
         #: The :class:`repro.obs.Tracer` of the latest traced run
         #: (``trace=`` on :meth:`run`); ``None`` until one runs.
@@ -349,8 +271,9 @@ class RunSession:
         ``knowledge_base=``, ``kb_path=``, or — by convention — a
         ``knowledge_base.json`` saved inside the store directory.
         ``artifacts`` (default on) attaches the persistent artifact store
-        conventionally located at ``<store directory>/artifacts``, which
-        is what makes :meth:`run_incremental` work out of the box.
+        conventionally located at ``<store directory>/artifacts``, so
+        runs reuse work across processes; with it off the session keeps
+        an in-memory store like any other.
         """
         from repro.corpus.store import CorpusStore
         from repro.io import load_knowledge_base
@@ -384,35 +307,20 @@ class RunSession:
         session.default_queue_dir = Path(store.directory) / QUEUE_DIRNAME
         return session
 
-    # -- incremental execution ------------------------------------------
+    # -- artifact store -------------------------------------------------
     def attach_artifact_store(
         self, store: ArtifactStore | str | Path
     ) -> ArtifactStore:
-        """Attach (creating if needed) the persistent artifact store.
+        """Switch to a persistent artifact store (created if needed).
 
-        Any session can be made incremental — store-backed sessions get
-        this automatically under the corpus-store directory; in-memory
-        sessions may point it anywhere.
+        Store-backed sessions get this automatically under the
+        corpus-store directory; in-memory sessions may point it anywhere
+        to keep their artifacts beyond the process.
         """
         if not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self.artifact_store = store
         return store
-
-    def run_incremental(self, class_name: str, **kwargs) -> PipelineResult:
-        """Run one class, recomputing only what the corpus delta requires.
-
-        Exactly :meth:`run` with ``incremental=True``: every stage first
-        consults the persistent artifact store under keys that fingerprint
-        *all* of its inputs, schema matching re-analyzes only tables whose
-        content changed since artifacts were last stored, and detection
-        re-classifies only entities whose content changed.  The result is
-        byte-identical (``PipelineResult.canonical_json()``) to a
-        from-scratch run over the same corpus — served artifacts are pure
-        functions of their keys.  Reuse statistics land in
-        :attr:`last_incremental_report`.
-        """
-        return self.run(class_name, incremental=True, **kwargs)
 
     # -- running --------------------------------------------------------
     def run(
@@ -429,7 +337,6 @@ class RunSession:
         use_cache: bool = True,
         executor: str | None = None,
         workers: int | None = None,
-        incremental: bool = False,
         trace=None,
     ) -> PipelineResult:
         """Run the pipeline for one class over the session's world.
@@ -439,14 +346,23 @@ class RunSession:
         run without rebuilding any session state.  ``executor`` /
         ``workers`` override the parallel backend for this run only —
         the determinism contract makes any choice produce identical
-        results, so they are *excluded* from artifact-cache keys (a
-        serial run may be served artifacts a parallel run computed, and
-        vice versa).  ``incremental`` routes the run through the
-        persistent artifact store (see :meth:`run_incremental`).
+        results, so they are *excluded* from artifact keys (a serial run
+        may be served artifacts a parallel run computed, and vice versa).
+
+        Every default stage first consults :attr:`artifact_store` under
+        keys that fingerprint *all* of its inputs; schema matching
+        re-analyzes only tables whose content it has not seen, and
+        detection re-classifies only entities whose content it has not
+        seen.  The result is byte-identical
+        (``PipelineResult.canonical_json()``) to a from-scratch run over
+        the same corpus — stored artifacts are pure functions of their
+        keys.  Reuse statistics land in :attr:`last_incremental_report`.
+        ``use_cache=False`` reuses and stores nothing: the run computes
+        every stage, as a direct ``LongTailPipeline.run`` call does.
 
         ``trace`` records the run as a span tree (:mod:`repro.obs`):
         ``True`` logs to ``<artifact store>/traces/<trace-id>.ndjson``
-        when a store is attached (in-memory otherwise), a path logs
+        when the store has a directory (in-memory otherwise), a path logs
         there, and a :class:`repro.obs.Tracer` records into the caller's
         trace (left open — the caller owns its lifecycle).  The root
         span carries the config hash, the incremental invalidation
@@ -492,7 +408,7 @@ class RunSession:
                 "run",
                 attrs={
                     "class": class_name,
-                    "incremental": incremental,
+                    "incremental": use_cache,
                     "config": config_hash(config),
                 },
             )
@@ -502,7 +418,7 @@ class RunSession:
                 TracingObserver(tracer, parent=run_span.span_id)
             )
         backend: IncrementalBackend | None = None
-        if incremental:
+        if use_cache:
             backend = self._make_backend(
                 class_name, config, models, restriction
             )
@@ -518,24 +434,12 @@ class RunSession:
                         "delta": frontier.delta.summary(),
                     },
                 )
+            # Substituted instances always run: a custom stage that
+            # reuses a default stage's name is never served its artifact.
             stage_list = [
                 _PersistentStage(stage, backend)
-                if isinstance(spec, str) and spec in PERSISTED_FIELDS
+                if isinstance(spec, str) and spec in DEFAULT_STAGE_NAMES
                 else stage
-                for spec, stage in zip(stage_specs, stage_list)
-            ]
-        if use_cache:
-            key_base = (
-                class_name,
-                config_hash(config),
-                self._identity_token(models),
-                restriction,
-            )
-            lineage: list = []
-            stage_list = [
-                _CachedStage(
-                    stage, self, key_base, lineage, self._stage_id(spec, stage)
-                )
                 for spec, stage in zip(stage_specs, stage_list)
             ]
         try:
@@ -602,39 +506,25 @@ class RunSession:
         }
 
     # -- cache administration ------------------------------------------
-    def cache_info(self) -> dict[str, int]:
-        """Artifact-cache statistics (kernel memos report through
-        ``session.kernels.cache_info()``)."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "entries": len(self._artifacts),
-        }
-
     def clear_cache(self) -> None:
-        self._artifacts.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        """Drop the kernel memos, and every artifact of an in-memory
+        store (a store with a directory keeps what it wrote)."""
+        if self.artifact_store.directory is None:
+            self.artifact_store = ArtifactStore()
         self.kernels.clear()
 
     def service_stats(self) -> dict:
         """Every cache/store statistic of this session, as one document.
 
         The read-only monitoring surface a long-lived holder (the
-        ``repro serve`` service's ``GET /metrics``) reports: the
-        in-memory artifact cache, the kernel memo bundle, and — when
-        attached — the persistent artifact store's on-disk shape and
-        hit/miss counters.  Purely observational: calling it changes no
-        cache state.
+        ``repro serve`` service's ``GET /metrics``) reports: the kernel
+        memo bundle and the artifact store's shape and hit/miss
+        counters.  Purely observational: calling it changes no cache
+        state.
         """
         return {
-            "artifact_cache": self.cache_info(),
             "kernel_cache": self.kernels.cache_info(),
-            "artifact_store": (
-                self.artifact_store.describe()
-                if self.artifact_store is not None
-                else None
-            ),
+            "artifact_store": self.artifact_store.describe(),
             "corpus_tables": len(self.corpus),
             "kb_instances": len(self.knowledge_base),
         }
@@ -657,7 +547,7 @@ class RunSession:
         if trace is True:
             trace_id = new_trace_id()
             path = None
-            if self.artifact_store is not None:
+            if self.artifact_store.directory is not None:
                 path = (
                     self.artifact_store.directory
                     / "traces"
@@ -676,27 +566,20 @@ class RunSession:
         """Snapshot the corpus and build this run's incremental backend.
 
         Also the session's corpus-epoch guard: when the snapshot differs
-        from the previous one, the in-memory artifact cache (which keys
-        by session state, not corpus content) is cleared — along with
-        the kernel caches, whose row-pair scores key on row *ids* that a
-        replaced table reuses for new content — and a live store-backed
-        corpus view drops its table cache.  The persistent store alone
-        carries reuse across deltas, under content-exact keys.
+        from the previous one, the kernel caches — whose row-pair scores
+        key on row *ids* that a replaced table reuses for new content —
+        are cleared, and a live store-backed corpus view drops its table
+        cache.  Stored artifacts stay: their keys embed content
+        fingerprints, so none of them can go stale.
         """
-        if self.artifact_store is None:
-            raise RuntimeError(
-                "incremental runs need a persistent artifact store; "
-                "construct the session via from_corpus_store (attached "
-                "automatically) or call attach_artifact_store(path)"
-            )
         state = corpus_state(self.corpus)
         epoch = fingerprint_corpus_state(state, order=list(state))
         if epoch != self._corpus_epoch:
-            # Also taken on the session's *first* incremental run
-            # (``_corpus_epoch`` starts as None): earlier plain runs may
-            # have populated the in-memory cache and the view's LRU
-            # before the store mutated, and nothing vouches for them.
-            self.clear_cache()
+            # Also taken on the session's *first* cached run
+            # (``_corpus_epoch`` starts as None): earlier uncached runs
+            # may have filled the view's LRU before the store mutated,
+            # and nothing vouches for it.
+            self.kernels.clear()
             invalidate = getattr(self.corpus, "invalidate", None)
             if invalidate is not None:
                 invalidate()
@@ -714,7 +597,7 @@ class RunSession:
         if previous is not None:
             delta = diff_corpus_states(previous["state"], state)
         else:
-            # First incremental run against this store: everything is new.
+            # First run against this store: everything is new.
             delta = CorpusDelta(added=tuple(sorted(state)))
         backend.report.frontier = invalidation_frontier(delta)
         return backend
@@ -758,17 +641,6 @@ class RunSession:
                 return token
         self._identity_registry.append(obj)
         return len(self._identity_registry) - 1
-
-    def _stage_id(self, spec: PipelineStage | str, stage: PipelineStage) -> tuple:
-        """A cache-key component identifying *which* stage ran.
-
-        Registry-named stages are interchangeable across runs; a
-        substituted instance is only ever equal to itself, so a custom
-        stage sharing a default stage's ``name`` cannot collide with it.
-        """
-        if isinstance(spec, str):
-            return ("registry", spec)
-        return ("instance", self._identity_token(stage))
 
     @staticmethod
     def _restriction_key(

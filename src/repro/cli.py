@@ -9,8 +9,8 @@ Commands:
   summaries (``--json`` for machine-readable output, ``--stages`` to
   substitute the stage sequence, ``--fusion`` / ``--iterations`` to
   change the paper knobs).  ``--store`` runs over an ingested corpus
-  store instead of the synthetic world, and ``--incremental`` serves
-  unchanged artifacts from the store's persistent artifact cache.
+  store instead of the synthetic world and serves unchanged artifacts
+  from the store's persistent artifact store.
 * ``profile`` — run the pipeline under the perf harness and print the
   per-stage wall clock plus the kernel counters (calls, memo hits,
   early exits); ``--output BENCH_pipeline.json`` persists the
@@ -20,8 +20,8 @@ Commands:
 * ``ingest`` — stream web tables (JSONL / CSV directory / WDC JSON) into
   a sharded on-disk corpus store with optional ingest-time filtering,
   incremental label indexing, and multiprocess shard writes; the result
-  serves ``RunSession.from_corpus_store``.  ``--then-run`` chains an
-  incremental pipeline run for the named classes straight after the
+  serves ``RunSession.from_corpus_store``.  ``--then-run`` chains a
+  store-served pipeline run for the named classes straight after the
   ingest — the ingest→run loop of a continuously growing corpus in one
   command.  ``--json`` emits the full machine-readable
   :class:`~repro.corpus.store.IngestReport` (including the
@@ -40,7 +40,7 @@ Commands:
   ``GET /metrics``, and ``GET /runs/<id>/events`` streaming each run's
   trace live as NDJSON.  One writer thread serializes all mutations;
   readers see immutable atomically-swapped snapshots byte-identical to
-  batch ``repro run --incremental`` output.  ``--access-log`` prints
+  batch ``repro run --store`` output.  ``--access-log`` prints
   one structured line per request (method, path, status, ms, trace id).
 * ``trace`` — render a recorded run trace (an NDJSON event log written
   by ``run --trace``, ``ingest --trace`` or the service) as a span tree
@@ -93,11 +93,6 @@ def _cmd_build_world(args: argparse.Namespace) -> int:
     return 0
 
 
-def _incremental_report_dict(report) -> dict:
-    """JSON-safe reuse statistics of one incremental run."""
-    return report.to_dict()
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import ProgressObserver, RunSession
     from repro.pipeline.pipeline import PipelineConfig
@@ -111,10 +106,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: unknown stage(s) {', '.join(unknown)}; "
                   f"registered stages: {known}")
             return 2
-    if args.incremental and not args.store:
-        print("error: --incremental needs --store <corpus-store-dir> "
-              "(the persistent artifact store lives inside it)")
-        return 2
     if not args.store:
         unknown = [name for name in args.classes if name not in CLASS_CHOICES]
         if unknown:
@@ -163,16 +154,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for class_name in class_names:
         trace = _trace_destination(args.trace, class_name, len(class_names))
         results[class_name] = session.run(
-            class_name, stages=stages, incremental=args.incremental,
-            trace=trace,
+            class_name, stages=stages, trace=trace
         )
         if trace is not None:
             traces[class_name] = {
                 "path": str(trace),
                 "events": len(session.last_trace.events()),
             }
-        if args.incremental:
-            reports[class_name] = session.last_incremental_report
+        reports[class_name] = session.last_incremental_report
     if args.as_json:
         document = {
             "seed": args.seed,
@@ -188,11 +177,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         }
         if args.store:
             document["store"] = args.store
-        if reports:
-            document["incremental"] = {
-                class_name: _incremental_report_dict(report)
-                for class_name, report in reports.items()
-            }
+        document["incremental"] = {
+            class_name: report.to_dict()
+            for class_name, report in reports.items()
+        }
         if traces:
             document["traces"] = traces
         print(json.dumps(document, indent=2, sort_keys=True))
@@ -347,7 +335,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             print(f"error: --then-run failed: {error}")
             return 2
         for class_name in dict.fromkeys(args.then_run):
-            run_results[class_name] = session.run_incremental(class_name)
+            run_results[class_name] = session.run(class_name)
             run_reports[class_name] = session.last_incremental_report
     if args.as_json:
         document = {
@@ -367,7 +355,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 result.summary_dict() for result in run_results.values()
             ]
             document["incremental"] = {
-                class_name: _incremental_report_dict(run_report)
+                class_name: run_report.to_dict()
                 for class_name, run_report in run_reports.items()
             }
         print(json.dumps(document, indent=2, sort_keys=True))
@@ -667,16 +655,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=float, default=0.25)
     run.add_argument("--store", default=None,
                      help="run over an ingested corpus store directory "
-                          "instead of the synthetic seed world "
+                          "instead of the synthetic seed world, reusing "
+                          "the artifacts stored under it and recomputing "
+                          "only what the corpus delta invalidates "
                           "(--seed/--scale are ignored)")
     run.add_argument("--kb", default=None,
                      help="knowledge base JSON for --store (default: "
                           "knowledge_base.json inside the store)")
-    run.add_argument("--incremental", action="store_true",
-                     help="serve unchanged artifacts from the persistent "
-                          "store under --store and recompute only what "
-                          "the corpus delta invalidates (results are "
-                          "byte-identical to a full run)")
     run.add_argument("--iterations", type=int, default=2,
                      help="pipeline iterations (paper default: 2)")
     run.add_argument("--fusion", choices=("voting", "kbt", "matching"),

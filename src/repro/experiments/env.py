@@ -4,8 +4,8 @@ World generation, gold standard derivation, fold splitting and model
 training are all deterministic in the seed, and several experiments need
 the same artifacts — the environment builds each at most once per
 process.  Pipeline runs go through one shared
-:class:`~repro.api.RunSession`, so experiments additionally share the
-session's per-stage artifact cache.
+:class:`~repro.api.RunSession`; the environment memoizes their results
+itself, so the runs bypass the session's artifact store.
 """
 
 from __future__ import annotations

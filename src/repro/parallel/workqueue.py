@@ -87,6 +87,9 @@ _LIVE_WORKER_WINDOW = 30.0
 #: nobody will ever collect.
 _STALE_BATCH_SECONDS = 60.0
 
+#: How long opening a spool keeps retrying the switch to WAL mode.
+_WAL_SWITCH_TIMEOUT = 30.0
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS tasks (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -219,10 +222,28 @@ class WorkQueue:
         self._conn = sqlite3.connect(
             self.database_path, timeout=30.0, isolation_level=None
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._enable_wal()
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA busy_timeout=30000")
         self._conn.executescript(_SCHEMA)
+
+    def _enable_wal(self) -> None:
+        """Switch the spool to WAL mode, retrying while it is locked.
+
+        When several processes or threads open a fresh spool at once,
+        SQLite can answer this pragma with ``database is locked``
+        without calling the busy handler, so the connection timeout
+        does not cover it.
+        """
+        deadline = time.monotonic() + _WAL_SWITCH_TIMEOUT
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
 
     def close(self) -> None:
         self._conn.close()

@@ -9,7 +9,7 @@ a replaced table keeps its row ids but changes their content) — the
 :class:`KernelCache` therefore tracks every row-pair cache it hands out
 and clears them together with one call, which
 :meth:`repro.api.RunSession._make_backend` invokes at the corpus-epoch
-guard alongside its own stale-artifact drop.
+guard.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Persistent, content-addressed pipeline artifacts.
+"""Content-addressed pipeline artifacts: the one stage cache.
 
-This module promotes :class:`repro.api.RunSession`'s in-memory
-lineage-keyed artifact cache to an on-disk store that survives the
-process — the substrate of incremental pipeline execution:
+Every cached :meth:`repro.api.RunSession.run` goes through this module:
 
-* :class:`ArtifactStore` — a small content-addressed object store under
-  a directory (by convention ``<corpus-store>/artifacts``).  Keys are
-  canonical-JSON structures digesting every input of the stored value;
-  values are pickles written atomically.  There is deliberately no
-  invalidation API: a key embeds the fingerprints of all its inputs, so
-  stale entries are simply never addressed again.
+* :class:`ArtifactStore` — a small content-addressed object store.  Keys
+  are canonical-JSON structures digesting every input of the stored
+  value; values are pickles.  A store with a directory (by convention
+  ``<corpus-store>/artifacts``) writes them atomically to disk and
+  survives the process; a store without one keeps them in memory for
+  the life of its session.  There is deliberately no invalidation API:
+  a key embeds the fingerprints of all its inputs, so stale entries are
+  simply never addressed again.
 * :class:`IncrementalBackend` — one run's view of the store.  It holds
   the fingerprints shared by every key (knowledge base, models, config,
   corpus snapshot, restrictions) and hands out the three cache layers:
@@ -20,9 +20,13 @@ process — the substrate of incremental pipeline execution:
   2. **per-table matcher artifacts** — schema analysis (column types,
      label column, class decision) and attribute-pass correspondences
      keyed by table *content hash*, so a corpus delta re-analyzes only
-     the dirty tables (:meth:`warm_matcher` / the attribute cache);
+     the dirty tables, and a run for a second class reuses the
+     class-independent analyses of the first
+     (:meth:`warm_matcher` / the attribute cache);
   3. **per-entity detection artifacts** — classification triples keyed
      by entity content, so only entities in dirty blocks re-detect.
+
+A full run is therefore an incremental run over an empty store.
 
 Correctness invariant (the one every key must uphold): a stored value is
 a **pure function of its key**.  Under that invariant, serving from the
@@ -76,33 +80,30 @@ ARTIFACTS_DIRNAME = "artifacts"
 MANIFEST_NAME = "artifact_store.json"
 STORE_VERSION = 1
 
-#: State fields persisted per default stage.  ``schema_match`` excludes
-#: ``matcher`` (a live object with executor bindings — rebuilt on demand
-#: and re-warmed from the per-table layer instead).
-PERSISTED_FIELDS: dict[str, tuple[str, ...]] = {
-    "schema_match": ("mapping", "target_tables", "records"),
-    "cluster": ("context", "clusters"),
-    "fuse": ("entities",),
-    "detect": ("detection",),
-}
-
 
 class ArtifactStore:
-    """A directory of content-addressed pickled artifacts.
+    """Content-addressed pickled artifacts, on disk or in memory.
 
-    Layout::
+    Layout of a store with a directory::
 
         <directory>/artifact_store.json     # version manifest
         <directory>/objects/ab/<digest>.pkl # one pickle per artifact
         <directory>/meta/<name>.json        # named JSON documents
                                             # (corpus snapshots, reports)
 
-    Writes are atomic (temp file + rename), so a crashed run leaves at
-    worst an unreferenced temp file, never a truncated artifact.  Those
-    orphans — a writer killed between ``mkstemp`` and ``os.replace``
-    never reaches its own unlink — are swept on store open, guarded by
-    age so a *live* writer's in-flight temp file is never pulled out
-    from under it (queue workers and the service may share one store).
+    A store built without a directory keeps the same pickle blobs and
+    JSON documents in dicts and lives as long as its session.  Both
+    backings pickle on :meth:`put` and unpickle on :meth:`get`, so a
+    caller mutating a value it stored or loaded never changes what the
+    store serves next.
+
+    Disk writes are atomic (temp file + rename), so a crashed run leaves
+    at worst an unreferenced temp file, never a truncated artifact.
+    Those orphans — a writer killed between ``mkstemp`` and
+    ``os.replace`` never reaches its own unlink — are swept on store
+    open, guarded by age so a *live* writer's in-flight temp file is
+    never pulled out from under it (queue workers and the service may
+    share one store).
     """
 
     #: A ``*.tmp`` file must be at least this old (seconds) before the
@@ -111,11 +112,22 @@ class ArtifactStore:
 
     def __init__(
         self,
-        directory: str | Path,
+        directory: str | Path | None = None,
         *,
         orphan_tmp_age: float = ORPHAN_TMP_AGE,
     ) -> None:
-        self.directory = Path(directory)
+        self.directory = Path(directory) if directory is not None else None
+        self.hits = 0
+        self.misses = 0
+        self.writes = 0
+        self.orphan_tmp_age = orphan_tmp_age
+        self.tmp_swept = 0
+        #: The in-memory backing: key digest -> pickle blob, and
+        #: document name -> JSON text.  Unused when a directory is set.
+        self._objects: dict[str, bytes] = {}
+        self._meta: dict[str, str] = {}
+        if self.directory is None:
+            return
         manifest = self.directory / MANIFEST_NAME
         if manifest.exists():
             document = json.loads(manifest.read_text(encoding="utf-8"))
@@ -131,10 +143,6 @@ class ArtifactStore:
             )
         (self.directory / "objects").mkdir(exist_ok=True)
         (self.directory / "meta").mkdir(exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.orphan_tmp_age = orphan_tmp_age
         self.tmp_swept = self._sweep_orphans()
 
     def _sweep_orphans(self) -> int:
@@ -153,6 +161,8 @@ class ArtifactStore:
 
     def _pending_tmp(self) -> int:
         """Temp files currently on disk (in-flight writers or young orphans)."""
+        if self.directory is None:
+            return 0
         return sum(
             1
             for pattern in ("objects/*/*.tmp", "meta/*.tmp")
@@ -167,10 +177,15 @@ class ArtifactStore:
         non-``None`` mapping or tuple, which keeps the miss signal
         unambiguous.
         """
-        path = self._object_path(self.key_digest(key))
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
+        key_digest = self.key_digest(key)
+        if self.directory is None:
+            blob = self._objects.get(key_digest)
+        else:
+            try:
+                blob = self._object_path(key_digest).read_bytes()
+            except FileNotFoundError:
+                blob = None
+        if blob is None:
             self.misses += 1
             return None
         self.hits += 1
@@ -181,33 +196,25 @@ class ArtifactStore:
         if value is None:
             raise ValueError("ArtifactStore cannot store None (miss marker)")
         key_digest = self.key_digest(key)
-        path = self._object_path(key_digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         blob = pickle.dumps(value, protocol=4)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
-            # A crash here strands an orphan *.tmp (fsck/sweep territory);
-            # a raise is cleaned up by the except below.  Either way the
-            # final path never holds a torn object.
-            faults.check("artifacts.put")
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        if self.directory is None:
+            self._objects[key_digest] = blob
+        else:
+            path = self._object_path(key_digest)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_atomic(path, blob, "artifacts.put")
         self.writes += 1
         return key_digest
 
     def __contains__(self, key: object) -> bool:
-        return self._object_path(self.key_digest(key)).exists()
+        key_digest = self.key_digest(key)
+        if self.directory is None:
+            return key_digest in self._objects
+        return self._object_path(key_digest).exists()
 
     def __len__(self) -> int:
+        if self.directory is None:
+            return len(self._objects)
         objects = self.directory / "objects"
         return sum(1 for _ in objects.glob("*/*.pkl"))
 
@@ -225,21 +232,26 @@ class ArtifactStore:
     def describe(self) -> dict:
         """A read-only stat surface for monitoring (``GET /metrics``).
 
-        Walks the object directory, so it reflects what is on disk —
-        including artifacts written by other processes — not just this
-        handle's activity (which :meth:`stats` counts).
+        On disk it walks the object directory, so it reflects what is
+        stored — including artifacts written by other processes — not
+        just this handle's activity (which :meth:`stats` counts).
         """
-        objects = self.directory / "objects"
-        n_objects = 0
-        total_bytes = 0
-        for path in objects.glob("*/*.pkl"):
-            n_objects += 1
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:  # pragma: no cover - racing deletion
-                pass
+        if self.directory is None:
+            n_objects = len(self._objects)
+            total_bytes = sum(map(len, self._objects.values()))
+        else:
+            n_objects = 0
+            total_bytes = 0
+            for path in (self.directory / "objects").glob("*/*.pkl"):
+                n_objects += 1
+                try:
+                    total_bytes += path.stat().st_size
+                except OSError:  # pragma: no cover - racing deletion
+                    pass
         return {
-            "directory": str(self.directory),
+            "directory": (
+                str(self.directory) if self.directory is not None else None
+            ),
             "version": STORE_VERSION,
             "objects": n_objects,
             "bytes": total_bytes,
@@ -250,33 +262,52 @@ class ArtifactStore:
 
     # -- named metadata -------------------------------------------------
     def meta_load(self, name: str) -> dict | None:
-        path = self.directory / "meta" / f"{name}.json"
-        if not path.exists():
-            return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        if self.directory is None:
+            text = self._meta.get(name)
+        else:
+            path = self.directory / "meta" / f"{name}.json"
+            text = (
+                path.read_text(encoding="utf-8") if path.exists() else None
+            )
+        return json.loads(text) if text is not None else None
 
     def meta_save(self, name: str, payload: dict) -> None:
-        path = self.directory / "meta" / f"{name}.json"
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, suffix=".tmp"
+        text = json.dumps(payload, sort_keys=True)
+        if self.directory is None:
+            self._meta[name] = text
+            return
+        _write_atomic(
+            self.directory / "meta" / f"{name}.json",
+            text.encode("utf-8"),
+            "artifacts.meta_save",
         )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            faults.check("artifacts.meta_save")
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
 
     # -- internals ------------------------------------------------------
     def _object_path(self, key_digest: str) -> Path:
         return (
             self.directory / "objects" / key_digest[:2] / f"{key_digest}.pkl"
         )
+
+
+def _write_atomic(path: Path, data: bytes, fault_point: str) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename.
+
+    A crash at ``fault_point`` strands an orphan ``*.tmp`` (fsck/sweep
+    territory); a raise is cleaned up below.  Either way ``path`` never
+    holds a torn file.
+    """
+    descriptor, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            handle.write(data)
+        faults.check(fault_point)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +533,7 @@ class IncrementalBackend:
             "analysis",
             self.kb_fp,
             matcher.candidate_limit,
+            matcher.candidate_mode,
             table_id,
             content,
         ]

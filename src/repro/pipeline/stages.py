@@ -96,9 +96,9 @@ class PipelineState:
     executor: Executor | None = None
     #: Incremental-run backend
     #: (:class:`repro.pipeline.artifacts.IncrementalBackend`), set by the
-    #: orchestrator for ``RunSession.run_incremental`` runs.  Stages use
-    #: it to serve per-table and per-entity artifacts from the persistent
-    #: store; ``None`` (the default) keeps every stage fully stateless.
+    #: orchestrator for cached ``RunSession.run`` runs.  Stages use it to
+    #: serve per-table and per-entity artifacts from the artifact store;
+    #: ``None`` (the default) keeps every stage fully stateless.
     incremental: "IncrementalBackend | None" = None
     #: Session-scoped kernel memos (:class:`repro.perf.KernelCache`), set
     #: by the orchestrator.  Stages share it with the similarity kernels
@@ -135,8 +135,8 @@ class PipelineStage(Protocol):
 
     ``name`` identifies the stage (registry key, observer events, cache
     keys); ``provides`` names the :class:`PipelineState` fields the stage
-    sets, which is what the :class:`repro.api.RunSession` artifact cache
-    snapshots; ``run`` transforms the state and returns it.
+    sets, which is what the :class:`repro.api.RunSession` artifact store
+    keeps of a default stage; ``run`` transforms the state and returns it.
     """
 
     name: str
@@ -326,16 +326,17 @@ class SchemaMatchStage:
     """Figure-1 "Schema Matching": corpus mapping + row-record projection."""
 
     name = "schema_match"
-    #: ``matcher`` rides along so a cache hit restores the shared
-    #: per-table analysis memos a later uncached iteration would reuse.
-    provides = ("mapping", "target_tables", "records", "matcher")
+    #: ``matcher`` (a live object with executor bindings) is not listed:
+    #: a later iteration rebuilds it and re-warms it from the per-table
+    #: artifacts instead.
+    provides = ("mapping", "target_tables", "records")
 
     def run(self, state: PipelineState) -> PipelineState:
         if state.matcher is None:
             state.matcher = SchemaMatcher(state.kb, state.models.schema_models)
-        # The matcher outlives runs (it rides the artifact cache), but
-        # executors, incremental backends and the candidate mode are
-        # per-run resources/config — rebind every time.
+        # The matcher outlives the iteration, but executors,
+        # incremental backends and the candidate mode are per-run
+        # resources/config — rebind every time.
         state.matcher.executor = state.executor
         state.matcher.candidate_mode = state.config.candidate_mode
         state.matcher.attribute_cache = None

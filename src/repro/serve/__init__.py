@@ -8,7 +8,7 @@ immutable published :class:`~repro.serve.snapshot.Snapshot` objects the
 writer swaps atomically after each run — the service inherits all
 correctness machinery from the batch engine (persistent artifact store,
 corpus-epoch guard, kernel caches), so what it serves is byte-identical
-to a batch ``repro run --incremental`` over the same store.
+to a batch ``repro run --store`` over the same store.
 
 Layering, transport-independent core first:
 

@@ -10,7 +10,7 @@ Method  Path                          Meaning
 GET     ``/health``                   liveness + snapshot overview
 GET     ``/metrics``                  runs, request latencies, caches, stages
 POST    ``/ingest``                   tables in → ``IngestReport`` out
-POST    ``/runs``                     trigger a (default incremental) run
+POST    ``/runs``                     trigger a (default store-served) run
 GET     ``/runs``                     all runs, submission order
 GET     ``/runs/<id>``                poll one run's status/stats
 GET     ``/runs/<id>/canonical``      the run's canonical JSON (byte witness)
@@ -437,10 +437,8 @@ class KBRequestHandler(BaseHTTPRequestHandler):
                     raise ServiceError(
                         400, "run body must be a JSON object"
                     )
-                incremental = body.get("incremental")
-                if incremental is not None and not isinstance(
-                    incremental, bool
-                ):
+                incremental = body.get("incremental", True)
+                if not isinstance(incremental, bool):
                     raise ServiceError(
                         400, "'incremental' must be a boolean when present"
                     )

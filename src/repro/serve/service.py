@@ -6,9 +6,9 @@ and mediates all access to it:
 
 * **One writer.**  A single daemon thread drains a FIFO job queue of
   ingests and pipeline runs.  Ingests mutate the corpus store; runs go
-  through :meth:`RunSession.run` (incremental by default, so the
-  corpus-epoch guard and the persistent artifact store from the batch
-  engine do the invalidation work) and end by *publishing*: building an
+  through :meth:`RunSession.run` (so the corpus-epoch guard and the
+  content-keyed artifact store from the batch engine do the
+  invalidation work) and end by *publishing*: building an
   immutable :class:`~repro.serve.snapshot.ClassView` and swapping the
   service's :class:`~repro.serve.snapshot.Snapshot` reference.  Because
   ingest and run jobs share the queue, a run triggered after an ingest
@@ -135,15 +135,11 @@ class KBService:
         session: RunSession,
         *,
         store: CorpusStore | None = None,
-        default_incremental: bool | None = None,
         request_history: int = 4096,
         max_queue_depth: int | None = None,
     ) -> None:
         self.session = session
         self.store = store
-        if default_incremental is None:
-            default_incremental = session.artifact_store is not None
-        self.default_incremental = default_incremental
         self.started_at = time.time()
         self.timer = TimingObserver()
         #: Store shape cached off the hot read path (refreshed by the
@@ -156,11 +152,12 @@ class KBService:
         )
         self.runs = RunRegistry()
         #: Per-run NDJSON event logs (``GET /runs/<id>/events``): next to
-        #: the artifacts when a persistent store is attached, in a
-        #: service-owned temp directory otherwise — storeless services
+        #: the artifacts when the artifact store has a directory, in a
+        #: service-owned temp directory otherwise — in-memory services
         #: stream all the same.
-        if session.artifact_store is not None:
-            self._traces_dir = session.artifact_store.directory / "traces"
+        artifacts_dir = session.artifact_store.directory
+        if artifacts_dir is not None:
+            self._traces_dir = artifacts_dir / "traces"
         else:
             self._traces_dir = Path(tempfile.mkdtemp(prefix="repro-traces-"))
         self._traces_dir.mkdir(parents=True, exist_ok=True)
@@ -189,15 +186,11 @@ class KBService:
         #: Durable pending-run journal: runs are added at submit time and
         #: removed at their terminal status, so a killed service can
         #: re-queue exactly the runs it still owed on restart.  Only
-        #: meaningful with a persistent artifact store — a temp-backed
+        #: meaningful with a persistent artifact store — an in-memory
         #: service has nothing durable to resume against.
         self._journal_lock = threading.Lock()
-        if session.artifact_store is not None:
-            self._journal_path = (
-                session.artifact_store.directory
-                / "service"
-                / "pending_runs.json"
-            )
+        if artifacts_dir is not None:
+            self._journal_path = artifacts_dir / "service" / "pending_runs.json"
         else:
             self._journal_path = None
         self._recover_pending_runs()
@@ -297,12 +290,14 @@ class KBService:
         self,
         class_name: str,
         *,
-        incremental: bool | None = None,
+        incremental: bool = True,
         trace_id: str | None = None,
     ) -> dict:
         """Enqueue one pipeline run; returns the queued run document.
 
-        ``trace_id`` propagates a client-supplied id (``X-Repro-Trace``)
+        ``incremental=False`` runs with ``use_cache=False``: nothing is
+        reused from or stored in the artifact store.  ``trace_id``
+        propagates a client-supplied id (``X-Repro-Trace``)
         into the run's trace; malformed ids are replaced, never
         rejected.  The event-log path is fixed here, at submit time, so
         ``GET /runs/<id>/events`` can attach to a run that is still
@@ -312,18 +307,10 @@ class KBService:
             raise ServiceError(
                 400, "run request needs a non-empty string 'class_name'"
             )
-        if incremental is None:
-            incremental = self.default_incremental
-        if incremental and self.session.artifact_store is None:
-            raise ServiceError(
-                409,
-                "incremental runs need a persistent artifact store; "
-                "serve a corpus store or submit with incremental=false",
-            )
         self._require_open()
         self._admit()
         record = self.runs.create(
-            class_name, bool(incremental), trace_id=sanitize_trace_id(trace_id)
+            class_name, incremental, trace_id=sanitize_trace_id(trace_id)
         )
         self.runs.update(
             record,
@@ -367,7 +354,7 @@ class KBService:
         """The published canonical JSON of one finished run.
 
         Serves the byte-equality witness: the exact string a batch
-        ``repro run --incremental`` would produce for the same store
+        ``repro run --store`` would produce for the same store
         state (``tests/test_serve.py`` and the CI smoke job compare the
         two byte for byte).
         """
@@ -510,11 +497,8 @@ class KBService:
                 },
                 "latency_ms": percentile_summary(self._latencies),
             }
-        uptime = round(time.time() - self.started_at, 3)
         return {
-            "uptime_seconds": uptime,
-            "uptime_s": uptime,
-            "queue_depth": self._queue.qsize(),
+            "uptime_s": round(time.time() - self.started_at, 3),
             "writer_queue": {
                 "depth": self._queue.qsize(),
                 "max_depth": self.max_queue_depth,
@@ -646,7 +630,7 @@ class KBService:
         try:
             result = self.session.run(
                 record.class_name,
-                incremental=record.incremental,
+                use_cache=record.incremental,
                 observers=[self.timer],
                 trace=tracer,
             )
@@ -772,7 +756,7 @@ class KBService:
         Recovered jobs enter the queue directly — the admission bound
         applies to new client traffic, never to owed work.  Re-running a
         run whose crash fell between publish and journal removal is
-        safe: the incremental engine serves the same artifacts and the
+        safe: the artifact store serves the same artifacts and the
         published canonical output is byte-identical.
         """
         if self._journal_path is None:

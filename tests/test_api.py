@@ -172,44 +172,61 @@ class TestRunSessionEquivalence:
 
 
 class TestArtifactCache:
+    """Every cached run goes through the session's content-keyed
+    artifact store (in memory for sessions built without a directory)."""
+
     def test_repeat_run_hits_every_stage(self, session, song_gold, session_run):
-        hits_before = session.cache_hits
         again = session.run("Song", **_song_restriction(song_gold))
+        report = session.last_incremental_report
         expected = len(DEFAULT_STAGE_NAMES) * 2  # stages × iterations
-        assert session.cache_hits == hits_before + expected
-        assert again.summary() == session_run.summary()
+        assert report.stage_hits() == expected
+        assert report.stage_misses() == 0
+        assert again.canonical_json() == session_run.canonical_json()
 
     def test_partial_upstream_stages_reused(self, tiny_world, song_gold):
         fresh = RunSession(world=tiny_world)
         restriction = _song_restriction(song_gold)
         fresh.run("Song", stages=("schema_match", "cluster"), **restriction)
-        assert fresh.cache_info() == {"hits": 0, "misses": 4, "entries": 4}
+        assert fresh.last_incremental_report.stage_misses() == 4
         full = fresh.run("Song", **restriction)
-        # Only the iteration-1 prefix is safe to reuse: iteration-2 schema
+        # Only the iteration-1 prefix is served: iteration-2 schema
         # matching depends on detection feedback the partial run never made.
-        assert fresh.cache_hits == 2
+        assert fresh.last_incremental_report.stage_hits() == 2
         assert full.final.entities
 
     def test_use_cache_false_bypasses(self, session, song_gold):
-        info_before = session.cache_info()
+        stats_before = session.artifact_store.stats()
+        objects_before = len(session.artifact_store)
         session.run("Song", use_cache=False, **_song_restriction(song_gold))
-        assert session.cache_info() == info_before
+        assert session.artifact_store.stats() == stats_before
+        assert len(session.artifact_store) == objects_before
 
     def test_config_change_misses(self, session, song_gold):
-        hits_before = session.cache_hits
         session.run(
             "Song",
             config=PipelineConfig(iterations=1, seed=99),
             **_song_restriction(song_gold),
         )
-        assert session.cache_hits == hits_before
+        assert session.last_incremental_report.stage_hits() == 0
 
     def test_clear_cache(self, tiny_world):
         fresh = RunSession(world=tiny_world)
-        fresh.cache_hits = 3
-        fresh._artifacts["k"] = {}
+        fresh.run("Song", stages=("schema_match",))
+        assert len(fresh.artifact_store) > 0
         fresh.clear_cache()
-        assert fresh.cache_info() == {"hits": 0, "misses": 0, "entries": 0}
+        assert len(fresh.artifact_store) == 0
+        assert fresh.artifact_store.stats() == {
+            "hits": 0, "misses": 0, "writes": 0,
+        }
+
+    def test_second_class_reuses_table_analyses(self, tiny_world):
+        """Table-to-class decisions are made against the whole KB, so a
+        second class's run is served every analysis the first computed."""
+        fresh = RunSession(world=tiny_world)
+        fresh.run_many(["Song", "Settlement"], stages=("schema_match",))
+        report = fresh.last_incremental_report
+        assert report.analysis_loaded == len(tiny_world.corpus)
+        assert report.analysis_computed == 0
 
 
 class TestStageSubstitution:
@@ -217,7 +234,7 @@ class TestStageSubstitution:
         self, session, song_gold, session_run
     ):
         # Cache stays on: the default detect stage's artifacts are
-        # already cached (session_run), and the stub — despite sharing
+        # already stored (session_run), and the stub — despite sharing
         # the "detect" name — must still run and win.
         stub = StubDetectStage()
         result = session.run(

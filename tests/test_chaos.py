@@ -86,9 +86,7 @@ def session_canonical(store_dir: Path) -> str:
     store = CorpusStore.open(store_dir)
     try:
         session = RunSession.from_corpus_store(store)
-        return session.run_incremental(
-            "Song", use_cache=False
-        ).canonical_json()
+        return session.run("Song").canonical_json()
     finally:
         store.close()
 
@@ -123,7 +121,7 @@ class TestIngestCrash:
         assert session_canonical(store_dir) == expected_song
 
 
-# -- artifacts.*: repro run --incremental killed mid-publish ------------
+# -- artifacts.*: repro run --store killed mid-publish ------------------
 class TestRunCrash:
     @pytest.mark.parametrize(
         "spec",
@@ -134,8 +132,7 @@ class TestRunCrash:
     ):
         store_dir = make_golden_store(tmp_path / "store")
         killed = run_cli(
-            ["run", "Song", "--store", str(store_dir),
-             "--incremental", "--quiet"],
+            ["run", "Song", "--store", str(store_dir), "--quiet"],
             faults=spec,
         )
         assert killed.returncode in SIGKILLED, killed.stderr

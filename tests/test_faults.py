@@ -321,10 +321,8 @@ class TestConfigIntegration:
         with pytest.raises(FaultInjected):
             session.run(
                 "Song",
-                use_cache=False,
-                incremental=True,
                 config=PipelineConfig(faults="artifacts.put:raise@1"),
             )
         # The plan died with its run: a faultless rerun goes through.
-        result = session.run("Song", use_cache=False, incremental=True)
+        result = session.run("Song")
         assert result.summary_dict()["class_name"] == "Song"

@@ -19,7 +19,7 @@ The tests rerun the pipeline and diff byte-for-byte:
   produce identical artifacts (the parallel engine's acceptance
   criterion), and the distributed ``queue`` backend gets its own leg,
   drained by two worker threads over a throwaway spool;
-* under ``--incremental`` — runs served from the persistent artifact
+* over a corpus store — runs served from the persistent artifact
   store must reproduce the committed bytes on every backend (the
   incremental engine's acceptance criterion).
 
@@ -221,8 +221,8 @@ def test_incremental_runs_byte_identical_to_golden(
     executor contract and the store's purity invariant at once.
     """
     class_name = golden_case[0]
-    result = incremental_session.run_incremental(
-        class_name, executor=executor, workers=2, use_cache=False
+    result = incremental_session.run(
+        class_name, executor=executor, workers=2
     )
     assert result.canonical_json() == expected_blob
 
@@ -232,9 +232,7 @@ def test_incremental_store_serves_second_backend(
 ):
     """After the matrix above, a rerun is fully store-served."""
     class_name = golden_case[0]
-    incremental_session.run_incremental(
-        class_name, executor="serial", use_cache=False
-    )
+    incremental_session.run(class_name, executor="serial")
     report = incremental_session.last_incremental_report
     assert report.stage_misses() == 0
     assert report.analysis_computed == 0

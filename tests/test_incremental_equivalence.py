@@ -42,6 +42,8 @@ from repro.pipeline.delta import (
     fingerprint_records,
     invalidation_frontier,
 )
+from repro.pipeline.pipeline import PipelineConfig
+from repro.retrieval.gate import ENV_UNGATED
 from repro.synthesis.api import build_world
 from repro.synthesis.profiles import WorldScale
 from repro.webtables.table import WebTable
@@ -107,16 +109,14 @@ class TestScriptedLifecycle:
         store = _make_store(tmp_path, song_world, base)
         session = RunSession.from_corpus_store(store)
 
-        first = session.run_incremental(CLASS_NAME, executor=executor)
+        first = session.run(CLASS_NAME, executor=executor)
         _assert_equivalent(store, first)
         report = session.last_incremental_report
         assert report.frontier is not None
         assert len(report.frontier.delta.added) == N_BASE
 
         # Identical corpus: the whole run must be served from the store.
-        again = session.run_incremental(
-            CLASS_NAME, executor=executor, use_cache=False
-        )
+        again = session.run(CLASS_NAME, executor=executor)
         assert again.canonical_json() == first.canonical_json()
         assert session.last_incremental_report.stage_misses() == 0
         assert session.last_incremental_report.frontier.schema_match_reusable
@@ -126,7 +126,7 @@ class TestScriptedLifecycle:
         assert sorted(grow.dirty_ids) == sorted(
             table.table_id for table in pool[:2]
         )
-        grown = session.run_incremental(CLASS_NAME, executor=executor)
+        grown = session.run(CLASS_NAME, executor=executor)
         _assert_equivalent(store, grown)
         frontier = session.last_incremental_report.frontier
         assert set(frontier.analyze_tables) == set(grow.dirty_ids)
@@ -137,13 +137,13 @@ class TestScriptedLifecycle:
             [_mutated(victim, salt=1)], on_conflict="replace"
         )
         assert replace.replaced_ids == [victim.table_id]
-        mutated = session.run_incremental(CLASS_NAME, executor=executor)
+        mutated = session.run(CLASS_NAME, executor=executor)
         _assert_equivalent(store, mutated)
 
         # Shrink.
         removed = store.remove_tables([base[1].table_id])
         assert removed == [base[1].table_id]
-        shrunk = session.run_incremental(CLASS_NAME, executor=executor)
+        shrunk = session.run(CLASS_NAME, executor=executor)
         _assert_equivalent(store, shrunk)
         delta = session.last_incremental_report.frontier.delta
         assert delta.removed == (base[1].table_id,)
@@ -154,10 +154,10 @@ class TestScriptedLifecycle:
         """A new process (fresh session) reuses the persisted artifacts."""
         store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
         warm = RunSession.from_corpus_store(store)
-        expected = warm.run_incremental(CLASS_NAME).canonical_json()
+        expected = warm.run(CLASS_NAME).canonical_json()
 
         cold = RunSession.from_corpus_store(store)
-        result = cold.run_incremental(CLASS_NAME, use_cache=False)
+        result = cold.run(CLASS_NAME)
         assert result.canonical_json() == expected
         report = cold.last_incremental_report
         assert report.stage_misses() == 0
@@ -219,11 +219,11 @@ def test_random_mutation_sequences_stay_equivalent(
                 on_conflict="replace",
             )
         elif op == "run":
-            result = session.run_incremental(CLASS_NAME, executor=executor)
+            result = session.run(CLASS_NAME, executor=executor)
             _assert_equivalent(store, result)
             ran = True
     if not ran:
-        result = session.run_incremental(CLASS_NAME, executor=executor)
+        result = session.run(CLASS_NAME, executor=executor)
         _assert_equivalent(store, result)
 
 
@@ -238,6 +238,27 @@ class TestArtifactStore:
         assert key in store
         assert len(store) == 1
         assert store.stats() == {"hits": 1, "misses": 1, "writes": 1}
+
+    def test_in_memory_backing(self):
+        """Without a directory the store keeps pickles and JSON documents
+        in memory: a value mutated after ``put`` or ``get`` is never what
+        the store serves next."""
+        store = ArtifactStore()
+        stored = {"clusters": [1, 2, 3]}
+        store.put(["key"], stored)
+        stored["clusters"].append(4)
+        store.get(["key"])["clusters"].append(5)
+        assert store.get(["key"]) == {"clusters": [1, 2, 3]}
+        assert ["key"] in store and len(store) == 1
+        assert store.meta_load("last_corpus_state") is None
+        store.meta_save("last_corpus_state", {"state": {"t1": "hash"}})
+        assert store.meta_load("last_corpus_state") == {
+            "state": {"t1": "hash"}
+        }
+        description = store.describe()
+        assert description["directory"] is None
+        assert description["objects"] == 1
+        assert (description["hits"], description["writes"]) == (2, 1)
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         store = ArtifactStore(tmp_path / "artifacts")
@@ -513,48 +534,69 @@ class TestStoreRemoval:
 
 
 class TestSessionGuards:
-    def test_incremental_needs_artifact_store(self, song_world):
-        session = RunSession(song_world)
-        with pytest.raises(RuntimeError, match="artifact store"):
-            session.run_incremental(CLASS_NAME)
-
     def test_in_memory_session_can_attach_store(
         self, tmp_path, song_world
     ):
         session = RunSession(song_world)
         session.attach_artifact_store(tmp_path / "artifacts")
-        result = session.run_incremental(CLASS_NAME)
+        result = session.run(CLASS_NAME)
         fresh = RunSession(song_world)
         expected = fresh.run(CLASS_NAME, use_cache=False)
         assert result.canonical_json() == expected.canonical_json()
 
+    def test_candidate_mode_keys_table_analyses(self, song_world, monkeypatch):
+        """A table's stored class decision depends on the candidate mode:
+        a ``fast`` run must not be served the decisions of an ``exact``
+        run over the same store."""
+        pytest.importorskip("numpy")
+        monkeypatch.setenv(ENV_UNGATED, "1")
+        session = RunSession(song_world)
+        session.run(CLASS_NAME, stages=("schema_match",))
+        session.run(
+            CLASS_NAME,
+            stages=("schema_match",),
+            config=PipelineConfig(candidate_mode="fast"),
+        )
+        report = session.last_incremental_report
+        assert report.analysis_loaded == 0
+        assert report.analysis_computed == len(song_world.corpus)
+
     def test_plain_run_before_first_incremental_is_not_trusted(
         self, tmp_path, song_world, world_tables
     ):
-        """A mutated-store session's first incremental run must not serve
-        artifacts a pre-delta plain ``run()`` left in the in-memory cache
-        (regression: the epoch guard used to only arm on the *second*
-        incremental run)."""
+        """A mutated-store session's first cached run must not serve
+        tables a pre-delta uncached ``run()`` left in the corpus view's
+        cache (regression: the epoch guard used to only arm on the
+        *second* store-served run)."""
         store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
         session = RunSession.from_corpus_store(store)
-        stale = session.run(CLASS_NAME)  # plain run fills the caches
+        stale = session.run(CLASS_NAME, use_cache=False)  # fills the view
         store.ingest(world_tables[N_BASE : N_BASE + 2])
-        result = session.run_incremental(CLASS_NAME)
+        result = session.run(CLASS_NAME)
         assert result.canonical_json() != stale.canonical_json()
         _assert_equivalent(store, result)
 
     def test_epoch_change_clears_in_memory_cache(
         self, tmp_path, song_world, world_tables
     ):
+        """The kernel caches key row pairs by id, which a replaced table
+        reuses for new content: the guard drops them when the corpus
+        moves, and only then."""
         store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
         session = RunSession.from_corpus_store(store)
-        session.run_incremental(CLASS_NAME)
-        assert session.cache_info()["entries"] > 0
+        clears = []
+        clear = session.kernels.clear
+
+        def counting_clear():
+            clears.append(1)
+            clear()
+
+        session.kernels.clear = counting_clear
+        session.run(CLASS_NAME)
+        session.run(CLASS_NAME)
+        assert len(clears) == 1  # the session's first run, not the repeat
         store.ingest(world_tables[N_BASE : N_BASE + 1])
-        session.run_incremental(CLASS_NAME)
-        # The pre-delta in-memory artifacts were dropped, then repopulated
-        # by the post-delta run.
-        info = session.cache_info()
-        assert info["entries"] > 0
+        session.run(CLASS_NAME)
+        assert len(clears) == 2
         delta = session.last_incremental_report.frontier.delta
         assert delta.added == (world_tables[N_BASE].table_id,)

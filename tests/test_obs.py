@@ -377,7 +377,7 @@ class TestTracedRuns:
             store, knowledge_base=tiny_world.knowledge_base
         )
         full = session.run(CLASS_NAME, use_cache=False)
-        traced = session.run_incremental(CLASS_NAME, trace=True)
+        traced = session.run(CLASS_NAME, trace=True)
         assert traced.canonical_json() == full.canonical_json()
         events = session.last_trace.events()
         frontier = [e for e in events if e.get("kind") == "incremental"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -165,6 +166,40 @@ class TestWorkQueue:
 
     def test_queue_stats_without_spool(self, tmp_path):
         assert queue_stats(tmp_path / "never-created") is None
+
+    def test_concurrent_first_open_of_a_fresh_spool(self, tmp_path):
+        """SQLite answers the switch to WAL mode with ``database is
+        locked``, without waiting on the busy handler, while another
+        connection holds a write lock; several first opens racing that
+        writer must wait it out, not crash."""
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        writer = sqlite3.connect(spool / "queue.sqlite", isolation_level=None)
+        writer.execute("BEGIN IMMEDIATE")
+        opened = threading.Barrier(5, timeout=30)
+        errors: list[Exception] = []
+
+        def open_spool():
+            opened.wait()
+            try:
+                WorkQueue(spool).close()
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        threads = [threading.Thread(target=open_spool) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        opened.wait()
+        time.sleep(0.3)
+        writer.execute("COMMIT")
+        writer.close()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        with WorkQueue(spool) as queue:
+            (mode,) = queue._conn.execute("PRAGMA journal_mode").fetchone()
+        assert mode == "wal"
 
 
 # -- the executor against an in-process fleet ---------------------------

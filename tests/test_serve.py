@@ -3,11 +3,11 @@
 The load-bearing claims under test:
 
 * **byte-equality** — `GET /runs/<id>/canonical` serves exactly the
-  bytes a batch ``repro run --incremental`` over the same store state
+  bytes a batch ``repro run --store`` over the same store state
   produces (the service adds no semantics of its own);
 * **snapshot isolation** — concurrent readers never observe a
   partially-updated snapshot, before, during, or after ingests and
-  incremental runs;
+  store-served runs;
 * **error contract** — malformed ingest payloads answer 400 naming the
   offending record, unknown ids answer 404, and writer-thread failures
   surface in ``GET /runs/<id>`` instead of hanging the service.
@@ -24,6 +24,7 @@ import urllib.request
 
 import pytest
 
+from repro import faults
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.io import save_knowledge_base
@@ -421,20 +422,25 @@ class TestRunTracing:
         assert fresh != "not valid !!" and fresh.startswith("tr-")
 
     def test_stream_events_follows_a_live_run(self, served):
-        run_id = served.client.submit_run(CLASS_NAME)["run_id"]
         events = []
         status_at_first_stage = None
-        for record in served.client.stream_events(run_id):
-            events.append(record)
-            if (
-                status_at_first_stage is None
-                and record.get("kind") == "stage"
-            ):
-                # The whole point of streaming: stage events arrive
-                # while the run document still says running, not after.
-                status_at_first_stage = served.client.run(
-                    run_id
-                )["status"]
+        # A run served from the store can finish before the reader sees
+        # its first stage event; a pause at the corpus-snapshot save,
+        # which every run passes after its last stage, keeps it live.
+        with faults.armed("artifacts.meta_save:latency:2"):
+            run_id = served.client.submit_run(CLASS_NAME)["run_id"]
+            for record in served.client.stream_events(run_id):
+                events.append(record)
+                if (
+                    status_at_first_stage is None
+                    and record.get("kind") == "stage"
+                ):
+                    # The whole point of streaming: stage events arrive
+                    # while the run document still says running, not
+                    # after.
+                    status_at_first_stage = served.client.run(
+                        run_id
+                    )["status"]
         assert status_at_first_stage in ("queued", "running")
         sequences = [record["seq"] for record in events]
         assert sequences == sorted(sequences)
@@ -499,7 +505,9 @@ class TestRunTracing:
     def test_metrics_observability_fields(self, served):
         metrics = served.client.metrics()
         assert metrics["uptime_s"] > 0
-        assert metrics["queue_depth"] == 0
+        assert "uptime_seconds" not in metrics
+        assert "queue_depth" not in metrics
+        assert metrics["writer_queue"]["depth"] == 0
         assert metrics["snapshot_version"] >= 1
 
     def test_access_log_line_per_request(
