@@ -21,7 +21,8 @@ and ``python -m repro serve --store <store> --port 8023``.
 import tempfile
 from pathlib import Path
 
-from repro import RunSession, TimingObserver
+from repro import RunSession
+from repro.obs import trace_summary
 
 
 def main() -> None:
@@ -34,11 +35,14 @@ def main() -> None:
           f"{session.corpus.total_rows():,} rows")
 
     print("\nRunning the pipeline (untrained defaults) on class Song ...")
-    timer = TimingObserver()
-    result = session.run("Song", observers=[timer])
+    # A traced run records its stages as spans; the per-stage wall time
+    # is summed from that span log.
+    result = session.run("Song", trace=True)
     print(result.summary())
     print("\nPer-stage wall time:")
-    print(timer.report())
+    timings = trace_summary(session.last_trace.events())
+    for name, seconds in timings["stage_seconds"].items():
+        print(f"  {name:<12}  {seconds:8.3f}s")
 
     print("\nTop proposed new songs:")
     new_entities = sorted(

@@ -46,13 +46,15 @@ Module map:
 
 Quickstart::
 
-    from repro import RunSession, TimingObserver
+    from repro import RunSession
+    from repro.obs import trace_summary
 
     session = RunSession.from_seed(seed=7, scale=0.25)
-    timer = TimingObserver()
-    result = session.run("Song", observers=[timer])
+    result = session.run("Song", trace=True)
     print(result.summary())
-    print(timer.report())
+    # The run's span log is its timing record: stage seconds and
+    # kernel counters are summed from it.
+    print(trace_summary(session.last_trace.events())["stage_seconds"])
 
     # Batch runs share the session's world and artifact store:
     results = session.run_many(["Song", "Settlement"])
@@ -78,7 +80,6 @@ __all__ = [
     "PipelineStage",
     "PipelineState",
     "PipelineObserver",
-    "TimingObserver",
     "StageRegistry",
     "STAGES",
     "DEFAULT_STAGE_NAMES",
@@ -134,7 +135,6 @@ _LAZY_EXPORTS = {
     "PipelineStage": ("repro.pipeline.stages", "PipelineStage"),
     "PipelineState": ("repro.pipeline.stages", "PipelineState"),
     "PipelineObserver": ("repro.pipeline.stages", "PipelineObserver"),
-    "TimingObserver": ("repro.pipeline.stages", "TimingObserver"),
     "StageRegistry": ("repro.pipeline.stages", "StageRegistry"),
     "STAGES": ("repro.pipeline.stages", "STAGES"),
     "DEFAULT_STAGE_NAMES": ("repro.pipeline.stages", "DEFAULT_STAGE_NAMES"),

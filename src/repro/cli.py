@@ -10,11 +10,10 @@ Commands:
   substitute the stage sequence, ``--fusion`` / ``--iterations`` to
   change the paper knobs).  ``--store`` runs over an ingested corpus
   store instead of the synthetic world and serves unchanged artifacts
-  from the store's persistent artifact store.
-* ``profile`` — run the pipeline under the perf harness and print the
-  per-stage wall clock plus the kernel counters (calls, memo hits,
-  early exits); ``--output BENCH_pipeline.json`` persists the
-  trajectory document future PRs compare against.
+  from the store's persistent artifact store.  Every class run is
+  traced (in memory unless ``--trace`` names a log), and ``--json``'s
+  ``stage_seconds`` and ``kernel_counters`` are summed from those span
+  logs.
 * ``experiment`` — regenerate one paper table/figure by experiment id
   (``table01`` … ``table12``, ``figure01``, ``ranked_eval``).
 * ``ingest`` — stream web tables (JSONL / CSV directory / WDC JSON) into
@@ -95,8 +94,9 @@ def _cmd_build_world(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import ProgressObserver, RunSession
+    from repro.obs import Tracer, trace_summary
     from repro.pipeline.pipeline import PipelineConfig
-    from repro.pipeline.stages import STAGES, TimingObserver
+    from repro.pipeline.stages import STAGES
 
     stages = args.stages.split(",") if args.stages else None
     if stages is not None:
@@ -132,17 +132,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {error}")
         return 2
     observers = [] if args.quiet else [ProgressObserver()]
-    timer = TimingObserver()
     try:
         if args.store:
             session = RunSession.from_corpus_store(
                 args.store, kb_path=args.kb, config=config,
-                observers=[*observers, timer],
+                observers=observers,
             )
         else:
             session = RunSession.from_seed(
                 seed=args.seed, scale=args.scale, config=config,
-                observers=[*observers, timer],
+                observers=observers,
             )
     except (ValueError, FileNotFoundError) as error:
         print(f"error: {error}")
@@ -150,19 +149,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = {}
     reports = {}
     traces = {}
+    events: list[dict] = []
     class_names = list(dict.fromkeys(args.classes))
     for class_name in class_names:
-        trace = _trace_destination(args.trace, class_name, len(class_names))
-        results[class_name] = session.run(
-            class_name, stages=stages, trace=trace
+        # Every run is traced: the span log is where stage seconds and
+        # kernel counters come from.  Without --trace it stays in memory.
+        destination = _trace_destination(
+            args.trace, class_name, len(class_names)
         )
-        if trace is not None:
+        results[class_name] = session.run(
+            class_name,
+            stages=stages,
+            trace=destination if destination is not None else Tracer(),
+        )
+        run_events = session.last_trace.events()
+        events.extend(run_events)
+        if destination is not None:
             traces[class_name] = {
-                "path": str(trace),
-                "events": len(session.last_trace.events()),
+                "path": str(destination),
+                "events": len(run_events),
             }
         reports[class_name] = session.last_incremental_report
     if args.as_json:
+        timings = trace_summary(events)
         document = {
             "seed": args.seed,
             "scale": args.scale,
@@ -172,8 +181,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "results": [result.summary_dict() for result in results.values()],
             "stage_seconds": {
                 name: round(seconds, 4)
-                for name, seconds in timer.by_stage().items()
+                for name, seconds in timings["stage_seconds"].items()
             },
+            "kernel_counters": timings["kernel_counters"],
         }
         if args.store:
             document["store"] = args.store
@@ -210,57 +220,6 @@ def _trace_destination(
     if n_classes == 1:
         return path
     return path.with_name(f"{path.stem}.{class_name}{path.suffix}")
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.api import RunSession
-    from repro.perf.bench import pipeline_profile_document, write_bench_file
-    from repro.pipeline.pipeline import PipelineConfig
-    from repro.pipeline.stages import TimingObserver
-
-    unknown = [name for name in args.classes if name not in CLASS_CHOICES]
-    if unknown:
-        print(f"error: unknown class(es) {', '.join(unknown)}; "
-              f"the synthetic world holds {', '.join(CLASS_CHOICES)}")
-        return 2
-    overrides = {}
-    if args.executor is not None:
-        overrides["executor"] = args.executor
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.candidate_mode is not None:
-        overrides["candidate_mode"] = args.candidate_mode
-    try:
-        config = PipelineConfig(iterations=args.iterations, **overrides)
-    except ValueError as error:
-        print(f"error: {error}")
-        return 2
-    timer = TimingObserver()
-    session = RunSession.from_seed(
-        seed=args.seed, scale=args.scale, config=config, observers=[timer]
-    )
-    started = time.perf_counter()
-    session.run_many(dict.fromkeys(args.classes))
-    total_seconds = time.perf_counter() - started
-    document = pipeline_profile_document(
-        classes=list(dict.fromkeys(args.classes)),
-        seed=args.seed,
-        scale=args.scale,
-        config=config,
-        timer=timer,
-        total_seconds=total_seconds,
-    )
-    if args.as_json:
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print(timer.report())
-        print(f"wall clock (incl. world build reuse): {total_seconds:.3f}s")
-    if args.output:
-        path = write_bench_file(args.output, document)
-        print(f"trajectory written to {path}")
-    return 0
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -704,36 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "several classes each gets its own "
                           "PATH.<class>.ndjson log")
     run.set_defaults(handler=_cmd_run)
-
-    profile = subparsers.add_parser(
-        "profile", help="run the pipeline under the perf harness"
-    )
-    profile.add_argument("classes", nargs="+", metavar="class",
-                         help=f"one or more of {CLASS_CHOICES}")
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument("--scale", type=float, default=0.25)
-    profile.add_argument("--iterations", type=int, default=2)
-    profile.add_argument("--executor",
-                         choices=("serial", "thread", "process", "queue"),
-                         default=None,
-                         help="parallel backend (note: process pools and "
-                              "queue workers keep their kernel counters "
-                              "out-of-process; the report then shows the "
-                              "in-process share.  'queue' needs "
-                              "REPRO_QUEUE_DIR and running workers)")
-    profile.add_argument("--workers", type=int, default=None)
-    profile.add_argument("--candidate-mode", choices=("exact", "fast"),
-                         default=None, dest="candidate_mode",
-                         help="profile the exact scan or the gated fast "
-                              "retrieval path (see `repro run "
-                              "--candidate-mode`)")
-    profile.add_argument("--json", action="store_true", dest="as_json",
-                         help="print the trajectory document instead of "
-                              "the aligned report")
-    profile.add_argument("--output", default=None, metavar="PATH",
-                         help="also write the trajectory JSON (convention: "
-                              "BENCH_pipeline.json at the repo root)")
-    profile.set_defaults(handler=_cmd_profile)
 
     ingest = subparsers.add_parser(
         "ingest", help="stream web tables into a sharded corpus store"

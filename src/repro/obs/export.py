@@ -10,6 +10,7 @@ this process or happened last week on a server.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Iterable
 
 from repro.obs.trace import span_index
@@ -163,18 +164,35 @@ def render_tree(events: Iterable[dict], *, attrs: bool = True) -> str:
 
 
 def trace_summary(events: Iterable[dict]) -> dict:
-    """Aggregate shape of a trace: span counts and seconds per kind."""
-    spans = span_index(list(events))
+    """Aggregate shape of a trace: span counts and seconds per kind,
+    plus the run's timings — stage seconds by stage name and the summed
+    per-stage kernel-counter deltas.
+
+    The stage totals read the ``end`` records directly rather than the
+    span index: span ids restart in every trace, so the events of
+    several runs concatenated still sum to the sum of their summaries.
+    """
+    events = list(events)
+    spans = span_index(events)
     counts: dict[str, int] = {}
     seconds: dict[str, float] = {}
     for span in spans.values():
         kind = span.get("kind", "span")
         counts[kind] = counts.get(kind, 0) + 1
         seconds[kind] = seconds.get(kind, 0.0) + (span.get("dur") or 0.0)
+    stage_seconds: Counter = Counter()
+    kernel_counters: Counter = Counter()
+    for record in events:
+        if record.get("type") != "end" or record.get("kind") != "stage":
+            continue
+        stage_seconds[record.get("name", "?")] += record.get("dur") or 0.0
+        kernel_counters.update(record.get("attrs", {}).get("kernels", {}))
     return {
         "spans": len(spans),
         "by_kind": {
             kind: {"count": counts[kind], "seconds": round(seconds[kind], 6)}
             for kind in sorted(counts)
         },
+        "stage_seconds": dict(sorted(stage_seconds.items())),
+        "kernel_counters": dict(sorted(kernel_counters.items())),
     }

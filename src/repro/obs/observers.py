@@ -11,8 +11,11 @@ the stage that dispatched them.
 Per-stage kernel summaries come from the module-global counters of
 :mod:`repro.perf.counters`: a snapshot at stage start, the non-zero
 delta attached to the stage's ``end`` record.  (Counters are
-per-process, so a process-pool run surfaces the in-process share — same
-caveat as :class:`~repro.pipeline.stages.TimingObserver`.)
+per-process, so a process-pool run surfaces the in-process share.)
+Those ``end`` records are the run's only timing record:
+:func:`~repro.obs.export.trace_summary` sums them into stage seconds
+and kernel counters for ``repro run --json`` and the service's
+``/metrics``.
 
 The byte-neutrality contract lives here by construction: the observer
 only *reads* pipeline state and writes to its own event log, so a traced

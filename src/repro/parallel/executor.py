@@ -25,8 +25,8 @@ entity ids, ...), so a crash deep inside a worker still points at the
 originating input.
 
 :class:`ExecutorObserver` receives per-chunk progress and timing events;
-:class:`repro.pipeline.stages.TimingObserver` implements it, so stage
-wall-clock and in-worker chunk seconds land in one report.
+:class:`repro.obs.TracingObserver` implements it, so in-worker chunk
+seconds land in the run's span log as children of the stage span.
 """
 
 from __future__ import annotations

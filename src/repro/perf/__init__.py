@@ -4,15 +4,15 @@ Four pieces:
 
 * :mod:`repro.perf.counters` — process-wide kernel counters (calls,
   cache hits, early exits) the optimized kernels bump on their hot
-  paths; :class:`~repro.pipeline.stages.TimingObserver` surfaces the
-  per-run deltas and ``repro profile`` prints them.
+  paths; the tracing observer attaches their per-stage deltas to the
+  run's span log, which ``repro run --json`` and ``/metrics`` sum.
 * :mod:`repro.perf.kernels` — :class:`KernelCache`, the session-scoped
   memo bundle (token-pair similarities + registered row-pair caches)
   cleared at the corpus-epoch guard.
 * :mod:`repro.perf.bench` — the benchmark runners behind
-  ``benchmarks/bench_kernels.py`` and ``repro profile --output``, which
-  persist the measured trajectory to ``BENCH_kernels.json`` /
-  ``BENCH_pipeline.json`` at the repo root.
+  ``benchmarks/bench_kernels.py`` and ``benchmarks/bench_retrieval.py``,
+  which persist the measured trajectory to ``BENCH_kernels.json`` /
+  ``BENCH_retrieval.json`` at the repo root.
 * :mod:`repro.perf.percentiles` — exact nearest-rank percentiles for
   the small latency samples the service's ``GET /metrics`` and
   ``benchmarks/bench_serve.py`` report.

@@ -1,7 +1,7 @@
-"""Benchmark runners for the kernel layer and the pipeline trajectory.
+"""Benchmark runners for the kernel layer and the candidate path.
 
-Two measured artifacts anchor the repo's perf trajectory, both written
-at the repo root so successive PRs can compare against committed
+These measured artifacts anchor the repo's perf trajectory, written at
+the repo root so successive changes can compare against committed
 baselines:
 
 * ``BENCH_kernels.json`` — microbenchmarks of the optimized kernels
@@ -11,9 +11,6 @@ baselines:
   Every comparison *asserts value equality* before it reports a
   speedup — a benchmark whose fast path diverges from the reference is
   a bug, not a result.
-* ``BENCH_pipeline.json`` — stage wall-clock and kernel-counter
-  trajectory of a full pipeline run, produced by ``repro profile
-  --output``.
 * ``BENCH_retrieval.json`` — the fast candidate path
   (``candidate_mode='fast'``) against the exact scan, produced by
   :func:`run_retrieval_benchmarks` via ``benchmarks/bench_retrieval.py``.
@@ -47,12 +44,10 @@ from repro.text.vectors import term_vector
 
 #: Schema tags stamped into the persisted JSON documents.
 KERNEL_BENCH_SCHEMA = "repro.bench.kernels/v1"
-PIPELINE_BENCH_SCHEMA = "repro.bench.pipeline/v1"
 SERVE_BENCH_SCHEMA = "repro.bench.serve/v1"
 RETRIEVAL_BENCH_SCHEMA = "repro.bench.retrieval/v1"
 
 KERNEL_BENCH_FILE = "BENCH_kernels.json"
-PIPELINE_BENCH_FILE = "BENCH_pipeline.json"
 SERVE_BENCH_FILE = "BENCH_serve.json"
 #: Kept in sync with :data:`repro.retrieval.gate.RETRIEVAL_BENCH_FILE`
 #: (the gate reads what the benchmark writes).
@@ -417,35 +412,6 @@ def run_kernel_benchmarks(
     }
 
 
-def pipeline_profile_document(
-    *,
-    classes: Sequence[str],
-    seed: int,
-    scale: float,
-    config,
-    timer,
-    total_seconds: float,
-) -> dict:
-    """The ``repro profile`` trajectory document (stages + kernels)."""
-    return {
-        "schema": PIPELINE_BENCH_SCHEMA,
-        "python": platform.python_version(),
-        "classes": list(classes),
-        "seed": seed,
-        "scale": scale,
-        "iterations": config.iterations,
-        "executor": config.executor,
-        "workers": config.workers,
-        "candidate_mode": getattr(config, "candidate_mode", "exact"),
-        "total_seconds": round(total_seconds, 4),
-        "stage_seconds": {
-            name: round(seconds, 4)
-            for name, seconds in sorted(timer.by_stage().items())
-        },
-        "kernel_counters": dict(sorted(timer.kernel_counts.items())),
-    }
-
-
 def serve_bench_document(
     *,
     seed: int,
@@ -533,8 +499,6 @@ def compare_with_baseline(
 __all__ = [
     "KERNEL_BENCH_FILE",
     "KERNEL_BENCH_SCHEMA",
-    "PIPELINE_BENCH_FILE",
-    "PIPELINE_BENCH_SCHEMA",
     "RETRIEVAL_BENCH_FILE",
     "RETRIEVAL_BENCH_SCHEMA",
     "SERVE_BENCH_FILE",
@@ -546,7 +510,6 @@ __all__ = [
     "bench_schema_match_candidates",
     "compare_with_baseline",
     "load_bench_file",
-    "pipeline_profile_document",
     "run_kernel_benchmarks",
     "run_retrieval_benchmarks",
     "serve_bench_document",

@@ -38,7 +38,6 @@ from repro.pipeline.stages import (
     PipelineState,
     SchemaMatchStage,
     StageRegistry,
-    TimingObserver,
 )
 from repro.pipeline.result import IterationArtifacts, PipelineResult
 from repro.pipeline.training import TrainedModels, train_models
@@ -79,7 +78,6 @@ __all__ = [
     "PipelineStage",
     "PipelineState",
     "PipelineObserver",
-    "TimingObserver",
     "SchemaMatchStage",
     "ClusterStage",
     "FuseStage",

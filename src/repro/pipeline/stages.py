@@ -46,8 +46,7 @@ from repro.newdetect.detector import (
     NewDetector,
 )
 from repro.newdetect.metrics import make_entity_metrics
-from repro.parallel import Executor, ExecutorObserver
-from repro.perf.counters import counter_delta, kernel_counters
+from repro.parallel import Executor
 from repro.perf.kernels import KernelCache
 from repro.pipeline.result import IterationArtifacts
 from repro.webtables.corpus import TableCorpus
@@ -174,99 +173,6 @@ class PipelineObserver:
 
     def on_run_finished(self, result: "PipelineResult") -> None:
         pass
-
-
-class TimingObserver(PipelineObserver, ExecutorObserver):
-    """Collects per-stage wall-clock time across runs.
-
-    Also an :class:`~repro.parallel.ExecutorObserver`: when a run uses a
-    parallel executor, per-chunk in-worker compute seconds are
-    aggregated per parallel task (``chunk_seconds``), alongside the
-    stage wall clock — comparing the two shows how much compute the pool
-    absorbed.
-
-    Kernel counters (:mod:`repro.perf.counters`) are snapshotted at
-    ``on_run_started`` and their per-run deltas accumulated into
-    :attr:`kernel_counts`, so the report shows how often the similarity
-    kernels ran, hit their memos, and early-exited — the perf trajectory
-    ``repro profile`` and the benchmark runners persist.  (Counters are
-    per-process: a process-pool run only surfaces the in-process share.)
-    """
-
-    def __init__(self) -> None:
-        #: (class_name, iteration, stage_name) -> seconds
-        self.timings: dict[tuple[str, int, str], float] = {}
-        #: parallel task name -> summed in-worker chunk seconds
-        self.chunk_seconds: dict[str, float] = {}
-        #: parallel task name -> chunks completed
-        self.chunk_counts: dict[str, int] = {}
-        #: kernel counter name -> total accumulated across observed runs
-        self.kernel_counts: dict[str, int] = {}
-        self._kernel_baseline: dict[str, int] | None = None
-
-    def on_run_started(self, class_name: str, config: "PipelineConfig") -> None:
-        self._kernel_baseline = kernel_counters()
-
-    def on_run_finished(self, result: "PipelineResult") -> None:
-        if self._kernel_baseline is None:
-            return
-        for name, grown in counter_delta(self._kernel_baseline).items():
-            self.kernel_counts[name] = self.kernel_counts.get(name, 0) + grown
-        self._kernel_baseline = None
-
-    def on_stage_finished(
-        self, class_name: str, iteration: int, stage_name: str, seconds: float
-    ) -> None:
-        key = (class_name, iteration, stage_name)
-        self.timings[key] = self.timings.get(key, 0.0) + seconds
-
-    def on_chunk_finished(
-        self, task_name: str, chunk_index: int, n_items: int, seconds: float
-    ) -> None:
-        self.chunk_seconds[task_name] = (
-            self.chunk_seconds.get(task_name, 0.0) + seconds
-        )
-        self.chunk_counts[task_name] = self.chunk_counts.get(task_name, 0) + 1
-
-    def by_stage(self) -> dict[str, float]:
-        """Total seconds per stage name, summed over classes/iterations."""
-        totals: dict[str, float] = {}
-        for (__, __, stage_name), seconds in self.timings.items():
-            totals[stage_name] = totals.get(stage_name, 0.0) + seconds
-        return totals
-
-    def total(self) -> float:
-        return sum(self.timings.values())
-
-    def report(self) -> str:
-        """Aligned per-stage timing table (plus parallel task chunks)."""
-        totals = self.by_stage()
-        if not totals:
-            return "(no stages timed)"
-        width = max(len(name) for name in totals)
-        lines = [
-            f"{name:<{width}}  {seconds:8.3f}s"
-            for name, seconds in sorted(totals.items(), key=lambda kv: -kv[1])
-        ]
-        lines.append(f"{'total':<{width}}  {self.total():8.3f}s")
-        if self.chunk_seconds:
-            lines.append("parallel tasks (in-worker chunk seconds):")
-            task_width = max(len(name) for name in self.chunk_seconds)
-            for name, seconds in sorted(
-                self.chunk_seconds.items(), key=lambda kv: -kv[1]
-            ):
-                lines.append(
-                    f"  {name:<{task_width}}  {seconds:8.3f}s "
-                    f"({self.chunk_counts[name]} chunks)"
-                )
-        if self.kernel_counts:
-            lines.append("kernel counters:")
-            counter_width = max(len(name) for name in self.kernel_counts)
-            for name in sorted(self.kernel_counts):
-                lines.append(
-                    f"  {name:<{counter_width}}  {self.kernel_counts[name]:>12,}"
-                )
-        return "\n".join(lines)
 
 
 class StageRegistry:

@@ -132,6 +132,9 @@ class KBRequestHandler(BaseHTTPRequestHandler):
 
     server: KBServer
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two sends; with Nagle on, a keep-alive
+    # client's delayed ACK stalls every response by tens of ms.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     def setup(self) -> None:

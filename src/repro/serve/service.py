@@ -34,6 +34,7 @@ import tempfile
 import threading
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,9 +44,8 @@ from repro.api import RunSession
 from repro.corpus.indexing import CorpusLabelIndex, INDEX_FILE
 from repro.corpus.readers import table_from_record
 from repro.corpus.store import CorpusStore
-from repro.obs import Tracer, new_trace_id
+from repro.obs import Tracer, new_trace_id, trace_summary
 from repro.perf.percentiles import percentile_summary
-from repro.pipeline.stages import TimingObserver
 from repro.serve.runs import RunRecord, RunRegistry
 from repro.serve.snapshot import Snapshot, build_class_view
 from repro.webtables.table import WebTable
@@ -141,7 +141,6 @@ class KBService:
         self.session = session
         self.store = store
         self.started_at = time.time()
-        self.timer = TimingObserver()
         #: Store shape cached off the hot read path (refreshed by the
         #: writer after each ingest): handler threads answering /health
         #: must not open per-request SQLite connections.
@@ -183,6 +182,10 @@ class KBService:
         self._status_counts: dict[int, int] = {}
         self._latencies: list[float] = []
         self._request_history = request_history
+        #: Stage seconds and kernel counters summed over every run's
+        #: span log (``/metrics``), folded in by the writer thread.
+        self._stage_seconds: Counter = Counter()
+        self._kernel_counters: Counter = Counter()
         #: Durable pending-run journal: runs are added at submit time and
         #: removed at their terminal status, so a killed service can
         #: re-queue exactly the runs it still owed on restart.  Only
@@ -497,6 +500,11 @@ class KBService:
                 },
                 "latency_ms": percentile_summary(self._latencies),
             }
+            stage_seconds = {
+                name: round(seconds, 4)
+                for name, seconds in sorted(self._stage_seconds.items())
+            }
+            kernel_counters = dict(sorted(self._kernel_counters.items()))
         return {
             "uptime_s": round(time.time() - self.started_at, 3),
             "writer_queue": {
@@ -509,11 +517,8 @@ class KBService:
             "snapshot": self._snapshot.describe(),
             "runs": self.runs.counts(),
             "requests": requests,
-            "stage_seconds": {
-                name: round(seconds, 4)
-                for name, seconds in sorted(self.timer.by_stage().items())
-            },
-            "kernel_counters": dict(sorted(self.timer.kernel_counts.items())),
+            "stage_seconds": stage_seconds,
+            "kernel_counters": kernel_counters,
             "session": self.session.service_stats(),
             "work_queue": self._work_queue_stats(),
         }
@@ -628,12 +633,16 @@ class KBService:
         tracer.default_parent = root.span_id
         self.runs.update(record, status="running", started_at=started_at)
         try:
-            result = self.session.run(
-                record.class_name,
-                use_cache=record.incremental,
-                observers=[self.timer],
-                trace=tracer,
-            )
+            try:
+                result = self.session.run(
+                    record.class_name,
+                    use_cache=record.incremental,
+                    trace=tracer,
+                )
+            finally:
+                # Before any terminal status: a client that sees the
+                # run finish reads /metrics totals that include it.
+                self._fold_timings(tracer.events())
             publish = tracer.begin("publish", "service", parent=root.span_id)
             view = build_class_view(
                 record.class_name, result, record.run_id
@@ -681,6 +690,13 @@ class KBService:
                 error=detail,
             )
             self._journal_remove(record.run_id)
+
+    def _fold_timings(self, events: list[dict]) -> None:
+        """Add one run's stage seconds and kernel counters to the totals."""
+        timings = trace_summary(events)
+        with self._telemetry_lock:
+            self._stage_seconds.update(timings["stage_seconds"])
+            self._kernel_counters.update(timings["kernel_counters"])
 
     # -- pending-run journal (crash-safe restart) ------------------------
     def _journal_entries(self) -> list[dict]:

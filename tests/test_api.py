@@ -13,8 +13,8 @@ from repro.pipeline.stages import (
     STAGES,
     PipelineObserver,
     PipelineStage,
-    TimingObserver,
 )
+from repro.obs import trace_summary
 
 
 def _song_restriction(song_gold) -> dict:
@@ -287,13 +287,21 @@ class TestObservers:
         assert observer.stages_started == 2
         assert observer.stages_finished == 2
 
-    def test_timing_observer_collects_stages(self, session):
-        timer = TimingObserver()
+    def test_trace_summary_collects_stage_seconds(self, session):
         stub = StubDetectStage()
-        session.run("Song", stages=(stub,), observers=[timer], use_cache=False)
-        assert set(timer.by_stage()) == {"detect"}
-        assert timer.total() >= 0.0
-        assert "detect" in timer.report()
+        session.run("Song", stages=(stub,), use_cache=False, trace=True)
+        events = session.last_trace.events()
+        stage_ends = [
+            record for record in events
+            if record["type"] == "end" and record["kind"] == "stage"
+        ]
+        # One detect span per iteration, summed under the stage name.
+        assert len(stage_ends) == len(stub.iterations_seen) == 2
+        assert trace_summary(events)["stage_seconds"] == {
+            "detect": pytest.approx(
+                sum(record["dur"] for record in stage_ends)
+            ),
+        }
 
     def test_session_level_observers(self, tiny_world):
         observer = CountingObserver()

@@ -125,6 +125,10 @@ class TestCLI:
         assert main(["run", "Song", "--stages", "bogus"]) == 2
         assert "unknown stage" in capsys.readouterr().out
 
+    def test_run_rejects_unknown_class(self, capsys):
+        assert main(["run", "NotAClass"]) == 2
+        assert "unknown class" in capsys.readouterr().out
+
     def test_run_rejects_bad_iterations(self, capsys):
         assert main(["run", "Song", "--iterations", "0"]) == 2
         assert "iterations" in capsys.readouterr().out
@@ -146,6 +150,9 @@ class TestCLI:
         assert set(document["stage_seconds"]) == {
             "schema_match", "cluster", "fuse",
         }
+        assert any(
+            name.startswith("monge_elkan.") for name in document["kernel_counters"]
+        )
 
     def test_experiment_choices_validated(self):
         with pytest.raises(SystemExit):

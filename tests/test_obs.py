@@ -248,9 +248,15 @@ class TestExport:
         assert chunk["tid"] == 4242
 
     def test_trace_summary_counts(self):
-        summary = trace_summary(small_trace().events())
+        events = small_trace().events()
+        summary = trace_summary(events)
         assert summary["spans"] == 3
         assert summary["by_kind"]["chunk"] == {"count": 1, "seconds": 0.1}
+        stage_end = next(
+            e for e in events if e["type"] == "end" and e["kind"] == "stage"
+        )
+        assert summary["stage_seconds"] == {"cluster": stage_end["dur"]}
+        assert summary["kernel_counters"] == {"calls": 3}
 
 
 # -- chunk spans across the process-pool boundary -----------------------
@@ -346,6 +352,35 @@ class TestTracedRuns:
         assert stages and all(s["parent"] in iteration_ids for s in stages)
         # At least one stage carries a kernel-counter delta.
         assert any("kernels" in s.get("attrs", {}) for s in stages)
+
+    def test_summary_of_concatenated_runs_sums(self, tiny_world):
+        # Span ids restart at s0001 in every trace, so the summary of
+        # several runs' concatenated events must still add up.
+        session = RunSession(world=tiny_world)
+        summaries, events = [], []
+        for class_name in (CLASS_NAME, "Settlement"):
+            session.run(class_name, use_cache=False, trace=True)
+            run_events = session.last_trace.events()
+            summaries.append(trace_summary(run_events))
+            events.extend(run_events)
+        first, second = summaries
+        combined = trace_summary(events)
+        assert set(combined["stage_seconds"]) == (
+            set(first["stage_seconds"]) | set(second["stage_seconds"])
+        )
+        for name, seconds in combined["stage_seconds"].items():
+            assert seconds == pytest.approx(
+                first["stage_seconds"].get(name, 0.0)
+                + second["stage_seconds"].get(name, 0.0)
+            )
+        assert first["kernel_counters"] and second["kernel_counters"]
+        assert combined["kernel_counters"] == {
+            name: first["kernel_counters"].get(name, 0)
+            + second["kernel_counters"].get(name, 0)
+            for name in (
+                set(first["kernel_counters"]) | set(second["kernel_counters"])
+            )
+        }
 
     def test_error_run_closes_span_with_status(self, tiny_world):
         class BoomStage:

@@ -5,13 +5,11 @@ fast path must reproduce its reference byte for byte.  The hypothesis
 suites here hold that under adversarial inputs — random vocabularies
 with mutation sequences for the deletion-neighborhood fuzzy index, and
 random token lists for the memoized Monge-Elkan — plus unit coverage of
-the perf plumbing (counters, KernelCache, the TimingObserver surface,
-the generation-keyed block cache and the ``repro profile`` command).
+the perf plumbing (counters, KernelCache, the kernel counters a run's
+span log carries, and the generation-keyed block cache).
 """
 
 from __future__ import annotations
-
-import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -295,22 +293,22 @@ class TestBlockCacheGeneration:
 
 
 # ---------------------------------------------------------------------------
-# TimingObserver kernel surface + bench plumbing
+# Kernel counters in the span log + bench plumbing
 # ---------------------------------------------------------------------------
 
 
 class TestPerfHarness:
-    def test_timing_observer_accumulates_kernel_deltas(self, tiny_world):
+    def test_trace_summary_kernel_counters_match_run_delta(self, tiny_world):
         from repro.api import RunSession
-        from repro.pipeline.stages import TimingObserver
+        from repro.obs import trace_summary
 
-        timer = TimingObserver()
-        session = RunSession(tiny_world, observers=[timer])
-        session.run("Song", executor="serial")
-        assert timer.kernel_counts.get("monge_elkan.pair_memo_misses", 0) > 0
-        report = timer.report()
-        assert "kernel counters:" in report
-        assert "monge_elkan.pair_memo_hits" in report
+        session = RunSession(tiny_world)
+        baseline = kernel_counters()
+        session.run("Song", executor="serial", trace=True)
+        delta = counter_delta(baseline)
+        summary = trace_summary(session.last_trace.events())
+        assert summary["kernel_counters"] == delta
+        assert delta.get("monge_elkan.pair_memo_misses", 0) > 0
 
     def test_compare_with_baseline_flags_collapsed_speedups(self):
         current = {"benchmarks": {"pair_scoring": {"speedup": 1.0}}}
@@ -326,26 +324,3 @@ class TestPerfHarness:
         }
         for entry in document["benchmarks"].values():
             assert entry["speedup"] > 0
-
-    def test_profile_cli_writes_trajectory(self, tmp_path, capsys):
-        from repro.cli import main
-
-        output = tmp_path / "BENCH_pipeline.json"
-        code = main([
-            "profile", "Song", "--scale", "0.1", "--iterations", "1",
-            "--executor", "serial", "--json", "--output", str(output),
-        ])
-        assert code == 0
-        document = json.loads(output.read_text())
-        assert document["schema"] == "repro.bench.pipeline/v1"
-        assert "schema_match" in document["stage_seconds"]
-        assert any(
-            name.startswith("monge_elkan") for name in document["kernel_counters"]
-        )
-        printed = json.loads(capsys.readouterr().out.split("trajectory")[0])
-        assert printed["classes"] == ["Song"]
-
-    def test_profile_cli_rejects_unknown_class(self):
-        from repro.cli import main
-
-        assert main(["profile", "NotAClass"]) == 2

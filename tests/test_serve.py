@@ -16,7 +16,10 @@ The load-bearing claims under test:
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -218,7 +221,27 @@ class TestReadEndpoints:
         assert latency["count"] > 0
         assert latency["min"] <= latency["p50"] <= latency["p99"]
         assert metrics["stage_seconds"], "pipeline stage timings exposed"
+        assert metrics["kernel_counters"], "kernel counters exposed"
         assert "kernel_cache" in metrics["session"]
+
+    def test_keep_alive_requests_do_not_stall(self, served):
+        # Headers and body leave in separate sends; with Nagle's
+        # algorithm on, the client's delayed ACK holds the body back
+        # ~40 ms on every response of a persistent connection.
+        host, port = served.server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            elapsed_ms = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                response.read()
+                elapsed_ms.append((time.perf_counter() - started) * 1000.0)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(elapsed_ms) < 20.0
 
 
 class TestErrorPaths:
@@ -315,6 +338,59 @@ class TestWriterFailures:
             with pytest.raises(ServiceError) as excinfo:
                 service.ingest_tables([])
             assert excinfo.value.status == 409
+
+    def test_metrics_reads_race_timing_folds(self, song_world):
+        # Writer-side folds grow the timing dicts while /metrics handler
+        # threads read them; the lock must keep every read whole and
+        # every fold counted.
+        service = KBService(RunSession(world=song_world))
+        n_folders, n_folds = 4, 400
+
+        def stage_end(folder: int, fold: int) -> list[dict]:
+            return [{
+                "type": "end", "kind": "stage", "name": "cluster",
+                "dur": 0.5,
+                "attrs": {"kernels": {"shared": 1, f"k{folder}.{fold}": 1}},
+            }]
+
+        errors: list[BaseException] = []
+        folding_done = threading.Event()
+
+        def fold(folder: int) -> None:
+            for number in range(n_folds):
+                service._fold_timings(stage_end(folder, number))
+
+        def read() -> None:
+            try:
+                while not folding_done.is_set():
+                    service.metrics()
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            folders = [
+                threading.Thread(target=fold, args=(number,))
+                for number in range(n_folders)
+            ]
+            for thread in readers + folders:
+                thread.start()
+            for thread in folders:
+                thread.join(timeout=60)
+            folding_done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in readers + folders)
+        assert errors == []
+        metrics = service.metrics()
+        total = n_folders * n_folds
+        assert metrics["kernel_counters"]["shared"] == total
+        assert len(metrics["kernel_counters"]) == total + 1
+        assert metrics["stage_seconds"] == {"cluster": total * 0.5}
 
     def test_submit_before_start_rejected(self, song_world):
         service = KBService(RunSession(world=song_world))
