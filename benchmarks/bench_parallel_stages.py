@@ -26,7 +26,7 @@ from repro.clustering.similarity import RowSimilarity
 from repro.matching.records import build_row_records
 from repro.matching.schema_matcher import SchemaMatcher
 from repro.ml.aggregation import StaticWeightedAggregator
-from repro.parallel import ProcessExecutor
+from repro.parallel import ProcessExecutor, SerialExecutor
 from repro.webtables import TableCorpus, WebTable
 
 N_TABLES = int(os.environ.get("REPRO_BENCH_CORPUS_TABLES", "5000"))
@@ -126,7 +126,7 @@ def test_parallel_clustering_equality(env):
     corpus = TableCorpus(list(synthetic_tables(max(200, N_TABLES // 25))))
     mapping = SchemaMatcher(kb).match_corpus(corpus)
 
-    def cluster(executor=None):
+    def cluster(executor):
         records = build_row_records(corpus, mapping, "Song")
         similarity = RowSimilarity(
             [LabelMetric(), BowMetric()],
@@ -138,7 +138,7 @@ def test_parallel_clustering_equality(env):
         )
 
     started = time.perf_counter()
-    serial_clusters = cluster()
+    serial_clusters = cluster(SerialExecutor())
     serial_seconds = time.perf_counter() - started
 
     with ProcessExecutor(WORKERS) as executor:

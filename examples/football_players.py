@@ -13,10 +13,8 @@ Run with::
     python examples/football_players.py
 """
 
-from repro import build_gold_standard, build_world
+from repro import RunSession, build_gold_standard, build_world
 from repro.pipeline import (
-    LongTailPipeline,
-    PipelineConfig,
     evaluate_facts_found,
     evaluate_new_instances_found,
     train_models,
@@ -46,11 +44,8 @@ def main() -> None:
         print(f"    {name:13s} {value:.3f}")
 
     print("\nRunning the trained pipeline ...")
-    pipeline = LongTailPipeline(
-        world.knowledge_base, PipelineConfig(), models.as_pipeline_models()
-    )
-    result = pipeline.run(
-        world.corpus,
+    session = RunSession(world=world, models=models.as_pipeline_models())
+    result = session.run(
         CLASS_NAME,
         table_ids=list(gold.table_ids),
         row_ids=set(gold.annotated_rows()),

@@ -14,8 +14,7 @@ Run with::
 
 from collections import Counter
 
-from repro import build_world
-from repro.pipeline import LongTailPipeline
+from repro import RunSession, build_world
 from repro.synthesis.profiles import WorldScale
 
 
@@ -43,8 +42,7 @@ def main() -> None:
         print(f"  {entity.name} ({entity.class_name})")
 
     print("\nRunning the default pipeline on Settlement ...")
-    pipeline = LongTailPipeline.default(world.knowledge_base)
-    result = pipeline.run(world.corpus, "Settlement")
+    result = RunSession(world=world).run("Settlement")
     print(result.summary())
 
     print("\nJudging proposed new settlements against ground truth:")

@@ -13,8 +13,8 @@ Run with::
 
 from collections import Counter
 
-from repro import build_gold_standard, build_world
-from repro.pipeline import LongTailPipeline, PipelineConfig, train_models
+from repro import RunSession, build_gold_standard, build_world
+from repro.pipeline import train_models
 from repro.pipeline.profiling import profile_class_run
 from repro.synthesis.profiles import WorldScale
 from repro.text.tokenize import normalize_label
@@ -28,10 +28,8 @@ def main() -> None:
     models = train_models(world.knowledge_base, world.corpus, gold, seed=5)
 
     print("Running the pipeline over ALL corpus tables matched to Song ...")
-    pipeline = LongTailPipeline(
-        world.knowledge_base, PipelineConfig(), models.as_pipeline_models()
-    )
-    result = pipeline.run(world.corpus, "Song")
+    session = RunSession(world=world, models=models.as_pipeline_models())
+    result = session.run("Song")
 
     profile = profile_class_run(world, result)
     print("\n--- Table 11 row (synthetic scale) ---")

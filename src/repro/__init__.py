@@ -13,8 +13,6 @@ stages**:
   registered :class:`PipelineStage` objects (``schema_match`` →
   ``cluster`` → ``fuse`` → ``detect``) over a shared
   :class:`PipelineState`.
-* :class:`LongTailPipeline` — the generic stage driver (and the legacy
-  entry point, kept fully working).
 
 Module map:
 
@@ -30,7 +28,7 @@ Module map:
 * :mod:`repro.fusion` — entity creation (value fusion).
 * :mod:`repro.newdetect` — new-instance detection.
 * :mod:`repro.parallel` — the execution engine for the hot paths:
-  serial/thread/process :class:`Executor` backends with a chunked
+  serial/process/queue :class:`Executor` backends with a chunked
   ``map_batches`` API, deterministic ordering, and per-chunk observer
   hooks (``repro run --executor process --workers 4``).
 * :mod:`repro.pipeline` — stage protocol, orchestration and the paper's
@@ -59,18 +57,19 @@ Quickstart::
     # Batch runs share the session's world and artifact store:
     results = session.run_many(["Song", "Settlement"])
 
-The legacy entry point still works unchanged::
+Any knowledge base and corpus run the same way; ``use_cache=False``
+computes every stage afresh::
 
-    from repro import build_world, LongTailPipeline
+    from repro import RunSession, build_world
 
     world = build_world(seed=7)
-    result = LongTailPipeline.default(world.knowledge_base).run(
-        world.corpus, "Song"
+    session = RunSession(
+        knowledge_base=world.knowledge_base, corpus=world.corpus
     )
+    result = session.run("Song", use_cache=False)
 """
 
 __all__ = [
-    "LongTailPipeline",
     "PipelineConfig",
     "PipelineModels",
     "PipelineResult",
@@ -104,7 +103,6 @@ __all__ = [
     "ExecutorError",
     "ExecutorObserver",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     "KBService",
@@ -121,7 +119,6 @@ __version__ = "1.5.0"
 # Lazy attribute resolution keeps `import repro.text` cheap and lets the
 # submodules stay independent.
 _LAZY_EXPORTS = {
-    "LongTailPipeline": ("repro.pipeline.pipeline", "LongTailPipeline"),
     "PipelineConfig": ("repro.pipeline.pipeline", "PipelineConfig"),
     "PipelineModels": ("repro.pipeline.pipeline", "PipelineModels"),
     "build_duplicate_evidence": (
@@ -164,7 +161,6 @@ _LAZY_EXPORTS = {
     "ExecutorError": ("repro.parallel", "ExecutorError"),
     "ExecutorObserver": ("repro.parallel", "ExecutorObserver"),
     "SerialExecutor": ("repro.parallel", "SerialExecutor"),
-    "ThreadExecutor": ("repro.parallel", "ThreadExecutor"),
     "ProcessExecutor": ("repro.parallel", "ProcessExecutor"),
     "make_executor": ("repro.parallel", "make_executor"),
     "KBService": ("repro.serve", "KBService"),

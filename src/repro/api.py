@@ -29,11 +29,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import time
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro import faults as faults_registry
 from repro.kb.knowledge_base import KnowledgeBase
+from repro.ml.aggregation import StaticWeightedAggregator
+from repro.newdetect.detector import Classification
+from repro.parallel import ExecutorObserver, make_executor
 from repro.perf.kernels import KernelCache
 from repro.pipeline.artifacts import (
     ARTIFACTS_DIRNAME,
@@ -51,10 +55,13 @@ from repro.pipeline.delta import (
     invalidation_frontier,
     pickle_digest,
 )
+from repro.pipeline.dedup import deduplicate_entities
 from repro.pipeline.pipeline import (
-    LongTailPipeline,
+    _DEFAULT_ENTITY_WEIGHTS,
+    _DEFAULT_ROW_WEIGHTS,
     PipelineConfig,
     PipelineModels,
+    build_duplicate_evidence,
 )
 from repro.pipeline.result import PipelineResult
 from repro.pipeline.stages import (
@@ -341,9 +348,16 @@ class RunSession:
     ) -> PipelineResult:
         """Run the pipeline for one class over the session's world.
 
-        Defaults reproduce ``LongTailPipeline.default(kb).run(corpus,
-        class_name)`` exactly; every keyword overrides one aspect of the
-        run without rebuilding any session state.  ``executor`` /
+        Each of ``config.iterations`` iterations runs the stage sequence
+        (the paper's four components by default), and its entities and
+        KB correspondences feed the next iteration's duplicate-based
+        schema matchers (Figure 1).  Without ``models=`` (or session
+        models) the run is untrained, with static metric weights.
+        Every keyword overrides one aspect of the run without
+        rebuilding any session state.  ``table_ids`` restricts schema
+        matching to a table subset, ``row_ids`` restricts clustering to
+        specific rows, and ``known_classes`` bypasses table-to-class
+        matching (gold-standard experiments).  ``executor`` /
         ``workers`` override the parallel backend for this run only —
         the determinism contract makes any choice produce identical
         results, so they are *excluded* from artifact keys (a serial run
@@ -358,7 +372,13 @@ class RunSession:
         the same corpus — stored artifacts are pure functions of their
         keys.  Reuse statistics land in :attr:`last_incremental_report`.
         ``use_cache=False`` reuses and stores nothing: the run computes
-        every stage, as a direct ``LongTailPipeline.run`` call does.
+        every stage.
+
+        Failures in work dispatched through the executor surface as
+        :class:`~repro.parallel.ExecutorError` naming the task, chunk and
+        originating items, on every backend.  Only the clustering
+        stage's lazily scored pairs keep their original exception types
+        (its block-local precompute runs only under a non-serial executor).
 
         ``trace`` records the run as a span tree (:mod:`repro.obs`):
         ``True`` logs to ``<artifact store>/traces/<trace-id>.ndjson``
@@ -390,7 +410,6 @@ class RunSession:
                 config, queue_dir=str(self.default_queue_dir)
             )
         models = self._resolve_models(models, config)
-        pipeline = LongTailPipeline(self.knowledge_base, config, models)
         stage_specs = list(stages) if stages is not None else list(
             DEFAULT_STAGE_NAMES
         )
@@ -447,16 +466,16 @@ class RunSession:
             # run (no-op scope when None); a crash action never reaches
             # the __exit__, which is the point.
             with faults_registry.armed(config.faults):
-                result = pipeline.run(
-                    self.corpus,
+                result = self._drive(
                     class_name,
+                    config,
+                    models,
+                    stage_list,
+                    [*self.observers, *extra_observers],
                     table_ids=table_ids,
                     row_ids=row_ids,
                     known_classes=known_classes,
-                    stages=stage_list,
-                    observers=[*self.observers, *extra_observers],
                     incremental=backend,
-                    kernels=self.kernels,
                 )
         except BaseException as error:
             if tracer is not None:
@@ -489,6 +508,109 @@ class RunSession:
                 tracer.close()
             self.last_trace = tracer
         return result
+
+    def _drive(
+        self,
+        class_name: str,
+        config: PipelineConfig,
+        models: PipelineModels,
+        stage_list: list[PipelineStage],
+        observers: list[PipelineObserver],
+        *,
+        table_ids: list[str] | None,
+        row_ids: set[RowId] | None,
+        known_classes: dict[str, str] | None,
+        incremental: IncrementalBackend | None,
+    ) -> PipelineResult:
+        """The stage loop of Figure 1: ``config.iterations`` passes over
+        ``stage_list``, each iteration's entities and correspondences
+        fed back as the next one's duplicate evidence.
+
+        The executor (observed by every
+        :class:`~repro.parallel.ExecutorObserver` among ``observers``)
+        lives exactly as long as the loop.
+        """
+        executor = make_executor(
+            config.executor,
+            config.workers,
+            observers=[
+                observer
+                for observer in observers
+                if isinstance(observer, ExecutorObserver)
+            ],
+            queue_dir=config.queue_dir,
+        )
+        state = PipelineState(
+            kb=self.knowledge_base,
+            corpus=self.corpus,
+            class_name=class_name,
+            config=config,
+            models=models,
+            executor=executor,
+            kernels=self.kernels,
+            table_ids=table_ids,
+            row_ids=row_ids,
+            known_classes=known_classes,
+            incremental=incremental,
+        )
+        result = PipelineResult(class_name=class_name)
+        for observer in observers:
+            observer.on_run_started(class_name, config)
+        try:
+            for iteration in range(1, config.iterations + 1):
+                state.iteration = iteration
+                for observer in observers:
+                    observer.on_iteration_started(class_name, iteration)
+                for stage in stage_list:
+                    for observer in observers:
+                        observer.on_stage_started(
+                            class_name, iteration, stage.name
+                        )
+                    started = time.perf_counter()
+                    state = stage.run(state)
+                    elapsed = time.perf_counter() - started
+                    for observer in observers:
+                        observer.on_stage_finished(
+                            class_name, iteration, stage.name, elapsed
+                        )
+                artifacts = state.artifacts()
+                result.iterations.append(artifacts)
+                state.evidence = build_duplicate_evidence(
+                    artifacts.entities, artifacts.detection
+                )
+                for observer in observers:
+                    observer.on_iteration_finished(class_name, iteration)
+        finally:
+            executor.close()
+        if config.dedup_new_entities:
+            self._dedup_final(result)
+        for observer in observers:
+            observer.on_run_finished(result)
+        return result
+
+    def _dedup_final(self, result: PipelineResult) -> None:
+        """Merge near-duplicate new entities in the final iteration."""
+        final = result.final
+        detection = final.detection
+        new_ids = {
+            entity_id
+            for entity_id, classification in detection.classifications.items()
+            if classification is Classification.NEW
+        }
+        new_entities = [
+            entity for entity in final.entities if entity.entity_id in new_ids
+        ]
+        others = [
+            entity for entity in final.entities if entity.entity_id not in new_ids
+        ]
+        merged = deduplicate_entities(
+            new_entities, self.knowledge_base, result.class_name
+        )
+        final.entities = others + merged.entities
+        kept = {entity.entity_id for entity in merged.entities}
+        for entity_id in new_ids - kept:
+            detection.classifications.pop(entity_id, None)
+            detection.best_scores.pop(entity_id, None)
 
     def run_many(
         self,
@@ -629,9 +751,22 @@ class RunSession:
             return self.models
         key = config_hash(config)
         if key not in self._default_models:
-            self._default_models[key] = LongTailPipeline.default(
-                self.knowledge_base, config
-            ).models
+            self._default_models[key] = PipelineModels(
+                row_aggregator=StaticWeightedAggregator(
+                    {
+                        name: _DEFAULT_ROW_WEIGHTS[name]
+                        for name in config.row_metric_names
+                    },
+                    threshold=0.60,
+                ),
+                entity_aggregator=StaticWeightedAggregator(
+                    {
+                        name: _DEFAULT_ENTITY_WEIGHTS[name]
+                        for name in config.entity_metric_names
+                    },
+                    threshold=0.60,
+                ),
+            )
         return self._default_models[key]
 
     def _identity_token(self, obj: object) -> int:

@@ -334,8 +334,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Terminated(Exception):
-    """Raised by the SIGTERM handler to unwind a long-lived command."""
+class _Terminated(BaseException):
+    """Raised by the SIGTERM handler to unwind a long-lived command.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: the signal can land
+    while ``serve_forever`` is starting a handler thread, and
+    ``socketserver`` swallows any ``Exception`` raised there.
+    """
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -588,6 +593,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.parallel import EXECUTOR_NAMES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -629,8 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stages", default=None,
                      help="comma-separated stage names to run instead of "
                           "the full schema_match,cluster,fuse,detect")
-    run.add_argument("--executor",
-                     choices=("serial", "thread", "process", "queue"),
+    run.add_argument("--executor", choices=EXECUTOR_NAMES,
                      default=None,
                      help="parallel backend for the hot paths (default: "
                           "REPRO_EXECUTOR env or serial; results are "
@@ -644,8 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "unless the committed BENCH_retrieval.json gate "
                           "passed)")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker count for thread/process executors "
-                          "(default: REPRO_WORKERS env or the CPU count)")
+                     help="worker count for the process and queue "
+                          "executors (default: REPRO_WORKERS env or the "
+                          "CPUs this process may use)")
     run.add_argument("--queue-dir", default=None, dest="queue_dir",
                      metavar="DIR",
                      help="spool directory for --executor queue (default: "
@@ -746,8 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8023,
                        help="TCP port (0 binds an ephemeral port)")
-    serve.add_argument("--executor",
-                       choices=("serial", "thread", "process", "queue"),
+    serve.add_argument("--executor", choices=EXECUTOR_NAMES,
                        default=None,
                        help="parallel backend for the writer's runs "
                             "(default: REPRO_EXECUTOR env or serial).  "
@@ -756,7 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of computing in-process")
     serve.add_argument("--workers", type=int, default=None,
                        help="worker count for the writer's executor "
-                            "(default: REPRO_WORKERS env or the CPU count)")
+                            "(default: REPRO_WORKERS env or the CPUs this "
+                            "process may use)")
     serve.add_argument("--warm", nargs="*", default=None, metavar="CLASS",
                        help="queue an incremental run for these classes at "
                             "startup so the first readers hit a published "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.clustering.blocking import SupportsLabelSearch, build_blocks
@@ -22,11 +22,12 @@ class RowClusterer:
     skips refinement; ``use_blocking=False`` puts every row in one global
     block (quadratic — for ablation only).
 
-    ``executor`` parallelizes the dominant cost — block-local pairwise
-    similarity — by warming the similarity cache before the (inherently
-    order-dependent) greedy/KLj passes run; any executor produces the
-    exact clustering the serial path does.  ``label_index`` feeds a
-    precomputed label index to blocking instead of rebuilding one.
+    A non-serial ``executor`` parallelizes the dominant cost — block-local
+    pairwise similarity — by warming the similarity cache before the
+    (inherently order-dependent) greedy/KLj passes run; any executor
+    produces the exact clustering the serial default does.
+    ``label_index`` feeds a precomputed label index to blocking instead
+    of rebuilding one.
     ``candidate_mode`` selects blocking's candidate-generation mode
     (``"exact"`` scans, ``"fast"`` retrieve-then-rerank — see
     ``repro.retrieval``); it only takes effect when the supplied
@@ -40,7 +41,7 @@ class RowClusterer:
     use_blocking: bool = True
     max_block_matches: int = 6
     klj_passes: int = 4
-    executor: Executor | None = None
+    executor: Executor = field(default_factory=SerialExecutor)
     label_index: SupportsLabelSearch | None = None
     candidate_mode: str = "exact"
 
@@ -59,9 +60,7 @@ class RowClusterer:
         else:
             universe = frozenset({"__all__"})
             blocks = {record.row_id: universe for record in records}
-        if self.executor is not None and not isinstance(
-            self.executor, SerialExecutor
-        ):
+        if not isinstance(self.executor, SerialExecutor):
             # Serial runs skip this: lazy scoring computes only the pairs
             # the algorithms actually visit, which a single worker does
             # no faster by precomputing a superset.

@@ -15,7 +15,7 @@ Steps 1–2 and the per-table attribute passes are embarrassingly parallel
 — every table is scored independently against read-only KB state.  Both
 run through an :class:`~repro.parallel.Executor` via pure, picklable
 batch callables (:class:`_AnalyzeBatch`, :class:`_AttributeBatch`), so
-thread *and* process pools produce results identical to the serial path.
+every executor produces results identical to the serial one.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.matching.matchers import (
     MATCHER_NAMES_SECOND_ITERATION,
 )
 from repro.matching.table_class import TableClassMatcher
-from repro.parallel import Executor, dispatch_dirty
+from repro.parallel import Executor, SerialExecutor, dispatch_dirty
 from repro.webtables.corpus import TableCorpus
 from repro.webtables.table import WebTable
 
@@ -159,9 +159,7 @@ class _AttributeBatch:
     pass (as the pre-parallel code did); the cache is dropped from
     pickles, so worker chunks rebuild it —
     :class:`AttributePropertyMatcher` only caches KB-derived value
-    pools, so chunk-local construction cannot change any score.  (Under
-    a thread pool two workers may race to build the same class's
-    matcher; last write wins and both compute identical scores.)
+    pools, so chunk-local construction cannot change any score.
     """
 
     def __init__(
@@ -210,12 +208,11 @@ class _AttributeBatch:
 class SchemaMatcher:
     """The schema matching component of the pipeline.
 
-    ``executor`` parallelizes the per-table work of
+    ``executor`` (serial by default) runs the per-table work of
     :meth:`match_corpus`: any executor produces byte-identical mappings
-    (see ``docs/architecture.md``, "Parallel execution").  With no
-    executor the legacy in-process path runs — same results, original
-    exception types (an executor wraps worker failures in
-    :class:`~repro.parallel.ExecutorError` with chunk provenance).
+    (see ``docs/architecture.md``, "Parallel execution"), and every one
+    wraps a failing table in :class:`~repro.parallel.ExecutorError` with
+    chunk provenance.
 
     Tables are fetched from the corpus and dispatched in bounded *waves*
     (``wave_size``), so peak memory tracks the wave, not the corpus —
@@ -230,7 +227,7 @@ class SchemaMatcher:
         kb: KnowledgeBase,
         models: SchemaMatcherModels | None = None,
         candidate_limit: int = 5,
-        executor: Executor | None = None,
+        executor: Executor = SerialExecutor(),
         candidate_mode: str = "exact",
     ) -> None:
         self.kb = kb
@@ -264,14 +261,6 @@ class SchemaMatcher:
     @candidate_mode.setter
     def candidate_mode(self, value: str) -> None:
         self.table_class_matcher.candidate_mode = value
-
-    def _run_batches(self, batch, items: list, task_name: str, label) -> list:
-        """One wave through the configured executor, or directly (legacy)."""
-        if self.executor is None:
-            return batch(items)
-        return self.executor.map_batches(
-            batch, items, task_name=task_name, label=label
-        )
 
     # ------------------------------------------------------------------
     def analyze_table(self, corpus: TableCorpus, table_id: str):
@@ -331,7 +320,7 @@ class SchemaMatcher:
                 (corpus.get(table_id), need, self._analysis_cache.get(table_id))
                 for table_id, need in wave
             ]
-            analyses = self._run_batches(
+            analyses = self.executor.map_batches(
                 analyze,
                 items,
                 task_name="schema_match/analyze",

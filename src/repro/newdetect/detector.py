@@ -1,9 +1,9 @@
 """The new detection component (Section 3.4).
 
 Per-entity candidate retrieval and feature extraction are independent of
-each other, so :meth:`NewDetector.detect` optionally fans the entity
-list out over an :class:`~repro.parallel.Executor` via a pure, picklable
-batch function (:class:`_DetectBatch`); results are reassembled in
+each other, so :meth:`NewDetector.detect` dispatches the entity list
+through an :class:`~repro.parallel.Executor` (serial by default) via a
+pure, picklable batch function (:class:`_DetectBatch`); results are reassembled in
 entity order, so every executor yields an identical
 :class:`DetectionResult`.
 """
@@ -19,7 +19,7 @@ from repro.kb.instance import KBInstance
 from repro.ml.aggregation import MetricVector, ScoreAggregator
 from repro.newdetect.candidates import CandidateSelector
 from repro.newdetect.metrics import EntityInstanceMetric
-from repro.parallel import Executor, dispatch_dirty
+from repro.parallel import Executor, SerialExecutor, dispatch_dirty
 
 
 class Classification(str, Enum):
@@ -165,7 +165,7 @@ class NewDetector:
     def detect(
         self,
         entities: Sequence[Entity],
-        executor: Executor | None = None,
+        executor: Executor = SerialExecutor(),
         cache=None,
     ) -> DetectionResult:
         """Classify every entity; any executor yields identical results.

@@ -10,7 +10,6 @@ from repro.parallel.executor import (
     ExecutorObserver,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     default_executor_name,
     default_worker_count,
     dispatch_dirty,
@@ -37,7 +36,6 @@ __all__ = [
     "QUEUE_DIR_ENV",
     "QueueExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "WorkQueue",
     "WorkerTaskError",
     "default_executor_name",

@@ -8,7 +8,7 @@ exactly that shape behind one call, :meth:`Executor.map_batches`:
 
 * the input sequence is split into contiguous chunks,
 * a **batch function** (``func(list_of_items) -> list_of_results``) runs
-  on each chunk — serially, on a thread pool, or on a process pool,
+  on each chunk — serially, on a process pool, or on a worker fleet,
 * the per-chunk result lists are reassembled **in input order**, no
   matter in which order chunks complete.
 
@@ -44,7 +44,7 @@ ResultT = TypeVar("ResultT")
 #: distributed backend (:mod:`repro.parallel.workqueue`): chunks are
 #: spooled to a shared directory and executed by external ``repro
 #: worker`` processes, possibly on other hosts.
-EXECUTOR_NAMES = ("serial", "thread", "process", "queue")
+EXECUTOR_NAMES = ("serial", "process", "queue")
 
 #: Environment variables driving the *default* executor configuration —
 #: a test/CI matrix can flip the whole suite onto a process pool without
@@ -65,7 +65,12 @@ def default_executor_name() -> str:
 
 
 def default_worker_count() -> int:
-    """Worker count from ``REPRO_WORKERS``, else the machine's CPU count."""
+    """Worker count from ``REPRO_WORKERS``, else the CPUs this process may use.
+
+    The fallback counts the process's CPU affinity where the platform
+    exposes it, so a pinned or cgroup-limited process never starts more
+    workers than it can run at once.
+    """
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if raw:
         try:
@@ -77,6 +82,8 @@ def default_worker_count() -> int:
         if workers < 1:
             raise ValueError(f"invalid {WORKERS_ENV}={raw!r}; must be >= 1")
         return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -130,11 +137,6 @@ class ExecutorObserver:
 
     def on_chunk_finished(
         self, task_name: str, chunk_index: int, n_items: int, seconds: float
-    ) -> None:
-        pass
-
-    def on_map_finished(
-        self, task_name: str, n_items: int, seconds: float
     ) -> None:
         pass
 
@@ -260,7 +262,6 @@ class Executor:
         chunks = _chunk(items, chunk_size)
         for observer in self.observers:
             observer.on_map_started(task_name, len(items), len(chunks))
-        started = time.perf_counter()
         trace_context = None
         for observer in self.observers:
             trace_context = observer.chunk_trace_context(task_name)
@@ -323,9 +324,6 @@ class Executor:
                 span_records.append(record)
             for observer in self.observers:
                 observer.on_chunk_spans(task_name, span_records)
-        elapsed = time.perf_counter() - started
-        for observer in self.observers:
-            observer.on_map_finished(task_name, len(items), elapsed)
         return flattened
 
     def close(self) -> None:
@@ -357,56 +355,6 @@ class Executor:
         raise NotImplementedError
 
 
-def dispatch_dirty(
-    func: Callable[[list[ItemT]], list[ResultT]],
-    items: Sequence[ItemT],
-    cached: Sequence[ResultT | None],
-    *,
-    executor: "Executor | None" = None,
-    task_name: str = "map",
-    label: Callable[[ItemT], str] | None = None,
-) -> list[ResultT]:
-    """Run a batch function over the *dirty subset* of an item sequence.
-
-    The incremental engine resolves most work from caches; only the
-    items whose cached result is ``None`` (the dirty set) are dispatched
-    — through ``executor`` when one is configured, directly otherwise —
-    and the results are merged back into input order.  With an all-dirty
-    cache row this degenerates to a plain ``map_batches`` call, and with
-    an all-clean one the executor is never touched, so cache-hit runs
-    pay zero dispatch overhead.
-
-    ``cached`` must align with ``items``; ``None`` is therefore not a
-    representable cached value (no pipeline unit produces bare ``None``).
-    """
-    items = list(items)
-    if len(items) != len(cached):
-        raise ValueError(
-            f"dispatch_dirty: {len(items)} items but {len(cached)} cached "
-            f"slots for task {task_name!r}"
-        )
-    dirty_positions = [
-        position for position, value in enumerate(cached) if value is None
-    ]
-    merged: list[ResultT | None] = list(cached)
-    if dirty_positions:
-        dirty_items = [items[position] for position in dirty_positions]
-        if executor is not None:
-            fresh = executor.map_batches(
-                func, dirty_items, task_name=task_name, label=label
-            )
-        else:
-            fresh = func(dirty_items)
-        if len(fresh) != len(dirty_items):
-            raise ValueError(
-                f"batch function returned {len(fresh)} results for "
-                f"{len(dirty_items)} dirty items in task {task_name!r}"
-            )
-        for position, result in zip(dirty_positions, fresh):
-            merged[position] = result
-    return merged  # type: ignore[return-value]
-
-
 class _ChunkFailure(Exception):
     """Internal: a chunk's exception plus which chunk raised it."""
 
@@ -420,7 +368,8 @@ class SerialExecutor(Executor):
     """In-process, in-order execution — the default and the baseline.
 
     ``workers`` is accepted (and ignored) so executor configurations are
-    interchangeable.
+    interchangeable.  It holds no pool and no per-run state, so one
+    instance can serve as a shared default argument.
     """
 
     name = "serial"
@@ -437,13 +386,20 @@ class SerialExecutor(Executor):
             yield chunk_index, meta, results
 
 
-class _PooledExecutor(Executor):
-    """Shared future-driving logic for thread/process pools.
+class ProcessExecutor(Executor):
+    """Process-pool execution — true CPU parallelism.
 
-    The underlying pool is created lazily on first use and reused across
+    The batch function and items cross process boundaries, so both must
+    be picklable and the function must be **pure**: worker-side caches
+    or mutations never flow back.  Per-chunk overhead is the pickled
+    context, so prefer few large chunks over many small ones.
+
+    The pool is created lazily on first use and reused across
     ``map_batches`` calls until :meth:`close` — one pipeline run spawns
     its workers once, not once per stage.
     """
+
+    name = "process"
 
     def __init__(
         self,
@@ -456,23 +412,22 @@ class _PooledExecutor(Executor):
         )
         self._pool = None
 
-    def _make_pool(self):  # pragma: no cover - trivial dispatch
-        raise NotImplementedError
-
-    def _assert_transferable(self, timed: _TimedBatch, chunks: list[list]) -> None:
-        """Surface transfer errors even when execution stays in-process."""
-
     def _submit_chunks(self, timed, chunks):
         if len(chunks) == 1 or self.workers == 1:
             # No parallelism to gain; skip pool overhead and run
-            # in-process — but still enforce the backend's transfer
-            # contract, so a small test input cannot mask a batch
-            # function that would crash at production scale.
-            self._assert_transferable(timed, chunks)
+            # in-process — but still probe that the batch function plus
+            # one representative item pickle, so a small test input
+            # cannot mask a batch function (lambda, handle, lock) that
+            # would crash at production scale.
+            import pickle
+
+            pickle.dumps((timed, chunks[0][:1]))
             yield from SerialExecutor._submit_chunks(self, timed, chunks)
             return
         if self._pool is None:
-            self._pool = self._make_pool()
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         futures: dict[Future, int] = {
             self._pool.submit(timed, chunk): chunk_index
             for chunk_index, chunk in enumerate(chunks)
@@ -498,50 +453,45 @@ class _PooledExecutor(Executor):
             self._pool = None
 
 
-class ThreadExecutor(_PooledExecutor):
-    """Thread-pool execution.
+def dispatch_dirty(
+    func: Callable[[list[ItemT]], list[ResultT]],
+    items: Sequence[ItemT],
+    cached: Sequence[ResultT | None],
+    *,
+    executor: Executor = SerialExecutor(),
+    task_name: str = "map",
+    label: Callable[[ItemT], str] | None = None,
+) -> list[ResultT]:
+    """Run a batch function over the *dirty subset* of an item sequence.
 
-    Shares memory with the caller — zero serialization cost, but Python
-    bytecode contends on the GIL.  The right choice when the batch
-    function releases the GIL or when pickling the context would
-    dominate (small inputs, huge shared state).
+    The incremental engine resolves most work from caches; only the
+    items whose cached result is ``None`` (the dirty set) are dispatched
+    through ``executor``, and the results are merged back into input
+    order.  With an all-dirty cache row this degenerates to a plain
+    ``map_batches`` call, and with an all-clean one the executor is never
+    touched, so cache-hit runs pay zero dispatch overhead.
+
+    ``cached`` must align with ``items``; ``None`` is therefore not a
+    representable cached value (no pipeline unit produces bare ``None``).
     """
-
-    name = "thread"
-
-    def _make_pool(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-exec"
+    items = list(items)
+    if len(items) != len(cached):
+        raise ValueError(
+            f"dispatch_dirty: {len(items)} items but {len(cached)} cached "
+            f"slots for task {task_name!r}"
         )
-
-
-class ProcessExecutor(_PooledExecutor):
-    """Process-pool execution — true CPU parallelism.
-
-    The batch function and items cross process boundaries, so both must
-    be picklable and the function must be **pure**: worker-side caches
-    or mutations never flow back.  Per-chunk overhead is the pickled
-    context, so prefer few large chunks over many small ones.
-    """
-
-    name = "process"
-
-    def _assert_transferable(self, timed, chunks):
-        # The in-process shortcut must not hide a PicklingError that the
-        # first multi-chunk input would hit.  Probing the batch function
-        # plus one representative item catches the realistic failure
-        # modes (lambdas, handles, locks) without serializing the whole
-        # payload just to throw it away.
-        import pickle
-
-        pickle.dumps((timed, chunks[0][:1]))
-
-    def _make_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(max_workers=self.workers)
+    dirty_positions = [
+        position for position, value in enumerate(cached) if value is None
+    ]
+    merged: list[ResultT | None] = list(cached)
+    if dirty_positions:
+        dirty_items = [items[position] for position in dirty_positions]
+        fresh = executor.map_batches(
+            func, dirty_items, task_name=task_name, label=label
+        )
+        for position, result in zip(dirty_positions, fresh):
+            merged[position] = result
+    return merged  # type: ignore[return-value]
 
 
 def make_executor(
@@ -554,7 +504,8 @@ def make_executor(
     """Build an executor from a configuration string.
 
     ``name=None`` resolves via ``REPRO_EXECUTOR`` (default ``serial``);
-    ``workers=None`` resolves via ``REPRO_WORKERS`` (default CPU count).
+    ``workers=None`` resolves via ``REPRO_WORKERS`` (default: the CPUs
+    this process may use).
     ``queue_dir`` is the spool directory for the ``queue`` backend
     (``None`` falls back to ``REPRO_QUEUE_DIR``); ignored by the
     in-process executors.
@@ -563,8 +514,6 @@ def make_executor(
     resolved_workers = workers if workers is not None else default_worker_count()
     if resolved == "serial":
         return SerialExecutor(max(1, resolved_workers), observers)
-    if resolved == "thread":
-        return ThreadExecutor(resolved_workers, observers)
     if resolved == "process":
         return ProcessExecutor(resolved_workers, observers)
     if resolved == "queue":

@@ -561,7 +561,7 @@ def _atomic_write_bytes(path: Path, blob: bytes) -> None:
 class QueueExecutor(Executor):
     """Executor that spools chunks to external ``repro worker`` processes.
 
-    Unlike the pooled executors there is deliberately no in-process
+    Unlike the process executor there is deliberately no in-process
     shortcut for single-chunk inputs: routing compute elsewhere is the
     whole point, and a shortcut would hide spool/pickling failures until
     production scale.  If no worker shows a live heartbeat for

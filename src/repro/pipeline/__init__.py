@@ -1,12 +1,12 @@
 """Pipeline orchestration and the paper's evaluation protocols.
 
-:class:`~repro.pipeline.pipeline.LongTailPipeline` is a generic driver
-over the four registered :mod:`~repro.pipeline.stages` — schema
-matching, row clustering, entity creation, new detection — iterated as
-in Figure 1.  The evaluation modules implement Section 4
-(new-instances-found and facts-found on the gold standard), Section 5
-(large-scale profiling) and Section 6 (ranked set-expansion-style
-evaluation).
+:meth:`repro.api.RunSession.run` drives the four registered
+:mod:`~repro.pipeline.stages` — schema matching, row clustering, entity
+creation, new detection — iterated as in Figure 1; this package holds
+the stages, their configuration and models, and the artifact store.
+The evaluation modules implement Section 4 (new-instances-found and
+facts-found on the gold standard), Section 5 (large-scale profiling)
+and Section 6 (ranked set-expansion-style evaluation).
 """
 
 from repro.pipeline.artifacts import (
@@ -22,7 +22,6 @@ from repro.pipeline.delta import (
     invalidation_frontier,
 )
 from repro.pipeline.pipeline import (
-    LongTailPipeline,
     PipelineConfig,
     PipelineModels,
     build_duplicate_evidence,
@@ -68,7 +67,6 @@ __all__ = [
     "corpus_state",
     "diff_corpus_states",
     "invalidation_frontier",
-    "LongTailPipeline",
     "PipelineConfig",
     "PipelineModels",
     "build_duplicate_evidence",

@@ -17,9 +17,8 @@ New Instance Detection    ``detect``          detection
 ========================  ==================  ===========================
 
 Stages are looked up by name in the module-level :data:`STAGES` registry;
-:class:`~repro.pipeline.pipeline.LongTailPipeline` drives whatever stage
-sequence it is given, and :class:`repro.api.RunSession` adds caching and
-observer plumbing on top.
+:meth:`repro.api.RunSession.run` drives whatever stage sequence it is
+given, with caching and observer plumbing around each stage.
 """
 
 from __future__ import annotations
@@ -78,6 +77,14 @@ class PipelineState:
     class_name: str
     config: "PipelineConfig"
     models: "PipelineModels"
+    #: Execution backend for the parallel hot paths, built per run by
+    #: ``RunSession.run`` from ``config.executor``/``config.workers``.
+    #: Stages hand it to the components they build.
+    executor: Executor
+    #: Session-scoped kernel memos (:class:`repro.perf.KernelCache`).
+    #: Stages share it with the similarity kernels they build.  Purely a
+    #: speed lever — outputs are identical with any cache state.
+    kernels: KernelCache
     #: Optional restrictions (gold-standard experiments).
     table_ids: list[str] | None = None
     row_ids: set[RowId] | None = None
@@ -89,21 +96,12 @@ class PipelineState:
     evidence: DuplicateEvidence | None = None
     #: Schema matcher shared across iterations (keeps its analysis caches).
     matcher: SchemaMatcher | None = None
-    #: Execution backend for the parallel hot paths, set per run by the
-    #: orchestrator from ``config.executor``/``config.workers`` (None
-    #: means serial).  Stages hand it to the components they build.
-    executor: Executor | None = None
     #: Incremental-run backend
     #: (:class:`repro.pipeline.artifacts.IncrementalBackend`), set by the
     #: orchestrator for cached ``RunSession.run`` runs.  Stages use it to
     #: serve per-table and per-entity artifacts from the artifact store;
     #: ``None`` (the default) keeps every stage fully stateless.
     incremental: "IncrementalBackend | None" = None
-    #: Session-scoped kernel memos (:class:`repro.perf.KernelCache`), set
-    #: by the orchestrator.  Stages share it with the similarity kernels
-    #: they build; ``None`` makes each stage memoize privately.  Purely a
-    #: speed lever — outputs are identical with or without it.
-    kernels: KernelCache | None = None
 
     # Stage outputs ----------------------------------------------------
     mapping: SchemaMapping | None = None
@@ -297,10 +295,9 @@ class ClusterStage:
             ),
             state.models.row_aggregator,
         )
-        if state.kernels is not None:
-            # The pair cache is row-id-keyed; registering it lets the
-            # session's corpus-epoch guard drop it when ids go stale.
-            state.kernels.register(row_similarity)
+        # The pair cache is row-id-keyed; registering it lets the
+        # session's corpus-epoch guard drop it when ids go stale.
+        state.kernels.register(row_similarity)
         clusterer = RowClusterer(
             row_similarity,
             batch_size=config.batch_size,

@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro.api import RunSession, config_hash
 from repro.newdetect.detector import Classification, DetectionResult
-from repro.pipeline.pipeline import LongTailPipeline, PipelineConfig
+from repro.pipeline.pipeline import PipelineConfig
 from repro.pipeline.stages import (
     DEFAULT_STAGE_NAMES,
     STAGES,
@@ -152,15 +152,6 @@ class TestStageRegistry:
 
 
 class TestRunSessionEquivalence:
-    def test_matches_legacy_pipeline(
-        self, tiny_world, song_gold, session_run
-    ):
-        legacy = LongTailPipeline.default(tiny_world.knowledge_base).run(
-            tiny_world.corpus, "Song", **_song_restriction(song_gold)
-        )
-        assert session_run.summary() == legacy.summary()
-        assert session_run.summary_dict() == legacy.summary_dict()
-
     def test_summary_dict_shape(self, session_run):
         summary = session_run.summary_dict()
         assert summary["class_name"] == "Song"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RunSession
 from repro.clustering.clusterer import RowClusterer
 from repro.clustering.similarity import RowSimilarity
 from repro.datatypes import DataType, detect_column_type, normalize_value
@@ -17,9 +18,17 @@ from repro.datatypes.normalization import NormalizationError
 from repro.matching import SchemaMatcher, build_row_records
 from repro.matching.records import RowRecord
 from repro.ml.aggregation import StaticWeightedAggregator
-from repro.parallel import ExecutorError, ProcessExecutor, ThreadExecutor
-from repro.pipeline.pipeline import LongTailPipeline, PipelineConfig
+from repro.parallel import ExecutorError, ProcessExecutor, SerialExecutor
+from repro.pipeline.pipeline import PipelineConfig
 from repro.webtables import TableCorpus, WebTable
+
+
+def run_pipeline(knowledge_base, corpus, class_name, config=None):
+    """One uncached default-pipeline run over ``corpus``."""
+    session = RunSession(
+        knowledge_base=knowledge_base, corpus=corpus, config=config
+    )
+    return session.run(class_name, use_cache=False)
 
 
 def pathological_tables() -> list[WebTable]:
@@ -78,15 +87,13 @@ class TestSchemaMatchingRobustness:
 class TestPipelineRobustness:
     def test_pipeline_on_garbage_corpus(self, tiny_world):
         corpus = TableCorpus(pathological_tables())
-        pipeline = LongTailPipeline.default(tiny_world.knowledge_base)
-        result = pipeline.run(corpus, "Song")
+        result = run_pipeline(tiny_world.knowledge_base, corpus, "Song")
         # Nothing sensible to extract, but a structured result comes back.
         assert result.class_name == "Song"
         assert len(result.iterations) == 2
 
     def test_pipeline_on_empty_corpus(self, tiny_world):
-        pipeline = LongTailPipeline.default(tiny_world.knowledge_base)
-        result = pipeline.run(TableCorpus(), "Song")
+        result = run_pipeline(tiny_world.knowledge_base, TableCorpus(), "Song")
         assert result.final.entities == []
 
     def test_pipeline_mixed_garbage_and_real(self, tiny_world):
@@ -94,8 +101,9 @@ class TestPipelineRobustness:
         real_ids = tiny_world.tables_of_class("Song")[:5]
         for table_id in real_ids:
             tables.append(tiny_world.corpus.get(table_id))
-        pipeline = LongTailPipeline.default(tiny_world.knowledge_base)
-        result = pipeline.run(TableCorpus(tables), "Song")
+        result = run_pipeline(
+            tiny_world.knowledge_base, TableCorpus(tables), "Song"
+        )
         # The real tables should still produce records.
         assert len(result.final.records) > 0
 
@@ -137,11 +145,11 @@ class TestParallelFailurePropagation:
     """Worker exceptions must surface with the originating chunk/table id."""
 
     @pytest.fixture(
-        scope="class", params=["thread", "process"], ids=["thread", "process"]
+        scope="class", params=["serial", "process"], ids=["serial", "process"]
     )
     def pool(self, request):
         executor = (
-            ThreadExecutor(2) if request.param == "thread" else ProcessExecutor(2)
+            SerialExecutor() if request.param == "serial" else ProcessExecutor(2)
         )
         yield executor
         executor.close()
@@ -150,7 +158,12 @@ class TestParallelFailurePropagation:
         tables = pathological_tables()
         tables.insert(3, BoobyTrappedTable("trapped", ("a", "b"), [("x", "y")]))
         corpus = TableCorpus(tables)
-        matcher = SchemaMatcher(tiny_world.knowledge_base, executor=pool)
+        if pool.name == "serial":
+            # A plain matcher dispatches through its default serial
+            # executor, so it wraps failures the same way a pool does.
+            matcher = SchemaMatcher(tiny_world.knowledge_base)
+        else:
+            matcher = SchemaMatcher(tiny_world.knowledge_base, executor=pool)
         with pytest.raises(ExecutorError) as caught:
             matcher.match_corpus(corpus)
         error = caught.value
@@ -168,6 +181,12 @@ class TestParallelFailurePropagation:
             [ExplodingRowMetric()], StaticWeightedAggregator({"BOOM": 1.0}, 0.5)
         )
         clusterer = RowClusterer(similarity, executor=pool)
+        if pool.name == "serial":
+            # Serial clustering scores pairs lazily, outside the
+            # executor, so the metric's own exception surfaces.
+            with pytest.raises(RuntimeError, match="metric blew up"):
+                clusterer.cluster(records)
+            return
         with pytest.raises(ExecutorError) as caught:
             clusterer.cluster(records)
         error = caught.value
@@ -180,14 +199,13 @@ class TestParallelFailurePropagation:
     ):
         """Graceful degradation holds under pools, with identical output."""
         corpus = TableCorpus(pathological_tables())
-        serial = LongTailPipeline.default(
-            tiny_world.knowledge_base,
-            PipelineConfig(executor="serial"),
-        ).run(corpus, "Song")
-        parallel = LongTailPipeline.default(
-            tiny_world.knowledge_base,
-            PipelineConfig(executor=pool.name, workers=2),
-        ).run(corpus, "Song")
+        kb = tiny_world.knowledge_base
+        serial = run_pipeline(
+            kb, corpus, "Song", PipelineConfig(executor="serial")
+        )
+        parallel = run_pipeline(
+            kb, corpus, "Song", PipelineConfig(executor=pool.name, workers=2)
+        )
         assert serial.canonical_json() == parallel.canonical_json()
 
 

@@ -60,7 +60,7 @@ GOLDEN_CASES = {
     ),
 }
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @pytest.fixture(scope="module", params=sorted(GOLDEN_CASES))
@@ -120,11 +120,11 @@ def test_default_pipeline_matches_golden(
     assert result.canonical_json() == expected_blob
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["process"])
 def test_parallel_runs_byte_identical_to_golden(
     golden_case, golden_session, expected_blob, executor
 ):
-    """Thread/process runs (workers=2) agree with the golden bytes.
+    """Process-pool runs (workers=2) agree with the golden bytes.
 
     Equality against the *same committed string* the serial test uses is
     exactly the "serial and parallel runs produce byte-identical
@@ -144,7 +144,7 @@ def test_queue_executor_byte_identical_to_golden(
 
     Two workers drain a throwaway spool while the driver runs the
     pipeline with ``executor='queue'`` — the same acceptance criterion
-    as the thread/process legs, extended across a process-shaped
+    as the process leg, extended across a process-shaped
     boundary (chunks travel through pickled payload/result files).  CI
     additionally runs this matrix against *external* ``repro worker``
     subprocesses.
@@ -214,9 +214,9 @@ def test_incremental_runs_byte_identical_to_golden(
 ):
     """Store-served incremental runs reproduce the committed bytes.
 
-    All three backends share one persistent artifact store (executor
+    Both backends share one persistent artifact store (executor
     knobs are excluded from artifact keys by the determinism contract),
-    so after the first backend populates it the others are largely
+    so after the first backend populates it the second is largely
     *served* the same artifacts — byte-equality here proves both the
     executor contract and the store's purity invariant at once.
     """

@@ -32,7 +32,7 @@ from repro.corpus.indexing import CorpusLabelIndex
 from repro.corpus.store import CorpusStore
 from repro.io import save_knowledge_base
 from repro.io.serialize import WORLD_KB_FILE
-from repro.parallel import dispatch_dirty, make_executor
+from repro.parallel import ExecutorObserver, dispatch_dirty, make_executor
 from repro.pipeline.artifacts import ArtifactStore, fingerprint_evidence
 from repro.pipeline.delta import (
     CorpusDelta,
@@ -63,6 +63,11 @@ def song_world():
 @pytest.fixture(scope="module")
 def world_tables(song_world):
     return list(song_world.corpus)
+
+
+def _double(items: list[int]) -> list[int]:
+    """A picklable batch function for the process executor."""
+    return [item * 2 for item in items]
 
 
 def _mutated(table: WebTable, salt: int) -> WebTable:
@@ -101,7 +106,7 @@ def _assert_equivalent(store, incremental_result) -> str:
 class TestScriptedLifecycle:
     """ingest → run → grow → run → mutate → run → shrink → run."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_full_lifecycle_byte_identical(
         self, tmp_path, song_world, world_tables, executor
     ):
@@ -177,7 +182,7 @@ _STEPS = st.lists(
 )
 
 
-@given(steps=_STEPS, executor=st.sampled_from(["serial", "thread"]))
+@given(steps=_STEPS, executor=st.sampled_from(["serial", "process"]))
 @settings(
     max_examples=5,
     deadline=None,
@@ -400,30 +405,27 @@ class TestCorpusDeltas:
 
 
 class TestDirtySetDispatch:
-    @pytest.mark.parametrize("executor_name", [None, "serial", "thread"])
+    @pytest.mark.parametrize("executor_name", ["serial", "process"])
     def test_merges_cached_and_fresh(self, executor_name):
-        calls: list[list[int]] = []
+        class Recorder(ExecutorObserver):
+            def __init__(self):
+                self.started = []
 
-        def double(items):
-            calls.append(list(items))
-            return [item * 2 for item in items]
+            def on_map_started(self, task_name, n_items, n_chunks):
+                self.started.append((task_name, n_items))
 
-        executor = (
-            make_executor(executor_name, 2) if executor_name else None
-        )
-        try:
+        recorder = Recorder()
+        with make_executor(executor_name, 2, [recorder]) as executor:
             merged = dispatch_dirty(
-                double,
+                _double,
                 [1, 2, 3, 4],
                 [None, 40, None, 80],
                 executor=executor,
                 task_name="test",
             )
-        finally:
-            if executor is not None:
-                executor.close()
         assert merged == [2, 40, 6, 80]
-        assert [item for chunk in calls for item in chunk] == [1, 3]
+        # Only the two dirty items were dispatched.
+        assert recorder.started == [("test", 2)]
 
     def test_all_clean_never_calls_function(self):
         def boom(items):  # pragma: no cover - must not run

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RunSession
 from repro.newdetect.detector import Classification, DetectionResult
 from repro.pipeline import (
-    LongTailPipeline,
     evaluate_facts_found,
     evaluate_new_instances_found,
     gold_clusters_to_row_clusters,
@@ -21,17 +21,25 @@ from repro.fusion.entity import Entity
 from repro.goldstandard.annotations import LABEL_COLUMN
 
 
-@pytest.fixture(scope="module")
-def song_run(tiny_world, song_gold):
+def _gold_song_run(tiny_world, song_gold, config=None):
     """One default-pipeline run on the Song gold standard tables."""
-    pipeline = LongTailPipeline.default(tiny_world.knowledge_base)
-    return pipeline.run(
-        tiny_world.corpus,
+    session = RunSession(
+        knowledge_base=tiny_world.knowledge_base,
+        corpus=tiny_world.corpus,
+        config=config,
+    )
+    return session.run(
         "Song",
         table_ids=list(song_gold.table_ids),
         row_ids=set(song_gold.annotated_rows()),
         known_classes={table_id: "Song" for table_id in song_gold.table_ids},
+        use_cache=False,
     )
+
+
+@pytest.fixture(scope="module")
+def song_run(tiny_world, song_gold):
+    return _gold_song_run(tiny_world, song_gold)
 
 
 class TestGoldUtils:
@@ -96,11 +104,6 @@ class TestPipelineRun:
     def test_summary_mentions_class(self, song_run):
         assert "Song" in song_run.summary()
 
-    def test_untrained_pipeline_requires_models(self, tiny_world):
-        pipeline = LongTailPipeline(tiny_world.knowledge_base, PipelineConfig())
-        with pytest.raises(RuntimeError):
-            pipeline.run(tiny_world.corpus, "Song")
-
 
 class TestSection4Evaluations:
     def test_new_instances_eval_bounds(self, song_run, song_gold):
@@ -134,25 +137,13 @@ class TestSection4Evaluations:
 
 
 class TestDedupFlag:
-    def test_dedup_never_increases_new_entities(self, tiny_world, song_gold):
-        from repro.pipeline.pipeline import PipelineConfig
-
-        config = PipelineConfig(dedup_new_entities=True)
-        pipeline = LongTailPipeline.default(tiny_world.knowledge_base, config)
-        deduped = pipeline.run(
-            tiny_world.corpus,
-            "Song",
-            table_ids=list(song_gold.table_ids),
-            row_ids=set(song_gold.annotated_rows()),
-            known_classes={table_id: "Song" for table_id in song_gold.table_ids},
+    def test_dedup_never_increases_new_entities(
+        self, tiny_world, song_gold, song_run
+    ):
+        deduped = _gold_song_run(
+            tiny_world, song_gold, PipelineConfig(dedup_new_entities=True)
         )
-        baseline = LongTailPipeline.default(tiny_world.knowledge_base).run(
-            tiny_world.corpus,
-            "Song",
-            table_ids=list(song_gold.table_ids),
-            row_ids=set(song_gold.annotated_rows()),
-            known_classes={table_id: "Song" for table_id in song_gold.table_ids},
-        )
+        baseline = song_run
         assert len(deduped.new_entities()) <= len(baseline.new_entities())
         # Classifications stay consistent: every surviving entity classified.
         final = deduped.final

@@ -13,6 +13,8 @@ import json
 import os
 import pickle
 import signal
+import socket
+import socketserver
 import subprocess
 import sys
 import threading
@@ -116,6 +118,26 @@ class TestServeSigterm:
         assert code == 143
         stderr = "".join(serve.stderr_lines)
         assert "terminated" in stderr
+
+    def test_sigterm_during_request_dispatch_still_stops_serving(self):
+        """The SIGTERM handler's exception escapes request dispatch.
+
+        ``repro serve`` unwinds on SIGTERM by raising from the signal
+        handler; when the signal lands while the accept loop is starting
+        a handler thread, ``socketserver`` must not swallow it.
+        """
+        from repro.cli import _Terminated
+
+        class Server(socketserver.TCPServer):
+            def process_request(self, request, client_address):
+                raise _Terminated()
+
+        server = Server(("127.0.0.1", 0), socketserver.BaseRequestHandler)
+        with server, socket.create_connection(
+            server.server_address, timeout=10
+        ):
+            with pytest.raises(_Terminated):
+                server.handle_request()
 
     def test_sigterm_drains_a_queued_run_before_exiting(
         self, golden_store_dir
