@@ -646,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="label candidate generation: 'exact' (default; "
                           "full scan, byte-identical to the reference) or "
                           "'fast' (top-k recall + exact rerank; refused "
-                          "unless the committed BENCH_retrieval.json gate "
-                          "passed)")
+                          "unless the gate in BENCH_retrieval.json, written "
+                          "by benchmarks/bench_retrieval.py, passed)")
     run.add_argument("--workers", type=int, default=None,
                      help="worker count for the process and queue "
                           "executors (default: REPRO_WORKERS env or the "

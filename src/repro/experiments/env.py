@@ -4,8 +4,8 @@ World generation, gold standard derivation, fold splitting and model
 training are all deterministic in the seed, and several experiments need
 the same artifacts — the environment builds each at most once per
 process.  Pipeline runs go through one shared
-:class:`~repro.api.RunSession`; the environment memoizes their results
-itself, so the runs bypass the session's artifact store.
+:class:`~repro.api.RunSession`, so fold and profiling runs share table
+analyses through the session's artifact store.
 """
 
 from __future__ import annotations
@@ -160,9 +160,6 @@ class ExperimentEnv:
         if key not in self._fold_runs:
             models = self.fold_models(class_name, test_fold)
             __, test_gold = self.fold_golds(class_name, test_fold)
-            # The env memoizes whole results per (class, fold) and never
-            # repeats a run, so the session's stage cache would only
-            # accumulate dead entries — skip it.
             self._fold_runs[key] = self.session.run(
                 class_name,
                 config=PipelineConfig(iterations=3, seed=self.seed),
@@ -172,7 +169,6 @@ class ExperimentEnv:
                 known_classes={
                     table_id: class_name for table_id in test_gold.table_ids
                 },
-                use_cache=False,
             )
         return self._fold_runs[key]
 
@@ -185,7 +181,6 @@ class ExperimentEnv:
                 class_name,
                 config=PipelineConfig(seed=self.seed),
                 models=models.as_pipeline_models(),
-                use_cache=False,
             )
         return self._profiling_runs[class_name]
 

@@ -32,7 +32,9 @@ seconds land in the run's span log as children of the stage span.
 from __future__ import annotations
 
 import os
+import signal
 import socket
+import sys
 import time
 from concurrent.futures import FIRST_EXCEPTION, Future, wait
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -386,6 +388,28 @@ class SerialExecutor(Executor):
             yield chunk_index, meta, results
 
 
+def _exit_with_driver(parent_pid: int) -> None:
+    """Pool-worker initializer: a worker never outlives its driver.
+
+    A SIGKILLed driver cannot shut its pool down, and its idle workers
+    would block on the call queue forever, holding the driver's pipes.
+    On Linux the kernel delivers SIGKILL to the worker when its parent
+    dies; the ``getppid`` check covers a parent that died between the
+    fork and ``prctl``.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        pr_set_pdeathsig = 1
+        # A refused prctl leaves a working, merely unprotected, worker.
+        prctl(pr_set_pdeathsig, signal.SIGKILL)
+    if os.getppid() != parent_pid:
+        os._exit(1)
+
+
 class ProcessExecutor(Executor):
     """Process-pool execution — true CPU parallelism.
 
@@ -425,9 +449,28 @@ class ProcessExecutor(Executor):
             yield from SerialExecutor._submit_chunks(self, timed, chunks)
             return
         if self._pool is None:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            # Fork (the Linux default before Python 3.14, pinned here)
+            # makes the driver each worker's parent, which
+            # _exit_with_driver checks.  A fork pool starts every worker
+            # from the thread making the first submit, which is the
+            # thread calling map_batches (the writer thread under `repro
+            # serve`).  PDEATHSIG fires when that *thread* exits, and the
+            # pool never outlives it: the executor lives exactly as long
+            # as one run's stage loop, which closes it on the same thread.
+            context = (
+                multiprocessing.get_context("fork")
+                if sys.platform.startswith("linux")
+                else None
+            )
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=context,
+                initializer=_exit_with_driver,
+                initargs=(os.getpid(),),
+            )
         futures: dict[Future, int] = {
             self._pool.submit(timed, chunk): chunk_index
             for chunk_index, chunk in enumerate(chunks)

@@ -1,6 +1,6 @@
-"""The kernel optimization / perf-trajectory layer.
+"""The kernel optimization layer.
 
-Four pieces:
+Three pieces:
 
 * :mod:`repro.perf.counters` — process-wide kernel counters (calls,
   cache hits, early exits) the optimized kernels bump on their hot
@@ -9,13 +9,12 @@ Four pieces:
 * :mod:`repro.perf.kernels` — :class:`KernelCache`, the session-scoped
   memo bundle (token-pair similarities + registered row-pair caches)
   cleared at the corpus-epoch guard.
-* :mod:`repro.perf.bench` — the benchmark runners behind
-  ``benchmarks/bench_kernels.py`` and ``benchmarks/bench_retrieval.py``,
-  which persist the measured trajectory to ``BENCH_kernels.json`` /
-  ``BENCH_retrieval.json`` at the repo root.
 * :mod:`repro.perf.percentiles` — exact nearest-rank percentiles for
-  the small latency samples the service's ``GET /metrics`` and
-  ``benchmarks/bench_serve.py`` report.
+  the small latency samples the service's ``GET /metrics`` reports.
+
+The speed claims of the optimized kernels are measured by
+``benchmarks/bench_kernels.py``; end-to-end timings come from the
+``perfbench/`` harness.
 """
 
 from repro.perf.counters import (

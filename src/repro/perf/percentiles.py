@@ -1,7 +1,6 @@
 """Exact percentiles on small samples.
 
-The service layer reports request latencies and ``bench_serve.py``
-persists them to the perf trajectory — both on sample sets small enough
+The service layer reports request latencies on sample sets small enough
 (hundreds to a few thousand requests) that interpolation artifacts would
 dominate the tail.  The helper therefore implements the **nearest-rank**
 definition: ``percentile(samples, q)`` is the smallest element such that
@@ -48,9 +47,9 @@ def percentile_summary(
 ) -> Mapping[str, float] | None:
     """Count/mean/min/max plus the requested exact percentiles.
 
-    The shared latency-report shape of ``GET /metrics`` and
-    ``BENCH_serve.json`` (keys like ``p50`` / ``p99``; fractional
-    percentiles render with an underscore: ``p99_9``).  ``None`` on an
+    The latency-report shape of ``GET /metrics`` (keys like ``p50`` /
+    ``p99``; fractional percentiles render with an underscore:
+    ``p99_9``).  ``None`` on an
     empty sample — an endpoint nobody hit has no latency distribution,
     and the callers render that as absence rather than zeros.
     """

@@ -15,9 +15,10 @@ survivors are re-scored by the existing exact kernels — behind the
   silently.
 
 The exact scans are kept verbatim as reference oracles
-(``LabelIndex.search_reference``), which makes every recall-stage miss
-measurable — ``benchmarks/bench_retrieval.py`` reports recall@k against
-them and persists the trajectory document the gate reads.
+(``LabelIndex.search_reference``), which the tests hold the exact path
+identical to.  That makes every recall-stage miss measurable:
+``benchmarks/bench_retrieval.py`` reports fast mode's recall@k against
+the exact path and is the only writer of the document the gate reads.
 """
 
 from repro.retrieval.gate import (

@@ -19,7 +19,7 @@ Layering, transport-independent core first:
   snapshot core the tests drive directly;
 * :mod:`repro.serve.http` — the stdlib REST transport;
 * :mod:`repro.serve.client` — the thin ``urllib`` client used by the
-  tests, ``benchmarks/bench_serve.py`` and the CI smoke job.
+  tests, the examples and the CI smoke job.
 """
 
 from repro.serve.client import ServiceClient, ServiceClientError

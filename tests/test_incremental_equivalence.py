@@ -85,6 +85,27 @@ def _mutated(table: WebTable, salt: int) -> WebTable:
     )
 
 
+def _filler_tables(start: int, count: int) -> list[WebTable]:
+    """Deterministic long-tail tables that match no KB class."""
+    return [
+        WebTable(
+            table_id=f"longtail-{number:07d}",
+            header=("widget", "batch", "lot", "grade"),
+            rows=[
+                (
+                    f"widget {number} unit {row}",
+                    f"batch {number % 83}",
+                    str(100000 + number * 7 + row),
+                    "ABCD"[row % 4],
+                )
+                for row in range(4)
+            ],
+            url=f"http://bench.example/longtail/{number}",
+        )
+        for number in range(start, start + count)
+    ]
+
+
 def _make_store(tmp_path, world, tables):
     store = CorpusStore.create(tmp_path / "store", shards=2)
     store.ingest(tables)
@@ -152,6 +173,24 @@ class TestScriptedLifecycle:
         _assert_equivalent(store, shrunk)
         delta = session.last_incremental_report.frontier.delta
         assert delta.removed == (base[1].table_id,)
+
+    def test_long_tail_delta_recomputes_only_its_analyses(
+        self, tmp_path, song_world, world_tables
+    ):
+        """k new tables of no class cost exactly k table analyses."""
+        k = 3
+        store = _make_store(
+            tmp_path, song_world, world_tables[:N_BASE] + _filler_tables(0, 12)
+        )
+        session = RunSession.from_corpus_store(store)
+        session.run(CLASS_NAME)
+
+        assert store.ingest(_filler_tables(12, k)).inserted == k
+        refreshed = session.run(CLASS_NAME)
+        report = session.last_incremental_report
+        assert report.analysis_computed == k
+        assert report.analysis_loaded >= len(store) - k
+        _assert_equivalent(store, refreshed)
 
     def test_cold_session_over_warm_store(
         self, tmp_path, song_world, world_tables

@@ -28,7 +28,6 @@ from repro.perf import (
     kernel_counters,
     reset_kernel_counters,
 )
-from repro.perf.bench import compare_with_baseline, run_kernel_benchmarks
 from repro.text.tokenize import normalize_label, tokenize
 from repro.text.vectors import term_vector
 from repro.webtables.table import WebTable
@@ -293,7 +292,7 @@ class TestBlockCacheGeneration:
 
 
 # ---------------------------------------------------------------------------
-# Kernel counters in the span log + bench plumbing
+# Kernel counters in the span log
 # ---------------------------------------------------------------------------
 
 
@@ -309,18 +308,3 @@ class TestPerfHarness:
         summary = trace_summary(session.last_trace.events())
         assert summary["kernel_counters"] == delta
         assert delta.get("monge_elkan.pair_memo_misses", 0) > 0
-
-    def test_compare_with_baseline_flags_collapsed_speedups(self):
-        current = {"benchmarks": {"pair_scoring": {"speedup": 1.0}}}
-        baseline = {"benchmarks": {"pair_scoring": {"speedup": 4.0}}}
-        assert compare_with_baseline(current, baseline)
-        assert not compare_with_baseline(current, baseline, tolerance=8.0)
-        assert not compare_with_baseline(current, None)
-
-    def test_kernel_benchmarks_smoke(self):
-        document = run_kernel_benchmarks(n_tables=40, vocabulary_size=300)
-        assert set(document["benchmarks"]) == {
-            "similar_tokens", "levenshtein_within", "pair_scoring",
-        }
-        for entry in document["benchmarks"].values():
-            assert entry["speedup"] > 0

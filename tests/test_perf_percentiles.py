@@ -1,8 +1,7 @@
 """The exact nearest-rank percentile helper (`repro.perf.percentiles`).
 
-Shared by the service's ``GET /metrics`` latency report and
-``benchmarks/bench_serve.py`` — the properties here are the contract
-both rely on for small samples.
+Behind the service's ``GET /metrics`` latency report — the properties
+here are the contract it relies on for small samples.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ the port, exit 143.  ``repro worker``: finish the chunk in hand (its
 lease keeper stays alive throughout), deregister from the spool, exit
 143.  Both are proven here with actual subprocesses and actual signals —
 a handler that only works in-process is not a shutdown contract.
+
+A ``ProcessExecutor`` driver killed outright (SIGKILL, no handler runs)
+must not leave its pool workers behind: they die with it.
 """
 
 from __future__ import annotations
@@ -250,3 +253,67 @@ class TestWorkerSigterm:
                 worker.wait(timeout=30.0)
         assert code == 143
         assert "after 0 task(s)" in stderr
+
+
+POOL_DRIVER = """
+import sys, time
+from pathlib import Path
+from queue_worker_helpers import square_batch
+from repro.parallel import ProcessExecutor
+
+executor = ProcessExecutor(2)
+assert executor.map_batches(square_batch, [1, 2, 3, 4], chunk_size=2) == [
+    1, 4, 9, 16,
+]
+Path(sys.argv[1]).write_text(" ".join(map(str, executor._pool._processes)))
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc; PDEATHSIG"
+)
+class TestProcessPoolDriverKill:
+    def test_sigkilled_driver_takes_its_pool_workers_down(self, tmp_path):
+        pid_file = tmp_path / "pool-pids"
+        with open(tmp_path / "driver.err", "w") as stderr:
+            driver = subprocess.Popen(
+                [sys.executable, "-c", POOL_DRIVER, str(pid_file)],
+                env=subprocess_env(),
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+            )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while not pid_file.exists() or not pid_file.read_text():
+                assert driver.poll() is None, (
+                    (tmp_path / "driver.err").read_text()
+                )
+                assert time.monotonic() < deadline, "pool never started"
+                time.sleep(0.05)
+            workers = [int(pid) for pid in pid_file.read_text().split()]
+            assert len(workers) == 2 and all(map(_running, workers))
+            driver.kill()
+            driver.wait(timeout=30.0)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if _running(pid)]
+            assert not survivors, f"pool workers outlived the driver: {survivors}"
+        finally:
+            if driver.poll() is None:  # pragma: no cover - test failed
+                driver.kill()
+                driver.wait(timeout=30.0)
+            for pid in workers:
+                if _running(pid):  # pragma: no cover - test failed
+                    os.kill(pid, signal.SIGKILL)
