@@ -20,8 +20,11 @@ benchmark is how approximation earns its flag.
 ``REPRO_BENCH_RETRIEVAL_TABLES`` / ``REPRO_BENCH_RETRIEVAL_LABELS`` /
 ``REPRO_BENCH_RETRIEVAL_QUERIES`` scale the workload
 (``REPRO_BENCH_CORPUS_TABLES`` is honoured as a fallback so the smoke
-profile scales every benchmark with one knob);
-``REPRO_BENCH_OUTPUT`` redirects the document.
+profile scales every benchmark with one knob).  ``REPRO_BENCH_OUTPUT``
+names where the document goes.  Without it, the committed document is
+rewritten only by a run of the committed workload: a scaled-down run
+writes nothing, so it cannot replace the gate document with a
+measurement of another workload.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ N_QUERIES = int(os.environ.get("REPRO_BENCH_RETRIEVAL_QUERIES", "400"))
 K = 10
 MIN_SPEEDUP = 2.0
 REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = Path(
-    os.environ.get("REPRO_BENCH_OUTPUT", REPO_ROOT / RETRIEVAL_BENCH_FILE)
-)
+COMMITTED = REPO_ROOT / RETRIEVAL_BENCH_FILE
+OUTPUT_OVERRIDE = os.environ.get("REPRO_BENCH_OUTPUT")
 SCHEMA = "repro.bench.retrieval/v1"
 
 #: The keys that define a workload: ratios are compared only between
@@ -156,22 +158,30 @@ def bench_schema_match_candidates(n_tables: int, n_queries: int, k: int) -> dict
     return entry
 
 
-def _committed_speedup_failures(benchmarks: dict) -> list[str]:
+def _committed_benchmarks() -> dict:
+    """The committed document's per-kernel entries (empty when absent)."""
+    if not COMMITTED.exists():
+        return {}
+    document = json.loads(COMMITTED.read_text(encoding="utf-8"))
+    return document.get("benchmarks", {})
+
+
+def _same_workload(entry: dict, baseline: dict | None) -> bool:
+    return baseline is not None and all(
+        entry.get(key) == baseline.get(key) for key in WORKLOAD_KEYS
+    )
+
+
+def _committed_speedup_failures(benchmarks: dict, committed: dict) -> list[str]:
     """Speedups that fell below half of the committed document's.
 
     A workload that differs from the committed one (the scaled-down
     smoke settings) is skipped: its ratio is not comparable.
     """
-    committed_path = REPO_ROOT / RETRIEVAL_BENCH_FILE
-    if not committed_path.exists():
-        return []
-    committed = json.loads(committed_path.read_text(encoding="utf-8"))
     failures = []
     for kernel, entry in benchmarks.items():
-        baseline = committed.get("benchmarks", {}).get(kernel)
-        if baseline is None or any(
-            entry.get(key) != baseline.get(key) for key in WORKLOAD_KEYS
-        ):
+        baseline = committed.get(kernel)
+        if not _same_workload(entry, baseline):
             continue
         floor = baseline["speedup"] / 2
         if entry["speedup"] < floor:
@@ -207,7 +217,8 @@ def test_retrieval_benchmarks_meet_gate_and_persist_trajectory():
         f"schema-match candidate speedup {speedup:.2f}x fell below the "
         f"{MIN_SPEEDUP}x floor"
     )
-    failures = _committed_speedup_failures(benchmarks)
+    committed = _committed_benchmarks()
+    failures = _committed_speedup_failures(benchmarks, committed)
     assert not failures, "; ".join(failures)
 
     # The gate block ``ensure_fast_mode_allowed`` reads: the *worst*
@@ -224,7 +235,20 @@ def test_retrieval_benchmarks_meet_gate_and_persist_trajectory():
             "passed": True,
         },
     }
-    OUTPUT.write_text(
+    if OUTPUT_OVERRIDE:
+        output = Path(OUTPUT_OVERRIDE)
+    elif all(
+        _same_workload(entry, committed.get(kernel))
+        for kernel, entry in benchmarks.items()
+    ):
+        output = COMMITTED
+    else:
+        print(
+            f"workload differs from {RETRIEVAL_BENCH_FILE}'s; nothing "
+            "written (set REPRO_BENCH_OUTPUT to keep the document)"
+        )
+        return
+    output.write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"trajectory written to {OUTPUT}")
+    print(f"trajectory written to {output}")

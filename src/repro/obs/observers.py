@@ -10,8 +10,9 @@ the stage that dispatched them.
 
 Per-stage kernel summaries come from the module-global counters of
 :mod:`repro.perf.counters`: a snapshot at stage start, the non-zero
-delta attached to the stage's ``end`` record.  (Counters are
-per-process, so a process-pool run surfaces the in-process share.)
+delta attached to the stage's ``end`` record.  Chunks that ran in
+another process bring their counter deltas back with their results, and
+the executor adds them to this registry before the stage ends.
 Those ``end`` records are the run's only timing record:
 :func:`~repro.obs.export.trace_summary` sums them into stage seconds
 and kernel counters for ``repro run --json`` and the service's

@@ -39,6 +39,8 @@ import time
 from concurrent.futures import FIRST_EXCEPTION, Future, wait
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from repro.perf.counters import bump, counter_delta, kernel_counters
+
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
@@ -157,13 +159,17 @@ class _TimedBatch:
     function does.  Returns ``(meta, results)`` — ``meta`` carries the
     wall-clock start, compute seconds, and the worker pid/host, which is
     all the provenance a chunk span needs (host matters once chunks run
-    on queue workers that may live on other machines).
+    on queue workers that may live on other machines).  It also carries
+    ``counters``, the kernel counters the chunk bumped in the process
+    that ran it, so the driver can fold worker-side counts into its own
+    registry (see :func:`_merge_worker_counters`).
     """
 
     def __init__(self, func: Callable[[list], list]) -> None:
         self.func = func
 
     def __call__(self, chunk: list) -> tuple[dict, list]:
+        baseline = kernel_counters()
         started_wall = time.time()
         started = time.perf_counter()
         results = self.func(chunk)
@@ -172,8 +178,22 @@ class _TimedBatch:
             "ts": started_wall,
             "pid": os.getpid(),
             "host": socket.gethostname(),
+            "counters": counter_delta(baseline),
         }
         return meta, results
+
+
+def _merge_worker_counters(meta: dict, driver: tuple[int, str]) -> None:
+    """Add a chunk's kernel-counter delta to this process's registry.
+
+    Only for chunks that ran in another process: a chunk that ran
+    in-process (``driver`` is this process's ``(pid, host)``) already
+    bumped this registry, and merging it would count it twice.
+    """
+    if (meta["pid"], meta["host"]) == driver:
+        return
+    for name, grown in meta["counters"].items():
+        bump(name, grown)
 
 
 class _TracedBatch(_TimedBatch):
@@ -280,6 +300,7 @@ class Executor:
             timed = _TimedBatch(func)
         gathered: list[list[ResultT] | None] = [None] * len(chunks)
         metas: list[dict | None] = [None] * len(chunks)
+        driver = (os.getpid(), socket.gethostname())
         try:
             for chunk_index, meta, results in self._submit_chunks(
                 timed, chunks
@@ -292,6 +313,7 @@ class Executor:
                     )
                 gathered[chunk_index] = results
                 metas[chunk_index] = meta
+                _merge_worker_counters(meta, driver)
                 for observer in self.observers:
                     observer.on_chunk_finished(
                         task_name, chunk_index, len(results), meta["seconds"]

@@ -10,13 +10,16 @@ Counter names are dotted ``<kernel>.<event>`` strings, e.g.
 ``levenshtein_within.band_exceeded`` or ``similar_tokens.delete_hits``;
 the full inventory lives in ``docs/architecture.md`` ("Performance").
 
-Counters are per-process.  Under a :class:`~repro.parallel.Executor`
-process pool the workers bump their own registries, which vanish with
-the pool — the main-process numbers then cover only the work that ran
-in-process.  Serial runs count everything exactly; thread-pool runs
-count in the shared registry, but :func:`bump` is a plain
-read-modify-write, so concurrent threads can occasionally lose an
-increment — acceptable for diagnostics, which is all these feed.
+Counters are per-process.  A ``process`` pool worker or a ``queue``
+worker bumps its own registry, so every chunk carries the delta it
+bumped back to the driver in its result metadata, and the driver's
+:class:`~repro.parallel.Executor` adds that delta to this registry
+(chunks that ran in the driver itself are not added twice).  A run's
+counts therefore cover all of its work whichever executor ran it; they
+still differ between executors where the work does (per-worker memos
+start cold, and pool runs precompute block pair scores).  :func:`bump` is a
+plain read-modify-write, so it is not safe against concurrent threads;
+the pipeline bumps from one thread per process.
 """
 
 from __future__ import annotations

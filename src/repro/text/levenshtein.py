@@ -5,13 +5,18 @@ Implemented with the classic two-row dynamic program; no third-party string
 library is available offline, and the pipeline calls this in tight loops, so
 the implementation keeps allocations minimal.
 
-:func:`levenshtein` is the unbounded reference.  :func:`levenshtein_within`
-is the kernel the candidate-pruning paths call when a threshold ``k`` is
-known up front: it strips the common prefix/suffix, rejects on the length
-gap, and then fills only the Ukkonen band of width ``2k+1`` — O(k·min(len))
-instead of O(len²) — returning the *exact* distance when it is ≤ ``k`` and
-``None`` otherwise.  The two functions agree everywhere by construction
-(see the hypothesis equivalence suite in ``tests/test_text.py``).
+Both distance functions strip the common prefix and suffix first (typo'd
+labels mostly differ in one spot).  :func:`levenshtein` is the unbounded
+kernel under every label comparison: it fills the full two-row DP over
+the stripped cores with inline comparisons, taking the diagonal cell
+directly on a character match.  :func:`levenshtein_within` is the kernel
+the candidate-pruning paths call when a threshold ``k`` is known up
+front: it also rejects on the length gap, and then fills only the
+Ukkonen band of width ``2k+1`` — O(k·min(len)) instead of O(len²) —
+returning the *exact* distance when it is ≤ ``k`` and ``None``
+otherwise.  ``tests/test_text.py`` holds :func:`levenshtein` equal to a
+textbook DP kept in the test file, and :func:`levenshtein_within` equal
+to thresholding :func:`levenshtein`, as hypothesis properties.
 """
 
 from __future__ import annotations
@@ -23,25 +28,48 @@ def levenshtein(a: str, b: str) -> int:
     """Return the edit distance (insert/delete/substitute, unit cost)."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
+    if len(a) > len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    current = [0] * (len(b) + 1)
+    len_a, len_b = len(a), len(b)
+    # Strip the common prefix and suffix; neither affects the distance.
+    start = 0
+    while start < len_a and a[start] == b[start]:
+        start += 1
+    while len_a > start and a[len_a - 1] == b[len_b - 1]:
+        len_a -= 1
+        len_b -= 1
+    a = a[start:len_a]
+    b = b[start:len_b]
+    len_a -= start
+    len_b -= start
+    if len_a == 0:
+        return len_b
+    # Two-row dynamic program, the shorter core on the outer loop.
+    # ``diagonal``, ``up`` and ``left`` are the substitution, deletion
+    # and insertion predecessors of the cell being filled.  Adjacent
+    # cells differ by at most one, so on a character match the diagonal
+    # alone is the minimum.
+    previous = list(range(len_b + 1))
+    current = [0] * (len_b + 1)
     for i, char_a in enumerate(a, start=1):
-        current[0] = i
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current[j] = min(
-                previous[j] + 1,        # deletion
-                current[j - 1] + 1,     # insertion
-                previous[j - 1] + cost, # substitution
-            )
+        diagonal = i - 1
+        left = current[0] = i
+        j = 0
+        for char_b in b:
+            j += 1
+            up = previous[j]
+            if char_a == char_b:
+                value = diagonal
+            else:
+                value = diagonal if diagonal < up else up
+                if left < value:
+                    value = left
+                value += 1
+            current[j] = value
+            left = value
+            diagonal = up
         previous, current = current, previous
-    return previous[len(b)]
+    return previous[len_b]
 
 
 def levenshtein_within(a: str, b: str, max_distance: int) -> int | None:

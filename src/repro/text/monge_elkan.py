@@ -45,49 +45,62 @@ def monge_elkan(
 
 
 def monge_elkan_symmetric(
-    tokens_a: Sequence[str],
-    tokens_b: Sequence[str],
-    inner: InnerSimilarity = levenshtein_similarity,
+    tokens_a: Sequence[str], tokens_b: Sequence[str]
 ) -> float:
     """Symmetrized Monge-Elkan: mean of both directions.
 
     The raw measure is asymmetric (a subset of tokens scores 1.0 against a
     superset); averaging both directions restores symmetry, which the
     clustering fitness function requires.
+
+    Levenshtein similarity is symmetric, so the ``n×m`` token-pair
+    matrix is filled once and both directions' maxima are taken from
+    it: row maxima give ``monge_elkan(tokens_a, tokens_b)``, column
+    maxima ``monge_elkan(tokens_b, tokens_a)``.  Both sums accumulate
+    in the same order as :func:`monge_elkan`, so the result is
+    bit-identical to averaging the two one-directional calls.
     """
-    forward = monge_elkan(tokens_a, tokens_b, inner)
-    backward = monge_elkan(tokens_b, tokens_a, inner)
-    return (forward + backward) / 2.0
+    if not tokens_a or not tokens_b:
+        return 0.0
+    # Similarities lie in [0, 1], so 0.0 can start every maximum.
+    best_b = [0.0] * len(tokens_b)
+    forward_total = 0.0
+    for token_a in tokens_a:
+        best_a = 0.0
+        for position, token_b in enumerate(tokens_b):
+            score = levenshtein_similarity(token_a, token_b)
+            if score > best_a:
+                best_a = score
+            if score > best_b[position]:
+                best_b[position] = score
+        forward_total += best_a
+    return _mean_of_directions(forward_total, len(tokens_a), best_b)
 
 
 def monge_elkan_symmetric_memo(
     tokens_a: Sequence[str],
     tokens_b: Sequence[str],
     memo: TokenPairMemo,
-    inner: InnerSimilarity = levenshtein_similarity,
 ) -> float:
     """:func:`monge_elkan_symmetric` through a shared token-pair memo.
 
-    ``inner`` must be **symmetric** (``inner(a, b) == inner(b, a)``): the
-    memo keys on the canonical sorted token pair and serves one value for
-    both directions.  For any symmetric inner — in particular the default
-    Levenshtein similarity — the result is bit-identical to the plain
+    The memo keys on the canonical sorted token pair and serves one
+    value for both directions, which is sound because Levenshtein
+    similarity is symmetric.  The result is bit-identical to the plain
     version (the hypothesis property in ``tests/test_text.py`` proves
-    it), while computing each inner similarity at most once: the ``n×m`` pair matrix is filled a single
-    time (the plain version evaluates it once per direction) and every
-    entry is first looked up in ``memo`` — labels within a block share
-    most of their tokens, so across the pairs of a clustering run the
-    memo absorbs the overwhelming majority of inner calls.
+    it), while every entry of the single ``n×m`` pair matrix is first
+    looked up in ``memo`` — labels within a block share most of their
+    tokens, so across the pairs of a clustering run the memo absorbs
+    the overwhelming majority of inner calls.
     """
     if not tokens_a or not tokens_b:
         return 0.0
     hits = 0
     misses = 0
     best_b = [0.0] * len(tokens_b)
-    first_row = True
     forward_total = 0.0
     for token_a in tokens_a:
-        best_a = float("-inf")
+        best_a = 0.0
         for position, token_b in enumerate(tokens_b):
             key = (
                 (token_a, token_b)
@@ -96,21 +109,35 @@ def monge_elkan_symmetric_memo(
             )
             score = memo.get(key)
             if score is None:
-                score = inner(token_a, token_b)
+                score = levenshtein_similarity(token_a, token_b)
                 memo[key] = score
                 misses += 1
             else:
                 hits += 1
             if score > best_a:
                 best_a = score
-            if first_row or score > best_b[position]:
+            if score > best_b[position]:
                 best_b[position] = score
-        first_row = False
         forward_total += best_a
-    forward = forward_total / len(tokens_a)
-    backward = sum(best_b) / len(tokens_b)
     bump("monge_elkan.pair_memo_hits", hits)
     bump("monge_elkan.pair_memo_misses", misses)
+    return _mean_of_directions(forward_total, len(tokens_a), best_b)
+
+
+def _mean_of_directions(
+    forward_total: float, n_a: int, best_b: list[float]
+) -> float:
+    """Average the forward score with the one the column maxima give.
+
+    The column maxima are summed with a plain loop, in order, exactly as
+    :func:`monge_elkan` sums its maxima: the built-in ``sum`` compensates
+    float rounding on Python 3.12+ and could differ in the last bit.
+    """
+    backward_total = 0.0
+    for score in best_b:
+        backward_total += score
+    forward = forward_total / n_a
+    backward = backward_total / len(best_b)
     return (forward + backward) / 2.0
 
 

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from repro.api import RunSession, config_hash
 from repro.clustering.clusterer import RowClusterer
 from repro.clustering.context import RowMetricContext, make_row_metrics
+from repro.clustering.metrics import LabelMetric
+from repro.clustering.parallel_sim import precompute_block_similarities
 from repro.clustering.similarity import RowSimilarity
-from repro.matching.records import build_row_records
+from repro.matching.records import RowRecord, build_row_records
 from repro.matching.schema_matcher import SchemaMatcher
 from repro.ml.aggregation import StaticWeightedAggregator
 from repro.parallel import (
@@ -30,7 +32,9 @@ from repro.parallel import (
     default_worker_count,
     make_executor,
 )
+from repro.perf.counters import bump, counter_delta, kernel_counters
 from repro.pipeline.pipeline import PipelineConfig
+from repro.text import normalize_label, term_vector, tokenize
 from repro.webtables import TableCorpus, WebTable
 
 
@@ -41,6 +45,11 @@ def square_batch(chunk: list[int]) -> list[int]:
 
 def bad_count_batch(chunk: list[int]) -> list[int]:
     return chunk[:-1]  # one result short
+
+
+def count_items_batch(chunk: list[int]) -> list[int]:
+    bump("test.chunk_items", len(chunk))
+    return chunk
 
 
 def explode_on_seven(chunk: list[int]) -> list[int]:
@@ -108,6 +117,58 @@ class TestMapBatches:
                 executor.observers.remove(recorder)
             assert recorder.started == [("obs", 10, 4)]
             assert sorted(recorder.chunks) == [(0, 3), (1, 3), (2, 3), (3, 1)]
+
+
+# -- kernel counters from chunks ----------------------------------------
+class TestWorkerCounters:
+    def test_chunk_counters_reach_the_driver_once(self, executors):
+        # Pool workers bump their own registries; the driver must add
+        # their deltas, and must not add in-process chunks a second time.
+        for executor in executors:
+            baseline = kernel_counters()
+            executor.map_batches(count_items_batch, list(range(10)), chunk_size=3)
+            assert counter_delta(baseline) == {"test.chunk_items": 10}, executor
+
+    def test_pool_reports_kernels_that_run_only_in_chunks(self, executors):
+        # Block pair precompute scores every pair inside the batch
+        # function, so the LABEL metric's memo lookups happen only in
+        # chunks.  Each pair is scored once pool-wide and makes the same
+        # lookups whichever process runs it (only the hit/miss split
+        # depends on the per-worker memo), so the totals must agree.
+        labels = [f"{first} {second}" for first in _WORDS for second in _WORDS]
+        records = []
+        for number, label in enumerate(labels):
+            norm = normalize_label(label)
+            records.append(
+                RowRecord(
+                    row_id=(f"t{number}", 0),
+                    table_id=f"t{number}",
+                    label=label,
+                    norm_label=norm,
+                    tokens=term_vector([label]),
+                    values={},
+                    label_tokens=tuple(tokenize(norm)),
+                )
+            )
+        blocks = {
+            record.row_id: frozenset({f"block-{number % 6}"})
+            for number, record in enumerate(records)
+        }
+        lookups = []
+        for executor in executors:
+            similarity = RowSimilarity(
+                [LabelMetric()],
+                StaticWeightedAggregator({"LABEL": 1.0}, threshold=0.5),
+            )
+            baseline = kernel_counters()
+            precompute_block_similarities(records, blocks, similarity, executor)
+            delta = counter_delta(baseline)
+            lookups.append(
+                delta.get("monge_elkan.pair_memo_hits", 0)
+                + delta.get("monge_elkan.pair_memo_misses", 0)
+            )
+        assert lookups[0] > 0
+        assert lookups == [lookups[0]] * len(executors)
 
 
 # -- failure provenance -------------------------------------------------

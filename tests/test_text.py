@@ -61,6 +61,24 @@ class TestTokenize:
         assert tokenize("...!!!") == []
 
 
+def _textbook_levenshtein(a: str, b: str) -> int:
+    """The unit-cost edit distance as the full (len(a)+1)×(len(b)+1) DP.
+
+    Independent of the production kernel: no affix stripping, no row
+    reuse, no shortcut on a character match.
+    """
+    table = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)]
+             for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return table[len(a)][len(b)]
+
+
 class TestLevenshtein:
     def test_identity(self):
         assert levenshtein("kitten", "kitten") == 0
@@ -87,6 +105,16 @@ class TestLevenshtein:
     @given(st.text(max_size=12), st.text(max_size=12))
     def test_similarity_in_unit_interval(self, a, b):
         assert 0.0 <= levenshtein_similarity(a, b) <= 1.0
+
+    @given(st.text(), st.text())
+    def test_equals_textbook_dp(self, a, b):
+        assert levenshtein(a, b) == _textbook_levenshtein(a, b)
+
+    @given(st.text(alphabet="ab", max_size=16),
+           st.text(alphabet="ab", max_size=16))
+    def test_small_alphabet_equals_textbook_dp(self, a, b):
+        # Dense matches exercise affix stripping and the diagonal shortcut.
+        assert levenshtein(a, b) == _textbook_levenshtein(a, b)
 
 
 class TestLevenshteinWithin:
@@ -160,6 +188,26 @@ class TestMongeElkan:
     @given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4))
     def test_self_similarity_is_one(self, tokens):
         assert math.isclose(monge_elkan_symmetric(tokens, tokens), 1.0)
+
+    @given(
+        st.lists(st.text(min_size=1, max_size=6), max_size=4),
+        st.lists(st.text(min_size=1, max_size=6), max_size=4),
+    )
+    def test_symmetric_equals_mean_of_both_directions(self, a, b):
+        # The one-directional function fills its own matrix per
+        # direction, so it is an independent oracle for the one-matrix
+        # symmetric kernel; exact equality, not isclose.
+        expected = (monge_elkan(a, b) + monge_elkan(b, a)) / 2
+        assert monge_elkan_symmetric(a, b) == expected
+
+    @given(
+        st.lists(st.text(alphabet="ab", min_size=1, max_size=4), max_size=5),
+        st.lists(st.text(alphabet="ab", min_size=1, max_size=4), max_size=5),
+    )
+    def test_symmetric_equals_mean_of_both_directions_on_ties(self, a, b):
+        # A two-letter alphabet makes tied maxima and repeated tokens common.
+        expected = (monge_elkan(a, b) + monge_elkan(b, a)) / 2
+        assert monge_elkan_symmetric(a, b) == expected
 
     @given(
         st.lists(st.text(min_size=1, max_size=6), max_size=4),
