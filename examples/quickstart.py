@@ -80,25 +80,21 @@ def ingest_and_rerun(session, in_memory_result) -> None:
 
         repro build-world --output world/
         repro ingest world/corpus.jsonl --store store/ --shards 4 \\
-            --min-rows 2 --require-subject-column --index
+            --min-rows 2 --require-subject-column
         # then in Python: RunSession.from_corpus_store("store/")
     """
-    from repro import CorpusLabelIndex, CorpusStore
+    from repro import CorpusStore
     from repro.corpus import ShapeFilter, SubjectColumnFilter
 
     print("\nIngesting the corpus into a sharded on-disk store ...")
     with tempfile.TemporaryDirectory() as tmp:
         store = CorpusStore.create(Path(tmp) / "store", shards=4)
-        label_index = CorpusLabelIndex()
         report = store.ingest(
             iter(session.corpus),  # any WebTable stream works here
             filters=[ShapeFilter(min_rows=2), SubjectColumnFilter()],
-            index=label_index,
         )
-        label_index.save_to_store(store)
         print(f"  {report.summary()}")
         print(f"  shards: {store.shard_sizes()}")
-        print(f"  label index: {label_index.n_labels():,} distinct labels")
 
         disk_session = RunSession.from_corpus_store(
             store, knowledge_base=session.knowledge_base

@@ -19,9 +19,8 @@ Module map:
 * :mod:`repro.kb` — the knowledge base to be extended.
 * :mod:`repro.webtables` — the relational web table corpus.
 * :mod:`repro.corpus` — scalable corpus backend: streaming readers,
-  the sharded on-disk :class:`CorpusStore`, ingest-time filters and
-  incremental label indexing (``repro ingest``,
-  :meth:`RunSession.from_corpus_store`).
+  the sharded on-disk :class:`CorpusStore` and ingest-time filters
+  (``repro ingest``, :meth:`RunSession.from_corpus_store`).
 * :mod:`repro.matching` — schema matching (table-to-class and
   attribute-to-property).
 * :mod:`repro.clustering` — row clustering via correlation clustering.
@@ -91,7 +90,6 @@ __all__ = [
     "build_gold_standard",
     "CorpusStore",
     "StoredCorpusView",
-    "CorpusLabelIndex",
     "IngestReport",
     "ArtifactStore",
     "IncrementalRunReport",
@@ -143,7 +141,6 @@ _LAZY_EXPORTS = {
     "build_gold_standard": ("repro.synthesis.api", "build_gold_standard"),
     "CorpusStore": ("repro.corpus.store", "CorpusStore"),
     "StoredCorpusView": ("repro.corpus.view", "StoredCorpusView"),
-    "CorpusLabelIndex": ("repro.corpus.indexing", "CorpusLabelIndex"),
     "IngestReport": ("repro.corpus.store", "IngestReport"),
     "ArtifactStore": ("repro.pipeline.artifacts", "ArtifactStore"),
     "IncrementalRunReport": (

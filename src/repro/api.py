@@ -196,9 +196,9 @@ class RunSession:
         self.config = config or PipelineConfig()
         self.models = models
         self.observers: list[PipelineObserver] = list(observers)
-        #: Session-scoped kernel memos (token-pair similarities plus the
-        #: registered row-pair caches) shared by every run; cleared at
-        #: the corpus-epoch guard because pair caches key on row ids.
+        #: Session-scoped kernel memos (token-pair similarities) shared
+        #: by every run; cleared at the corpus-epoch guard to bound
+        #: memory.
         self.kernels = KernelCache()
         #: Strong references keep cache-key identity tokens stable.
         self._identity_registry: list[object] = []
@@ -688,10 +688,9 @@ class RunSession:
         """Snapshot the corpus and build this run's incremental backend.
 
         Also the session's corpus-epoch guard: when the snapshot differs
-        from the previous one, the kernel caches — whose row-pair scores
-        key on row *ids* that a replaced table reuses for new content —
-        are cleared, and a live store-backed corpus view drops its table
-        cache.  Stored artifacts stay: their keys embed content
+        from the previous one, the content-keyed kernel memos are cleared
+        to bound memory, and a live store-backed corpus view drops its
+        table cache.  Stored artifacts stay: their keys embed content
         fingerprints, so none of them can go stale.
         """
         state = corpus_state(self.corpus)

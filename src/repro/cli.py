@@ -17,8 +17,8 @@ Commands:
 * ``experiment`` — regenerate one paper table/figure by experiment id
   (``table01`` … ``table12``, ``figure01``, ``ranked_eval``).
 * ``ingest`` — stream web tables (JSONL / CSV directory / WDC JSON) into
-  a sharded on-disk corpus store with optional ingest-time filtering,
-  incremental label indexing, and multiprocess shard writes; the result
+  a sharded on-disk corpus store with optional ingest-time filtering
+  and multiprocess shard writes; the result
   serves ``RunSession.from_corpus_store``.  ``--then-run`` chains a
   store-served pipeline run for the named classes straight after the
   ingest — the ingest→run loop of a continuously growing corpus in one
@@ -225,7 +225,6 @@ def _trace_destination(
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.corpus import (
         ClassRestrictionFilter,
-        CorpusLabelIndex,
         CorpusStore,
         ShapeFilter,
         SubjectColumnFilter,
@@ -261,18 +260,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     try:
         stream = open_table_stream(args.input, format=args.format)
         store = CorpusStore.open_or_create(args.store, shards=args.shards)
-        index = CorpusLabelIndex.for_store(store) if args.index else None
         report = store.ingest(
             stream,
             filters=filters,
             on_conflict=args.on_conflict,
             batch_size=args.batch_size,
             processes=args.processes,
-            index=index,
             tracer=tracer,
         )
-        if index is not None:
-            index.save_to_store(store)
     except (ValueError, FileNotFoundError) as error:
         print(f"error: {error}")
         return 2
@@ -306,9 +301,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             # inserted/replaced/dirty table ids the service also emits.
             "report": report.to_dict(),
         }
-        if index is not None:
-            document["indexed_tables"] = len(index)
-            document["indexed_labels"] = index.n_labels()
         if run_results:
             document["results"] = [
                 result.summary_dict() for result in run_results.values()
@@ -323,9 +315,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
               f"({store.n_shards} shards): {report.summary()}")
         print(f"store now holds {len(store)} tables / "
               f"{store.total_rows()} rows")
-        if index is not None:
-            print(f"label index: {len(index)} tables, "
-                  f"{index.n_labels()} distinct labels")
         for class_name, result in run_results.items():
             print()
             print(result.summary())
@@ -695,8 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="knowledge base JSON for --classes restriction")
     ingest.add_argument("--classes", nargs="*", default=None,
                         help="keep only tables matching these KB classes")
-    ingest.add_argument("--index", action="store_true",
-                        help="maintain the incremental label index")
     ingest.add_argument("--then-run", nargs="+", default=None,
                         metavar="CLASS", dest="then_run",
                         help="after ingesting, run the pipeline "

@@ -2,128 +2,49 @@
 
 Every distinct normalized row label forms a block.  Each row is assigned
 its own label's block plus the blocks of the most similar labels retrieved
-from a label index, so typo'd and variant labels still meet.  The greedy
-clusterer only compares a row against clusters sharing a block, and KLj
-only compares cluster pairs sharing a block.
+from a label index over the rows being clustered, so typo'd and variant
+labels still meet.  The greedy clusterer only compares a row against
+clusters sharing a block, and KLj only compares cluster pairs sharing a
+block.
 """
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.index import LabelIndex
 from repro.matching.records import RowRecord
 from repro.perf.counters import bump
 from repro.webtables.table import RowId
 
-#: Per-index block cache: index object → {(generation, max_similar,
-#: candidate_mode) → {label → block keys}}.  Weakly keyed so a dropped
-#: index frees its entry; the inner map is keyed by the full search
-#: configuration, so two callers alternating different ``max_similar``
-#: values (or candidate modes) against the same persistent index each
-#: keep their own cache instead of evicting each other's — only a
-#: ``generation`` bump (an index mutation) invalidates, at which point
-#: every stale-generation entry is dropped.
-_SHARED_LABEL_BLOCKS: "WeakKeyDictionary[object, dict[tuple[int, int, str], dict[str, frozenset[str]]]]" = (
-    WeakKeyDictionary()
-)
-
-
-class SupportsLabelSearch(Protocol):
-    """Anything offering top-k label retrieval (``LabelIndex``,
-    :class:`repro.corpus.indexing.CorpusLabelIndex`, ...).
-
-    Indexes that additionally accept a ``mode`` keyword (the candidate
-    modes of ``docs/architecture.md`` "Candidate generation") can be
-    searched with ``candidate_mode="fast"``; plain indexes only ever
-    receive the two-argument exact call.
-    """
-
-    def search(self, query: str, limit: int = 10) -> list:
-        ...
-
 
 def build_blocks(
     records: Sequence[RowRecord],
     max_similar: int = 6,
-    index: SupportsLabelSearch | None = None,
     candidate_mode: str = "exact",
 ) -> dict[RowId, frozenset[str]]:
     """Assign each row the blocks of its ``max_similar`` most similar labels.
 
-    ``index`` supplies a precomputed label index (e.g. the incremental
-    :class:`~repro.corpus.indexing.CorpusLabelIndex` maintained at ingest
-    time) instead of rebuilding one from the records — at corpus scale
-    the rebuild dominates blocking cost.  Note the *retrieval universe*
-    changes with the index: a corpus-wide index returns its own top-k,
-    which can include labels no record carries (inert block keys) and
-    can displace a record label another record would have retrieved from
-    a records-only index — so blocks (and with them the clustering) may
-    legitimately differ from the ``index=None`` baseline.  Rows sharing
-    an identical normalized label always still meet (every row keeps its
-    own label's block).
+    The label universe is the records' own distinct normalized labels,
+    indexed afresh on each call; rows sharing a label search once.
+    ``candidate_mode`` selects the index's candidate generation
+    (``"exact"`` scans, ``"fast"`` retrieve-then-rerank — see
+    ``repro.retrieval``).
     """
-    if index is None:
-        fresh = LabelIndex()
-        seen: set[str] = set()
-        for record in records:
-            if record.norm_label not in seen:
-                seen.add(record.norm_label)
-                fresh.add(record.norm_label, record.norm_label)
-        index = fresh
-        cache: dict[str, frozenset[str]] = {}
-    else:
-        cache = _label_block_cache(index, max_similar, candidate_mode)
-    exact = candidate_mode == "exact"
+    index = LabelIndex()
+    for label in dict.fromkeys(record.norm_label for record in records):
+        index.add(label, label)
+    cache: dict[str, frozenset[str]] = {}
     blocks: dict[RowId, frozenset[str]] = {}
     for record in records:
         label = record.norm_label
         keys = cache.get(label)
         if keys is None:
             bump("blocking.label_searches")
-            if exact:
-                matches = index.search(label, max_similar)
-            else:
-                matches = index.search(label, max_similar, mode=candidate_mode)
+            matches = index.search(label, max_similar, mode=candidate_mode)
             keys = frozenset({match.label for match in matches} | {label})
             cache[label] = keys
         else:
             bump("blocking.label_cache_hits")
         blocks[record.row_id] = keys
     return blocks
-
-
-def _label_block_cache(
-    index: SupportsLabelSearch, max_similar: int, candidate_mode: str = "exact"
-) -> dict[str, frozenset[str]]:
-    """The per-label block cache to use for a caller-supplied index.
-
-    Indexes exposing a ``generation`` mutation counter (``LabelIndex``,
-    :class:`~repro.corpus.indexing.CorpusLabelIndex`) get a cache that
-    *persists across calls* and survives exactly as long as the index
-    content does: an incremental run over an unchanged label index
-    reuses every previously searched label, while any add/remove bumps
-    the generation and starts a fresh cache.  Caches are kept per
-    ``(generation, max_similar, candidate_mode)``, so callers with
-    different search configurations against the same live index do not
-    thrash each other's entries.  Other indexes fall back to a per-call
-    cache (still deduplicating repeated labels).
-    """
-    generation = getattr(index, "generation", None)
-    if generation is None:
-        return {}
-    try:
-        per_index = _SHARED_LABEL_BLOCKS.get(index)
-    except TypeError:  # pragma: no cover - non-weakrefable index object
-        return {}
-    if per_index is None:
-        per_index = {}
-        try:
-            _SHARED_LABEL_BLOCKS[index] = per_index
-        except TypeError:  # pragma: no cover - non-weakrefable index object
-            return {}
-    stale = [key for key in per_index if key[0] != generation]
-    for key in stale:
-        del per_index[key]
-    return per_index.setdefault((generation, max_similar, candidate_mode), {})

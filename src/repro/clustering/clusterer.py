@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.clustering.blocking import SupportsLabelSearch, build_blocks
+from repro.clustering.blocking import build_blocks
 from repro.clustering.greedy import Cluster, greedy_correlation_clustering
 from repro.clustering.klj import klj_refine
 from repro.clustering.parallel_sim import precompute_block_similarities
@@ -26,12 +26,9 @@ class RowClusterer:
     pairwise similarity — by warming the similarity cache before the
     (inherently order-dependent) greedy/KLj passes run; any executor
     produces the exact clustering the serial default does.
-    ``label_index`` feeds a precomputed label index to blocking instead
-    of rebuilding one.
     ``candidate_mode`` selects blocking's candidate-generation mode
     (``"exact"`` scans, ``"fast"`` retrieve-then-rerank — see
-    ``repro.retrieval``); it only takes effect when the supplied
-    ``label_index`` understands modes.
+    ``repro.retrieval``).
     """
 
     similarity: RowSimilarity
@@ -42,7 +39,6 @@ class RowClusterer:
     max_block_matches: int = 6
     klj_passes: int = 4
     executor: Executor = field(default_factory=SerialExecutor)
-    label_index: SupportsLabelSearch | None = None
     candidate_mode: str = "exact"
 
     def cluster(self, records: Sequence[RowRecord]) -> list[Cluster]:
@@ -54,7 +50,6 @@ class RowClusterer:
             blocks = build_blocks(
                 records,
                 self.max_block_matches,
-                index=self.label_index,
                 candidate_mode=self.candidate_mode,
             )
         else:

@@ -20,10 +20,9 @@ class RowSimilarity:
     block-local precompute.
 
     The cache is keyed by row *identity*, not content, so it must not
-    survive a corpus mutation: sessions register instances with their
-    :class:`~repro.perf.KernelCache`, whose :meth:`~repro.perf.KernelCache.clear`
-    runs at the corpus-epoch guard.  :meth:`cache_info` / :meth:`clear`
-    expose the same controls directly.
+    survive a corpus mutation: the cluster stage builds one instance per
+    run and drops it with the run.  :meth:`cache_info` / :meth:`clear`
+    expose the cache's statistics and reset.
     """
 
     def __init__(

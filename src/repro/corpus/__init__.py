@@ -1,4 +1,4 @@
-"""Scalable corpus subsystem: streaming ingestion, sharded storage, indexing.
+"""Scalable corpus subsystem: streaming ingestion, sharded storage, filtering.
 
 The paper's pipeline consumes a *filtered slice* of a web-scale table
 corpus; this package makes that practical:
@@ -14,8 +14,6 @@ corpus; this package makes that practical:
   pipeline stage runs unchanged against the on-disk backend.
 * :mod:`repro.corpus.filters` — ingest-time corpus filtering (shape,
   subject-column, class restriction), the paper's corpus-filtering step.
-* :mod:`repro.corpus.indexing` — :class:`CorpusLabelIndex`, an
-  incrementally-maintained, persistable label → row-id index.
 
 Entry points: ``repro ingest`` (CLI) and
 :meth:`repro.api.RunSession.from_corpus_store`.
@@ -29,7 +27,6 @@ from repro.corpus.filters import (
     SubjectColumnFilter,
     TableAnalysis,
 )
-from repro.corpus.indexing import CorpusLabelIndex
 from repro.corpus.readers import (
     READER_FORMATS,
     iter_csv_directory,
@@ -45,7 +42,6 @@ __all__ = [
     "CorpusStore",
     "StoredCorpusView",
     "IngestReport",
-    "CorpusLabelIndex",
     "CorpusFilter",
     "ShapeFilter",
     "SubjectColumnFilter",

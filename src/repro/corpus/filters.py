@@ -27,9 +27,9 @@ class TableAnalysis:
     """Lazily computed per-table column typing + label-column detection.
 
     Column typing is the dominant per-table cost on the ingest path and
-    several consumers need it (subject-column filter, class-restriction
-    filter, label indexing) — one ``TableAnalysis`` instance is shared
-    across them so the work happens at most once per table.
+    several filters need it (subject-column filter, class-restriction
+    filter) — one ``TableAnalysis`` instance is shared across them so
+    the work happens at most once per table.
     """
 
     __slots__ = ("table", "_column_types", "_label_column", "_label_done")

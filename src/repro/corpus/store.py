@@ -5,8 +5,7 @@ files under one directory, with a small JSON manifest recording the
 layout.  Tables are **content-addressed**: each record carries a SHA-1
 hash of its canonical content, shard placement is derived from the table
 id hash, and re-ingesting an unchanged table is an idempotent no-op —
-which is what makes batch-wise incremental ingestion (and incremental
-index maintenance on top of it) safe.
+which is what makes batch-wise incremental ingestion safe.
 
 Ingestion is streaming: tables flow in batch by batch, so peak memory is
 bounded by ``batch_size``, independent of corpus size.  Batches can
@@ -34,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro import faults
-from repro.corpus.filters import TableAnalysis, passes
+from repro.corpus.filters import passes
 from repro.webtables.table import Row, RowId, WebTable
 
 MANIFEST_NAME = "corpus_store.json"
@@ -417,7 +416,6 @@ class CorpusStore:
         on_conflict: str = "skip",
         batch_size: int = 512,
         processes: int | None = None,
-        index=None,
         tracer=None,
     ) -> IngestReport:
         """Stream tables into the store, batch by batch.
@@ -427,11 +425,7 @@ class CorpusStore:
         filter name.  ``on_conflict`` decides what happens when an id
         arrives with different content than stored (identical content is
         always an idempotent skip).  ``processes`` > 1 writes each
-        batch's shard partitions through a worker pool.  ``index`` is an
-        optional incremental index (anything with ``add_table`` /
-        ``remove_table``, e.g.
-        :class:`~repro.corpus.indexing.CorpusLabelIndex`) kept in sync
-        with inserts and replacements.  ``tracer`` (a
+        batch's shard partitions through a worker pool.  ``tracer`` (a
         :class:`repro.obs.Tracer`) records one ``ingest_batch`` span per
         batch with a child span per shard written — timed inside the
         pool workers when ``processes`` is set, merged in shard order.
@@ -444,37 +438,27 @@ class CorpusStore:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         filters = list(filters)
         report = IngestReport()
-        batch: list[tuple[WebTable, TableAnalysis]] = []
+        batch: list[WebTable] = []
         for table in tables:
             report.seen += 1
-            # One lazy analysis per table, shared by every filter and the
-            # index — column typing runs at most once per table.
-            analysis = TableAnalysis(table)
-            rejected_by = passes(table, filters, analysis)
+            rejected_by = passes(table, filters)
             if rejected_by is not None:
                 report.filtered[rejected_by] = (
                     report.filtered.get(rejected_by, 0) + 1
                 )
                 continue
-            batch.append((table, analysis))
+            batch.append(table)
             if len(batch) >= batch_size:
-                self._ingest_batch(
-                    batch, on_conflict, processes, index, report, tracer
-                )
+                self._ingest_batch(batch, on_conflict, processes, report, tracer)
                 batch = []
         if batch:
-            self._ingest_batch(
-                batch, on_conflict, processes, index, report, tracer
-            )
+            self._ingest_batch(batch, on_conflict, processes, report, tracer)
         return report
 
     def put(self, table: WebTable, *, on_conflict: str = "error") -> str:
         """Store one table; returns its ingest outcome."""
         report = IngestReport()
-        self._ingest_batch(
-            [(table, TableAnalysis(table))], on_conflict, None, None, report,
-            None,
-        )
+        self._ingest_batch([table], on_conflict, None, report)
         if report.inserted:
             return "inserted"
         if report.replaced:
@@ -485,21 +469,18 @@ class CorpusStore:
 
     def _ingest_batch(
         self,
-        batch: list[tuple[WebTable, "TableAnalysis"]],
+        batch: list[WebTable],
         on_conflict: str,
         processes: int | None,
-        index,
         report: IngestReport,
         tracer=None,
     ) -> None:
         partitions: dict[int, list[dict]] = {}
-        partition_tables: dict[int, list[tuple[WebTable, TableAnalysis]]] = {}
-        for table, analysis in batch:
+        for table in batch:
             record = _encode(table, self._next_seq)
             self._next_seq += 1
             shard = shard_of(table.table_id, self.n_shards)
             partitions.setdefault(shard, []).append(record)
-            partition_tables.setdefault(shard, []).append((table, analysis))
         jobs = [
             (str(self._shard_path(shard)), partitions[shard], on_conflict)
             for shard in sorted(partitions)
@@ -539,10 +520,8 @@ class CorpusStore:
                     dur=meta["seconds"],
                     attrs={"pid": meta["pid"], "tables": len(partitions[shard])},
                 )
-        for shard, outcomes in zip(sorted(partitions), outcome_lists):
-            for (table, analysis), (table_id, outcome) in zip(
-                partition_tables[shard], outcomes
-            ):
+        for outcomes in outcome_lists:
+            for table_id, outcome in outcomes:
                 if outcome == "inserted":
                     report.inserted += 1
                     report.inserted_ids.append(table_id)
@@ -553,13 +532,6 @@ class CorpusStore:
                     report.replaced_ids.append(table_id)
                 else:
                     report.conflicts += 1
-                if index is not None and outcome != "conflict":
-                    # "identical" still (re-)indexes: a fresh or stale
-                    # index catches up by re-ingesting, and add_table is
-                    # a no-op when the contribution hasn't changed.
-                    if outcome == "replaced" and table_id in index:
-                        index.remove_table(table_id)
-                    index.add_table(table, analysis)
         if batch_span is not None:
             flat = [outcome for outcomes in outcome_lists for _, outcome in outcomes]
             tracer.end(
@@ -572,16 +544,13 @@ class CorpusStore:
             )
 
     def remove_tables(
-        self, table_ids: Iterable[str], *, index=None, missing_ok: bool = False
+        self, table_ids: Iterable[str], *, missing_ok: bool = False
     ) -> list[str]:
         """Delete tables from the store; returns the ids actually removed.
 
         Corpora shrink too — a source retracts a page, a filter policy
         tightens — and incremental runs treat removal as a first-class
-        delta.  ``index`` is an optional incremental index (e.g.
-        :class:`~repro.corpus.indexing.CorpusLabelIndex`) whose postings
-        are withdrawn alongside.  Unknown ids raise ``KeyError`` unless
-        ``missing_ok``.
+        delta.  Unknown ids raise ``KeyError`` unless ``missing_ok``.
         """
         removed: list[str] = []
         for table_id in table_ids:
@@ -598,8 +567,6 @@ class CorpusStore:
                     f"{self.directory}"
                 )
             removed.append(table_id)
-            if index is not None and table_id in index:
-                index.remove_table(table_id)
         return removed
 
     # -- read API -------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from repro.perf.counters import bump
 
@@ -35,12 +35,9 @@ class InvertedIndex:
     Documents are arbitrary hashable ids; the index tracks document count
     for IDF computation and token lengths for prefix-bucket fuzzy lookup.
 
-    The index is **incrementally maintainable**: documents can be removed
-    (:meth:`remove`) or replaced (:meth:`add_or_replace`), and re-adding a
-    document with identical content is an idempotent no-op, which lets
-    corpus ingestion update an existing index batch by batch instead of
-    rebuilding it.  ``strict=True`` restores the hard re-add error for
-    callers that want double-indexing to be a bug.
+    Documents are only ever added: re-adding a document with identical
+    content is an idempotent no-op, and re-adding it with different
+    content raises.
 
     Fuzzy token expansion (:meth:`similar_tokens`) is served by a
     SymSpell-style deletion-neighborhood map for the common
@@ -49,11 +46,10 @@ class InvertedIndex:
     prefix-bucket scan's result set *exactly* (the candidate set is
     post-filtered to the same first-two-characters bucket and verified
     with the bounded edit-distance kernel).  Larger distances fall back
-    to the bucket scan.  Both structures are maintained incrementally in
-    :meth:`add` / :meth:`remove`.
+    to the bucket scan.  :meth:`add` extends both structures.
     """
 
-    def __init__(self, *, strict: bool = False) -> None:
+    def __init__(self) -> None:
         self._postings: dict[str, set[Hashable]] = defaultdict(set)
         self._doc_tokens: dict[Hashable, frozenset[str]] = {}
         # First-two-characters bucket used to bound fuzzy token expansion.
@@ -61,7 +57,6 @@ class InvertedIndex:
         # Deletion string -> indexed tokens whose depth-1 neighborhood
         # contains it (only tokens long enough to ever match fuzzily).
         self._delete_neighbors: dict[str, set[str]] = {}
-        self._strict = strict
 
     def _register_token(self, token: str) -> None:
         """First occurrence of a token: enter the fuzzy structures."""
@@ -74,70 +69,20 @@ class InvertedIndex:
                 else:
                     bucket.add(token)
 
-    def _unregister_token(self, token: str) -> None:
-        """Last posting of a token gone: leave the fuzzy structures."""
-        bucket = self._prefix_buckets[token[:2]]
-        bucket.discard(token)
-        if not bucket:
-            del self._prefix_buckets[token[:2]]
-        if len(token) >= _MIN_CANDIDATE_LEN:
-            for delete in deletion_neighborhood(token):
-                neighbors = self._delete_neighbors.get(delete)
-                if neighbors is not None:
-                    neighbors.discard(token)
-                    if not neighbors:
-                        del self._delete_neighbors[delete]
-
     def add(self, doc_id: Hashable, tokens: Iterable[str]) -> None:
         """Index a document under its tokens.
 
         Re-adding a document with the *same* token set is a no-op;
-        re-adding with different tokens raises (use
-        :meth:`add_or_replace` for in-place updates).  With
-        ``strict=True`` any re-add raises.
+        re-adding with different tokens raises.
         """
         token_set = frozenset(tokens)
         existing = self._doc_tokens.get(doc_id)
         if existing is not None:
-            if self._strict:
-                raise ValueError(f"document already indexed: {doc_id!r}")
             if existing == token_set:
                 return
             raise ValueError(
-                f"document already indexed with different content: {doc_id!r} "
-                f"(use add_or_replace to update)"
+                f"document already indexed with different content: {doc_id!r}"
             )
-        self._doc_tokens[doc_id] = token_set
-        for token in token_set:
-            if token not in self._postings:
-                self._register_token(token)
-            self._postings[token].add(doc_id)
-
-    def remove(self, doc_id: Hashable) -> None:
-        """Drop a document and every posting that referenced it.
-
-        Tokens whose posting lists empty out are fully forgotten (they no
-        longer participate in fuzzy expansion or IDF smoothing).
-        """
-        try:
-            token_set = self._doc_tokens.pop(doc_id)
-        except KeyError:
-            raise KeyError(f"document not indexed: {doc_id!r}") from None
-        for token in token_set:
-            posting = self._postings[token]
-            posting.discard(doc_id)
-            if not posting:
-                del self._postings[token]
-                self._unregister_token(token)
-
-    def add_or_replace(self, doc_id: Hashable, tokens: Iterable[str]) -> None:
-        """Idempotently (re-)index a document, replacing prior content."""
-        token_set = frozenset(tokens)
-        existing = self._doc_tokens.get(doc_id)
-        if existing is not None:
-            if existing == token_set:
-                return
-            self.remove(doc_id)
         self._doc_tokens[doc_id] = token_set
         for token in token_set:
             if token not in self._postings:
@@ -176,7 +121,7 @@ class InvertedIndex:
         the result set is identical to :meth:`similar_tokens_reference`
         for every input (the hypothesis suite in
         ``tests/test_perf_kernels.py`` holds this under random
-        build/remove/replace sequences).
+        sequences of adds).
         """
         if token in self._postings:
             result = {token}
@@ -244,36 +189,3 @@ class InvertedIndex:
             if levenshtein(candidate, token) <= max_distance:
                 result.add(candidate)
         return result
-
-    # -- persistence ----------------------------------------------------
-    def to_payload(
-        self, doc_encoder: Callable[[Hashable], object] | None = None
-    ) -> dict:
-        """The index as a JSON-friendly payload (postings are derivable).
-
-        Document ids must be JSON-encodable, or ``doc_encoder`` must map
-        them to something that is (``from_payload``'s ``doc_decoder``
-        inverts it).  Token order inside each entry is sorted so payloads
-        are byte-stable across runs.
-        """
-        encode = doc_encoder if doc_encoder is not None else (lambda value: value)
-        return {
-            "strict": self._strict,
-            "documents": [
-                [encode(doc_id), sorted(tokens)]
-                for doc_id, tokens in self._doc_tokens.items()
-            ],
-        }
-
-    @classmethod
-    def from_payload(
-        cls,
-        payload: dict,
-        doc_decoder: Callable[[object], Hashable] | None = None,
-    ) -> "InvertedIndex":
-        """Rebuild an index saved by :meth:`to_payload`."""
-        decode = doc_decoder if doc_decoder is not None else (lambda value: value)
-        index = cls(strict=bool(payload.get("strict", False)))
-        for encoded_id, tokens in payload["documents"]:
-            index.add(decode(encoded_id), tokens)
-        return index

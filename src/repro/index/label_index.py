@@ -73,10 +73,10 @@ class LabelIndex:
         self._generation = 0
         self.candidate_mode = _checked_mode(candidate_mode)
         #: Lazily built recall stage (fast mode only); kept in sync by
-        #: :meth:`add` / :meth:`remove` once it exists.
+        #: :meth:`add` once it exists.
         self._retriever = None
         #: Per-label norm memo, invalidated by the generation counter —
-        #: any mutation shifts IDFs globally, so the whole memo goes.
+        #: any add shifts IDFs globally, so the whole memo goes.
         self._norm_cache: dict[str, float] = {}
         self._norm_generation = -1
 
@@ -88,17 +88,6 @@ class LabelIndex:
         state["_norm_generation"] = -1
         return state
 
-    @property
-    def generation(self) -> int:
-        """A counter bumped by every mutation.
-
-        Caches of search results (e.g. the per-label block cache in
-        :func:`repro.clustering.blocking.build_blocks`) key on it:
-        unchanged generation ⇒ every previous :meth:`search` result is
-        still exact.
-        """
-        return self._generation
-
     def add(self, label: str, payload: Hashable) -> None:
         """Register ``payload`` (an instance URI, a row id, ...) under a label."""
         normalized = normalize_label(label)
@@ -109,38 +98,6 @@ class LabelIndex:
             if self._retriever is not None:
                 self._retriever.add_label(normalized)
         self._payloads[normalized].append(payload)
-        self._generation += 1
-
-    def remove(self, label: str, payload: Hashable | None = None) -> None:
-        """Unregister one payload occurrence — or the whole label.
-
-        With ``payload`` given, removes a single occurrence of that
-        payload (labels keep a multiset of payloads); without it, the
-        label and all its payloads are dropped.  The label leaves the
-        token index as soon as its last payload is gone, so incremental
-        corpus updates keep retrieval exact.  Unknown labels/payloads
-        raise :class:`KeyError`.
-        """
-        normalized = normalize_label(label)
-        if normalized not in self._payloads:
-            raise KeyError(f"label not indexed: {label!r}")
-        if payload is None:
-            del self._payloads[normalized]
-        else:
-            payloads = self._payloads[normalized]
-            try:
-                payloads.remove(payload)
-            except ValueError:
-                raise KeyError(
-                    f"payload {payload!r} not registered under {label!r}"
-                ) from None
-            if payloads:
-                self._generation += 1
-                return
-            del self._payloads[normalized]
-        self._index.remove(normalized)
-        if self._retriever is not None:
-            self._retriever.remove_label(normalized)
         self._generation += 1
 
     def __len__(self) -> int:
@@ -325,7 +282,7 @@ class LabelIndex:
     def _label_norm(self, label: str) -> float:
         """Memoized ``sqrt(sum idf²)`` over a label's tokens.
 
-        IDFs shift with *any* index mutation, so the memo keys on the
+        IDFs shift with every :meth:`add`, so the memo keys on the
         generation counter: stale generation ⇒ the whole memo is
         dropped.  The computed value is bit-identical to the reference
         scan's (same sorted token iteration, same float operations).
@@ -355,28 +312,3 @@ class LabelIndex:
                 retriever.add_label(label)
             self._retriever = retriever
         return self._retriever
-
-    # -- persistence ----------------------------------------------------
-    def to_payload(self) -> dict:
-        """The index as a JSON-friendly payload.
-
-        Payload values must themselves be JSON-encodable (strings, ints,
-        or lists/tuples thereof); row-id tuples survive a round trip —
-        :meth:`from_payload` re-tuples list-shaped payload entries.
-        """
-        return {
-            "fuzzy": self._fuzzy,
-            "labels": {
-                label: list(payloads)
-                for label, payloads in self._payloads.items()
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LabelIndex":
-        """Rebuild an index saved by :meth:`to_payload`."""
-        index = cls(fuzzy=bool(payload.get("fuzzy", True)))
-        for label, payloads in payload["labels"].items():
-            for entry in payloads:
-                index.add(label, tuple(entry) if isinstance(entry, list) else entry)
-        return index

@@ -295,9 +295,6 @@ class ClusterStage:
             ),
             state.models.row_aggregator,
         )
-        # The pair cache is row-id-keyed; registering it lets the
-        # session's corpus-epoch guard drop it when ids go stale.
-        state.kernels.register(row_similarity)
         clusterer = RowClusterer(
             row_similarity,
             batch_size=config.batch_size,

@@ -20,14 +20,9 @@ Two feature spaces share the machinery, and the production recall stage
   tokens, ranked apart by their norms) are recalled in exact-scan order,
   which char-level similarity cannot guarantee.
 
-The posting lists are maintained **incrementally**
-(:meth:`add_label` / :meth:`remove_label` — no re-tokenization of the
-untouched labels), while the *derived* numpy structures (IDF weights,
-label norms, the active mask) are invalidated by an internal
-generation counter and rebuilt lazily on the first query after a
-mutation, the same invalidation discipline the label-index caches use.
-Removed labels leave holes that are masked out at query time; when the
-holes outnumber the live labels the whole structure compacts.
+The posting lists grow by :meth:`add_label` alone (no re-tokenization
+of earlier labels), while the *derived* numpy structures (IDF weights,
+label norms) are rebuilt lazily on the first query after an add.
 
 numpy is an optional dependency of this module alone: the exact
 candidate path never imports it, and constructing a retriever without
@@ -78,47 +73,35 @@ class NgramTopKRetriever:
                 "(the default) instead"
             )
         self.ngram_size = ngram_size
-        #: label -> slot (stable while the label lives; never reused).
-        self._slot_of: dict[str, int] = {}
+        #: Labels in slot order; ``_known`` makes re-adds no-ops.
         self._labels: list[str] = []
-        self._alive: list[bool] = []
+        self._known: set[str] = set()
         #: gram -> ([slots], [term frequencies]), grown append-only.
         self._postings: dict[str, tuple[list[int], list[int]]] = {}
-        self._n_active = 0
-        self._holes = 0
-        #: Mutation counter; the built arrays record the generation they
-        #: were derived from and are rebuilt when it moved on.
-        self._generation = 0
-        self._built_generation = -1
+        #: Label count the built arrays were derived from; they are
+        #: rebuilt once adds moved it on.
+        self._built_size = -1
         self._weights: dict[str, tuple[object, object]] = {}
         self._norms = None
-        self._active_mask = None
 
     def featurize(self, text: str) -> "Counter[str]":
         """Sparse features of one label or query (char n-grams here)."""
         return char_ngrams(text, self.ngram_size)
 
-    # -- incremental maintenance ---------------------------------------
     def __len__(self) -> int:
-        """Number of live labels."""
-        return self._n_active
+        """Number of labels."""
+        return len(self._labels)
 
     def __contains__(self, label: str) -> bool:
-        return label in self._slot_of
-
-    @property
-    def generation(self) -> int:
-        """Bumped by every mutation (cache-keying, like the indexes)."""
-        return self._generation
+        return label in self._known
 
     def add_label(self, label: str) -> None:
         """Register one label (idempotent — re-adding is a no-op)."""
-        if not label or label in self._slot_of:
+        if not label or label in self._known:
             return
         slot = len(self._labels)
-        self._slot_of[label] = slot
+        self._known.add(label)
         self._labels.append(label)
-        self._alive.append(True)
         for gram, frequency in self.featurize(label).items():
             posting = self._postings.get(gram)
             if posting is None:
@@ -126,65 +109,21 @@ class NgramTopKRetriever:
             else:
                 posting[0].append(slot)
                 posting[1].append(frequency)
-        self._n_active += 1
-        self._generation += 1
-
-    def remove_label(self, label: str) -> None:
-        """Withdraw one label; raises :class:`KeyError` when unknown."""
-        try:
-            slot = self._slot_of.pop(label)
-        except KeyError:
-            raise KeyError(f"label not in retriever: {label!r}") from None
-        # The slot becomes a hole: postings keep the stale entry, the
-        # active mask hides it, and the slot is never reused — reuse
-        # would credit a new label with the removed label's grams.
-        self._alive[slot] = False
-        self._n_active -= 1
-        self._holes += 1
-        self._generation += 1
-        if self._holes > max(64, self._n_active):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the posting lists from the live labels only."""
-        survivors = [
-            label
-            for label, alive in zip(self._labels, self._alive)
-            if alive
-        ]
-        self._slot_of.clear()
-        self._labels = []
-        self._alive = []
-        self._postings = {}
-        self._n_active = 0
-        self._holes = 0
-        generation = self._generation
-        for label in survivors:
-            self.add_label(label)
-        # Compaction changes no visible content — one logical mutation.
-        self._generation = generation + 1
 
     # -- derived numpy structures --------------------------------------
     def _build(self) -> None:
-        """Derive IDF posting weights, label norms and the active mask.
+        """Derive IDF posting weights and label norms.
 
         O(total postings) of pure numpy work, no string processing —
-        the price of a mutation batch, paid once on the next query.
+        the price of a batch of adds, paid once on the next query.
         """
-        active = _np.array(self._alive, dtype=bool)
-        n_active = self._n_active
-        norms_squared = _np.zeros(len(self._labels))
+        n_labels = len(self._labels)
+        norms_squared = _np.zeros(n_labels)
         weights: dict[str, tuple[object, object]] = {}
         for gram, (slots, frequencies) in self._postings.items():
             slot_array = _np.asarray(slots, dtype=_np.intp)
             frequency_array = _np.asarray(frequencies, dtype=_np.float64)
-            keep = active[slot_array]
-            if not keep.all():
-                slot_array = slot_array[keep]
-                frequency_array = frequency_array[keep]
-            if slot_array.size == 0:
-                continue
-            idf = math.log((1 + n_active) / (1 + slot_array.size)) + 1.0
+            idf = math.log((1 + n_labels) / (1 + slot_array.size)) + 1.0
             gram_weights = frequency_array * idf
             # Slots are unique within a gram's posting list, so the
             # fancy-indexed accumulation is safe.
@@ -194,11 +133,10 @@ class NgramTopKRetriever:
             )
         self._weights = weights
         self._norms = _np.sqrt(norms_squared)
-        self._active_mask = active
-        self._built_generation = self._generation
+        self._built_size = n_labels
 
     def _idf(self, document_frequency: int) -> float:
-        return math.log((1 + self._n_active) / (1 + document_frequency)) + 1.0
+        return math.log((1 + len(self._labels)) / (1 + document_frequency)) + 1.0
 
     # -- retrieval ------------------------------------------------------
     def top_k(self, query: str, k: int) -> list[tuple[str, float]]:
@@ -218,11 +156,11 @@ class NgramTopKRetriever:
         which lets a caller inject fuzzy-expanded tokens at the exact
         scan's 0.7 penalty.
         """
-        if k <= 0 or self._n_active == 0:
+        if k <= 0 or not self._labels:
             return []
         if not query_grams:
             return []
-        if self._built_generation != self._generation:
+        if self._built_size != len(self._labels):
             self._build()
         scores = _np.zeros(len(self._labels))
         query_norm_squared = 0.0
@@ -270,10 +208,8 @@ class NgramTopKRetriever:
         ]
 
     def labels(self) -> list[str]:
-        """The live labels, in insertion order."""
-        return [
-            label for label, alive in zip(self._labels, self._alive) if alive
-        ]
+        """The labels, in insertion order."""
+        return list(self._labels)
 
 
 class TokenTopKRetriever(NgramTopKRetriever):
@@ -299,8 +235,8 @@ class TokenTopKRetriever(NgramTopKRetriever):
 class HybridTopKRetriever:
     """The production recall stage: token ∪ char-ngram channel top-k.
 
-    Maintains both channels over the same label universe (add/remove
-    forward to each) and answers ``top_k`` with the deduplicated union
+    Maintains both channels over the same label universe (adds forward
+    to each) and answers ``top_k`` with the deduplicated union
     of their individual top-k lists — the token channel reproduces the
     exact ranking for clean queries, the ngram channel recovers typo'd
     ones.  Callers rerank the union with the exact kernel, so channel
@@ -317,17 +253,9 @@ class HybridTopKRetriever:
     def __contains__(self, label: str) -> bool:
         return label in self.token
 
-    @property
-    def generation(self) -> int:
-        return self.token.generation
-
     def add_label(self, label: str) -> None:
         self.token.add_label(label)
         self.ngram.add_label(label)
-
-    def remove_label(self, label: str) -> None:
-        self.token.remove_label(label)
-        self.ngram.remove_label(label)
 
     def labels(self) -> list[str]:
         return self.token.labels()

@@ -41,7 +41,6 @@ from typing import Iterable, Sequence
 
 from repro import faults
 from repro.api import RunSession
-from repro.corpus.indexing import CorpusLabelIndex, INDEX_FILE
 from repro.corpus.readers import table_from_record
 from repro.corpus.store import CorpusStore
 from repro.obs import Tracer, new_trace_id, trace_summary
@@ -579,16 +578,7 @@ class KBService:
 
     def _do_ingest(self, job: _IngestJob) -> None:
         try:
-            index = None
-            if (self.store.directory / INDEX_FILE).exists():
-                # Keep a previously built label index incrementally
-                # maintained, the way `repro ingest --index` would.
-                index = CorpusLabelIndex.for_store(self.store)
-            report = self.store.ingest(
-                job.tables, on_conflict=job.on_conflict, index=index
-            )
-            if index is not None:
-                index.save_to_store(self.store)
+            report = self.store.ingest(job.tables, on_conflict=job.on_conflict)
             self._store_stats = {
                 "tables": len(self.store),
                 "rows": self.store.total_rows(),

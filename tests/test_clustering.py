@@ -101,45 +101,6 @@ class TestBlocking:
         blocks = build_blocks(records)
         assert blocks[("t1", 0)] & blocks[("t2", 0)]
 
-    def test_precomputed_index_skips_rebuild(self, monkeypatch):
-        """A supplied index is searched as-is; no LabelIndex is rebuilt."""
-        from repro.clustering import blocking
-        from repro.index import LabelIndex
-
-        records = [
-            make_record("t1", 0, "Jonathan Smithers"),
-            make_record("t2", 0, "Jonathan Smitherz"),
-        ]
-        prebuilt = LabelIndex()
-        for record in records:
-            prebuilt.add(record.norm_label, record.norm_label)
-        expected = build_blocks(records)
-
-        def forbidden():
-            raise AssertionError("build_blocks rebuilt the label index")
-
-        monkeypatch.setattr(blocking, "LabelIndex", forbidden)
-        assert blocking.build_blocks(records, index=prebuilt) == expected
-
-    def test_corpus_label_index_as_block_source(self, tiny_world):
-        """The incremental CorpusLabelIndex slots in as the block source.
-
-        Corpus-wide labels may add inert block keys, but rows with
-        identical labels still meet.
-        """
-        from repro.corpus.indexing import CorpusLabelIndex
-
-        index = CorpusLabelIndex.build(
-            tiny_world.corpus.get(table_id)
-            for table_id in tiny_world.corpus.table_ids()[:20]
-        )
-        records = [
-            make_record("t1", 0, "Jonathan Smithers"),
-            make_record("t2", 0, "Jonathan Smithers"),
-        ]
-        blocks = build_blocks(records, index=index)
-        assert blocks[("t1", 0)] & blocks[("t2", 0)]
-
 
 class TestGreedy:
     def test_serial_groups_identical_labels(self):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.corpus import (
-    CorpusLabelIndex,
     CorpusStore,
     HeaderKeywordFilter,
     ShapeFilter,
@@ -34,6 +33,9 @@ from repro.corpus import (
 )
 from repro.webtables.corpus import TableCorpus
 from repro.webtables.table import WebTable
+
+#: A ``label_index.json`` as older releases left it in a store directory.
+LEGACY_LABEL_INDEX = '{"fuzzy":true,"tables":{"t0":[["entity 0 row 0",0]]}}'
 
 
 def make_table(number: int, rows: int = 3, url: str | None = None) -> WebTable:
@@ -283,19 +285,6 @@ class TestCorpusStore:
         assert report.identical == 0
         assert store.get("t9").n_rows == 3
 
-    def test_reingest_with_index_catches_up(self, tmp_path):
-        store = CorpusStore.create(tmp_path / "store", shards=2)
-        store.ingest([make_table(number) for number in range(4)])
-        # First ingest ran without an index; a later re-ingest with one
-        # attached must index the unchanged ("identical") tables.
-        index = CorpusLabelIndex()
-        report = store.ingest(
-            [make_table(number) for number in range(4)], index=index
-        )
-        assert report.identical == 4
-        assert len(index) == 4
-        assert index.rows_for("entity 2 row 1") == (("t2", 1),)
-
     def test_filters_counted_per_name(self, tmp_path):
         store = CorpusStore.create(tmp_path / "store")
         tiny = WebTable("tiny", ("a", "b"), [("1", "2")])
@@ -395,15 +384,14 @@ class TestFilters:
         )
         from repro.corpus import TableAnalysis
         from repro.corpus.filters import passes
-        from repro.corpus.indexing import table_label_entries
 
         table = make_table(1)
         analysis = TableAnalysis(table)
-        # Two analysis-using filters plus label indexing share one pass
-        # of column typing (one call per column).
+        # Two analysis-using filters plus a later label-column read share
+        # one pass of column typing (one call per column).
         assert passes(table, [SubjectColumnFilter(), SubjectColumnFilter()],
                       analysis) is None
-        assert table_label_entries(table, analysis)
+        assert analysis.label_column == 0
         assert calls["count"] == table.n_columns
 
     def test_class_restriction_filter_against_seed_kb(self, tiny_world):
@@ -417,78 +405,6 @@ class TestFilters:
         ]
         assert any(decisions)
         assert not all(decisions)
-
-
-# ----------------------------------------------------------------------
-# Incremental corpus label index
-# ----------------------------------------------------------------------
-class TestCorpusLabelIndex:
-    def test_incremental_equals_rebuilt(self):
-        tables = [make_table(number) for number in range(8)]
-        incremental = CorpusLabelIndex()
-        for table in tables[:5]:
-            incremental.add_table(table)
-        for table in tables[5:]:
-            incremental.add_table(table)
-        rebuilt = CorpusLabelIndex.build(tables)
-        assert incremental.n_labels() == rebuilt.n_labels()
-        query = "entity 3 row 1"
-        assert [match.label for match in incremental.search(query)] == [
-            match.label for match in rebuilt.search(query)
-        ]
-
-    def test_add_is_idempotent_and_replaces_changed_content(self):
-        index = CorpusLabelIndex()
-        index.add_table(make_table(1, rows=2))
-        labels_before = index.n_labels()
-        index.add_table(make_table(1, rows=2))
-        assert index.n_labels() == labels_before
-        index.add_table(make_table(1, rows=4))
-        assert index.rows_for("entity 1 row 3") == (("t1", 3),)
-
-    def test_remove_table_withdraws_postings(self):
-        index = CorpusLabelIndex()
-        index.add_table(make_table(1))
-        index.add_table(make_table(2))
-        index.remove_table("t1")
-        assert "t1" not in index
-        assert index.rows_for("entity 1 row 0") == ()
-        assert index.rows_for("entity 2 row 0") == (("t2", 0),)
-        with pytest.raises(KeyError):
-            index.remove_table("t1")
-
-    def test_persistence_roundtrip(self, tmp_path):
-        index = CorpusLabelIndex(fuzzy=False)
-        for number in range(4):
-            index.add_table(make_table(number))
-        path = tmp_path / "index.json"
-        index.save(path)
-        loaded = CorpusLabelIndex.load(path)
-        assert len(loaded) == 4
-        assert loaded.n_labels() == index.n_labels()
-        assert loaded.rows_for("entity 2 row 1") == (("t2", 1),)
-
-    def test_store_ingest_keeps_index_in_sync(self, tmp_path):
-        store = CorpusStore.create(tmp_path / "store", shards=2)
-        index = CorpusLabelIndex()
-        store.ingest([make_table(number) for number in range(6)], index=index)
-        assert len(index) == 6
-        # A replacement updates postings instead of duplicating them.
-        store.ingest(
-            [make_table(2, rows=5)], on_conflict="replace", index=index
-        )
-        assert index.rows_for("entity 2 row 4") == (("t2", 4),)
-        rebuilt = CorpusLabelIndex.build(iter(store))
-        assert rebuilt.n_labels() == index.n_labels()
-
-    def test_for_store_and_save_to_store(self, tmp_path):
-        store = CorpusStore.create(tmp_path / "store")
-        fresh = CorpusLabelIndex.for_store(store)
-        assert len(fresh) == 0
-        store.ingest([make_table(1)], index=fresh)
-        fresh.save_to_store(store)
-        again = CorpusLabelIndex.for_store(store)
-        assert len(again) == 1
 
 
 # ----------------------------------------------------------------------
@@ -509,17 +425,22 @@ class TestIngestCli:
     def test_ingest_command(self, tmp_path, capsys):
         source = tmp_path / "corpus.jsonl"
         self._write_jsonl(source)
+        # A store written by an older release may still hold the label
+        # index it used to keep; ingest and fsck ignore the file.
+        CorpusStore.create(tmp_path / "store", shards=2).close()
+        legacy = tmp_path / "store" / "label_index.json"
+        legacy.write_text(LEGACY_LABEL_INDEX, encoding="utf-8")
         code = cli_main([
             "ingest", str(source), "--store", str(tmp_path / "store"),
-            "--shards", "2", "--index",
         ])
         assert code == 0
         output = capsys.readouterr().out
         assert "5 inserted" in output
-        assert "label index" in output
         store = CorpusStore.open(tmp_path / "store")
         assert len(store) == 5
-        assert (tmp_path / "store" / "label_index.json").exists()
+        assert legacy.read_text(encoding="utf-8") == LEGACY_LABEL_INDEX
+        assert cli_main(["fsck", "--store", str(tmp_path / "store")]) == 0
+        assert "clean" in capsys.readouterr().out
 
     def test_ingest_json_report_and_reingest(self, tmp_path, capsys):
         source = tmp_path / "corpus.jsonl"

@@ -28,7 +28,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunSession
-from repro.corpus.indexing import CorpusLabelIndex
 from repro.corpus.store import CorpusStore
 from repro.io import save_knowledge_base
 from repro.io.serialize import WORLD_KB_FILE
@@ -511,14 +510,6 @@ class TestStoreRemoval:
             store.remove_tables(["nope"])
         assert store.remove_tables(["nope"], missing_ok=True) == []
 
-    def test_remove_withdraws_index_postings(self, tmp_path):
-        store, tables = self._store(tmp_path)
-        index = CorpusLabelIndex.build(tables)
-        assert "t0" in index
-        store.remove_tables(["t0"], index=index)
-        assert "t0" not in index
-        assert index.rows_for("row 0") == ()
-
     def test_view_invalidate_drops_stale_tables(self, tmp_path):
         store, tables = self._store(tmp_path)
         view = store.as_corpus()
@@ -560,18 +551,6 @@ class TestStoreRemoval:
         assert report.inserted_ids == ["t9"]
         assert report.replaced_ids == ["t1"]
         assert report.dirty_ids == ["t9", "t1"]
-        index = CorpusLabelIndex.build(iter(store))
-        index.apply_ingest_report(report)  # in-sync: no raise
-
-    def test_label_index_discard_is_tolerant(self):
-        index = CorpusLabelIndex()
-        assert index.discard_table("ghost") is False
-        table = WebTable(
-            table_id="t", header=("name",), rows=[("a",)], url="u"
-        )
-        index.add_table(table)
-        assert index.discard_table("t") is True
-        assert "t" not in index
 
 
 class TestSessionGuards:

@@ -179,64 +179,12 @@ class TestInvertedIndex:
         assert index.postings("green") == {"d1"}
         assert len(index) == 1
 
-    def test_strict_mode_rejects_any_readd(self):
-        index = InvertedIndex(strict=True)
-        index.add("d1", ["a"])
-        with pytest.raises(ValueError, match="already indexed"):
-            index.add("d1", ["a"])
-
-    def test_remove_withdraws_postings_and_fuzzy_candidates(self):
+    def test_idf_reflects_growth(self):
         index = InvertedIndex()
-        index.add("d1", ["smith", "jones"])
-        index.add("d2", ["smith"])
-        index.remove("d1")
-        assert "d1" not in index
-        assert index.postings("smith") == {"d2"}
-        assert index.postings("jones") == set()
-        # A fully-forgotten token no longer matches fuzzily.
-        assert "jones" not in index.similar_tokens("jines")
-        with pytest.raises(KeyError):
-            index.remove("d1")
-
-    def test_remove_then_readd(self):
-        index = InvertedIndex()
-        index.add("d1", ["alpha"])
-        index.remove("d1")
-        index.add("d1", ["beta"])
-        assert index.postings("beta") == {"d1"}
-
-    def test_add_or_replace(self):
-        index = InvertedIndex()
-        index.add_or_replace("d1", ["old", "shared"])
-        index.add_or_replace("d1", ["new", "shared"])
-        assert index.postings("old") == set()
-        assert index.postings("new") == {"d1"}
-        assert index.postings("shared") == {"d1"}
-        assert len(index) == 1
-
-    def test_idf_reflects_removal(self):
-        index = InvertedIndex()
-        index.add("d1", ["common"])
-        index.add("d2", ["common", "rare"])
+        index.add("d1", ["common", "rare"])
         before = index.idf("rare")
-        index.remove("d1")
-        assert index.idf("rare") != before  # total shrank with the corpus
-
-    def test_payload_roundtrip(self):
-        index = InvertedIndex()
-        index.add("d1", ["green", "day"])
-        index.add("d2", ["green"])
-        restored = InvertedIndex.from_payload(index.to_payload())
-        assert restored.postings("green") == {"d1", "d2"}
-        assert restored.tokens_of("d1") == frozenset({"green", "day"})
-        assert len(restored) == 2
-
-    def test_payload_roundtrip_with_codec(self):
-        index = InvertedIndex()
-        index.add(("t1", 0), ["alpha"])
-        payload = index.to_payload(doc_encoder=list)
-        restored = InvertedIndex.from_payload(payload, doc_decoder=tuple)
-        assert restored.postings("alpha") == {("t1", 0)}
+        index.add("d2", ["common"])
+        assert index.idf("rare") > before  # total grew with the corpus
 
     def test_idf_orders_rarity(self):
         index = InvertedIndex()
@@ -279,38 +227,6 @@ class TestLabelIndex:
         index = LabelIndex()
         index.add("John", "u1")
         assert index.search("!!!") == []
-
-    def test_remove_payload_then_label(self):
-        index = LabelIndex()
-        index.add("John Smith", "u1")
-        index.add("John Smith", "u2")
-        index.remove("John Smith", "u1")
-        assert set(index.payloads_for("john smith")) == {"u2"}
-        index.remove("John Smith", "u2")
-        assert index.payloads_for("John Smith") == ()
-        assert index.search("John Smith") == []
-        with pytest.raises(KeyError):
-            index.remove("John Smith")
-
-    def test_remove_whole_label(self):
-        index = LabelIndex()
-        index.add("Alpha", 1)
-        index.add("Alpha", 2)
-        index.remove("Alpha")
-        assert len(index) == 0
-        with pytest.raises(KeyError, match="not registered"):
-            index.add("Beta", 1) or index.remove("Beta", 99)
-
-    def test_label_payload_roundtrip(self):
-        index = LabelIndex(fuzzy=False)
-        index.add("John Smith", "u1")
-        index.add("Jane Doe", ("t1", 3))  # row-id tuple payload
-        restored = LabelIndex.from_payload(index.to_payload())
-        assert set(restored.payloads_for("john smith")) == {"u1"}
-        assert restored.payloads_for("jane doe") == (("t1", 3),)
-        assert [match.label for match in restored.search("John Smith")] == [
-            match.label for match in index.search("John Smith")
-        ]
 
     def test_deterministic_tie_break(self):
         index = LabelIndex()

@@ -3,10 +3,10 @@
 The contract of every optimization in this layer is *exactness*: the
 fast path must reproduce its reference byte for byte.  The hypothesis
 suites here hold that under adversarial inputs — random vocabularies
-with mutation sequences for the deletion-neighborhood fuzzy index, and
+with add sequences for the deletion-neighborhood fuzzy index, and
 random token lists for the memoized Monge-Elkan — plus unit coverage of
 the perf plumbing (counters, KernelCache, the kernel counters a run's
-span log carries, and the generation-keyed block cache).
+span log carries, and blocking's per-call label cache).
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.clustering.blocking import build_blocks
 from repro.clustering.metrics import BowMetric, LabelMetric
 from repro.clustering.similarity import RowSimilarity
-from repro.corpus.indexing import CorpusLabelIndex
 from repro.index.inverted import InvertedIndex
-from repro.index.label_index import LabelIndex
 from repro.matching.records import RowRecord
 from repro.ml.aggregation import StaticWeightedAggregator
 from repro.perf import (
@@ -30,7 +28,6 @@ from repro.perf import (
 )
 from repro.text.tokenize import normalize_label, tokenize
 from repro.text.vectors import term_vector
-from repro.webtables.table import WebTable
 
 # ---------------------------------------------------------------------------
 # Deletion-neighborhood fuzzy expansion ≡ the prefix-bucket scan
@@ -58,7 +55,7 @@ class TestSimilarTokensEquivalence:
     @given(
         st.lists(st.lists(_token, min_size=1, max_size=4), min_size=2, max_size=10),
         st.lists(
-            st.tuples(st.sampled_from(["remove", "replace", "readd"]),
+            st.tuples(st.sampled_from(["add", "readd"]),
                       st.integers(min_value=0, max_value=9),
                       st.lists(_token, min_size=1, max_size=4)),
             max_size=8,
@@ -67,24 +64,20 @@ class TestSimilarTokensEquivalence:
     )
     @settings(max_examples=100)
     def test_equivalent_after_mutations(self, documents, mutations, queries):
-        """The delete-neighborhood map is maintained through remove/replace."""
+        """The delete-neighborhood map is maintained through later adds
+        and idempotent re-adds, with queries in between."""
         index = InvertedIndex()
-        live = {}
         for doc_id, tokens in enumerate(documents):
             index.add(doc_id, tokens)
-            live[doc_id] = tokens
         for operation, position, tokens in mutations:
-            if not live:
-                break
-            doc_id = sorted(live)[position % len(live)]
-            if operation == "remove":
-                index.remove(doc_id)
-                del live[doc_id]
-            elif operation == "replace":
-                index.add_or_replace(doc_id, tokens)
-                live[doc_id] = tokens
+            assert index.similar_tokens(tokens[0]) == (
+                index.similar_tokens_reference(tokens[0])
+            )
+            if operation == "add":
+                index.add(len(index), tokens)
             else:
-                index.add(doc_id, live[doc_id])  # idempotent re-add
+                doc_id = position % len(index)
+                index.add(doc_id, index.tokens_of(doc_id))  # idempotent re-add
         for query in queries:
             for k in (0, 1, 2):
                 assert index.similar_tokens(query, k) == (
@@ -149,20 +142,17 @@ def _similarity(kernels=None):
 
 
 class TestKernelCache:
-    def test_register_and_clear_drops_pair_caches_and_memo(self):
+    def test_clear_drops_token_memo(self):
         kernels = KernelCache()
-        similarity = kernels.register(_similarity(kernels))
+        similarity = _similarity(kernels)
         similarity.score(_record(1, "green day"), _record(2, "green days"))
         assert kernels.cache_info()["token_pairs"] > 0
-        assert kernels.cache_info()["pair_scores"] == 1
         kernels.clear()
-        assert kernels.cache_info()["token_pairs"] == 0
-        assert kernels.cache_info()["pair_scores"] == 0
-        assert similarity.cache_info() == {"entries": 0, "hits": 0, "misses": 0}
+        assert kernels.cache_info() == {"token_pairs": 0}
 
     def test_shared_memo_changes_nothing_but_speed(self):
         kernels = KernelCache()
-        shared = kernels.register(_similarity(kernels))
+        shared = _similarity(kernels)
         private = _similarity()
         pairs = [
             (_record(1, "the long road"), _record(2, "the long roads")),
@@ -221,74 +211,39 @@ class TestSessionWiring:
 
 
 # ---------------------------------------------------------------------------
-# Generation-keyed per-label block cache
+# Blocking's per-call label universe and cache
 # ---------------------------------------------------------------------------
 
 
-def _label_table(table_id, labels):
-    return WebTable(
-        table_id=table_id,
-        header=("name", "year"),
-        rows=[(label, str(2000 + i)) for i, label in enumerate(labels)],
-        url=f"http://example.test/{table_id}",
-    )
-
-
-class TestBlockCacheGeneration:
-    def test_generation_bumps_on_mutation(self):
-        index = LabelIndex()
-        generation = index.generation
-        index.add("John Smith", "u1")
-        assert index.generation > generation
-        generation = index.generation
-        index.remove("John Smith", "u1")
-        assert index.generation > generation
-
-    def test_blank_label_add_keeps_generation(self):
-        index = LabelIndex()
-        generation = index.generation
-        index.add("   ", "u1")
-        assert index.generation == generation
-
-    def test_corpus_label_index_exposes_generation(self):
-        index = CorpusLabelIndex()
-        generation = index.generation
-        index.add_table(_label_table("t1", ["green day", "oasis"]))
-        assert index.generation > generation
-
-    def test_unchanged_index_serves_blocks_from_cache(self):
-        index = CorpusLabelIndex()
-        index.add_table(_label_table("t1", ["green day", "green days", "oasis"]))
-        records = [_record(1, "green day"), _record(2, "oasis")]
+class TestPerCallBlocking:
+    def test_repeated_labels_search_once(self):
+        records = [
+            _record(1, "green day"),
+            _record(2, "oasis"),
+            _record(3, "green day"),
+        ]
         reset_kernel_counters()
-        first = build_blocks(records, index=index)
-        searched_first = kernel_counters().get("blocking.label_searches", 0)
-        assert searched_first == 2
-        second = build_blocks(records, index=index)
-        after = kernel_counters()
-        assert after.get("blocking.label_searches", 0) == searched_first
-        assert after.get("blocking.label_cache_hits", 0) >= 2
-        assert second == first
+        blocks = build_blocks(records)
+        counters = kernel_counters()
+        assert counters.get("blocking.label_searches", 0) == 2
+        assert counters.get("blocking.label_cache_hits", 0) == 1
+        assert blocks[("t", 1)] == blocks[("t", 3)]
 
-    def test_mutated_index_recomputes_blocks(self):
-        index = CorpusLabelIndex()
-        index.add_table(_label_table("t1", ["green day"]))
-        records = [_record(1, "green day")]
-        first = build_blocks(records, index=index)
-        index.add_table(_label_table("t2", ["green days"]))
-        second = build_blocks(records, index=index)
-        assert "green days" in next(iter(second.values()))
-        assert first != second
+    def test_universe_is_the_records_labels(self):
+        alone = build_blocks([_record(1, "green day")])
+        assert next(iter(alone.values())) == frozenset({"green day"})
+        grown = build_blocks([_record(1, "green day"), _record(2, "green days")])
+        assert grown[("t", 1)] == frozenset({"green day", "green days"})
 
-    def test_different_max_similar_does_not_share_cache(self):
-        index = CorpusLabelIndex()
-        index.add_table(
-            _label_table("t1", ["green day", "green days", "green daze"])
-        )
-        records = [_record(1, "green day")]
-        wide = build_blocks(records, max_similar=3, index=index)
-        narrow = build_blocks(records, max_similar=1, index=index)
-        assert len(next(iter(narrow.values()))) <= len(next(iter(wide.values())))
+    def test_different_max_similar_narrows_blocks(self):
+        records = [
+            _record(1, "green day"),
+            _record(2, "green days"),
+            _record(3, "green daze"),
+        ]
+        wide = build_blocks(records, max_similar=3)
+        narrow = build_blocks(records, max_similar=1)
+        assert len(narrow[("t", 1)]) <= len(wide[("t", 1)])
 
 
 # ---------------------------------------------------------------------------

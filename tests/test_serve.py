@@ -81,6 +81,11 @@ class Served:
 
     def __init__(self, directory, world, tables):
         self.store = CorpusStore.create(directory / "store", shards=2)
+        # Older releases could leave a label index in the store; the
+        # service ingests and runs with the file present and ignored.
+        (self.store.directory / "label_index.json").write_text(
+            '{"fuzzy":true,"tables":{}}', encoding="utf-8"
+        )
         save_knowledge_base(
             # The KB is looked up by convention inside the store directory.
             world.knowledge_base,
