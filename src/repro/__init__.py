@@ -93,9 +93,6 @@ __all__ = [
     "IngestReport",
     "ArtifactStore",
     "IncrementalRunReport",
-    "CorpusDelta",
-    "InvalidationFrontier",
-    "diff_corpus_states",
     "open_table_stream",
     "Executor",
     "ExecutorError",
@@ -147,12 +144,6 @@ _LAZY_EXPORTS = {
         "repro.pipeline.artifacts",
         "IncrementalRunReport",
     ),
-    "CorpusDelta": ("repro.pipeline.delta", "CorpusDelta"),
-    "InvalidationFrontier": (
-        "repro.pipeline.delta",
-        "InvalidationFrontier",
-    ),
-    "diff_corpus_states": ("repro.pipeline.delta", "diff_corpus_states"),
     "open_table_stream": ("repro.corpus.readers", "open_table_stream"),
     "Executor": ("repro.parallel", "Executor"),
     "ExecutorError": ("repro.parallel", "ExecutorError"),

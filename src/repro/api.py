@@ -46,13 +46,10 @@ from repro.pipeline.artifacts import (
     IncrementalRunReport,
 )
 from repro.pipeline.delta import (
-    CorpusDelta,
     corpus_state,
-    diff_corpus_states,
     digest,
     fingerprint_corpus_state,
     fingerprint_kb,
-    invalidation_frontier,
     pickle_digest,
 )
 from repro.pipeline.dedup import deduplicate_entities
@@ -370,9 +367,12 @@ class RunSession:
         seen.  The result is byte-identical
         (``PipelineResult.canonical_json()``) to a from-scratch run over
         the same corpus — stored artifacts are pure functions of their
-        keys.  Reuse statistics land in :attr:`last_incremental_report`.
+        keys.  What the run loaded versus computed is counted as it goes
+        and lands in :attr:`last_incremental_report`.
         ``use_cache=False`` reuses and stores nothing: the run computes
-        every stage.
+        every stage.  Either way the run first takes the session's
+        corpus-epoch guard, so it never reads tables cached before the
+        corpus last changed.
 
         Failures in work dispatched through the executor surface as
         :class:`~repro.parallel.ExecutorError` naming the task, chunk and
@@ -385,8 +385,8 @@ class RunSession:
         when the store has a directory (in-memory otherwise), a path logs
         there, and a :class:`repro.obs.Tracer` records into the caller's
         trace (left open — the caller owns its lifecycle).  The root
-        span carries the config hash, the incremental invalidation
-        frontier, and the run's kernel-cache totals; the finished tracer
+        span carries the config hash, the run's stage hits and misses,
+        and its kernel-cache totals; the finished tracer
         is exposed as :attr:`last_trace`.  Tracing never changes
         results — ``canonical_json()`` is byte-identical either way.
         """
@@ -419,9 +419,6 @@ class RunSession:
         run_span = None
         extra_observers: list[PipelineObserver] = list(observers)
         if tracer is not None:
-            # The root span opens before the incremental backend is
-            # built, so a live stream shows the invalidation frontier
-            # the moment it is planned — not after the run finishes.
             run_span = tracer.begin(
                 f"run:{class_name}",
                 "run",
@@ -436,23 +433,18 @@ class RunSession:
             extra_observers.append(
                 TracingObserver(tracer, parent=run_span.span_id)
             )
+        state = self._guard_corpus_epoch()
         backend: IncrementalBackend | None = None
         if use_cache:
-            backend = self._make_backend(
-                class_name, config, models, restriction
+            backend = IncrementalBackend(
+                self.artifact_store,
+                corpus_state=state,
+                kb_fp=self._kb_fingerprint(),
+                models_fp=self._models_fingerprint(models),
+                config_fp=config_hash(config),
+                restriction_fp=digest(list(map(repr, restriction))),
+                class_name=class_name,
             )
-            if tracer is not None and backend.report.frontier is not None:
-                frontier = backend.report.frontier
-                tracer.point(
-                    "invalidation_frontier",
-                    "incremental",
-                    parent=run_span.span_id,
-                    attrs={
-                        "dirty_tables": len(frontier.analyze_tables),
-                        "schema_match_reusable": frontier.schema_match_reusable,
-                        "delta": frontier.delta.summary(),
-                    },
-                )
             # Substituted instances always run: a custom stage that
             # reuses a default stage's name is never served its artifact.
             stage_list = [
@@ -491,9 +483,6 @@ class RunSession:
                 self.last_trace = tracer
             raise
         if backend is not None:
-            self.artifact_store.meta_save(
-                "last_corpus_state", {"state": backend.corpus_state}
-            )
             self.last_incremental_report = backend.report
         if tracer is not None:
             attrs: dict = {
@@ -678,50 +667,27 @@ class RunSession:
             return Tracer(path=path, trace_id=trace_id), True
         return Tracer(path=trace), True
 
-    def _make_backend(
-        self,
-        class_name: str,
-        config: PipelineConfig,
-        models: PipelineModels,
-        restriction: tuple,
-    ) -> IncrementalBackend:
-        """Snapshot the corpus and build this run's incremental backend.
+    def _guard_corpus_epoch(self) -> dict[str, str]:
+        """Snapshot the corpus; the session's corpus-epoch guard.
 
-        Also the session's corpus-epoch guard: when the snapshot differs
-        from the previous one, the content-keyed kernel memos are cleared
-        to bound memory, and a live store-backed corpus view drops its
-        table cache.  Stored artifacts stay: their keys embed content
-        fingerprints, so none of them can go stale.
+        Taken by every run, cached or not.  When the snapshot differs
+        from the previous run's, the content-keyed kernel memos are
+        cleared to bound memory, and a live store-backed corpus view
+        drops its table cache, so no run reads a table that the store
+        has since replaced.  The session's first run takes it too
+        (``_corpus_epoch`` starts as None).  Stored artifacts stay:
+        their keys embed content fingerprints, so none of them can go
+        stale.
         """
         state = corpus_state(self.corpus)
         epoch = fingerprint_corpus_state(state, order=list(state))
         if epoch != self._corpus_epoch:
-            # Also taken on the session's *first* cached run
-            # (``_corpus_epoch`` starts as None): earlier uncached runs
-            # may have filled the view's LRU before the store mutated,
-            # and nothing vouches for it.
             self.kernels.clear()
             invalidate = getattr(self.corpus, "invalidate", None)
             if invalidate is not None:
                 invalidate()
             self._corpus_epoch = epoch
-        backend = IncrementalBackend(
-            self.artifact_store,
-            corpus_state=state,
-            kb_fp=self._kb_fingerprint(),
-            models_fp=self._models_fingerprint(models),
-            config_fp=config_hash(config),
-            restriction_fp=digest(list(map(repr, restriction))),
-            class_name=class_name,
-        )
-        previous = self.artifact_store.meta_load("last_corpus_state")
-        if previous is not None:
-            delta = diff_corpus_states(previous["state"], state)
-        else:
-            # First run against this store: everything is new.
-            delta = CorpusDelta(added=tuple(sorted(state)))
-        backend.report.frontier = invalidation_frontier(delta)
-        return backend
+        return state
 
     def _kb_fingerprint(self) -> str:
         """The session KB's structural digest, computed once.

@@ -574,8 +574,8 @@ class CorpusStore:
         """``{table_id: content_hash}`` for every table, in ingest order.
 
         Served straight from the shard metadata — no payload is decoded —
-        so snapshotting the corpus for delta computation is cheap even at
-        web scale.
+        so the corpus snapshot every run takes at its start is cheap even
+        at web scale.
         """
         entries: list[tuple[int, str, str]] = []
         for shard in range(self.n_shards):
@@ -586,11 +586,6 @@ class CorpusStore:
             )
         entries.sort()
         return {table_id: chash for _seq, table_id, chash in entries}
-
-    def state(self) -> dict[str, str]:
-        """Alias of :meth:`content_hashes` — the delta-snapshot input of
-        :func:`repro.pipeline.delta.diff_corpus_states`."""
-        return self.content_hashes()
 
     def get(self, table_id: str) -> WebTable:
         row = self._connection(shard_of(table_id, self.n_shards)).execute(

@@ -92,10 +92,6 @@ POINTS: dict[str, str] = {
         "ArtifactStore.put between the temp-file write and the atomic "
         "os.replace (a crash strands an orphan *.tmp, never a torn object)"
     ),
-    "artifacts.meta_save": (
-        "ArtifactStore.meta_save between the temp-file write and the "
-        "atomic os.replace"
-    ),
     "queue.claim": (
         "WorkQueue.claim after the claim transaction commits — the worker "
         "holds a lease it will never serve (lease-expiry recovery path)"

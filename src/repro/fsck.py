@@ -21,8 +21,7 @@ artifacts  manifest readable (``manifest_unreadable``); every object
            digest's prefix directory (``object_misplaced``); no
            leftover ``*.tmp`` from interrupted writers
            (``orphan_tmp`` — a *warning*: the store's own aged sweep
-           also clears these); every ``meta/*.json`` parses
-           (``meta_unreadable``)
+           also clears these)
 queue      ``queue.sqlite`` readable (``database_unreadable``);
            pending/running tasks have their payload pickle
            (``payload_missing``); done tasks have their result pickle
@@ -382,7 +381,7 @@ def _check_corpus(
 def _check_artifacts(
     directory: Path, report: FsckReport, repair: bool, quarantine: _Quarantine
 ) -> None:
-    counts = {"objects": 0, "meta": 0, "tmp": 0}
+    counts = {"objects": 0, "tmp": 0}
     report.checked["artifacts"] = counts
     if not directory.exists():
         return
@@ -444,42 +443,21 @@ def _check_artifacts(
                 f"the next run recomputes it)"
             )
     # Any *.tmp visible to an offline fsck is an interrupted writer.
-    for pattern in ("objects/*/*.tmp", "meta/*.tmp"):
-        for path in sorted(directory.glob(pattern)):
-            counts["tmp"] += 1
-            finding = report.add(
-                FsckFinding(
-                    "artifacts",
-                    "orphan_tmp",
-                    str(path),
-                    "temp file from an interrupted writer",
-                    severity="warn",
-                )
+    for path in sorted(directory.glob(artifact_store.TMP_PATTERN)):
+        counts["tmp"] += 1
+        finding = report.add(
+            FsckFinding(
+                "artifacts",
+                "orphan_tmp",
+                str(path),
+                "temp file from an interrupted writer",
+                severity="warn",
             )
-            if repair:
-                moved = quarantine.take_file("artifacts", path)
-                finding.repaired = True
-                finding.action = f"quarantined to {moved}"
-    for path in sorted((directory / "meta").glob("*.json")):
-        counts["meta"] += 1
-        try:
-            json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as error:
-            finding = report.add(
-                FsckFinding(
-                    "artifacts",
-                    "meta_unreadable",
-                    str(path),
-                    f"metadata does not parse ({error})",
-                )
-            )
-            if repair:
-                moved = quarantine.take_file("artifacts", path)
-                finding.repaired = True
-                finding.action = (
-                    f"quarantined to {moved} (derived state; the next "
-                    f"run rebuilds it)"
-                )
+        )
+        if repair:
+            moved = quarantine.take_file("artifacts", path)
+            finding.repaired = True
+            finding.action = f"quarantined to {moved}"
 
 
 # -- queue spool -------------------------------------------------------

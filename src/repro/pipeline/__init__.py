@@ -14,13 +14,7 @@ from repro.pipeline.artifacts import (
     IncrementalBackend,
     IncrementalRunReport,
 )
-from repro.pipeline.delta import (
-    CorpusDelta,
-    InvalidationFrontier,
-    corpus_state,
-    diff_corpus_states,
-    invalidation_frontier,
-)
+from repro.pipeline.delta import corpus_state
 from repro.pipeline.pipeline import (
     PipelineConfig,
     PipelineModels,
@@ -62,11 +56,7 @@ __all__ = [
     "ArtifactStore",
     "IncrementalBackend",
     "IncrementalRunReport",
-    "CorpusDelta",
-    "InvalidationFrontier",
     "corpus_state",
-    "diff_corpus_states",
-    "invalidation_frontier",
     "PipelineConfig",
     "PipelineModels",
     "build_duplicate_evidence",

@@ -26,7 +26,10 @@ Every cached :meth:`repro.api.RunSession.run` goes through this module:
   3. **per-entity detection artifacts** — classification triples keyed
      by entity content, so only entities in dirty blocks re-detect.
 
-A full run is therefore an incremental run over an empty store.
+A full run is therefore an incremental run over an empty store.  What
+a run reuses follows from its keys alone, and :class:`IncrementalRunReport`
+counts it as the run goes: stage hits and misses, and the analyses,
+attribute maps and detections loaded versus computed.
 
 Correctness invariant (the one every key must uphold): a stored value is
 a **pure function of its key**.  Under that invariant, serving from the
@@ -48,8 +51,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro import faults
 from repro.pipeline.delta import (
-    CorpusDelta,
-    InvalidationFrontier,
     digest,
     fingerprint_clusters,
     fingerprint_corpus_state,
@@ -80,6 +81,9 @@ ARTIFACTS_DIRNAME = "artifacts"
 MANIFEST_NAME = "artifact_store.json"
 STORE_VERSION = 1
 
+#: Where an interrupted object write leaves its temp file.
+TMP_PATTERN = "objects/*/*.tmp"
+
 
 class ArtifactStore:
     """Content-addressed pickled artifacts, on disk or in memory.
@@ -88,14 +92,11 @@ class ArtifactStore:
 
         <directory>/artifact_store.json     # version manifest
         <directory>/objects/ab/<digest>.pkl # one pickle per artifact
-        <directory>/meta/<name>.json        # named JSON documents
-                                            # (corpus snapshots, reports)
 
-    A store built without a directory keeps the same pickle blobs and
-    JSON documents in dicts and lives as long as its session.  Both
-    backings pickle on :meth:`put` and unpickle on :meth:`get`, so a
-    caller mutating a value it stored or loaded never changes what the
-    store serves next.
+    A store built without a directory keeps the same pickle blobs in a
+    dict and lives as long as its session.  Both backings pickle on
+    :meth:`put` and unpickle on :meth:`get`, so a caller mutating a
+    value it stored or loaded never changes what the store serves next.
 
     Disk writes are atomic (temp file + rename), so a crashed run leaves
     at worst an unreferenced temp file, never a truncated artifact.
@@ -122,10 +123,9 @@ class ArtifactStore:
         self.writes = 0
         self.orphan_tmp_age = orphan_tmp_age
         self.tmp_swept = 0
-        #: The in-memory backing: key digest -> pickle blob, and
-        #: document name -> JSON text.  Unused when a directory is set.
+        #: The in-memory backing: key digest -> pickle blob.  Unused
+        #: when a directory is set.
         self._objects: dict[str, bytes] = {}
-        self._meta: dict[str, str] = {}
         if self.directory is None:
             return
         manifest = self.directory / MANIFEST_NAME
@@ -142,32 +142,26 @@ class ArtifactStore:
                 json.dumps({"version": STORE_VERSION}), encoding="utf-8"
             )
         (self.directory / "objects").mkdir(exist_ok=True)
-        (self.directory / "meta").mkdir(exist_ok=True)
         self.tmp_swept = self._sweep_orphans()
 
     def _sweep_orphans(self) -> int:
         """Unlink age-expired ``*.tmp`` leftovers; returns how many."""
         cutoff = time.time() - self.orphan_tmp_age
         swept = 0
-        for pattern in ("objects/*/*.tmp", "meta/*.tmp"):
-            for path in self.directory.glob(pattern):
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                        swept += 1
-                except OSError:  # pragma: no cover - racing writer/sweeper
-                    pass
+        for path in self.directory.glob(TMP_PATTERN):
+            try:
+                if path.stat().st_mtime < cutoff:
+                    path.unlink()
+                    swept += 1
+            except OSError:  # pragma: no cover - racing writer/sweeper
+                pass
         return swept
 
     def _pending_tmp(self) -> int:
         """Temp files currently on disk (in-flight writers or young orphans)."""
         if self.directory is None:
             return 0
-        return sum(
-            1
-            for pattern in ("objects/*/*.tmp", "meta/*.tmp")
-            for _ in self.directory.glob(pattern)
-        )
+        return sum(1 for _ in self.directory.glob(TMP_PATTERN))
 
     # -- object API -----------------------------------------------------
     def get(self, key: object) -> object | None:
@@ -202,7 +196,7 @@ class ArtifactStore:
         else:
             path = self._object_path(key_digest)
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(path, blob, "artifacts.put")
+            _write_atomic(path, blob)
         self.writes += 1
         return key_digest
 
@@ -260,28 +254,6 @@ class ArtifactStore:
             **self.stats(),
         }
 
-    # -- named metadata -------------------------------------------------
-    def meta_load(self, name: str) -> dict | None:
-        if self.directory is None:
-            text = self._meta.get(name)
-        else:
-            path = self.directory / "meta" / f"{name}.json"
-            text = (
-                path.read_text(encoding="utf-8") if path.exists() else None
-            )
-        return json.loads(text) if text is not None else None
-
-    def meta_save(self, name: str, payload: dict) -> None:
-        text = json.dumps(payload, sort_keys=True)
-        if self.directory is None:
-            self._meta[name] = text
-            return
-        _write_atomic(
-            self.directory / "meta" / f"{name}.json",
-            text.encode("utf-8"),
-            "artifacts.meta_save",
-        )
-
     # -- internals ------------------------------------------------------
     def _object_path(self, key_digest: str) -> Path:
         return (
@@ -289,10 +261,10 @@ class ArtifactStore:
         )
 
 
-def _write_atomic(path: Path, data: bytes, fault_point: str) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temp file and a rename.
 
-    A crash at ``fault_point`` strands an orphan ``*.tmp`` (fsck/sweep
+    A crash at the ``artifacts.put`` fault point strands an orphan ``*.tmp`` (fsck/sweep
     territory); a raise is cleaned up below.  Either way ``path`` never
     holds a torn file.
     """
@@ -300,7 +272,7 @@ def _write_atomic(path: Path, data: bytes, fault_point: str) -> None:
     try:
         with os.fdopen(descriptor, "wb") as handle:
             handle.write(data)
-        faults.check(fault_point)
+        faults.check("artifacts.put")
         os.replace(temp_name, path)
     except BaseException:
         try:
@@ -364,9 +336,8 @@ def _feedback_payload(feedback: "MatcherFeedback | None") -> object:
 
 @dataclass
 class IncrementalRunReport:
-    """What one incremental run reused versus recomputed."""
+    """What one incremental run reused versus recomputed, as measured."""
 
-    frontier: InvalidationFrontier | None = None
     #: ``(stage name, iteration, "hit" | "miss")`` in execution order.
     stage_events: list[tuple[str, int, str]] = field(default_factory=list)
     analysis_loaded: int = 0
@@ -383,12 +354,9 @@ class IncrementalRunReport:
         return sum(1 for *_, kind in self.stage_events if kind == "miss")
 
     def to_dict(self) -> dict:
-        """JSON-safe reuse statistics (CLI ``--json``, ``GET /runs/<id>``).
-
-        The reuse frontier appears as delta counts plus the dirty-table
-        list — the machine-readable shadow of :meth:`summary`.
-        """
-        document = {
+        """JSON-safe reuse statistics (CLI ``--json``, ``GET /runs/<id>``)
+        — the machine-readable form of :meth:`summary`."""
+        return {
             "stage_hits": self.stage_hits(),
             "stage_misses": self.stage_misses(),
             "analyses_loaded": self.analysis_loaded,
@@ -398,38 +366,20 @@ class IncrementalRunReport:
             "entities_loaded": self.entities_loaded,
             "entities_computed": self.entities_computed,
         }
-        if self.frontier is not None:
-            delta = self.frontier.delta
-            document["delta"] = {
-                "added": len(delta.added),
-                "removed": len(delta.removed),
-                "changed": len(delta.changed),
-            }
-            document["frontier"] = {
-                "analyze_tables": len(self.frontier.analyze_tables),
-                "schema_match_reusable": self.frontier.schema_match_reusable,
-            }
-        return document
 
     def summary(self) -> str:
-        lines = []
-        if self.frontier is not None:
-            lines.append(self.frontier.summary())
-        lines.append(
-            f"stages: {self.stage_hits()} served from store, "
-            f"{self.stage_misses()} recomputed"
+        return "\n".join(
+            [
+                f"stages: {self.stage_hits()} served from store, "
+                f"{self.stage_misses()} recomputed",
+                f"tables: {self.analysis_loaded} analyses loaded, "
+                f"{self.analysis_computed} computed; "
+                f"{self.attributes_loaded} attribute maps loaded, "
+                f"{self.attributes_computed} computed",
+                f"entities: {self.entities_loaded} detections loaded, "
+                f"{self.entities_computed} computed",
+            ]
         )
-        lines.append(
-            f"tables: {self.analysis_loaded} analyses loaded, "
-            f"{self.analysis_computed} computed; "
-            f"{self.attributes_loaded} attribute maps loaded, "
-            f"{self.attributes_computed} computed"
-        )
-        lines.append(
-            f"entities: {self.entities_loaded} detections loaded, "
-            f"{self.entities_computed} computed"
-        )
-        return "\n".join(lines)
 
 
 class IncrementalBackend:
@@ -597,8 +547,8 @@ class _MatcherAttributeCache:
     An attribute map is a pure function of (KB, models, pass mode, table
     content, class assignment, pass feedback).  The feedback — header
     statistics plus duplicate evidence — is *global*: a delta that
-    shifts it widens the invalidation frontier to every table of that
-    pass, which is exactly what byte-equality demands.
+    shifts it misses the cache for every table of that pass, which is
+    exactly what byte-equality demands.
     """
 
     def __init__(self, backend: IncrementalBackend) -> None:

@@ -1,28 +1,23 @@
-"""Corpus deltas, input fingerprints, and the invalidation frontier.
+"""Corpus snapshots and input fingerprints for the artifact store.
 
 The incremental engine never *reasons* its way to cache validity — it
 hashes.  Every persisted artifact is a pure function of inputs that this
 module fingerprints exactly; an artifact is served only when the digest
 of *all* of its inputs matches, so an incremental run is byte-identical
 to a from-scratch run **by construction** (the equality witness is
-:meth:`repro.pipeline.result.PipelineResult.canonical_json`).
+:meth:`repro.pipeline.result.PipelineResult.canonical_json`).  What a
+run after a corpus delta reuses therefore follows from the keys alone,
+and the run measures it (:class:`repro.pipeline.artifacts.IncrementalRunReport`).
 
-Three layers live here:
+Two layers live here:
 
-* **Corpus deltas** — :func:`diff_corpus_states` compares two
-  ``{table_id: content_hash}`` snapshots (see
-  :meth:`repro.corpus.store.CorpusStore.state`) into a
-  :class:`CorpusDelta` of added / removed / changed table ids.
-* **Fingerprints** — canonical digests for every stage input: the corpus
-  (order-sensitive — greedy clustering shuffles *positions*, so ingest
-  order is semantic), row records, schema mappings, clusters, entities,
-  and arbitrary picklable model state.
-* **The invalidation frontier** — :func:`invalidation_frontier` turns a
-  delta into the per-stage work plan an incremental run expects to
-  execute: which tables re-analyze, whether the downstream stages can
-  possibly be served whole, and why.  The frontier is *advisory*
-  (reporting, benchmarks, dirty-set dispatch sizing); correctness always
-  rests on the fingerprint keys alone.
+* **Corpus snapshots** — :func:`corpus_state` reads any corpus as a
+  ``{table_id: content_hash}`` mapping (see
+  :meth:`repro.corpus.store.CorpusStore.content_hashes`), and
+  :func:`fingerprint_corpus_state` digests it, ingest order included.
+* **Fingerprints** — canonical digests for every stage input: row
+  records, schema mappings, clusters, entities, table subsets, the
+  knowledge base, and arbitrary picklable model state.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.clustering.greedy import Cluster
@@ -40,10 +34,7 @@ from repro.matching.correspondences import SchemaMapping
 from repro.matching.records import RowRecord
 
 __all__ = [
-    "CorpusDelta",
-    "InvalidationFrontier",
     "corpus_state",
-    "diff_corpus_states",
     "fingerprint_corpus_state",
     "fingerprint_records",
     "fingerprint_mapping",
@@ -87,7 +78,7 @@ def pickle_digest(obj: object) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Corpus snapshots and deltas
+# Corpus snapshots
 # ---------------------------------------------------------------------------
 
 def corpus_state(corpus) -> dict[str, str]:
@@ -120,45 +111,6 @@ def fingerprint_corpus_state(
     """
     ids = list(order) if order is not None else list(state)
     return digest([[table_id, state[table_id]] for table_id in ids])
-
-
-@dataclass(frozen=True)
-class CorpusDelta:
-    """What changed between two corpus snapshots."""
-
-    added: tuple[str, ...] = ()
-    removed: tuple[str, ...] = ()
-    changed: tuple[str, ...] = ()
-
-    @property
-    def dirty(self) -> tuple[str, ...]:
-        """Tables whose per-table artifacts must recompute (added+changed)."""
-        return self.added + self.changed
-
-    def __bool__(self) -> bool:
-        return bool(self.added or self.removed or self.changed)
-
-    def summary(self) -> str:
-        return (
-            f"+{len(self.added)} added, -{len(self.removed)} removed, "
-            f"~{len(self.changed)} changed"
-        )
-
-
-def diff_corpus_states(
-    old: Mapping[str, str], new: Mapping[str, str]
-) -> CorpusDelta:
-    """The :class:`CorpusDelta` turning snapshot ``old`` into ``new``."""
-    added = tuple(sorted(set(new) - set(old)))
-    removed = tuple(sorted(set(old) - set(new)))
-    changed = tuple(
-        sorted(
-            table_id
-            for table_id, content in new.items()
-            if table_id in old and old[table_id] != content
-        )
-    )
-    return CorpusDelta(added=added, removed=removed, changed=changed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,64 +301,3 @@ def fingerprint_kb(kb: KnowledgeBase) -> str:
         for instance in instances
     ]
     return digest([schema_payload, instance_payload])
-
-
-# ---------------------------------------------------------------------------
-# The invalidation frontier
-# ---------------------------------------------------------------------------
-
-@dataclass
-class InvalidationFrontier:
-    """The per-stage work plan a corpus delta implies.
-
-    ``analyze_tables`` is the dirty set re-entering per-table schema
-    analysis; every unchanged table is served from the artifact store.
-    The downstream booleans are *expectations*: clustering only re-runs
-    when the class's record list actually changed, fusion when the
-    clusters or the target tables' mappings changed, detection when the
-    entity list changed — each decided at run time by exact input
-    fingerprints, of which this plan is the human-readable shadow.
-    """
-
-    delta: CorpusDelta
-    #: Tables whose analysis/attribute artifacts must recompute.
-    analyze_tables: tuple[str, ...] = ()
-    #: Whether the stage-level schema_match artifact can possibly be
-    #: served whole (no delta at all).
-    schema_match_reusable: bool = False
-    notes: list[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        lines = [f"corpus delta: {self.delta.summary()}"]
-        if self.schema_match_reusable:
-            lines.append(
-                "frontier: empty — every stage artifact may be served whole"
-            )
-        else:
-            lines.append(
-                f"frontier: {len(self.analyze_tables)} table(s) re-analyze; "
-                "downstream stages re-run only where input fingerprints "
-                "changed"
-            )
-        lines.extend(self.notes)
-        return "\n".join(lines)
-
-
-def invalidation_frontier(delta: CorpusDelta) -> InvalidationFrontier:
-    """Plan the incremental work a corpus delta requires.
-
-    Removals contribute no per-table recomputation (their artifacts are
-    simply never requested again) but they do invalidate the corpus
-    fingerprint, so the stage-level schema_match artifact re-merges.
-    """
-    frontier = InvalidationFrontier(
-        delta=delta,
-        analyze_tables=delta.dirty,
-        schema_match_reusable=not delta,
-    )
-    if delta.removed and not delta.dirty:
-        frontier.notes.append(
-            "removal-only delta: schema matching re-merges cached per-table "
-            "artifacts without recomputing any of them"
-        )
-    return frontier

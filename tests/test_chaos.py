@@ -53,7 +53,6 @@ SIGKILLED = (-signal.SIGKILL, 137)
 MATRIX = {
     "corpus.shard_write": "TestIngestCrash",
     "artifacts.put": "TestRunCrash",
-    "artifacts.meta_save": "TestRunCrash",
     "queue.claim": "TestWorkerCrash",
     "queue.complete": "TestWorkerCrash",
     "queue.lease_renew": "TestWorkerCrash",
@@ -125,7 +124,7 @@ class TestIngestCrash:
 class TestRunCrash:
     @pytest.mark.parametrize(
         "spec",
-        ["artifacts.put:crash@3", "artifacts.meta_save:crash@1"],
+        ["artifacts.put:crash@3"],
     )
     def test_crash_mid_store_write_then_rerun_matches_golden(
         self, tmp_path, expected_song, spec

@@ -149,9 +149,9 @@ class TestSchedules:
     def test_hits_are_counted_per_point(self):
         plan = parse_spec("artifacts.put:raise@2")
         # Hits on *other* points never advance this point's counter.
-        plan.check("artifacts.meta_save")
+        plan.check("corpus.shard_write")
         plan.check("artifacts.put")
-        plan.check("artifacts.meta_save")
+        plan.check("corpus.shard_write")
         with pytest.raises(FaultInjected):
             plan.check("artifacts.put")
 

@@ -13,6 +13,7 @@ equivalence by re-running the producer.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import sqlite3
 import time
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import RunSession
 from repro.cli import main
 from repro.corpus.store import CorpusStore, content_hash, shard_of
 from repro.fsck import run_fsck
@@ -214,7 +216,6 @@ def artifacts(tmp_path) -> ArtifactStore:
     store = ArtifactStore(tmp_path / "artifacts")
     store.put(["stage", 1], {"payload": list(range(8))})
     store.put(["stage", 2], {"payload": "two"})
-    store.meta_save("last_corpus_state", {"epoch": 3})
     return store
 
 
@@ -223,7 +224,6 @@ class TestArtifacts:
         report = run_fsck(artifacts.directory)
         assert report.clean
         assert report.checked["artifacts"]["objects"] == 2
-        assert report.checked["artifacts"]["meta"] == 1
 
     def test_object_undecodable(self, artifacts):
         victim = next(artifacts.directory.glob("objects/*/*.pkl"))
@@ -266,15 +266,6 @@ class TestArtifacts:
         repaired = run_fsck(artifacts.directory, repair=True)
         assert repaired.findings[0].repaired
         assert not list(artifacts.directory.glob("objects/*/*.tmp"))
-
-    def test_meta_unreadable(self, artifacts):
-        (artifacts.directory / "meta" / "last_corpus_state.json").write_text(
-            "{torn"
-        )
-        report = run_fsck(artifacts.directory)
-        assert not report.clean
-        assert kinds(report) == ["meta_unreadable"]
-        assert run_fsck(artifacts.directory, repair=True).clean
 
     def test_manifest_unreadable_is_rewritten(self, artifacts):
         (artifacts.directory / "artifact_store.json").write_text("[]")
@@ -387,6 +378,47 @@ class TestServiceJournal:
 
 
 # -- the CLI contract ---------------------------------------------------
+class TestOldStoreLayout:
+    """Artifact stores once kept named JSON documents under ``meta/``.
+    Runs never read what such a store left there, and fsck never checks
+    it."""
+
+    def test_leftover_meta_documents_are_ignored(self, store, capsys):
+        artifacts_dir = store.directory / "artifacts"
+        ArtifactStore(artifacts_dir)
+        meta = artifacts_dir / "meta"
+        meta.mkdir()
+        (meta / "last_corpus_state.json").write_text(
+            json.dumps({"state": {"wt:gone": "0" * 40}}), encoding="utf-8"
+        )
+        (meta / "x.json").write_text("{torn", encoding="utf-8")
+        aged = meta / "last_corpus_state.json.tmp"
+        aged.write_text("{", encoding="utf-8")
+        ancient = time.time() - 7200
+        os.utime(aged, (ancient, ancient))
+        leftovers = {path.name: path.read_bytes() for path in meta.iterdir()}
+
+        assert main(
+            ["run", "Song", "--store", str(store.directory), "--quiet"]
+        ) == 0
+        # The CLI run stored every artifact; a second session is served
+        # all of them, to the committed bytes.
+        session = RunSession.from_corpus_store(store)
+        result = session.run("Song")
+        assert session.last_incremental_report.stage_misses() == 0
+        assert result.canonical_json() == (
+            GOLDEN_DIR / "expected_Song.json"
+        ).read_text(encoding="utf-8")
+        assert {
+            path.name: path.read_bytes() for path in meta.iterdir()
+        } == leftovers
+
+        capsys.readouterr()
+        assert main(["fsck", "--store", str(store.directory)]) == 0
+        assert "NOT clean" not in capsys.readouterr().out
+        assert run_fsck(store.directory).findings == []
+
+
 class TestCli:
     def test_exit_0_on_clean_store(self, store, capsys):
         assert main(["fsck", "--store", str(store.directory)]) == 0

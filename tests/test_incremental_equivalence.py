@@ -9,11 +9,11 @@ corpus produces.  This module attacks that claim three ways:
 * a **hypothesis-driven mutation harness** — random sequences of corpus
   mutations (add / remove / replace tables) with interleaved incremental
   runs, each checked byte-for-byte (``canonical_json``) against a fresh
-  full rebuild, across serial and thread executors;
+  full rebuild, across serial and process executors;
 * a **scripted lifecycle** covering the canonical ingest → run → delta →
   run → shrink → run sequence per executor;
 * **unit coverage** of the building blocks: the artifact store, corpus
-  snapshots/deltas, fingerprint sensitivity, dirty-set dispatch, and the
+  snapshots, fingerprint sensitivity, dirty-set dispatch, and the
   store's removal API.
 """
 
@@ -28,18 +28,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunSession
-from repro.corpus.store import CorpusStore
+from repro.corpus.store import CorpusStore, content_hash
 from repro.io import save_knowledge_base
 from repro.io.serialize import WORLD_KB_FILE
 from repro.parallel import ExecutorObserver, dispatch_dirty, make_executor
 from repro.pipeline.artifacts import ArtifactStore, fingerprint_evidence
 from repro.pipeline.delta import (
-    CorpusDelta,
     corpus_state,
-    diff_corpus_states,
     fingerprint_corpus_state,
     fingerprint_records,
-    invalidation_frontier,
 )
 from repro.pipeline.pipeline import PipelineConfig
 from repro.retrieval.gate import ENV_UNGATED
@@ -136,15 +133,12 @@ class TestScriptedLifecycle:
 
         first = session.run(CLASS_NAME, executor=executor)
         _assert_equivalent(store, first)
-        report = session.last_incremental_report
-        assert report.frontier is not None
-        assert len(report.frontier.delta.added) == N_BASE
+        assert session.last_incremental_report.analysis_computed == N_BASE
 
         # Identical corpus: the whole run must be served from the store.
         again = session.run(CLASS_NAME, executor=executor)
         assert again.canonical_json() == first.canonical_json()
         assert session.last_incremental_report.stage_misses() == 0
-        assert session.last_incremental_report.frontier.schema_match_reusable
 
         # Grow.
         grow = store.ingest(pool[:2])
@@ -153,8 +147,9 @@ class TestScriptedLifecycle:
         )
         grown = session.run(CLASS_NAME, executor=executor)
         _assert_equivalent(store, grown)
-        frontier = session.last_incremental_report.frontier
-        assert set(frontier.analyze_tables) == set(grow.dirty_ids)
+        assert session.last_incremental_report.analysis_computed == len(
+            grow.dirty_ids
+        )
 
         # Mutate one table in place.
         victim = base[0]
@@ -164,14 +159,14 @@ class TestScriptedLifecycle:
         assert replace.replaced_ids == [victim.table_id]
         mutated = session.run(CLASS_NAME, executor=executor)
         _assert_equivalent(store, mutated)
+        assert session.last_incremental_report.analysis_computed == 1
 
         # Shrink.
         removed = store.remove_tables([base[1].table_id])
         assert removed == [base[1].table_id]
         shrunk = session.run(CLASS_NAME, executor=executor)
         _assert_equivalent(store, shrunk)
-        delta = session.last_incremental_report.frontier.delta
-        assert delta.removed == (base[1].table_id,)
+        assert session.last_incremental_report.analysis_computed == 0
 
     def test_long_tail_delta_recomputes_only_its_analyses(
         self, tmp_path, song_world, world_tables
@@ -283,9 +278,9 @@ class TestArtifactStore:
         assert store.stats() == {"hits": 1, "misses": 1, "writes": 1}
 
     def test_in_memory_backing(self):
-        """Without a directory the store keeps pickles and JSON documents
-        in memory: a value mutated after ``put`` or ``get`` is never what
-        the store serves next."""
+        """Without a directory the store keeps pickles in memory: a value
+        mutated after ``put`` or ``get`` is never what the store serves
+        next."""
         store = ArtifactStore()
         stored = {"clusters": [1, 2, 3]}
         store.put(["key"], stored)
@@ -293,11 +288,6 @@ class TestArtifactStore:
         store.get(["key"])["clusters"].append(5)
         assert store.get(["key"]) == {"clusters": [1, 2, 3]}
         assert ["key"] in store and len(store) == 1
-        assert store.meta_load("last_corpus_state") is None
-        store.meta_save("last_corpus_state", {"state": {"t1": "hash"}})
-        assert store.meta_load("last_corpus_state") == {
-            "state": {"t1": "hash"}
-        }
         description = store.describe()
         assert description["directory"] is None
         assert description["objects"] == 1
@@ -315,16 +305,12 @@ class TestArtifactStore:
         with pytest.raises(ValueError, match="None"):
             store.put(["key"], None)
 
-    def test_reopen_preserves_objects_and_meta(self, tmp_path):
+    def test_reopen_preserves_objects(self, tmp_path):
         first = ArtifactStore(tmp_path / "artifacts")
         first.put(["key"], (1, "two"))
-        first.meta_save("last_corpus_state", {"state": {"t1": "hash"}})
         second = ArtifactStore(tmp_path / "artifacts")
         assert second.get(["key"]) == (1, "two")
-        assert second.meta_load("last_corpus_state") == {
-            "state": {"t1": "hash"}
-        }
-        assert second.meta_load("never-written") is None
+        assert second.get(["never-written"]) is None
 
     def test_version_mismatch_rejected(self, tmp_path):
         directory = tmp_path / "artifacts"
@@ -342,17 +328,14 @@ class TestArtifactStore:
         first = ArtifactStore(directory)
         first.put(["key"], "value")
         bucket = next((directory / "objects").iterdir())
-        orphan_object = bucket / "deadbeef.pkl.tmp"
-        orphan_object.write_bytes(b"partial write")
-        orphan_meta = directory / "meta" / "snapshot.json.tmp"
-        orphan_meta.write_text("{", encoding="utf-8")
+        orphans = [bucket / "deadbeef.pkl.tmp", bucket / "cafef00d.pkl.tmp"]
         ancient = time.time() - 7200
-        os.utime(orphan_object, (ancient, ancient))
-        os.utime(orphan_meta, (ancient, ancient))
+        for orphan in orphans:
+            orphan.write_bytes(b"partial write")
+            os.utime(orphan, (ancient, ancient))
         second = ArtifactStore(directory)
         assert second.tmp_swept == 2
-        assert not orphan_object.exists()
-        assert not orphan_meta.exists()
+        assert not any(orphan.exists() for orphan in orphans)
         described = second.describe()
         assert described["tmp_swept"] == 2
         assert described["tmp_pending"] == 0
@@ -363,9 +346,10 @@ class TestArtifactStore:
         """A fresh temp file may belong to a live writer sharing the
         store (queue worker, service) — the sweep must not touch it."""
         directory = tmp_path / "artifacts"
-        ArtifactStore(directory)
-        in_flight = directory / "meta" / "snapshot.json.tmp"
-        in_flight.write_text("{", encoding="utf-8")
+        ArtifactStore(directory).put(["key"], "value")
+        bucket = next((directory / "objects").iterdir())
+        in_flight = bucket / "deadbeef.pkl.tmp"
+        in_flight.write_bytes(b"partial write")
         reopened = ArtifactStore(directory)
         assert reopened.tmp_swept == 0
         assert in_flight.exists()
@@ -376,18 +360,7 @@ class TestArtifactStore:
         assert not in_flight.exists()
 
 
-class TestCorpusDeltas:
-    def test_diff_classifies_all_change_kinds(self):
-        old = {"a": "1", "b": "2", "c": "3"}
-        new = {"b": "2", "c": "9", "d": "4"}
-        delta = diff_corpus_states(old, new)
-        assert delta.added == ("d",)
-        assert delta.removed == ("a",)
-        assert delta.changed == ("c",)
-        assert delta.dirty == ("d", "c")
-        assert bool(delta)
-        assert not diff_corpus_states(old, dict(old))
-
+class TestFingerprints:
     def test_snapshot_fingerprint_is_order_sensitive(self):
         forward = {"a": "1", "b": "2"}
         backward = {"b": "2", "a": "1"}
@@ -398,23 +371,14 @@ class TestCorpusDeltas:
             forward, order=["a", "b"]
         ) == fingerprint_corpus_state(backward, order=["a", "b"])
 
-    def test_frontier_plans_dirty_set(self):
-        delta = CorpusDelta(added=("x",), changed=("y",))
-        frontier = invalidation_frontier(delta)
-        assert frontier.analyze_tables == ("x", "y")
-        assert not frontier.schema_match_reusable
-        empty = invalidation_frontier(CorpusDelta())
-        assert empty.schema_match_reusable
-        assert "empty" in empty.summary()
-
     def test_store_state_matches_generic_snapshot(self, tmp_path):
         table = WebTable(
             table_id="t1", header=("name",), rows=[("a",)], url="u"
         )
         store = CorpusStore.create(tmp_path / "store", shards=2)
         store.ingest([table])
-        assert store.state() == store.content_hashes()
-        assert corpus_state(store.as_corpus()) == store.state()
+        assert store.content_hashes() == {"t1": content_hash(table)}
+        assert corpus_state(store.as_corpus()) == store.content_hashes()
 
     def test_evidence_fingerprint_distinguishes_feedback(self):
         from repro.matching.matchers import DuplicateEvidence
@@ -500,7 +464,7 @@ class TestStoreRemoval:
         assert store.remove_tables(["t1"]) == ["t1"]
         assert "t1" not in store
         assert len(store) == 2
-        assert "t1" not in store.state()
+        assert "t1" not in store.content_hashes()
         with pytest.raises(KeyError):
             store.get("t1")
 
@@ -596,12 +560,28 @@ class TestSessionGuards:
         assert result.canonical_json() != stale.canonical_json()
         _assert_equivalent(store, result)
 
+    def test_uncached_run_after_replace_reads_new_content(
+        self, tmp_path, song_world, world_tables
+    ):
+        """An uncached run after a store mutation must not be served the
+        tables an earlier uncached run left in the corpus view's cache:
+        every run takes the epoch guard, cached or not."""
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        stale = session.run(CLASS_NAME, use_cache=False)  # fills the view
+        # This table's replacement changes the class's entities.
+        store.ingest(
+            [_mutated(world_tables[1], salt=1)], on_conflict="replace"
+        )
+        result = session.run(CLASS_NAME, use_cache=False)
+        assert result.canonical_json() != stale.canonical_json()
+        _assert_equivalent(store, result)
+
     def test_epoch_change_clears_in_memory_cache(
         self, tmp_path, song_world, world_tables
     ):
-        """The kernel caches key row pairs by id, which a replaced table
-        reuses for new content: the guard drops them when the corpus
-        moves, and only then."""
+        """The guard clears the session's content-keyed token memo (to
+        bound memory) when the corpus moves, and only then."""
         store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
         session = RunSession.from_corpus_store(store)
         clears = []
@@ -618,5 +598,3 @@ class TestSessionGuards:
         store.ingest(world_tables[N_BASE : N_BASE + 1])
         session.run(CLASS_NAME)
         assert len(clears) == 2
-        delta = session.last_incremental_report.frontier.delta
-        assert delta.added == (world_tables[N_BASE].table_id,)

@@ -27,7 +27,6 @@ import urllib.request
 
 import pytest
 
-from repro import faults
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.io import save_knowledge_base
@@ -37,6 +36,7 @@ from repro.serve import (
     ServiceClient,
     ServiceClientError,
     ServiceError,
+    build_class_view,
     make_server,
 )
 from repro.synthesis.api import build_world
@@ -502,26 +502,30 @@ class TestRunTracing:
             fresh = response.headers["X-Repro-Trace"]
         assert fresh != "not valid !!" and fresh.startswith("tr-")
 
-    def test_stream_events_follows_a_live_run(self, served):
+    def test_stream_events_follows_a_live_run(self, served, monkeypatch):
         events = []
         status_at_first_stage = None
+
+        def slow_build_class_view(*args, **kwargs):
+            time.sleep(2)
+            return build_class_view(*args, **kwargs)
+
         # A run served from the store can finish before the reader sees
-        # its first stage event; a pause at the corpus-snapshot save,
-        # which every run passes after its last stage, keeps it live.
-        with faults.armed("artifacts.meta_save:latency:2"):
-            run_id = served.client.submit_run(CLASS_NAME)["run_id"]
-            for record in served.client.stream_events(run_id):
-                events.append(record)
-                if (
-                    status_at_first_stage is None
-                    and record.get("kind") == "stage"
-                ):
-                    # The whole point of streaming: stage events arrive
-                    # while the run document still says running, not
-                    # after.
-                    status_at_first_stage = served.client.run(
-                        run_id
-                    )["status"]
+        # its first stage event; a pause in the publish step, which
+        # every run passes after its last stage, keeps it live.
+        monkeypatch.setattr(
+            "repro.serve.service.build_class_view", slow_build_class_view
+        )
+        run_id = served.client.submit_run(CLASS_NAME)["run_id"]
+        for record in served.client.stream_events(run_id):
+            events.append(record)
+            if (
+                status_at_first_stage is None
+                and record.get("kind") == "stage"
+            ):
+                # The whole point of streaming: stage events arrive
+                # while the run document still says running, not after.
+                status_at_first_stage = served.client.run(run_id)["status"]
         assert status_at_first_stage in ("queued", "running")
         sequences = [record["seq"] for record in events]
         assert sequences == sorted(sequences)
