@@ -27,9 +27,9 @@ Module map:
 * :mod:`repro.fusion` — entity creation (value fusion).
 * :mod:`repro.newdetect` — new-instance detection.
 * :mod:`repro.parallel` — the execution engine for the hot paths:
-  serial/process/queue :class:`Executor` backends with a chunked
+  serial/queue :class:`Executor` backends with a chunked
   ``map_batches`` API, deterministic ordering, and per-chunk observer
-  hooks (``repro run --executor process --workers 4``).
+  hooks (``repro run --executor queue --workers 4``).
 * :mod:`repro.pipeline` — stage protocol, orchestration and the paper's
   evaluation protocols.
 * :mod:`repro.api` — the :class:`RunSession` service layer.
@@ -98,7 +98,6 @@ __all__ = [
     "ExecutorError",
     "ExecutorObserver",
     "SerialExecutor",
-    "ProcessExecutor",
     "make_executor",
     "KBService",
     "ServiceClient",
@@ -149,7 +148,6 @@ _LAZY_EXPORTS = {
     "ExecutorError": ("repro.parallel", "ExecutorError"),
     "ExecutorObserver": ("repro.parallel", "ExecutorObserver"),
     "SerialExecutor": ("repro.parallel", "SerialExecutor"),
-    "ProcessExecutor": ("repro.parallel", "ProcessExecutor"),
     "make_executor": ("repro.parallel", "make_executor"),
     "KBService": ("repro.serve", "KBService"),
     "ServiceClient": ("repro.serve", "ServiceClient"),

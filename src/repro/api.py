@@ -33,7 +33,6 @@ import time
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro import faults as faults_registry
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.ml.aggregation import StaticWeightedAggregator
 from repro.newdetect.detector import Classification
@@ -81,9 +80,7 @@ __all__ = [
 #: Config fields that cannot influence stage outputs — the executor
 #: determinism contract guarantees identical artifacts for any backend,
 #: so runs differing only in these share cache entries.
-_NON_SEMANTIC_CONFIG_FIELDS = frozenset(
-    {"executor", "workers", "queue_dir", "faults"}
-)
+_NON_SEMANTIC_CONFIG_FIELDS = frozenset({"executor", "workers", "queue_dir"})
 
 
 def config_hash(config: PipelineConfig) -> str:
@@ -370,7 +367,8 @@ class RunSession:
         keys.  What the run loaded versus computed is counted as it goes
         and lands in :attr:`last_incremental_report`.
         ``use_cache=False`` reuses and stores nothing: the run computes
-        every stage.  Either way the run first takes the session's
+        every stage and sets :attr:`last_incremental_report` to ``None``.
+        Either way the run first takes the session's
         corpus-epoch guard, so it never reads tables cached before the
         corpus last changed.
 
@@ -454,21 +452,17 @@ class RunSession:
                 for spec, stage in zip(stage_specs, stage_list)
             ]
         try:
-            # ``config.faults`` arms an injection plan for exactly this
-            # run (no-op scope when None); a crash action never reaches
-            # the __exit__, which is the point.
-            with faults_registry.armed(config.faults):
-                result = self._drive(
-                    class_name,
-                    config,
-                    models,
-                    stage_list,
-                    [*self.observers, *extra_observers],
-                    table_ids=table_ids,
-                    row_ids=row_ids,
-                    known_classes=known_classes,
-                    incremental=backend,
-                )
+            result = self._drive(
+                class_name,
+                config,
+                models,
+                stage_list,
+                [*self.observers, *extra_observers],
+                table_ids=table_ids,
+                row_ids=row_ids,
+                known_classes=known_classes,
+                incremental=backend,
+            )
         except BaseException as error:
             if tracer is not None:
                 tracer.end(
@@ -482,8 +476,11 @@ class RunSession:
                     tracer.close()
                 self.last_trace = tracer
             raise
-        if backend is not None:
-            self.last_incremental_report = backend.report
+        # An uncached run measured no reuse: it must not leave the
+        # previous cached run's counts behind.
+        self.last_incremental_report = (
+            backend.report if backend is not None else None
+        )
         if tracer is not None:
             attrs: dict = {
                 "status": "ok",
@@ -515,9 +512,8 @@ class RunSession:
         ``stage_list``, each iteration's entities and correspondences
         fed back as the next one's duplicate evidence.
 
-        The executor (observed by every
-        :class:`~repro.parallel.ExecutorObserver` among ``observers``)
-        lives exactly as long as the loop.
+        The loop builds its own executor, observed by every
+        :class:`~repro.parallel.ExecutorObserver` among ``observers``.
         """
         executor = make_executor(
             config.executor,
@@ -545,32 +541,27 @@ class RunSession:
         result = PipelineResult(class_name=class_name)
         for observer in observers:
             observer.on_run_started(class_name, config)
-        try:
-            for iteration in range(1, config.iterations + 1):
-                state.iteration = iteration
+        for iteration in range(1, config.iterations + 1):
+            state.iteration = iteration
+            for observer in observers:
+                observer.on_iteration_started(class_name, iteration)
+            for stage in stage_list:
                 for observer in observers:
-                    observer.on_iteration_started(class_name, iteration)
-                for stage in stage_list:
-                    for observer in observers:
-                        observer.on_stage_started(
-                            class_name, iteration, stage.name
-                        )
-                    started = time.perf_counter()
-                    state = stage.run(state)
-                    elapsed = time.perf_counter() - started
-                    for observer in observers:
-                        observer.on_stage_finished(
-                            class_name, iteration, stage.name, elapsed
-                        )
-                artifacts = state.artifacts()
-                result.iterations.append(artifacts)
-                state.evidence = build_duplicate_evidence(
-                    artifacts.entities, artifacts.detection
-                )
+                    observer.on_stage_started(class_name, iteration, stage.name)
+                started = time.perf_counter()
+                state = stage.run(state)
+                elapsed = time.perf_counter() - started
                 for observer in observers:
-                    observer.on_iteration_finished(class_name, iteration)
-        finally:
-            executor.close()
+                    observer.on_stage_finished(
+                        class_name, iteration, stage.name, elapsed
+                    )
+            artifacts = state.artifacts()
+            result.iterations.append(artifacts)
+            state.evidence = build_duplicate_evidence(
+                artifacts.entities, artifacts.detection
+            )
+            for observer in observers:
+                observer.on_iteration_finished(class_name, iteration)
         if config.dedup_new_entities:
             self._dedup_final(result)
         for observer in observers:

@@ -54,8 +54,7 @@ Commands:
   findings remain, 2 = usage error.
 
 Ctrl-C anywhere exits cleanly: no traceback, exit code 130 (the shell
-convention for SIGINT), with run-scoped worker pools shut down by the
-pipeline's own cleanup and the serve loop closing its server + writer
+convention for SIGINT), with the serve loop closing its server + writer
 thread on the way out.  SIGTERM gets the matching graceful contract on
 the long-lived commands: ``serve`` stops accepting, drains its writer
 queue, and exits 143; ``worker`` finishes the chunk it holds, drops its
@@ -265,7 +264,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             filters=filters,
             on_conflict=args.on_conflict,
             batch_size=args.batch_size,
-            processes=args.processes,
             tracer=tracer,
         )
     except (ValueError, FileNotFoundError) as error:
@@ -627,9 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--executor", choices=EXECUTOR_NAMES,
                      default=None,
                      help="parallel backend for the hot paths (default: "
-                          "REPRO_EXECUTOR env or serial; results are "
-                          "identical for every choice; 'queue' spools "
-                          "chunks to external `repro worker` processes)")
+                          "serial, in this process; 'queue' spools chunks "
+                          "to external `repro worker` processes; results "
+                          "are identical for either choice)")
     run.add_argument("--candidate-mode", choices=("exact", "fast"),
                      default=None, dest="candidate_mode",
                      help="label candidate generation: 'exact' (default; "
@@ -638,9 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "unless the gate in BENCH_retrieval.json, written "
                           "by benchmarks/bench_retrieval.py, passed)")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker count for the process and queue "
-                          "executors (default: REPRO_WORKERS env or the "
-                          "CPUs this process may use)")
+                     help="worker count the queue executor sizes its "
+                          "chunks for (default: the CPUs this process may "
+                          "use)")
     run.add_argument("--queue-dir", default=None, dest="queue_dir",
                      metavar="DIR",
                      help="spool directory for --executor queue (default: "
@@ -671,8 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--shards", type=int, default=4,
                         help="shard count when creating a new store")
     ingest.add_argument("--batch-size", type=int, default=512)
-    ingest.add_argument("--processes", type=int, default=None,
-                        help="write shard partitions with a worker pool")
     ingest.add_argument("--on-conflict", choices=("skip", "replace", "error"),
                         default="skip",
                         help="policy when an id arrives with changed content")
@@ -742,13 +738,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--executor", choices=EXECUTOR_NAMES,
                        default=None,
                        help="parallel backend for the writer's runs "
-                            "(default: REPRO_EXECUTOR env or serial).  "
+                            "(default: serial).  "
                             "With 'queue' the service borrows a `repro "
                             "worker` fleet attached to <store>/queue "
                             "instead of computing in-process")
     serve.add_argument("--workers", type=int, default=None,
-                       help="worker count for the writer's executor "
-                            "(default: REPRO_WORKERS env or the CPUs this "
+                       help="worker count the writer's queue executor "
+                            "sizes its chunks for (default: the CPUs this "
                             "process may use)")
     serve.add_argument("--warm", nargs="*", default=None, metavar="CLASS",
                        help="queue an incremental run for these classes at "
@@ -842,10 +838,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except KeyboardInterrupt:
-        # A clean interrupt contract for every command: the pipeline's
-        # own try/finally has already shut down run-scoped executor
-        # pools, and `serve` has closed its server + writer thread — so
-        # all that is left is to exit without a traceback, non-zero.
+        # A clean interrupt contract for every command: `serve` has
+        # closed its server + writer thread, so all that is left is to
+        # exit without a traceback, non-zero.
         print("interrupted", file=sys.stderr)
         return 130
 

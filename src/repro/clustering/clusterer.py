@@ -22,10 +22,11 @@ class RowClusterer:
     skips refinement; ``use_blocking=False`` puts every row in one global
     block (quadratic — for ablation only).
 
-    A non-serial ``executor`` parallelizes the dominant cost — block-local
-    pairwise similarity — by warming the similarity cache before the
-    (inherently order-dependent) greedy/KLj passes run; any executor
-    produces the exact clustering the serial default does.
+    A ``queue`` executor spreads the dominant cost — block-local
+    pairwise similarity — over its ``repro worker`` fleet, warming the
+    similarity cache before the (inherently order-dependent) greedy/KLj
+    passes run; it produces the exact clustering the serial default
+    does.
     ``candidate_mode`` selects blocking's candidate-generation mode
     (``"exact"`` scans, ``"fast"`` retrieve-then-rerank — see
     ``repro.retrieval``).

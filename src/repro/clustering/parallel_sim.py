@@ -41,8 +41,8 @@ class _BlockPairScorer:
     """Picklable batch function scoring all pairs owned by each block.
 
     Holds only the metric bundle and the fitted aggregator — both plain
-    picklable objects — so process pools work; purity follows from the
-    metrics being functions of the two records and read-only context.
+    picklable objects — so queue workers can run it; purity follows from
+    the metrics being functions of the two records and read-only context.
     Workers score through a chunk-local :class:`RowSimilarity` built
     from the same bundle, so preloaded cache entries are computed by the
     *same code path* the lazy serial fallback uses — bit-identical by
@@ -67,7 +67,7 @@ class _BlockPairScorer:
                 for record_b, blocks_b in members[position + 1 :]:
                     shared = blocks_a_set.intersection(blocks_b)
                     # Score the pair only in its smallest shared block —
-                    # every pair is computed exactly once pool-wide.
+                    # every pair is computed exactly once fleet-wide.
                     if min(shared) != block_key:
                         continue
                     key = (

@@ -7,8 +7,7 @@ corpus; this package makes that practical:
   directories and WDC-style JSON dumps, yielding one
   :class:`~repro.webtables.table.WebTable` at a time.
 * :mod:`repro.corpus.store` — :class:`CorpusStore`, a sharded,
-  content-addressed SQLite store with idempotent batch ingestion and
-  optional multiprocessing across shards.
+  content-addressed SQLite store with idempotent batch ingestion.
 * :mod:`repro.corpus.view` — :class:`StoredCorpusView`, a lazy
   :class:`~repro.webtables.corpus.TableCorpus`-compatible view so every
   pipeline stage runs unchanged against the on-disk backend.

@@ -8,9 +8,8 @@ id hash, and re-ingesting an unchanged table is an idempotent no-op —
 which is what makes batch-wise incremental ingestion safe.
 
 Ingestion is streaming: tables flow in batch by batch, so peak memory is
-bounded by ``batch_size``, independent of corpus size.  Batches can
-optionally be written by a pool of worker processes, one worker per
-shard sub-batch (``processes=``).
+bounded by ``batch_size``, independent of corpus size.  Each batch is
+split into one sub-batch per shard, written in shard order.
 
 The store serves the full read API of
 :class:`~repro.webtables.corpus.TableCorpus` (``get`` / ``row`` /
@@ -125,9 +124,8 @@ def _write_shard_batch(
     """Write one shard's sub-batch; returns ``(table_id, outcome)`` pairs.
 
     Outcomes: ``inserted`` / ``identical`` (idempotent re-ingest) /
-    ``replaced`` / ``conflict`` (kept the stored version).  Runs in the
-    parent process or in a pool worker — it owns its own connection
-    either way.
+    ``replaced`` / ``conflict`` (kept the stored version).  Opens and
+    closes its own connection.
     """
     connection = _connect(Path(shard_path))
     try:
@@ -186,27 +184,6 @@ def _write_shard_batch(
         return outcomes
     finally:
         connection.close()
-
-
-def _timed_write_shard_batch(
-    shard_path: str, records: list[dict], on_conflict: str
-) -> tuple[dict, list[tuple[str, str]]]:
-    """:func:`_write_shard_batch` plus timing provenance for trace spans.
-
-    Returns ``(meta, outcomes)`` where ``meta`` records wall-clock start,
-    write seconds, and the writing pid — measured *inside* the pool
-    worker when ``processes>1``, so shard spans reflect real write time,
-    not queue time.
-    """
-    started_wall = time.time()
-    started = time.perf_counter()
-    outcomes = _write_shard_batch(shard_path, records, on_conflict)
-    meta = {
-        "seconds": time.perf_counter() - started,
-        "ts": started_wall,
-        "pid": os.getpid(),
-    }
-    return meta, outcomes
 
 
 def _scan_conflicts(shard_path: str, records: list[dict]) -> None:
@@ -415,7 +392,6 @@ class CorpusStore:
         filters: Iterable = (),
         on_conflict: str = "skip",
         batch_size: int = 512,
-        processes: int | None = None,
         tracer=None,
     ) -> IngestReport:
         """Stream tables into the store, batch by batch.
@@ -424,11 +400,9 @@ class CorpusStore:
         predicates applied before any write; rejections are counted per
         filter name.  ``on_conflict`` decides what happens when an id
         arrives with different content than stored (identical content is
-        always an idempotent skip).  ``processes`` > 1 writes each
-        batch's shard partitions through a worker pool.  ``tracer`` (a
+        always an idempotent skip).  ``tracer`` (a
         :class:`repro.obs.Tracer`) records one ``ingest_batch`` span per
-        batch with a child span per shard written — timed inside the
-        pool workers when ``processes`` is set, merged in shard order.
+        batch with a timed child span per shard written, in shard order.
         """
         if on_conflict not in ON_CONFLICT:
             raise ValueError(
@@ -449,16 +423,16 @@ class CorpusStore:
                 continue
             batch.append(table)
             if len(batch) >= batch_size:
-                self._ingest_batch(batch, on_conflict, processes, report, tracer)
+                self._ingest_batch(batch, on_conflict, report, tracer)
                 batch = []
         if batch:
-            self._ingest_batch(batch, on_conflict, processes, report, tracer)
+            self._ingest_batch(batch, on_conflict, report, tracer)
         return report
 
     def put(self, table: WebTable, *, on_conflict: str = "error") -> str:
         """Store one table; returns its ingest outcome."""
         report = IngestReport()
-        self._ingest_batch([table], on_conflict, None, report)
+        self._ingest_batch([table], on_conflict, report)
         if report.inserted:
             return "inserted"
         if report.replaced:
@@ -471,7 +445,6 @@ class CorpusStore:
         self,
         batch: list[WebTable],
         on_conflict: str,
-        processes: int | None,
         report: IngestReport,
         tracer=None,
     ) -> None:
@@ -497,28 +470,22 @@ class CorpusStore:
             # cannot leave some shards committed and others not.
             for shard_path, records, _ in jobs:
                 _scan_conflicts(shard_path, records)
-        if processes is not None and processes > 1 and len(jobs) > 1:
-            # Writers must own their connections: drop ours first so no
-            # sqlite handle crosses the fork.
-            self.close()
-            import multiprocessing
-
-            with multiprocessing.Pool(min(processes, len(jobs))) as pool:
-                timed_lists = pool.starmap(_timed_write_shard_batch, jobs)
-        else:
-            timed_lists = [_timed_write_shard_batch(*job) for job in jobs]
-        outcome_lists = [outcomes for _meta, outcomes in timed_lists]
-        if tracer is not None:
-            # starmap preserves job (= sorted shard) order, so shard
-            # spans get deterministic ids regardless of worker timing.
-            for shard, (meta, _outcomes) in zip(sorted(partitions), timed_lists):
+        outcome_lists = []
+        for shard, job in zip(sorted(partitions), jobs):
+            started_wall = time.time()
+            started = time.perf_counter()
+            outcome_lists.append(_write_shard_batch(*job))
+            if tracer is not None:
                 tracer.span(
                     f"shard-{shard:03d}",
                     "shard",
                     parent=batch_span.span_id,
-                    ts=meta["ts"],
-                    dur=meta["seconds"],
-                    attrs={"pid": meta["pid"], "tables": len(partitions[shard])},
+                    ts=started_wall,
+                    dur=time.perf_counter() - started,
+                    attrs={
+                        "pid": os.getpid(),
+                        "tables": len(partitions[shard]),
+                    },
                 )
         for outcomes in outcome_lists:
             for table_id, outcome in outcomes:

@@ -30,8 +30,8 @@ or in-process::
 Arming sources, later wins: the ``REPRO_FAULTS`` environment variable
 (read once, lazily — subprocesses inherit it, which is how the chaos
 suite kills real ``repro serve`` / ``repro worker`` processes at exact
-points), then :func:`arm` / :func:`armed`.  A pipeline run can also arm
-a plan for its own duration through ``PipelineConfig.faults``.
+points), then :func:`arm` / :func:`armed`; ``with armed(spec):`` around
+a :meth:`~repro.api.RunSession.run` call arms a plan for that run only.
 
 Spec grammar (rules joined by ``;``)::
 
@@ -424,9 +424,8 @@ class armed:
     """Context manager: arm a plan for a scope, restore what was there.
 
     Accepts a spec string, a :class:`FaultPlan`, or ``None`` — the last
-    is a no-op scope, which is what lets ``PipelineConfig.faults=None``
-    thread through :meth:`RunSession.run` without touching an
-    environment-armed plan.
+    is a no-op scope, so a caller holding an optional spec can always
+    enter one without touching an environment-armed plan.
     """
 
     def __init__(self, plan: "FaultPlan | str | None") -> None:

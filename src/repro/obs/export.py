@@ -26,7 +26,7 @@ def to_chrome_trace(events: Iterable[dict]) -> dict:
     points become instant (``ph: "i"``) events.  Timestamps are
     microseconds relative to the earliest event, so traces start at 0.
     Worker pids recorded on chunk spans become Chrome *thread* ids, which
-    renders each pool worker as its own row under one process.
+    renders each queue worker as its own row under one process.
     """
     events = list(events)
     spans = span_index(events)

@@ -142,7 +142,7 @@ class TracingObserver(PipelineObserver, ExecutorObserver):
 
     def chunk_trace_context(self, task_name: str) -> dict | None:
         # Handing the executor a concrete (trace, parent) pair is what
-        # lets process-pool workers stamp the correct parent id on the
+        # lets queue workers stamp the correct parent id on the
         # chunk records they ship back across the pickle boundary.
         return {
             "trace": self.tracer.trace_id,

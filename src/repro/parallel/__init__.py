@@ -8,9 +8,7 @@ from repro.parallel.executor import (
     Executor,
     ExecutorError,
     ExecutorObserver,
-    ProcessExecutor,
     SerialExecutor,
-    default_executor_name,
     default_worker_count,
     dispatch_dirty,
     make_executor,
@@ -31,14 +29,12 @@ __all__ = [
     "Executor",
     "ExecutorError",
     "ExecutorObserver",
-    "ProcessExecutor",
     "QUEUE_DIRNAME",
     "QUEUE_DIR_ENV",
     "QueueExecutor",
     "SerialExecutor",
     "WorkQueue",
     "WorkerTaskError",
-    "default_executor_name",
     "default_worker_count",
     "dispatch_dirty",
     "make_executor",

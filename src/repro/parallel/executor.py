@@ -8,16 +8,17 @@ exactly that shape behind one call, :meth:`Executor.map_batches`:
 
 * the input sequence is split into contiguous chunks,
 * a **batch function** (``func(list_of_items) -> list_of_results``) runs
-  on each chunk — serially, on a process pool, or on a worker fleet,
+  on each chunk — serially in this process, or on a ``repro worker``
+  fleet,
 * the per-chunk result lists are reassembled **in input order**, no
   matter in which order chunks complete.
 
 The determinism contract is therefore: for a pure batch function,
 ``map_batches`` returns the same list for every executor and every
-worker count.  Process pools additionally require the batch function and
-the items to be picklable — the pipeline's batch functions are
-module-level callable classes holding only picklable state (KB, models,
-metric bundles).
+worker count.  The ``queue`` backend additionally requires the batch
+function and the items to be picklable — the pipeline's batch functions
+are module-level callable classes holding only picklable state (KB,
+models, metric bundles).
 
 Failures are wrapped in :class:`ExecutorError`, which names the task,
 the failing chunk, and the labels of the items it held (table ids,
@@ -32,11 +33,8 @@ seconds land in the run's span log as children of the stage span.
 from __future__ import annotations
 
 import os
-import signal
 import socket
-import sys
 import time
-from concurrent.futures import FIRST_EXCEPTION, Future, wait
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.perf.counters import bump, counter_delta, kernel_counters
@@ -45,47 +43,19 @@ ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
 #: Recognized executor names, in documentation order.  ``queue`` is the
-#: distributed backend (:mod:`repro.parallel.workqueue`): chunks are
+#: out-of-process backend (:mod:`repro.parallel.workqueue`): chunks are
 #: spooled to a shared directory and executed by external ``repro
 #: worker`` processes, possibly on other hosts.
-EXECUTOR_NAMES = ("serial", "process", "queue")
-
-#: Environment variables driving the *default* executor configuration —
-#: a test/CI matrix can flip the whole suite onto a process pool without
-#: touching any call site.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-WORKERS_ENV = "REPRO_WORKERS"
-
-
-def default_executor_name() -> str:
-    """The executor name configured via ``REPRO_EXECUTOR`` (default serial)."""
-    name = os.environ.get(EXECUTOR_ENV, "").strip().lower() or "serial"
-    if name not in EXECUTOR_NAMES:
-        known = ", ".join(EXECUTOR_NAMES)
-        raise ValueError(
-            f"invalid {EXECUTOR_ENV}={name!r}; expected one of: {known}"
-        )
-    return name
+EXECUTOR_NAMES = ("serial", "queue")
 
 
 def default_worker_count() -> int:
-    """Worker count from ``REPRO_WORKERS``, else the CPUs this process may use.
+    """The CPUs this process may use.
 
-    The fallback counts the process's CPU affinity where the platform
-    exposes it, so a pinned or cgroup-limited process never starts more
-    workers than it can run at once.
+    Counts the process's CPU affinity where the platform exposes it, so
+    a pinned or cgroup-limited process never sizes its work for more
+    CPUs than it can run on at once.
     """
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"invalid {WORKERS_ENV}={raw!r}; must be an integer >= 1"
-            ) from None
-        if workers < 1:
-            raise ValueError(f"invalid {WORKERS_ENV}={raw!r}; must be >= 1")
-        return workers
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -200,7 +170,7 @@ class _TracedBatch(_TimedBatch):
     """A timed batch that additionally builds a chunk span record.
 
     The trace id and **parent span id travel with the pickled batch
-    function** into pool workers, so the record a worker ships back is
+    function** into queue workers, so the record a worker ships back is
     already correctly parented — the observer side only assigns span
     ids, in deterministic chunk-index order.
     """
@@ -273,7 +243,7 @@ class Executor:
         ``func`` receives a contiguous sub-list and must return one
         result per input item, in order.  ``chunk_size`` defaults to an
         even split into :meth:`_default_chunk_count` chunks — ``4 ×
-        workers`` for pools, a single chunk for the serial executor.
+        workers`` for ``queue``, a single chunk for the serial executor.
         ``label`` renders an item for :class:`ExecutorError` provenance.
         """
         items = list(items)
@@ -350,15 +320,6 @@ class Executor:
                 observer.on_chunk_spans(task_name, span_records)
         return flattened
 
-    def close(self) -> None:
-        """Release pooled workers (no-op for poolless executors)."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(workers={self.workers})"
 
@@ -366,7 +327,7 @@ class Executor:
     def _default_chunk_count(self) -> int:
         """How many chunks to target when ``chunk_size`` is unspecified.
 
-        Pooled executors use ``4 × workers`` (smaller chunks smooth load
+        ``queue`` uses ``4 × workers`` (smaller chunks smooth load
         imbalance); the serial executor uses one chunk, since splitting
         buys nothing in-process and per-chunk batch-function setup
         (matcher construction, cache warm-up) would repeat.
@@ -408,114 +369,6 @@ class SerialExecutor(Executor):
             except Exception as error:
                 raise _ChunkFailure(chunk_index, error) from error
             yield chunk_index, meta, results
-
-
-def _exit_with_driver(parent_pid: int) -> None:
-    """Pool-worker initializer: a worker never outlives its driver.
-
-    A SIGKILLed driver cannot shut its pool down, and its idle workers
-    would block on the call queue forever, holding the driver's pipes.
-    On Linux the kernel delivers SIGKILL to the worker when its parent
-    dies; the ``getppid`` check covers a parent that died between the
-    fork and ``prctl``.
-    """
-    if sys.platform.startswith("linux"):
-        import ctypes
-
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-        prctl.restype = ctypes.c_int
-        pr_set_pdeathsig = 1
-        # A refused prctl leaves a working, merely unprotected, worker.
-        prctl(pr_set_pdeathsig, signal.SIGKILL)
-    if os.getppid() != parent_pid:
-        os._exit(1)
-
-
-class ProcessExecutor(Executor):
-    """Process-pool execution — true CPU parallelism.
-
-    The batch function and items cross process boundaries, so both must
-    be picklable and the function must be **pure**: worker-side caches
-    or mutations never flow back.  Per-chunk overhead is the pickled
-    context, so prefer few large chunks over many small ones.
-
-    The pool is created lazily on first use and reused across
-    ``map_batches`` calls until :meth:`close` — one pipeline run spawns
-    its workers once, not once per stage.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        observers: Iterable[ExecutorObserver] = (),
-    ) -> None:
-        super().__init__(
-            workers if workers is not None else default_worker_count(),
-            observers,
-        )
-        self._pool = None
-
-    def _submit_chunks(self, timed, chunks):
-        if len(chunks) == 1 or self.workers == 1:
-            # No parallelism to gain; skip pool overhead and run
-            # in-process — but still probe that the batch function plus
-            # one representative item pickle, so a small test input
-            # cannot mask a batch function (lambda, handle, lock) that
-            # would crash at production scale.
-            import pickle
-
-            pickle.dumps((timed, chunks[0][:1]))
-            yield from SerialExecutor._submit_chunks(self, timed, chunks)
-            return
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Fork (the Linux default before Python 3.14, pinned here)
-            # makes the driver each worker's parent, which
-            # _exit_with_driver checks.  A fork pool starts every worker
-            # from the thread making the first submit, which is the
-            # thread calling map_batches (the writer thread under `repro
-            # serve`).  PDEATHSIG fires when that *thread* exits, and the
-            # pool never outlives it: the executor lives exactly as long
-            # as one run's stage loop, which closes it on the same thread.
-            context = (
-                multiprocessing.get_context("fork")
-                if sys.platform.startswith("linux")
-                else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=_exit_with_driver,
-                initargs=(os.getpid(),),
-            )
-        futures: dict[Future, int] = {
-            self._pool.submit(timed, chunk): chunk_index
-            for chunk_index, chunk in enumerate(chunks)
-        }
-        pending = set(futures)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in done:
-                    chunk_index = futures[future]
-                    error = future.exception()
-                    if error is not None:
-                        raise _ChunkFailure(chunk_index, error) from error
-                    meta, results = future.result()
-                    yield chunk_index, meta, results
-        finally:
-            for future in pending:
-                future.cancel()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
 
 
 def dispatch_dirty(
@@ -560,7 +413,7 @@ def dispatch_dirty(
 
 
 def make_executor(
-    name: str | None = None,
+    name: str = "serial",
     workers: int | None = None,
     observers: Iterable[ExecutorObserver] = (),
     *,
@@ -568,19 +421,15 @@ def make_executor(
 ) -> Executor:
     """Build an executor from a configuration string.
 
-    ``name=None`` resolves via ``REPRO_EXECUTOR`` (default ``serial``);
-    ``workers=None`` resolves via ``REPRO_WORKERS`` (default: the CPUs
-    this process may use).
+    ``workers=None`` means the CPUs this process may use.
     ``queue_dir`` is the spool directory for the ``queue`` backend
     (``None`` falls back to ``REPRO_QUEUE_DIR``); ignored by the
-    in-process executors.
+    serial executor.
     """
-    resolved = name.strip().lower() if name is not None else default_executor_name()
+    resolved = name.strip().lower()
     resolved_workers = workers if workers is not None else default_worker_count()
     if resolved == "serial":
         return SerialExecutor(max(1, resolved_workers), observers)
-    if resolved == "process":
-        return ProcessExecutor(resolved_workers, observers)
     if resolved == "queue":
         from repro.parallel.workqueue import QueueExecutor, resolve_queue_dir
 

@@ -1,6 +1,6 @@
 """A filesystem + SQLite work queue: the ``queue`` executor backend.
 
-The in-process executors stop at one host.  :class:`QueueExecutor` fans
+The serial executor stops at one process.  :class:`QueueExecutor` fans
 the same chunked batch contract out across *independent worker
 processes* — started with ``repro worker`` on this host or on any host
 that shares the spool directory (NFS, bind mount, ...):
@@ -19,7 +19,7 @@ that shares the spool directory (NFS, bind mount, ...):
   reassembles chunk-index order — output stays byte-identical to the
   serial executor, per the determinism contract.
 
-Failure semantics mirror the in-process pools: an exception *raised by
+Failure semantics mirror the serial executor: an exception *raised by
 the batch function* is deterministic and fails the run immediately (no
 retry — rerunning a crashing chunk three times just crashes three
 times), while a **vanished worker** (SIGKILL, OOM, power loss) is a
@@ -561,13 +561,13 @@ def _atomic_write_bytes(path: Path, blob: bytes) -> None:
 class QueueExecutor(Executor):
     """Executor that spools chunks to external ``repro worker`` processes.
 
-    Unlike the process executor there is deliberately no in-process
-    shortcut for single-chunk inputs: routing compute elsewhere is the
-    whole point, and a shortcut would hide spool/pickling failures until
-    production scale.  If no worker shows a live heartbeat for
-    ``no_worker_timeout`` seconds while chunks are pending, the run fails
-    with an error naming the spool directory and the command that starts
-    a worker — rather than hanging forever.
+    There is deliberately no in-process shortcut for single-chunk
+    inputs: routing compute elsewhere is the whole point, and a shortcut
+    would hide spool/pickling failures until production scale.  If no
+    worker shows a live heartbeat for ``no_worker_timeout`` seconds
+    while chunks are pending, the run fails with an error naming the
+    spool directory and the command that starts a worker — rather than
+    hanging forever.
     """
 
     name = "queue"

@@ -22,11 +22,7 @@ from repro.matching.schema_matcher import SchemaMatcherModels
 from repro.ml.aggregation import ScoreAggregator
 from repro.newdetect.detector import DetectionResult
 from repro.newdetect.metrics import ENTITY_METRIC_NAMES
-from repro.parallel import (
-    EXECUTOR_NAMES,
-    default_executor_name,
-    default_worker_count,
-)
+from repro.parallel import EXECUTOR_NAMES, default_worker_count
 
 #: Fallback metric weights when the pipeline runs untrained.
 _DEFAULT_ROW_WEIGHTS = {
@@ -61,14 +57,15 @@ class PipelineConfig:
     #: default, matching the published system).
     dedup_new_entities: bool = False
     #: Execution backend for the parallel hot paths: ``serial`` (the
-    #: default), ``process`` or ``queue`` — results are byte-identical
-    #: on every one.  Defaults honour ``REPRO_EXECUTOR``/``REPRO_WORKERS``
-    #: so a test matrix can flip every run onto a pool via environment.
-    executor: str = field(default_factory=default_executor_name)
+    #: default, in this process) or ``queue`` (chunks run by ``repro
+    #: worker`` processes) — results are byte-identical on both.
+    #: ``workers`` sizes the queue's chunks; it defaults to the CPUs
+    #: this process may use.
+    executor: str = "serial"
     workers: int = field(default_factory=default_worker_count)
     #: Spool directory for the ``queue`` executor (``None`` defers to
     #: the session's corpus-store convention ``<store>/queue``, then to
-    #: ``REPRO_QUEUE_DIR``).  Ignored by the in-process executors and —
+    #: ``REPRO_QUEUE_DIR``).  Ignored by the serial executor and —
     #: like ``executor``/``workers`` — excluded from the semantic config
     #: hash: where chunks run never changes what they compute.
     queue_dir: str | None = None
@@ -80,13 +77,6 @@ class PipelineConfig:
     #: refused unless the committed ``BENCH_retrieval.json`` proves the
     #: measured recall floor (see ``repro.retrieval.gate``).
     candidate_mode: str = "exact"
-    #: Fault-injection spec armed for the duration of a run (see
-    #: :mod:`repro.faults` for the grammar, e.g.
-    #: ``"artifacts.put:raise@2"``).  ``None`` (the default) injects
-    #: nothing.  Like ``executor``/``workers``/``queue_dir`` this is
-    #: excluded from the semantic config hash: faults change whether a
-    #: run *survives*, never what a surviving run computes.
-    faults: str | None = None
 
     def __post_init__(self) -> None:
         # Defensive copies: callers may hand in lists, and shared mutable
@@ -133,14 +123,6 @@ class PipelineConfig:
             from repro.retrieval.gate import ensure_fast_mode_allowed
 
             ensure_fast_mode_allowed()
-        if self.faults is not None:
-            self.faults = str(self.faults).strip() or None
-        if self.faults is not None:
-            from repro import faults as _faults
-
-            # Validate eagerly: a typo'd injection point or action must
-            # fail at construction, not silently never fire mid-run.
-            _faults.parse_spec(self.faults)
 
 
 @dataclass

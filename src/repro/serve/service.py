@@ -656,9 +656,7 @@ class KBService:
                 finished_at=published_at,
                 summary=dict(result.summary_dict()),
                 incremental_report=(
-                    report.to_dict()
-                    if record.incremental and report is not None
-                    else None
+                    report.to_dict() if report is not None else None
                 ),
                 snapshot_version=self._snapshot.version,
                 canonical_sha256=view.canonical_sha256,

@@ -1,28 +1,16 @@
 """Shared fixtures: a tiny world + gold standards, built once per session.
 
-The suite honours the parallel-execution environment matrix: setting
-``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` flips the *default*
-:class:`repro.pipeline.pipeline.PipelineConfig` onto that backend for
-every test that doesn't pin one (CI runs the whole suite once with
-``REPRO_EXECUTOR=process REPRO_WORKERS=2``).  The executor determinism
-contract means all assertions must hold unchanged.
+Tests that do not pin an executor run on the serial default; the
+``queue`` backend has its own legs (``tests/queue_worker_helpers.py``
+holds the worker fleets that drain it).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.parallel import default_executor_name, default_worker_count
 from repro.synthesis.api import build_gold_standard, build_world
 from repro.synthesis.profiles import WorldScale
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _executor_environment():
-    """Fail fast (and visibly) on an invalid executor environment."""
-    name = default_executor_name()  # raises on invalid REPRO_EXECUTOR
-    workers = default_worker_count()  # raises on invalid REPRO_WORKERS
-    return name, workers
 
 
 @pytest.fixture(scope="session")

@@ -222,19 +222,6 @@ class TestCorpusStore:
         assert reopened.table_ids()[-1] == "t77"
         assert reopened.table_ids()[:6] == [f"t{number}" for number in numbers]
 
-    def test_multiprocess_ingest_matches_sequential(self, tmp_path):
-        sequential = CorpusStore.create(tmp_path / "seq", shards=4)
-        parallel = CorpusStore.create(tmp_path / "par", shards=4)
-        tables = [make_table(number) for number in range(60)]
-        sequential.ingest(iter(tables), batch_size=16)
-        report = parallel.ingest(iter(tables), batch_size=16, processes=3)
-        assert report.inserted == 60
-        assert parallel.table_ids() == sequential.table_ids()
-        for number in (0, 30, 59):
-            assert parallel.get(f"t{number}").rows == sequential.get(
-                f"t{number}"
-            ).rows
-
     def test_total_rows_and_row_resolution(self, tmp_path):
         store = CorpusStore.create(tmp_path / "store", shards=2)
         store.ingest([make_table(1, rows=2), make_table(2, rows=4)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from queue_worker_helpers import worker_threads
 from repro.api import RunSession
 from repro.clustering.clusterer import RowClusterer
 from repro.clustering.similarity import RowSimilarity
@@ -18,7 +19,7 @@ from repro.datatypes.normalization import NormalizationError
 from repro.matching import SchemaMatcher, build_row_records
 from repro.matching.records import RowRecord
 from repro.ml.aggregation import StaticWeightedAggregator
-from repro.parallel import ExecutorError, ProcessExecutor, SerialExecutor
+from repro.parallel import ExecutorError, QueueExecutor, SerialExecutor
 from repro.pipeline.pipeline import PipelineConfig
 from repro.webtables import TableCorpus, WebTable
 
@@ -111,7 +112,7 @@ class TestPipelineRobustness:
 class BoobyTrappedTable(WebTable):
     """A table whose column access explodes — simulates a worker crash.
 
-    Module-level so instances pickle into process-pool workers.
+    Module-level so instances pickle into queue tasks.
     """
 
     def column(self, index):
@@ -145,14 +146,17 @@ class TestParallelFailurePropagation:
     """Worker exceptions must surface with the originating chunk/table id."""
 
     @pytest.fixture(
-        scope="class", params=["serial", "process"], ids=["serial", "process"]
+        scope="class", params=["serial", "queue"], ids=["serial", "queue"]
     )
-    def pool(self, request):
-        executor = (
-            SerialExecutor() if request.param == "serial" else ProcessExecutor(2)
-        )
-        yield executor
-        executor.close()
+    def pool(self, request, tmp_path_factory):
+        if request.param == "serial":
+            yield SerialExecutor()
+            return
+        spool = tmp_path_factory.mktemp("failure-queue")
+        with worker_threads(spool):
+            yield QueueExecutor(
+                spool, workers=2, poll_interval=0.01, no_worker_timeout=30.0
+            )
 
     def test_schema_matching_worker_crash_names_table(self, tiny_world, pool):
         tables = pathological_tables()
@@ -160,7 +164,7 @@ class TestParallelFailurePropagation:
         corpus = TableCorpus(tables)
         if pool.name == "serial":
             # A plain matcher dispatches through its default serial
-            # executor, so it wraps failures the same way a pool does.
+            # executor, so it wraps failures the same way the queue does.
             matcher = SchemaMatcher(tiny_world.knowledge_base)
         else:
             matcher = SchemaMatcher(tiny_world.knowledge_base, executor=pool)
@@ -197,14 +201,21 @@ class TestParallelFailurePropagation:
     def test_pipeline_on_garbage_corpus_parallel_matches_serial(
         self, tiny_world, pool
     ):
-        """Graceful degradation holds under pools, with identical output."""
+        """Graceful degradation holds on both backends, identically."""
         corpus = TableCorpus(pathological_tables())
         kb = tiny_world.knowledge_base
         serial = run_pipeline(
             kb, corpus, "Song", PipelineConfig(executor="serial")
         )
         parallel = run_pipeline(
-            kb, corpus, "Song", PipelineConfig(executor=pool.name, workers=2)
+            kb,
+            corpus,
+            "Song",
+            PipelineConfig(
+                executor=pool.name,
+                workers=2,
+                queue_dir=getattr(pool, "directory", None),
+            ),
         )
         assert serial.canonical_json() == parallel.canonical_json()
 

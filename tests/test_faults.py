@@ -1,12 +1,12 @@
-"""The fault-injection registry: grammar, schedules, arming, config.
+"""The fault-injection registry: grammar, schedules, arming, runs.
 
 The subsystem's one promise is *determinism*: the same spec against the
 same hit sequence fires at exactly the same hits, every run.  The tests
 here pin the spec grammar (including its rejection messages — a chaos
 matrix with a typo must fail at arm time, not silently never fire), the
 window and probability schedules, the arm/disarm/restore protocol, and
-the two integration seams: ``REPRO_FAULTS`` in a child process and
-``PipelineConfig.faults`` through :meth:`RunSession.run`.
+the two integration seams: ``REPRO_FAULTS`` in a child process and an
+:func:`armed` scope around :meth:`RunSession.run`.
 
 The ``crash`` action is deliberately *not* exercised in-process (it is
 SIGKILL); the chaos suite (``test_chaos.py``) proves it against real
@@ -34,7 +34,6 @@ from repro.faults import (
     fault_stats,
     parse_spec,
 )
-from repro.pipeline.pipeline import PipelineConfig
 
 SRC_DIR = Path(__file__).parent.parent / "src"
 
@@ -227,8 +226,7 @@ class TestArming:
         outer = parse_spec("queue.claim:raise@1")
         arm(outer)
         with armed(None):
-            # The no-op scope must leave the surrounding plan armed —
-            # PipelineConfig.faults=None runs inside exactly this.
+            # The no-op scope must leave the surrounding plan armed.
             with pytest.raises(FaultInjected):
                 faults.check("queue.claim")
 
@@ -282,31 +280,11 @@ class TestArming:
         assert "fired at hit 2" in completed.stdout
 
 
-# -- PipelineConfig integration -----------------------------------------
-class TestConfigIntegration:
-    def test_config_validates_the_spec_at_construction(self):
-        with pytest.raises(ValueError, match="unknown injection point"):
-            PipelineConfig(faults="nosuch.point:crash")
-
-    def test_config_normalizes_blank_to_none(self):
-        assert PipelineConfig(faults="   ").faults is None
-        assert PipelineConfig(faults=None).faults is None
-        assert (
-            PipelineConfig(faults=" artifacts.put:raise@1 ").faults
-            == "artifacts.put:raise@1"
-        )
-
-    def test_faults_are_excluded_from_the_semantic_hash(self):
-        """An armed plan changes whether a run *survives*, never what a
-        surviving run computes — so it must not invalidate caches."""
-        from repro.api import config_hash
-
-        plain = PipelineConfig()
-        wired = PipelineConfig(faults="artifacts.put:raise@1")
-        assert config_hash(plain) == config_hash(wired)
-
-    def test_session_run_arms_the_config_plan(self, tiny_world, tmp_path):
-        """``config.faults`` is live for exactly the run's duration."""
+# -- run integration ----------------------------------------------------
+class TestRunIntegration:
+    def test_armed_scope_covers_a_session_run(self, tiny_world, tmp_path):
+        """A plan armed around a run fires inside it, and a run after the
+        scope goes through."""
         from repro.api import RunSession
         from repro.webtables import TableCorpus
 
@@ -318,11 +296,8 @@ class TestConfigIntegration:
             ),
         )
         session.attach_artifact_store(tmp_path / "artifacts")
-        with pytest.raises(FaultInjected):
-            session.run(
-                "Song",
-                config=PipelineConfig(faults="artifacts.put:raise@1"),
-            )
-        # The plan died with its run: a faultless rerun goes through.
+        with armed("artifacts.put:raise@1"):
+            with pytest.raises(FaultInjected):
+                session.run("Song")
         result = session.run("Song")
         assert result.summary_dict()["class_name"] == "Song"

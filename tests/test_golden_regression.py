@@ -15,12 +15,11 @@ The tests rerun the pipeline and diff byte-for-byte:
 * against the committed expectation — any semantic drift in matching,
   clustering, fusion or detection shows up as a diff, not as a silently
   shifted metric;
-* across executors — serial, thread and process (workers=2) runs must
-  produce identical artifacts (the parallel engine's acceptance
-  criterion), and the distributed ``queue`` backend gets its own leg,
-  drained by two worker threads over a throwaway spool;
+* across executors — serial runs and ``queue`` runs (workers=2, drained
+  by two worker threads) must produce identical artifacts (the parallel
+  engine's acceptance criterion);
 * over a corpus store — runs served from the persistent artifact
-  store must reproduce the committed bytes on every backend (the
+  store must reproduce the committed bytes on both backends (the
   incremental engine's acceptance criterion).
 
 To regenerate after an *intentional* behaviour change::
@@ -39,11 +38,13 @@ and explain the diff in the commit message.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
 import pytest
 
+from queue_worker_helpers import worker_threads
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.io import load_world_directory, save_knowledge_base
@@ -60,7 +61,14 @@ GOLDEN_CASES = {
     ),
 }
 
-EXECUTORS = ("serial", "process")
+EXECUTORS = ("serial", "queue")
+
+
+def drained(executor, spool):
+    """Worker threads over ``spool`` for a queue run; nothing for serial."""
+    if executor == "queue":
+        return worker_threads(spool)
+    return contextlib.nullcontext()
 
 
 @pytest.fixture(scope="module", params=sorted(GOLDEN_CASES))
@@ -120,55 +128,21 @@ def test_default_pipeline_matches_golden(
     assert result.canonical_json() == expected_blob
 
 
-@pytest.mark.parametrize("executor", ["process"])
-def test_parallel_runs_byte_identical_to_golden(
-    golden_case, golden_session, expected_blob, executor
-):
-    """Process-pool runs (workers=2) agree with the golden bytes.
-
-    Equality against the *same committed string* the serial test uses is
-    exactly the "serial and parallel runs produce byte-identical
-    artifacts" acceptance criterion.
-    """
-    class_name = golden_case[0]
-    result = golden_session.run(
-        class_name, executor=executor, workers=2, use_cache=False
-    )
-    assert result.canonical_json() == expected_blob
-
-
 def test_queue_executor_byte_identical_to_golden(
     golden_case, golden_session, expected_blob, tmp_path
 ):
     """The distributed queue backend reproduces the committed bytes.
 
     Two workers drain a throwaway spool while the driver runs the
-    pipeline with ``executor='queue'`` — the same acceptance criterion
-    as the process leg, extended across a process-shaped
-    boundary (chunks travel through pickled payload/result files).  CI
-    additionally runs this matrix against *external* ``repro worker``
-    subprocesses.
+    pipeline with ``executor='queue'``; chunks travel through pickled
+    payload/result files.  CI additionally runs this matrix against
+    *external* ``repro worker`` subprocesses.
     """
-    import threading
-
-    from repro.parallel import run_worker
     from repro.pipeline.pipeline import PipelineConfig
 
     class_name = golden_case[0]
     spool = tmp_path / "queue"
-    stop = threading.Event()
-    fleet = [
-        threading.Thread(
-            target=run_worker,
-            args=(spool,),
-            kwargs={"stop": stop, "poll_interval": 0.01},
-            daemon=True,
-        )
-        for __ in range(2)
-    ]
-    for worker in fleet:
-        worker.start()
-    try:
+    with worker_threads(spool):
         result = golden_session.run(
             class_name,
             executor="queue",
@@ -176,16 +150,12 @@ def test_queue_executor_byte_identical_to_golden(
             use_cache=False,
             config=PipelineConfig(queue_dir=str(spool)),
         )
-    finally:
-        stop.set()
-        for worker in fleet:
-            worker.join(timeout=10.0)
     assert result.canonical_json() == expected_blob
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_explicit_exact_candidate_mode_matches_golden(
-    golden_case, golden_session, expected_blob, executor
+    golden_case, golden_session, expected_blob, executor, tmp_path
 ):
     """``candidate_mode='exact'`` is the committed default, spelled out.
 
@@ -198,19 +168,21 @@ def test_explicit_exact_candidate_mode_matches_golden(
     from repro.pipeline.pipeline import PipelineConfig
 
     class_name = golden_case[0]
-    result = golden_session.run(
-        class_name,
-        executor=executor,
-        workers=2,
-        use_cache=False,
-        config=PipelineConfig(candidate_mode="exact"),
-    )
+    spool = tmp_path / "queue"
+    with drained(executor, spool):
+        result = golden_session.run(
+            class_name,
+            executor=executor,
+            workers=2,
+            use_cache=False,
+            config=PipelineConfig(candidate_mode="exact", queue_dir=str(spool)),
+        )
     assert result.canonical_json() == expected_blob
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_incremental_runs_byte_identical_to_golden(
-    golden_case, incremental_session, expected_blob, executor
+    golden_case, golden_store, incremental_session, expected_blob, executor
 ):
     """Store-served incremental runs reproduce the committed bytes.
 
@@ -221,9 +193,11 @@ def test_incremental_runs_byte_identical_to_golden(
     executor contract and the store's purity invariant at once.
     """
     class_name = golden_case[0]
-    result = incremental_session.run(
-        class_name, executor=executor, workers=2
-    )
+    # A store-backed session spools under ``<store>/queue``.
+    with drained(executor, golden_store.directory / "queue"):
+        result = incremental_session.run(
+            class_name, executor=executor, workers=2
+        )
     assert result.canonical_json() == expected_blob
 
 

@@ -9,9 +9,9 @@ corpus produces.  This module attacks that claim three ways:
 * a **hypothesis-driven mutation harness** — random sequences of corpus
   mutations (add / remove / replace tables) with interleaved incremental
   runs, each checked byte-for-byte (``canonical_json``) against a fresh
-  full rebuild, across serial and process executors;
+  full rebuild;
 * a **scripted lifecycle** covering the canonical ingest → run → delta →
-  run → shrink → run sequence per executor;
+  run → shrink → run sequence, serially and through a ``queue``;
 * **unit coverage** of the building blocks: the artifact store, corpus
   snapshots, fingerprint sensitivity, dirty-set dispatch, and the
   store's removal API.
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from queue_worker_helpers import worker_threads
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore, content_hash
 from repro.io import save_knowledge_base
@@ -62,7 +63,7 @@ def world_tables(song_world):
 
 
 def _double(items: list[int]) -> list[int]:
-    """A picklable batch function for the process executor."""
+    """A picklable batch function for the queue executor."""
     return [item * 2 for item in items]
 
 
@@ -123,50 +124,51 @@ def _assert_equivalent(store, incremental_result) -> str:
 class TestScriptedLifecycle:
     """ingest → run → grow → run → mutate → run → shrink → run."""
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "queue"])
     def test_full_lifecycle_byte_identical(
         self, tmp_path, song_world, world_tables, executor
     ):
         base, pool = world_tables[:N_BASE], world_tables[N_BASE:]
         store = _make_store(tmp_path, song_world, base)
         session = RunSession.from_corpus_store(store)
+        # Queue runs spool under the store, where these threads drain.
+        with worker_threads(store.directory / "queue"):
+            first = session.run(CLASS_NAME, executor=executor)
+            _assert_equivalent(store, first)
+            assert session.last_incremental_report.analysis_computed == N_BASE
 
-        first = session.run(CLASS_NAME, executor=executor)
-        _assert_equivalent(store, first)
-        assert session.last_incremental_report.analysis_computed == N_BASE
+            # Identical corpus: the whole run must be served from the store.
+            again = session.run(CLASS_NAME, executor=executor)
+            assert again.canonical_json() == first.canonical_json()
+            assert session.last_incremental_report.stage_misses() == 0
 
-        # Identical corpus: the whole run must be served from the store.
-        again = session.run(CLASS_NAME, executor=executor)
-        assert again.canonical_json() == first.canonical_json()
-        assert session.last_incremental_report.stage_misses() == 0
+            # Grow.
+            grow = store.ingest(pool[:2])
+            assert sorted(grow.dirty_ids) == sorted(
+                table.table_id for table in pool[:2]
+            )
+            grown = session.run(CLASS_NAME, executor=executor)
+            _assert_equivalent(store, grown)
+            assert session.last_incremental_report.analysis_computed == len(
+                grow.dirty_ids
+            )
 
-        # Grow.
-        grow = store.ingest(pool[:2])
-        assert sorted(grow.dirty_ids) == sorted(
-            table.table_id for table in pool[:2]
-        )
-        grown = session.run(CLASS_NAME, executor=executor)
-        _assert_equivalent(store, grown)
-        assert session.last_incremental_report.analysis_computed == len(
-            grow.dirty_ids
-        )
+            # Mutate one table in place.
+            victim = base[0]
+            replace = store.ingest(
+                [_mutated(victim, salt=1)], on_conflict="replace"
+            )
+            assert replace.replaced_ids == [victim.table_id]
+            mutated = session.run(CLASS_NAME, executor=executor)
+            _assert_equivalent(store, mutated)
+            assert session.last_incremental_report.analysis_computed == 1
 
-        # Mutate one table in place.
-        victim = base[0]
-        replace = store.ingest(
-            [_mutated(victim, salt=1)], on_conflict="replace"
-        )
-        assert replace.replaced_ids == [victim.table_id]
-        mutated = session.run(CLASS_NAME, executor=executor)
-        _assert_equivalent(store, mutated)
-        assert session.last_incremental_report.analysis_computed == 1
-
-        # Shrink.
-        removed = store.remove_tables([base[1].table_id])
-        assert removed == [base[1].table_id]
-        shrunk = session.run(CLASS_NAME, executor=executor)
-        _assert_equivalent(store, shrunk)
-        assert session.last_incremental_report.analysis_computed == 0
+            # Shrink.
+            removed = store.remove_tables([base[1].table_id])
+            assert removed == [base[1].table_id]
+            shrunk = session.run(CLASS_NAME, executor=executor)
+            _assert_equivalent(store, shrunk)
+            assert session.last_incremental_report.analysis_computed == 0
 
     def test_long_tail_delta_recomputes_only_its_analyses(
         self, tmp_path, song_world, world_tables
@@ -215,7 +217,7 @@ _STEPS = st.lists(
 )
 
 
-@given(steps=_STEPS, executor=st.sampled_from(["serial", "process"]))
+@given(steps=_STEPS)
 @settings(
     max_examples=5,
     deadline=None,
@@ -225,7 +227,7 @@ _STEPS = st.lists(
     ],
 )
 def test_random_mutation_sequences_stay_equivalent(
-    tmp_path_factory, song_world, world_tables, steps, executor
+    tmp_path_factory, song_world, world_tables, steps
 ):
     """Any mutation history ends byte-identical to a from-scratch run.
 
@@ -257,11 +259,11 @@ def test_random_mutation_sequences_stay_equivalent(
                 on_conflict="replace",
             )
         elif op == "run":
-            result = session.run(CLASS_NAME, executor=executor)
+            result = session.run(CLASS_NAME)
             _assert_equivalent(store, result)
             ran = True
     if not ran:
-        result = session.run(CLASS_NAME, executor=executor)
+        result = session.run(CLASS_NAME)
         _assert_equivalent(store, result)
 
 
@@ -407,8 +409,8 @@ class TestFingerprints:
 
 
 class TestDirtySetDispatch:
-    @pytest.mark.parametrize("executor_name", ["serial", "process"])
-    def test_merges_cached_and_fresh(self, executor_name):
+    @pytest.mark.parametrize("executor_name", ["serial", "queue"])
+    def test_merges_cached_and_fresh(self, executor_name, tmp_path):
         class Recorder(ExecutorObserver):
             def __init__(self):
                 self.started = []
@@ -417,7 +419,10 @@ class TestDirtySetDispatch:
                 self.started.append((task_name, n_items))
 
         recorder = Recorder()
-        with make_executor(executor_name, 2, [recorder]) as executor:
+        executor = make_executor(
+            executor_name, 2, [recorder], queue_dir=tmp_path
+        )
+        with worker_threads(tmp_path):
             merged = dispatch_dirty(
                 _double,
                 [1, 2, 3, 4],
@@ -527,6 +532,17 @@ class TestSessionGuards:
         fresh = RunSession(song_world)
         expected = fresh.run(CLASS_NAME, use_cache=False)
         assert result.canonical_json() == expected.canonical_json()
+
+    def test_uncached_run_clears_the_incremental_report(self, song_world):
+        """An uncached run measured no reuse, so it must not leave the
+        previous cached run's report behind."""
+        session = RunSession(song_world)
+        session.run(CLASS_NAME, stages=("schema_match",))
+        assert session.last_incremental_report.analysis_computed == len(
+            song_world.corpus
+        )
+        session.run(CLASS_NAME, stages=("schema_match",), use_cache=False)
+        assert session.last_incremental_report is None
 
     def test_candidate_mode_keys_table_analyses(self, song_world, monkeypatch):
         """A table's stored class decision depends on the candidate mode:

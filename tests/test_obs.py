@@ -4,8 +4,8 @@ The load-bearing claims under test:
 
 * **byte-neutrality** — a traced run's canonical JSON is byte-identical
   to an untraced one (the observer only reads pipeline state);
-* **deterministic merge** — chunk spans recorded inside process-pool
-  workers reassemble in input order with stable span ids, and parent
+* **deterministic merge** — chunk spans recorded inside ``repro worker``
+  processes reassemble in input order with stable span ids, and parent
   ids survive the pickle boundary;
 * **streaming contract** — ``tail_events`` yields each record exactly
   once, survives partial trailing lines, and terminates only after a
@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from queue_worker_helpers import square_batch, worker_processes
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.obs import (
@@ -34,15 +35,10 @@ from repro.obs import (
     to_chrome_trace,
     trace_summary,
 )
-from repro.parallel import ProcessExecutor
+from repro.parallel import QueueExecutor
 from repro.serve.service import sanitize_trace_id
 
 CLASS_NAME = "Song"
-
-
-# -- module-level batch function (picklable for process pools) ----------
-def double_batch(chunk: list[int]) -> list[int]:
-    return [value * 2 for value in chunk]
 
 
 # -- Tracer / EventLog mechanics ----------------------------------------
@@ -259,26 +255,34 @@ class TestExport:
         assert summary["kernel_counters"] == {"calls": 3}
 
 
-# -- chunk spans across the process-pool boundary -----------------------
+# -- chunk spans across the process boundary ----------------------------
 class TestChunkSpanMerge:
+    @pytest.fixture(scope="class")
+    def executor(self, tmp_path_factory):
+        """A queue drained by two worker subprocesses."""
+        spool = tmp_path_factory.mktemp("chunk-spans") / "queue"
+        with worker_processes(spool, count=2):
+            yield QueueExecutor(
+                spool, workers=2, poll_interval=0.01, no_worker_timeout=30.0
+            )
+
     def run_traced_map(self, executor) -> list[dict]:
         tracer = Tracer(trace_id="tr-map")
         observer = TracingObserver(tracer, parent="s7777")
         executor.observers.append(observer)
         try:
             results = executor.map_batches(
-                double_batch, list(range(24)),
+                square_batch, list(range(24)),
                 chunk_size=4, task_name="double",
             )
         finally:
             executor.observers.remove(observer)
-        assert results == [value * 2 for value in range(24)]
+        assert results == [value * value for value in range(24)]
         return tracer.events()
 
-    def test_deterministic_merge_under_process_pool(self):
-        with ProcessExecutor(3) as executor:
-            first = self.run_traced_map(executor)
-            second = self.run_traced_map(executor)
+    def test_deterministic_merge_across_worker_processes(self, executor):
+        first = self.run_traced_map(executor)
+        second = self.run_traced_map(executor)
 
         def shape(events):
             return [
@@ -294,7 +298,7 @@ class TestChunkSpanMerge:
             ]
 
         # Identical inputs → identical ids and ordering, however the
-        # six chunks raced across the three workers.
+        # six chunks raced across the two workers.
         assert shape(first) == shape(second)
         chunks = [e for e in first if e.get("kind") == "chunk"]
         assert [e["attrs"]["chunk_index"] for e in chunks] == list(range(6))
@@ -302,11 +306,10 @@ class TestChunkSpanMerge:
             f"s{n:04d}" for n in range(1, 7)
         ]
 
-    def test_parent_ids_survive_pickling(self):
-        with ProcessExecutor(2) as executor:
-            events = self.run_traced_map(executor)
+    def test_parent_ids_survive_pickling(self, executor):
+        events = self.run_traced_map(executor)
         chunks = [e for e in events if e.get("kind") == "chunk"]
-        assert chunks, "process pool produced no chunk spans"
+        assert chunks, "the worker fleet produced no chunk spans"
         # No pipeline/stage span is open, so the observer's parent
         # fallback (the constructor arg) is what crossed the boundary.
         assert all(e["parent"] == "s7777" for e in chunks)
@@ -430,15 +433,10 @@ class TestTracedRuns:
 
 # -- ingest spans -------------------------------------------------------
 class TestIngestTracing:
-    @pytest.mark.parametrize("processes", [None, 2])
-    def test_shard_spans(self, tiny_world, tmp_path, processes):
+    def test_shard_spans(self, tiny_world, tmp_path):
         tracer = Tracer()
-        store = CorpusStore.create(
-            tmp_path / f"store-{processes}", shards=3
-        )
-        report = store.ingest(
-            list(tiny_world.corpus), tracer=tracer, processes=processes
-        )
+        store = CorpusStore.create(tmp_path / "store", shards=3)
+        report = store.ingest(list(tiny_world.corpus), tracer=tracer)
         spans = span_index(tracer.events())
         batch = next(
             span for span in spans.values() if span["kind"] == "ingest"

@@ -1,7 +1,7 @@
-"""The parallel execution engine: ordering, failure provenance, env
+"""The parallel execution engine: ordering, failure provenance, config
 defaults, observer plumbing — and the determinism contract, asserted
-property-based across the serial and process executors on random inputs
-and random corpora.
+property-based across the serial executor and a ``queue`` drained by
+``repro worker`` subprocesses, on random inputs and random corpora.
 """
 
 from __future__ import annotations
@@ -13,6 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from queue_worker_helpers import (
+    bad_count_batch,
+    count_items_batch,
+    explode_on_seven,
+    square_batch,
+    worker_processes,
+)
 from repro.api import RunSession, config_hash
 from repro.clustering.clusterer import RowClusterer
 from repro.clustering.context import RowMetricContext, make_row_metrics
@@ -26,46 +33,34 @@ from repro.parallel import (
     EXECUTOR_NAMES,
     ExecutorError,
     ExecutorObserver,
-    ProcessExecutor,
+    QueueExecutor,
     SerialExecutor,
-    default_executor_name,
     default_worker_count,
     make_executor,
 )
-from repro.perf.counters import bump, counter_delta, kernel_counters
+from repro.perf.counters import counter_delta, kernel_counters
 from repro.pipeline.pipeline import PipelineConfig
 from repro.text import normalize_label, term_vector, tokenize
 from repro.webtables import TableCorpus, WebTable
 
 
-# -- module-level batch functions (picklable for process pools) ---------
-def square_batch(chunk: list[int]) -> list[int]:
-    return [value * value for value in chunk]
-
-
-def bad_count_batch(chunk: list[int]) -> list[int]:
-    return chunk[:-1]  # one result short
-
-
-def count_items_batch(chunk: list[int]) -> list[int]:
-    bump("test.chunk_items", len(chunk))
-    return chunk
-
-
-def explode_on_seven(chunk: list[int]) -> list[int]:
-    for value in chunk:
-        if value == 7:
-            raise ValueError("seven is right out")
-    return chunk
+@pytest.fixture(scope="module")
+def fleet_spool(tmp_path_factory):
+    """A spool drained by two ``repro worker`` subprocesses."""
+    spool = tmp_path_factory.mktemp("fleet") / "queue"
+    with worker_processes(spool, count=2):
+        yield spool
 
 
 @pytest.fixture(scope="module")
-def executors():
-    """One instance of each executor, pools shared across tests."""
-    built = [SerialExecutor(), ProcessExecutor(2)]
-    yield built
-    for executor in built:
-        executor.close()
+def executors(fleet_spool):
+    """The serial executor, then a queue whose chunks run in other processes."""
+    return [
+        SerialExecutor(),
+        QueueExecutor(
+            fleet_spool, workers=2, poll_interval=0.01, no_worker_timeout=30.0
+        ),
+    ]
 
 
 # -- map_batches mechanics ---------------------------------------------
@@ -122,7 +117,7 @@ class TestMapBatches:
 # -- kernel counters from chunks ----------------------------------------
 class TestWorkerCounters:
     def test_chunk_counters_reach_the_driver_once(self, executors):
-        # Pool workers bump their own registries; the driver must add
+        # Worker processes bump their own registries; the driver must add
         # their deltas, and must not add in-process chunks a second time.
         for executor in executors:
             baseline = kernel_counters()
@@ -132,7 +127,7 @@ class TestWorkerCounters:
     def test_pool_reports_kernels_that_run_only_in_chunks(self, executors):
         # Block pair precompute scores every pair inside the batch
         # function, so the LABEL metric's memo lookups happen only in
-        # chunks.  Each pair is scored once pool-wide and makes the same
+        # chunks.  Each pair is scored once fleet-wide and makes the same
         # lookups whichever process runs it (only the hit/miss split
         # depends on the per-worker memo), so the totals must agree.
         labels = [f"{first} {second}" for first in _WORDS for second in _WORDS]
@@ -188,30 +183,24 @@ class TestFailurePropagation:
             assert error.chunk_index == 1  # 7 lives in [4, 5, 6, 7]
             assert "item-7" in error.item_labels
             assert "seven is right out" in str(error)
-            assert isinstance(error.__cause__, ValueError)
+            # A queue worker reports the remote exception by type name.
+            cause = error.__cause__
+            assert getattr(cause, "remote_type", type(cause).__name__) == (
+                "ValueError"
+            )
 
 
-# -- env-driven defaults & config plumbing ------------------------------
+# -- defaults & config plumbing -----------------------------------------
 class TestDefaults:
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+    def test_process_executor_refused(self):
+        assert EXECUTOR_NAMES == ("serial", "queue")
+        assert PipelineConfig().executor == "serial"
         with pytest.raises(
-            ValueError, match="'thread'; expected one of: serial, process, queue"
+            ValueError, match="'process'; expected one of: serial, queue"
         ):
-            default_executor_name()
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_executor_name() == "process"
-        assert default_worker_count() == 3
-        config = PipelineConfig()
-        assert config.executor == "process"
-        assert config.workers == 3
-        executor = make_executor()  # the pool itself starts on first use
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.workers == 3
+            PipelineConfig(executor="process")
 
     def test_worker_count_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {3}, raising=False
@@ -222,21 +211,6 @@ class TestDefaults:
         )
         assert default_worker_count() == 3
         assert PipelineConfig().workers == 3
-
-    def test_env_unset_means_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert default_executor_name() == "serial"
-        assert default_worker_count() >= 1
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "gpu")
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            default_executor_name()
-        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            default_worker_count()
 
     def test_config_validates_executor(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -249,11 +223,7 @@ class TestDefaults:
         for name in EXECUTOR_NAMES:
             # The queue backend cannot guess its spool directory.
             kwargs = {"queue_dir": tmp_path} if name == "queue" else {}
-            executor = make_executor(name, workers=2, **kwargs)
-            try:
-                assert executor.name == name
-            finally:
-                executor.close()
+            assert make_executor(name, workers=2, **kwargs).name == name
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("gpu")
         with pytest.raises(ValueError, match="spool directory"):
@@ -261,10 +231,15 @@ class TestDefaults:
 
     def test_config_hash_ignores_executor_knobs(self):
         base = PipelineConfig(executor="serial", workers=1)
-        parallel = dataclasses.replace(base, executor="process", workers=8)
+        parallel = dataclasses.replace(base, executor="queue", workers=8)
         semantically_different = dataclasses.replace(base, iterations=1)
         assert config_hash(base) == config_hash(parallel)
         assert config_hash(base) != config_hash(semantically_different)
+
+    def test_default_config_hash_is_pinned(self):
+        # Artifact keys embed this hash: a field added to or dropped from
+        # the semantic payload would orphan every store written before.
+        assert config_hash(PipelineConfig()) == "1f712237a38521cc"
 
 
 # -- property-based: cross-executor equivalence -------------------------
@@ -368,21 +343,22 @@ def test_property_stage_outputs_equivalent(
 
 @given(n_real=st.integers(min_value=2, max_value=6), seed=st.integers(0, 3))
 @settings(max_examples=4, deadline=None)
-def test_property_full_pipeline_equivalent(tiny_world, n_real, seed):
+def test_property_full_pipeline_equivalent(
+    fleet_spool, tiny_world, n_real, seed
+):
     """The full default pipeline is byte-identical across executors."""
     table_ids = tiny_world.tables_of_class("Song")[: n_real + 2]
     corpus = TableCorpus(
         [tiny_world.corpus.get(table_id) for table_id in table_ids]
     )
     blobs = []
-    # The in-process backends; the distributed queue backend's
-    # byte-equality is asserted in tests/test_queue_executor.py and the
-    # golden matrix, where worker processes exist.
-    for name in ("serial", "process"):
+    for name in EXECUTOR_NAMES:
         session = RunSession(
             knowledge_base=tiny_world.knowledge_base,
             corpus=corpus,
-            config=PipelineConfig(executor=name, workers=2, seed=seed),
+            config=PipelineConfig(
+                executor=name, workers=2, seed=seed, queue_dir=str(fleet_spool)
+            ),
         )
         blobs.append(session.run("Song", use_cache=False).canonical_json())
     assert blobs[0] == blobs[1]

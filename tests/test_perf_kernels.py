@@ -186,9 +186,9 @@ class TestKernelCache:
 
 
 class TestSessionWiring:
-    # Serial executor throughout: process-pool workers keep their kernel
-    # memos (and counters) to themselves, so the main-process numbers
-    # these tests assert on are only guaranteed in-process.
+    # Serial executor throughout: queue workers keep their kernel memos
+    # to themselves, so the main-process numbers these tests assert on
+    # are only guaranteed in-process.
 
     def test_session_clear_cache_clears_kernels(self, tiny_world):
         from repro.api import RunSession

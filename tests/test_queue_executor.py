@@ -1,5 +1,5 @@
 """The distributed queue executor: spool mechanics, crash recovery,
-failure provenance, and byte-equality with the in-process backends.
+failure provenance, and byte-equality with the serial executor.
 
 Most tests run workers as in-process threads (``run_worker`` is just a
 claim-and-execute loop over the shared spool — the protocol is identical
@@ -11,19 +11,21 @@ against an actual vanished process.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import signal
 import sqlite3
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-from queue_worker_helpers import explode_on_seven, holding_batch, square_batch
+from queue_worker_helpers import (
+    explode_on_seven,
+    holding_batch,
+    spawn_worker_process,
+    square_batch,
+    worker_threads,
+)
 from repro.api import RunSession
 from repro.parallel import (
     ExecutorError,
@@ -34,34 +36,6 @@ from repro.parallel import (
 )
 from repro.pipeline.pipeline import PipelineConfig
 from repro.webtables import TableCorpus
-
-TESTS_DIR = Path(__file__).parent
-SRC_DIR = TESTS_DIR.parent / "src"
-
-
-@contextlib.contextmanager
-def worker_threads(spool, count=2, **kwargs):
-    """In-process worker fleet over a spool; stops and joins on exit."""
-    stop = threading.Event()
-    options = {"stop": stop, "poll_interval": 0.01, **kwargs}
-    threads = [
-        threading.Thread(
-            target=run_worker,
-            args=(spool,),
-            kwargs=options,
-            name=f"test-worker-{index}",
-            daemon=True,
-        )
-        for index in range(count)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        yield stop
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
 
 
 def fast_queue_executor(spool, **kwargs):
@@ -302,30 +276,6 @@ class TestQueueExecutor:
 
 
 # -- crash recovery against a real killed process -----------------------
-def _spawn_worker_process(spool, *, lease="1.0"):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC_DIR), str(TESTS_DIR), env.get("PYTHONPATH", "")]
-    ).rstrip(os.pathsep)
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "worker",
-            "--queue",
-            str(spool),
-            "--lease",
-            lease,
-            "--poll",
-            "0.05",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
 class TestWorkerCrashRecovery:
     def test_killed_worker_chunk_is_released_and_retried(self, tmp_path):
         """SIGKILL a worker mid-chunk: the lease expires, the chunk is
@@ -351,7 +301,7 @@ class TestWorkerCrashRecovery:
 
         driver = threading.Thread(target=drive, daemon=True)
         driver.start()
-        victim = _spawn_worker_process(spool, lease="1.0")
+        victim = spawn_worker_process(spool, lease="1.0")
         try:
             deadline = time.monotonic() + 60.0
             started = None
