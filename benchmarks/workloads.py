@@ -1,5 +1,5 @@
-"""Deterministic synthetic workloads, and the timer, shared by the
-kernel and retrieval benchmarks.
+"""Deterministic synthetic workloads, and the timer, of the kernel
+benchmarks.
 
 No RNG anywhere: the same arguments always build the same inputs, so a
 measured ratio can be compared against a committed one.  Not collected

@@ -102,9 +102,6 @@ __all__ = [
     "KBService",
     "ServiceClient",
     "ServiceError",
-    "CANDIDATE_MODES",
-    "HybridTopKRetriever",
-    "ensure_fast_mode_allowed",
     "__version__",
 ]
 
@@ -152,12 +149,6 @@ _LAZY_EXPORTS = {
     "KBService": ("repro.serve", "KBService"),
     "ServiceClient": ("repro.serve", "ServiceClient"),
     "ServiceError": ("repro.serve", "ServiceError"),
-    "CANDIDATE_MODES": ("repro.index.label_index", "CANDIDATE_MODES"),
-    "HybridTopKRetriever": ("repro.retrieval", "HybridTopKRetriever"),
-    "ensure_fast_mode_allowed": (
-        "repro.retrieval.gate",
-        "ensure_fast_mode_allowed",
-    ),
 }
 
 

@@ -116,8 +116,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["executor"] = args.executor
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.candidate_mode is not None:
-        overrides["candidate_mode"] = args.candidate_mode
     if args.queue_dir is not None:
         overrides["queue_dir"] = args.queue_dir
     try:
@@ -176,7 +174,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "scale": args.scale,
             "executor": config.executor,
             "workers": config.workers,
-            "candidate_mode": config.candidate_mode,
             "results": [result.summary_dict() for result in results.values()],
             "stage_seconds": {
                 name: round(seconds, 4)
@@ -628,13 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "serial, in this process; 'queue' spools chunks "
                           "to external `repro worker` processes; results "
                           "are identical for either choice)")
-    run.add_argument("--candidate-mode", choices=("exact", "fast"),
-                     default=None, dest="candidate_mode",
-                     help="label candidate generation: 'exact' (default; "
-                          "full scan, byte-identical to the reference) or "
-                          "'fast' (top-k recall + exact rerank; refused "
-                          "unless the gate in BENCH_retrieval.json, written "
-                          "by benchmarks/bench_retrieval.py, passed)")
     run.add_argument("--workers", type=int, default=None,
                      help="worker count the queue executor sizes its "
                           "chunks for (default: the CPUs this process may "

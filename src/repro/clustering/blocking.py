@@ -21,15 +21,11 @@ from repro.webtables.table import RowId
 def build_blocks(
     records: Sequence[RowRecord],
     max_similar: int = 6,
-    candidate_mode: str = "exact",
 ) -> dict[RowId, frozenset[str]]:
     """Assign each row the blocks of its ``max_similar`` most similar labels.
 
     The label universe is the records' own distinct normalized labels,
     indexed afresh on each call; rows sharing a label search once.
-    ``candidate_mode`` selects the index's candidate generation
-    (``"exact"`` scans, ``"fast"`` retrieve-then-rerank — see
-    ``repro.retrieval``).
     """
     index = LabelIndex()
     for label in dict.fromkeys(record.norm_label for record in records):
@@ -41,7 +37,7 @@ def build_blocks(
         keys = cache.get(label)
         if keys is None:
             bump("blocking.label_searches")
-            matches = index.search(label, max_similar, mode=candidate_mode)
+            matches = index.search(label, max_similar)
             keys = frozenset({match.label for match in matches} | {label})
             cache[label] = keys
         else:

@@ -27,9 +27,6 @@ class RowClusterer:
     similarity cache before the (inherently order-dependent) greedy/KLj
     passes run; it produces the exact clustering the serial default
     does.
-    ``candidate_mode`` selects blocking's candidate-generation mode
-    (``"exact"`` scans, ``"fast"`` retrieve-then-rerank — see
-    ``repro.retrieval``).
     """
 
     similarity: RowSimilarity
@@ -40,7 +37,6 @@ class RowClusterer:
     max_block_matches: int = 6
     klj_passes: int = 4
     executor: Executor = field(default_factory=SerialExecutor)
-    candidate_mode: str = "exact"
 
     def cluster(self, records: Sequence[RowRecord]) -> list[Cluster]:
         """Cluster the records; returns clusters with stable ids."""
@@ -48,11 +44,7 @@ class RowClusterer:
         if not records:
             return []
         if self.use_blocking:
-            blocks = build_blocks(
-                records,
-                self.max_block_matches,
-                candidate_mode=self.candidate_mode,
-            )
+            blocks = build_blocks(records, self.max_block_matches)
         else:
             universe = frozenset({"__all__"})
             blocks = {record.row_id: universe for record in records}

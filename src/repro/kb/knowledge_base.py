@@ -29,7 +29,14 @@ class KnowledgeBase:
         self._by_class: dict[str, list[str]] = defaultdict(list)
         self._label_index: LabelIndex | None = None
         self._exact_label_map: dict[str, list[str]] = defaultdict(list)
-        self._search_cache: dict[tuple[str, int, str], list[LabelMatch]] = {}
+        self._search_cache: dict[tuple[str, int], list[LabelMatch]] = {}
+
+    def __getstate__(self) -> dict:
+        """Pickle without the search memo: it only grows, and every
+        out-of-process chunk that carries the KB would ship it."""
+        state = self.__dict__.copy()
+        state["_search_cache"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Mutation
@@ -90,17 +97,13 @@ class KnowledgeBase:
             for uri in self._exact_label_map.get(normalize_label(label), ())
         ]
 
-    def candidates_by_label(
-        self, label: str, limit: int = 10, mode: str | None = None
-    ) -> list[KBInstance]:
+    def candidates_by_label(self, label: str, limit: int = 10) -> list[KBInstance]:
         """Top-``limit`` instances with labels similar to ``label``.
 
         Backed by the lazily built label index; the recall-oriented contract
-        of the paper's Lucene index.  ``mode`` selects the index's
-        candidate-generation mode (``"exact"`` / ``"fast"``); ``None``
-        keeps the index default (exact).
+        of the paper's Lucene index.
         """
-        matches = self.label_matches(label, limit, mode=mode)
+        matches = self.label_matches(label, limit)
         seen: set[str] = set()
         candidates: list[KBInstance] = []
         for match in matches:
@@ -110,24 +113,20 @@ class KnowledgeBase:
                     candidates.append(self._instances[uri])
         return candidates
 
-    def label_matches(
-        self, label: str, limit: int = 10, mode: str | None = None
-    ) -> list[LabelMatch]:
+    def label_matches(self, label: str, limit: int = 10) -> list[LabelMatch]:
         """Raw label matches (with retrieval scores) for ``label``.
 
         Results are cached per normalized query — web table rows repeat
         labels heavily, and the cache turns repeated lookups into dict
-        hits.  The cache key includes the candidate mode, so exact and
-        fast callers against the same KB never serve each other's
-        results.
+        hits.
         """
-        key = (normalize_label(label), limit, mode or "exact")
+        key = (normalize_label(label), limit)
         cached = self._search_cache.get(key)
         if cached is not None:
             return cached
         if self._label_index is None:
             self._label_index = self._build_label_index()
-        matches = self._label_index.search(label, limit, mode=mode)
+        matches = self._label_index.search(label, limit)
         self._search_cache[key] = matches
         return matches
 

@@ -116,11 +116,9 @@ class _AnalyzeBatch:
         kb: KnowledgeBase,
         candidate_limit: int,
         matcher: TableClassMatcher | None = None,
-        candidate_mode: str = "exact",
     ) -> None:
         self.kb = kb
         self.candidate_limit = candidate_limit
-        self.candidate_mode = candidate_mode
         self._matcher = matcher
 
     def __getstate__(self) -> dict:
@@ -132,9 +130,7 @@ class _AnalyzeBatch:
         self, items: list[tuple[WebTable, bool, tuple | None]]
     ) -> list[tuple[dict[int, DataType], int | None, tuple[str | None, float] | None]]:
         if self._matcher is None:
-            self._matcher = TableClassMatcher(
-                self.kb, self.candidate_limit, candidate_mode=self.candidate_mode
-            )
+            self._matcher = TableClassMatcher(self.kb, self.candidate_limit)
         results = []
         for table, need_class, cached_analysis in items:
             if cached_analysis is not None:
@@ -228,14 +224,11 @@ class SchemaMatcher:
         models: SchemaMatcherModels | None = None,
         candidate_limit: int = 5,
         executor: Executor = SerialExecutor(),
-        candidate_mode: str = "exact",
     ) -> None:
         self.kb = kb
         self.models = models or SchemaMatcherModels()
         self.candidate_limit = candidate_limit
-        self.table_class_matcher = TableClassMatcher(
-            kb, candidate_limit, candidate_mode=candidate_mode
-        )
+        self.table_class_matcher = TableClassMatcher(kb, candidate_limit)
         self.executor = executor
         #: Optional persistent per-table attribute cache (the incremental
         #: engine binds a
@@ -246,21 +239,6 @@ class SchemaMatcher:
             str, tuple[dict[int, DataType], int | None]
         ] = {}
         self._class_cache: dict[str, tuple[str | None, float]] = {}
-
-    @property
-    def candidate_mode(self) -> str:
-        """Candidate-generation mode used for table-to-class retrieval.
-
-        Forwarded to the owned :class:`TableClassMatcher` so the
-        pipeline can rebind it per run (next to ``executor``) — note the
-        per-table class cache is keyed only by table id, so switch modes
-        on a fresh matcher, not mid-life.
-        """
-        return self.table_class_matcher.candidate_mode
-
-    @candidate_mode.setter
-    def candidate_mode(self, value: str) -> None:
-        self.table_class_matcher.candidate_mode = value
 
     # ------------------------------------------------------------------
     def analyze_table(self, corpus: TableCorpus, table_id: str):
@@ -309,10 +287,7 @@ class SchemaMatcher:
                 continue
             pending.append((table_id, need_class))
         analyze = _AnalyzeBatch(
-            self.kb,
-            self.candidate_limit,
-            self.table_class_matcher,
-            candidate_mode=self.candidate_mode,
+            self.kb, self.candidate_limit, self.table_class_matcher
         )
         for wave_start in range(0, len(pending), self.wave_size):
             wave = pending[wave_start : wave_start + self.wave_size]
@@ -364,7 +339,7 @@ class SchemaMatcher:
             }
         }
         mode = "second" if evidence is not None else "first"
-        return self._attribute_pass(corpus, base, feedback_by_class, mode=mode)
+        return self._attribute_pass(corpus, base, feedback_by_class, mode)
 
     # ------------------------------------------------------------------
     def _attribute_pass(

@@ -38,15 +38,10 @@ class TableClassMatcher:
         kb: KnowledgeBase,
         candidate_limit: int = 5,
         min_row_fraction: float = 0.3,
-        candidate_mode: str = "exact",
     ) -> None:
         self.kb = kb
         self.candidate_limit = candidate_limit
         self.min_row_fraction = min_row_fraction
-        #: Candidate-generation mode for label retrieval ("exact" scans
-        #: every token-sharing label; "fast" retrieves top-k recall
-        #: candidates and reranks — see ``repro.retrieval``).
-        self.candidate_mode = candidate_mode
 
     def match(
         self,
@@ -98,9 +93,7 @@ class TableClassMatcher:
             label = row.cell(label_column)
             if label is None:
                 continue
-            found = self.kb.candidates_by_label(
-                label, self.candidate_limit, mode=self.candidate_mode
-            )
+            found = self.kb.candidates_by_label(label, self.candidate_limit)
             if found:
                 candidates[row.index] = found
         return candidates

@@ -483,7 +483,6 @@ class IncrementalBackend:
             "analysis",
             self.kb_fp,
             matcher.candidate_limit,
-            matcher.candidate_mode,
             table_id,
             content,
         ]

@@ -69,13 +69,10 @@ class PipelineConfig:
     #: like ``executor``/``workers`` — excluded from the semantic config
     #: hash: where chunks run never changes what they compute.
     queue_dir: str | None = None
-    #: Candidate-generation mode for label retrieval (blocking and
-    #: table-to-class matching): ``exact`` scans every token-sharing
-    #: label (the default — results byte for byte), ``fast`` routes
-    #: through the char-ngram top-k recall layer (``repro.retrieval``)
-    #: and reranks survivors with the exact kernels.  ``fast`` is
-    #: refused unless the committed ``BENCH_retrieval.json`` proves the
-    #: measured recall floor (see ``repro.retrieval.gate``).
+    #: Label retrieval has one candidate path, the exact scan of
+    #: :meth:`repro.index.LabelIndex.search`; ``"exact"`` is the only
+    #: accepted value.  The field stays only because it is part of the
+    #: pinned :func:`config_hash` payload and callers still pass it.
     candidate_mode: str = "exact"
 
     def __post_init__(self) -> None:
@@ -110,19 +107,11 @@ class PipelineConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.queue_dir is not None:
             self.queue_dir = str(self.queue_dir)
-        self.candidate_mode = self.candidate_mode.strip().lower()
-        from repro.index.label_index import CANDIDATE_MODES
-
-        if self.candidate_mode not in CANDIDATE_MODES:
-            known = ", ".join(CANDIDATE_MODES)
+        if self.candidate_mode != "exact":
             raise ValueError(
-                f"unknown candidate_mode {self.candidate_mode!r}; "
-                f"expected one of: {known}"
+                f"unknown candidate_mode {self.candidate_mode!r}: fast "
+                "candidate mode was removed, and 'exact' is the only value"
             )
-        if self.candidate_mode == "fast":
-            from repro.retrieval.gate import ensure_fast_mode_allowed
-
-            ensure_fast_mode_allowed()
 
 
 @dataclass

@@ -238,11 +238,9 @@ class SchemaMatchStage:
     def run(self, state: PipelineState) -> PipelineState:
         if state.matcher is None:
             state.matcher = SchemaMatcher(state.kb, state.models.schema_models)
-        # The matcher outlives the iteration, but executors,
-        # incremental backends and the candidate mode are per-run
-        # resources/config — rebind every time.
+        # The matcher outlives the iteration, but executors and
+        # incremental backends are per-run resources — rebind every time.
         state.matcher.executor = state.executor
-        state.matcher.candidate_mode = state.config.candidate_mode
         state.matcher.attribute_cache = None
         if state.incremental is not None:
             # Serve unchanged tables' analyses and attribute maps from
@@ -302,7 +300,6 @@ class ClusterStage:
             use_klj=config.use_klj,
             use_blocking=config.use_blocking,
             executor=state.executor,
-            candidate_mode=config.candidate_mode,
         )
         state.clusters = clusterer.cluster(state.records)
         return state

@@ -157,13 +157,11 @@ def test_queue_executor_byte_identical_to_golden(
 def test_explicit_exact_candidate_mode_matches_golden(
     golden_case, golden_session, expected_blob, executor, tmp_path
 ):
-    """``candidate_mode='exact'`` is the committed default, spelled out.
+    """``candidate_mode='exact'``, spelled out, reproduces the golden bytes.
 
-    The retrieve-then-rerank layer (PR 8) must leave the exact path's
-    candidate sets provably identical to the historical full scan: an
-    explicit ``exact`` config reproduces the golden bytes on every
-    backend.  (``fast`` is the approximate mode and is *expected* to
-    diverge; it is gated by ``BENCH_retrieval.json`` instead.)
+    ``exact`` is the only value the field accepts, and the end-to-end
+    benchmark builds its config with it: an explicit ``exact`` config
+    must match the committed bytes on every backend.
     """
     from repro.pipeline.pipeline import PipelineConfig
 

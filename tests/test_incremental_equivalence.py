@@ -40,7 +40,6 @@ from repro.pipeline.delta import (
     fingerprint_records,
 )
 from repro.pipeline.pipeline import PipelineConfig
-from repro.retrieval.gate import ENV_UNGATED
 from repro.synthesis.api import build_world
 from repro.synthesis.profiles import WorldScale
 from repro.webtables.table import WebTable
@@ -543,23 +542,6 @@ class TestSessionGuards:
         )
         session.run(CLASS_NAME, stages=("schema_match",), use_cache=False)
         assert session.last_incremental_report is None
-
-    def test_candidate_mode_keys_table_analyses(self, song_world, monkeypatch):
-        """A table's stored class decision depends on the candidate mode:
-        a ``fast`` run must not be served the decisions of an ``exact``
-        run over the same store."""
-        pytest.importorskip("numpy")
-        monkeypatch.setenv(ENV_UNGATED, "1")
-        session = RunSession(song_world)
-        session.run(CLASS_NAME, stages=("schema_match",))
-        session.run(
-            CLASS_NAME,
-            stages=("schema_match",),
-            config=PipelineConfig(candidate_mode="fast"),
-        )
-        report = session.last_incremental_report
-        assert report.analysis_loaded == 0
-        assert report.analysis_computed == len(song_world.corpus)
 
     def test_plain_run_before_first_incremental_is_not_trusted(
         self, tmp_path, song_world, world_tables

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+import repro
+from repro.api import RunSession
 from repro.clustering import build_blocks, greedy_correlation_clustering, klj_refine
 from repro.clustering.metrics import LabelMetric
 from repro.clustering.similarity import RowSimilarity
@@ -15,8 +20,11 @@ from repro.fusion.fuser import fuse_values
 from repro.matching.records import RowRecord
 from repro.ml.aggregation import StaticWeightedAggregator
 from repro.pipeline.ranking import ranked_evaluation
+from repro.synthesis.api import build_world
+from repro.synthesis.profiles import WorldScale
 from repro.text.tokenize import tokenize
 from repro.text.vectors import term_vector
+from repro.webtables.corpus import TableCorpus
 
 label_strategy = st.sampled_from(
     ["alpha one", "alpha one", "beta two", "gamma three", "alpha ones", "delta"]
@@ -151,3 +159,87 @@ class TestRankingInvariants:
         ranking = [f"e{i}" for i in range(size)]
         scores = ranked_evaluation(ranking, {name: True for name in ranking})
         assert scores.map_at_cutoff == 1.0
+
+
+@pytest.fixture(scope="module")
+def song_world():
+    return build_world(seed=11, scale=WorldScale(0.08), classes=["Song"])
+
+
+@pytest.fixture(scope="module")
+def song_in_corpus_order(song_world):
+    return RunSession(song_world).run("Song", use_cache=False).canonical_json()
+
+
+class TestCorpusOrderInvariance:
+    # No shrinking: a smaller shuffle seed is not a simpler shuffle, and
+    # every example is a full pipeline run.
+    @given(st.integers(0, 2**32 - 1))
+    @settings(
+        max_examples=5,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    )
+    def test_shuffled_corpus_gives_the_same_bytes(
+        self, song_world, song_in_corpus_order, shuffle_seed
+    ):
+        """No decision depends on the order the corpus lists its tables."""
+        tables = list(song_world.corpus)
+        random.Random(shuffle_seed).shuffle(tables)
+        session = RunSession(
+            knowledge_base=song_world.knowledge_base,
+            corpus=TableCorpus(tables),
+        )
+        result = session.run("Song", use_cache=False)
+        assert result.canonical_json() == song_in_corpus_order
+
+
+SRC = Path(repro.__file__).resolve().parent
+
+#: Packages and modules that decide what the pipeline outputs.  The gold
+#: standard stays out of them: only training, evaluation and the
+#: experiment harnesses may read it.
+DECISION_CODE = (
+    "matching", "clustering", "newdetect", "fusion", "index", "kb", "serve",
+    "pipeline/stages.py",
+)
+
+
+def _gold_imports(source: str) -> list[int]:
+    """Line numbers of the statements in ``source`` importing the gold standard."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(
+            name == "repro.goldstandard" or name.startswith("repro.goldstandard.")
+            for name in modules
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestGoldBlindness:
+    def test_the_check_sees_every_import_form(self):
+        assert _gold_imports("from repro.goldstandard import GoldStandard") == [1]
+        assert _gold_imports("def f():\n    import repro.goldstandard.stats\n") == [2]
+        assert _gold_imports("from repro import goldstandard") == [1]
+        assert _gold_imports("from repro import kb") == []
+
+    def test_decision_code_never_imports_the_gold_standard(self):
+        files = []
+        for entry in DECISION_CODE:
+            path = SRC / entry
+            files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+        assert len(files) > len(DECISION_CODE)
+        offenders = [
+            f"{path.relative_to(SRC)}:{line}"
+            for path in files
+            for line in _gold_imports(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import DataType
 from repro.index import InvertedIndex, LabelIndex
 from repro.kb import KBClass, KBInstance, KBProperty, KBSchema, KnowledgeBase
 from repro.kb.profiling import class_profile, property_densities
+from repro.perf.counters import kernel_counters, reset_kernel_counters
 
 
 def make_schema() -> KBSchema:
@@ -140,6 +144,19 @@ class TestKnowledgeBase:
         second = kb.label_matches("john smith")
         assert first == second
 
+    def test_pickle_leaves_the_search_cache_behind(self):
+        kb = make_kb()
+        served = [
+            instance.uri for instance in kb.candidates_by_label("John Smith")
+        ]
+        assert kb._search_cache
+        clone = pickle.loads(pickle.dumps(kb))
+        assert clone._search_cache == {}
+        assert kb._search_cache  # the pickled original keeps its memo
+        assert [
+            instance.uri for instance in clone.candidates_by_label("John Smith")
+        ] == served
+
     def test_property_values(self):
         kb = make_kb()
         assert sorted(kb.property_values("Player", "team")) == ["Bears", "Packers"]
@@ -244,3 +261,103 @@ class TestLabelIndex:
         for label in labels:
             for match in index.search(label):
                 assert 0.0 <= match.score <= 1.0 + 1e-9
+
+    def test_pickle_keeps_the_norm_memo(self):
+        index = LabelIndex()
+        for label in ("green day", "green days", "oasis band", "green oasis"):
+            index.add(label, label)
+        expected = index.search("green day", 10)
+        clone = pickle.loads(pickle.dumps(index))
+        reset_kernel_counters()
+        assert clone.search("green day", 10) == expected
+        counters = kernel_counters()
+        assert counters.get("label_index.norm_computed", 0) == 0
+        assert counters["label_index.norm_memo_hits"] == len(expected)
+
+
+_token = st.text(alphabet="abcdef", min_size=1, max_size=6)
+_label = st.lists(_token, min_size=1, max_size=4).map(" ".join)
+
+
+def _matches(index: LabelIndex, query: str, limit: int):
+    return [
+        (match.label, match.score, match.payloads)
+        for match in index.search(query, limit)
+    ]
+
+
+def _reference(index: LabelIndex, query: str, limit: int):
+    return [
+        (match.label, match.score, match.payloads)
+        for match in index.search_reference(query, limit)
+    ]
+
+
+class TestExactModeEquivalence:
+    """``search`` ≡ ``search_reference``, the kept-verbatim scan."""
+
+    @given(
+        st.lists(_label, min_size=1, max_size=25),
+        st.lists(_label, min_size=1, max_size=10),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=150)
+    def test_identical_on_random_vocabularies(self, labels, queries, limit):
+        index = LabelIndex()
+        for position, label in enumerate(labels):
+            index.add(label, f"payload-{position}")
+        for query in queries:
+            assert _matches(index, query, limit) == _reference(
+                index, query, limit
+            )
+
+    @given(
+        st.lists(_label, min_size=1, max_size=15),
+        st.lists(_label, max_size=8),
+        st.lists(_label, min_size=1, max_size=6),
+    )
+    @settings(max_examples=100)
+    def test_identical_after_mutations(self, labels, additions, queries):
+        """The norm memo survives later adds without going stale."""
+        index = LabelIndex()
+        for position, label in enumerate(labels):
+            index.add(label, position)
+        # Interleave queries so the memo is warm before each add.
+        for position, label in enumerate(additions, start=len(labels)):
+            assert _matches(index, "query probe", 5) == _reference(
+                index, "query probe", 5
+            )
+            index.add(label, position)
+        for query in queries:
+            assert _matches(index, query, 5) == _reference(index, query, 5)
+
+    def test_norm_memo_matches_fresh_computation(self):
+        index = LabelIndex()
+        for label in ("green day", "green days", "oasis band", "green oasis"):
+            index.add(label, label)
+        index.search("green", 10)  # warm the memo
+        for label in index.labels():
+            memoized = index._label_norm(label)
+            fresh = math.sqrt(
+                sum(
+                    index._index.idf(token) ** 2
+                    for token in sorted(index._index.tokens_of(label))
+                )
+            )
+            assert memoized == fresh
+
+    def test_norm_memo_hits_and_invalidation_counters(self):
+        index = LabelIndex()
+        for label in ("green day", "green days", "oasis"):
+            index.add(label, label)
+        reset_kernel_counters()
+        index.search("green day", 10)
+        computed = kernel_counters().get("label_index.norm_computed", 0)
+        assert computed > 0
+        index.search("green day", 10)
+        after = kernel_counters()
+        assert after.get("label_index.norm_computed", 0) == computed
+        assert after.get("label_index.norm_memo_hits", 0) > 0
+        index.add("new label", "p")  # mutation drops the memo
+        index.search("green day", 10)
+        assert kernel_counters()["label_index.norm_computed"] > computed

@@ -236,6 +236,12 @@ class TestDefaults:
         assert config_hash(base) == config_hash(parallel)
         assert config_hash(base) != config_hash(semantically_different)
 
+    def test_fast_candidate_mode_refused(self):
+        config = PipelineConfig(executor="serial", workers=1, candidate_mode="exact")
+        assert config_hash(config) == config_hash(PipelineConfig())
+        with pytest.raises(ValueError, match="fast candidate mode was removed"):
+            PipelineConfig(candidate_mode="fast")
+
     def test_default_config_hash_is_pinned(self):
         # Artifact keys embed this hash: a field added to or dropped from
         # the semantic payload would orphan every store written before.
