@@ -190,7 +190,7 @@ class RunSession:
         self.config = config or PipelineConfig()
         self.models = models
         self.observers: list[PipelineObserver] = list(observers)
-        #: Session-scoped kernel memos (token-pair similarities) shared
+        #: Session-scoped kernel memos (token pairs, label tokens) shared
         #: by every run; cleared at the corpus-epoch guard to bound
         #: memory.
         self.kernels = KernelCache()
@@ -584,7 +584,8 @@ class RunSession:
             entity for entity in final.entities if entity.entity_id not in new_ids
         ]
         merged = deduplicate_entities(
-            new_entities, self.knowledge_base, result.class_name
+            new_entities, self.knowledge_base, result.class_name,
+            kernels=self.kernels,
         )
         final.entities = others + merged.entities
         kept = {entity.entity_id for entity in merged.entities}

@@ -77,17 +77,15 @@ def make_row_metrics(
     """Instantiate metrics by canonical name, in the given order.
 
     ``kernels`` (a :class:`repro.perf.KernelCache`) shares the session's
-    token-pair similarity memo with the LABEL metric; omitting it leaves
-    each metric instance to memoize privately.  Either way the scores
-    are identical — the memo only removes repeated work.
+    similarity memos with the LABEL and ATTRIBUTE metrics; omitting it
+    leaves LABEL to memoize privately and ATTRIBUTE unmemoized.  Either
+    way the scores are identical — the memo only removes repeated work.
     """
     factory = {
-        "LABEL": lambda: LabelMetric(
-            memo=kernels.token_sim if kernels is not None else None
-        ),
+        "LABEL": lambda: LabelMetric(kernels),
         "BOW": lambda: BowMetric(),
         "PHI": lambda: PhiMetric(context.phi),
-        "ATTRIBUTE": lambda: AttributeMetric(context.similarities),
+        "ATTRIBUTE": lambda: AttributeMetric(context.similarities, kernels),
         "IMPLICIT_ATT": lambda: ImplicitAttMetric(context.implicit_by_table),
         "SAME_TABLE": lambda: SameTableMetric(),
     }

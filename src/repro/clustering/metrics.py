@@ -15,11 +15,8 @@ from repro.clustering.implicit import ImplicitAttribute, value_key
 from repro.clustering.phi import PhiVectorizer
 from repro.datatypes.similarity import TypedSimilarity
 from repro.matching.records import RowRecord
-from repro.text.monge_elkan import (
-    TokenPairMemo,
-    label_similarity,
-    monge_elkan_symmetric_memo,
-)
+from repro.perf.kernels import KernelCache
+from repro.text.monge_elkan import label_similarity, monge_elkan_symmetric_memo
 from repro.text.vectors import binary_cosine
 
 #: Canonical metric names in the paper's aggregation order (Table 7).
@@ -42,34 +39,28 @@ class RowMetric(Protocol):
 class LabelMetric:
     """Monge-Elkan (Levenshtein inner) similarity of the row labels.
 
-    Inner token-pair similarities route through a memo — pass the
-    session-shared :attr:`repro.perf.KernelCache.token_sim` so every
-    metric (and every run) reuses each token pair's similarity; without
-    one the metric memoizes privately for its own lifetime.  The memo
-    changes nothing but speed (values are pure and canonical-keyed).
+    Inner token-pair similarities route through a
+    :class:`repro.perf.KernelCache` — pass the session's so every metric
+    (and every run) reuses each token pair's similarity; without one the
+    metric memoizes privately for its own lifetime.  The memo changes
+    nothing but speed (values are pure and canonical-keyed), and it
+    pickles empty, so executor workers start cold.
     """
 
     name = "LABEL"
 
-    def __init__(self, memo: TokenPairMemo | None = None) -> None:
-        self._memo: TokenPairMemo = memo if memo is not None else {}
-
-    def __getstate__(self) -> dict:
-        # Executor workers rebuild their own memo: shipping a session's
-        # accumulated token pairs to every chunk would dwarf the task
-        # payload, and an empty memo is merely a cold start, not a
-        # semantic change.
-        return {"_memo": {}}
+    def __init__(self, kernels: KernelCache | None = None) -> None:
+        self._kernels = kernels if kernels is not None else KernelCache()
 
     def compute(self, a: RowRecord, b: RowRecord) -> MetricOutput:
         if a.label_tokens and b.label_tokens:
             return (
                 monge_elkan_symmetric_memo(
-                    a.label_tokens, b.label_tokens, self._memo
+                    a.label_tokens, b.label_tokens, self._kernels.token_sim
                 ),
                 1.0,
             )
-        return label_similarity(a.norm_label, b.norm_label), 1.0
+        return label_similarity(a.norm_label, b.norm_label, self._kernels), 1.0
 
 
 class BowMetric:
@@ -108,13 +99,19 @@ class AttributeMetric:
 
     Overlapping value pairs are judged equal/unequal with the data-type
     similarity function; the score is the fraction of agreeing pairs and
-    the confidence the number of pairs compared.
+    the confidence the number of pairs compared.  ``kernels`` memoizes
+    the label similarity of text values.
     """
 
     name = "ATTRIBUTE"
 
-    def __init__(self, similarities: Mapping[str, TypedSimilarity]) -> None:
+    def __init__(
+        self,
+        similarities: Mapping[str, TypedSimilarity],
+        kernels: KernelCache | None = None,
+    ) -> None:
         self._similarities = similarities
+        self._kernels = kernels
 
     def compute(self, a: RowRecord, b: RowRecord) -> MetricOutput:
         shared = a.values.keys() & b.values.keys()
@@ -127,7 +124,9 @@ class AttributeMetric:
             if similarity is None:
                 continue
             compared += 1
-            if similarity.equal(a.values[property_name], b.values[property_name]):
+            if similarity.equal(
+                a.values[property_name], b.values[property_name], self._kernels
+            ):
                 agreeing += 1
         if compared == 0:
             return None

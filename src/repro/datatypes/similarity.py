@@ -11,11 +11,15 @@ per-property tolerance has been learned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.datatypes.types import DataType
 from repro.datatypes.values import DateValue
 from repro.text.monge_elkan import label_similarity
 from repro.text.tokenize import normalize_label
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.perf.kernels import KernelCache
 
 #: Default equivalence thresholds per data type.
 DEFAULT_THRESHOLDS: dict[DataType, float] = {
@@ -61,16 +65,21 @@ class TypedSimilarity:
 
     ``tolerance`` only affects ``QUANTITY``: it widens the equivalence band
     by lowering the effective threshold to ``1 - tolerance``.
+
+    The ``kernels`` argument of :meth:`similarity` and :meth:`equal` (a
+    session's :class:`repro.perf.KernelCache`) memoizes the label
+    similarity of ``TEXT`` and ``INSTANCE_REFERENCE`` values; it changes
+    no result.
     """
 
     data_type: DataType
     tolerance: float = DEFAULT_QUANTITY_TOLERANCE
 
-    def similarity(self, a, b) -> float:
+    def similarity(self, a, b, kernels: "KernelCache | None" = None) -> float:
         """Similarity of two already-normalized values, in [0, 1]."""
         data_type = self.data_type
         if data_type is DataType.TEXT or data_type is DataType.INSTANCE_REFERENCE:
-            return label_similarity(str(a), str(b))
+            return label_similarity(str(a), str(b), kernels)
         if data_type is DataType.NOMINAL_STRING:
             return 1.0 if normalize_label(str(a)) == normalize_label(str(b)) else 0.0
         if data_type is DataType.NOMINAL_INTEGER:
@@ -81,12 +90,12 @@ class TypedSimilarity:
             return _date_similarity(a, b)
         raise ValueError(f"unknown data type: {data_type}")
 
-    def equal(self, a, b) -> bool:
+    def equal(self, a, b, kernels: "KernelCache | None" = None) -> bool:
         """Whether two normalized values count as the same value."""
         threshold = DEFAULT_THRESHOLDS[self.data_type]
         if self.data_type is DataType.QUANTITY:
             threshold = 1.0 - self.tolerance
-        return self.similarity(a, b) >= threshold
+        return self.similarity(a, b, kernels) >= threshold
 
 
 def value_similarity(data_type: DataType, a, b) -> float:

@@ -32,8 +32,13 @@ class KnowledgeBase:
         self._search_cache: dict[tuple[str, int], list[LabelMatch]] = {}
 
     def __getstate__(self) -> dict:
-        """Pickle without the search memo: it only grows, and every
-        out-of-process chunk that carries the KB would ship it."""
+        """Pickle with the label index built, without the search memo.
+
+        The memo only grows, and every out-of-process chunk that carries
+        the KB would ship it.  The index is built first, so no chunk
+        builds it again in a worker.
+        """
+        self._ensure_label_index()
         state = self.__dict__.copy()
         state["_search_cache"] = {}
         return state
@@ -124,18 +129,19 @@ class KnowledgeBase:
         cached = self._search_cache.get(key)
         if cached is not None:
             return cached
-        if self._label_index is None:
-            self._label_index = self._build_label_index()
-        matches = self._label_index.search(label, limit)
+        matches = self._ensure_label_index().search(label, limit)
         self._search_cache[key] = matches
         return matches
 
-    def _build_label_index(self) -> LabelIndex:
-        index = LabelIndex()
-        for instance in self._instances.values():
-            for label in instance.labels:
-                index.add(label, instance.uri)
-        return index
+    def _ensure_label_index(self) -> LabelIndex:
+        """The label index, built on first use."""
+        if self._label_index is None:
+            index = LabelIndex()
+            for instance in self._instances.values():
+                for label in instance.labels:
+                    index.add(label, instance.uri)
+            self._label_index = index
+        return self._label_index
 
     # ------------------------------------------------------------------
     # Aggregates used by matchers and profiling

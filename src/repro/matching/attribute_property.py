@@ -10,6 +10,7 @@ property's data type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.datatypes import DataType, candidate_property_types
 from repro.kb.knowledge_base import KnowledgeBase
@@ -21,6 +22,9 @@ from repro.matching.matchers import (
 )
 from repro.matching.learning import AttributeMatchingModel
 from repro.webtables.table import WebTable
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.perf.kernels import KernelCache
 
 
 @dataclass
@@ -51,6 +55,7 @@ class AttributePropertyMatcher:
         class_name: str,
         model: AttributeMatchingModel,
         feedback: MatcherFeedback | None = None,
+        kernels: "KernelCache | None" = None,
     ) -> None:
         self.kb = kb
         self.class_name = class_name
@@ -61,6 +66,7 @@ class AttributePropertyMatcher:
             class_name,
             header_stats=feedback.header_stats,
             evidence=feedback.evidence,
+            kernels=kernels,
         )
         self._properties = kb.schema.properties_of(class_name)
 

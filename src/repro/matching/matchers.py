@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.datatypes.normalization import NormalizationError, normalize_value
 from repro.datatypes.similarity import TypedSimilarity
@@ -34,6 +35,9 @@ from repro.matching.pools import ValuePool
 from repro.text.monge_elkan import label_similarity
 from repro.text.tokenize import normalize_label
 from repro.webtables.table import RowId, WebTable
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.perf.kernels import KernelCache
 
 #: Canonical matcher names, in aggregation order.
 MATCHER_NAMES_FIRST_ITERATION = ("kb_overlap", "kb_label", "wt_label")
@@ -100,7 +104,12 @@ class DuplicateEvidence:
 
 
 class AttributeMatchers:
-    """Computes all matcher scores for (table, column, property) triples."""
+    """Computes all matcher scores for (table, column, property) triples.
+
+    ``kernels`` (a session's :class:`repro.perf.KernelCache`) memoizes the
+    label similarities of KB-Label and the duplicate matchers; it changes
+    no score.
+    """
 
     def __init__(
         self,
@@ -108,11 +117,13 @@ class AttributeMatchers:
         class_name: str,
         header_stats: HeaderStatistics | None = None,
         evidence: DuplicateEvidence | None = None,
+        kernels: "KernelCache | None" = None,
     ) -> None:
         self.kb = kb
         self.class_name = class_name
         self.header_stats = header_stats
         self.evidence = evidence
+        self.kernels = kernels
         self._pools: dict[str, ValuePool] = {}
 
     # ------------------------------------------------------------------
@@ -183,7 +194,7 @@ class AttributeMatchers:
         if not normalized:
             return None
         return max(
-            label_similarity(normalized, normalize_label(label))
+            label_similarity(normalized, normalize_label(label), self.kernels)
             for label in prop.all_labels()
         )
 
@@ -202,7 +213,7 @@ class AttributeMatchers:
             if fact is None:
                 continue
             comparable += 1
-            if similarity.equal(value, fact):
+            if similarity.equal(value, fact, self.kernels):
                 equal += 1
         if comparable == 0:
             return None
@@ -229,7 +240,9 @@ class AttributeMatchers:
             if not others:
                 continue
             comparable += 1
-            if any(similarity.equal(value, other) for other in others):
+            if any(
+                similarity.equal(value, other, self.kernels) for other in others
+            ):
                 supported += 1
         if comparable == 0:
             return None

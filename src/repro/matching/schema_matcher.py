@@ -21,6 +21,7 @@ every executor produces results identical to the serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.datatypes import DataType
 from repro.datatypes.detection import detect_column_type
@@ -42,6 +43,9 @@ from repro.matching.table_class import TableClassMatcher
 from repro.parallel import Executor, SerialExecutor, dispatch_dirty
 from repro.webtables.corpus import TableCorpus
 from repro.webtables.table import WebTable
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.perf.kernels import KernelCache
 
 
 @dataclass
@@ -108,7 +112,8 @@ class _AnalyzeBatch:
     read-only KB state, so every executor produces identical output.
     In-process execution shares the owning matcher's
     :class:`TableClassMatcher`; it is dropped from pickles, so each
-    worker chunk builds its own (stateless, hence score-identical).
+    worker chunk builds its own (stateless, hence score-identical) over
+    ``kernels``, which a pickle leaves empty.
     """
 
     def __init__(
@@ -116,10 +121,12 @@ class _AnalyzeBatch:
         kb: KnowledgeBase,
         candidate_limit: int,
         matcher: TableClassMatcher | None = None,
+        kernels: "KernelCache | None" = None,
     ) -> None:
         self.kb = kb
         self.candidate_limit = candidate_limit
         self._matcher = matcher
+        self.kernels = kernels
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -130,7 +137,9 @@ class _AnalyzeBatch:
         self, items: list[tuple[WebTable, bool, tuple | None]]
     ) -> list[tuple[dict[int, DataType], int | None, tuple[str | None, float] | None]]:
         if self._matcher is None:
-            self._matcher = TableClassMatcher(self.kb, self.candidate_limit)
+            self._matcher = TableClassMatcher(
+                self.kb, self.candidate_limit, kernels=self.kernels
+            )
         results = []
         for table, need_class, cached_analysis in items:
             if cached_analysis is not None:
@@ -156,6 +165,7 @@ class _AttributeBatch:
     pickles, so worker chunks rebuild it —
     :class:`AttributePropertyMatcher` only caches KB-derived value
     pools, so chunk-local construction cannot change any score.
+    ``kernels`` memoizes label similarity and pickles empty.
     """
 
     def __init__(
@@ -164,11 +174,13 @@ class _AttributeBatch:
         models: SchemaMatcherModels,
         mode: str,
         feedback_by_class: dict[str, MatcherFeedback],
+        kernels: "KernelCache | None" = None,
     ) -> None:
         self.kb = kb
         self.models = models
         self.mode = mode
         self.feedback_by_class = feedback_by_class
+        self.kernels = kernels
         self._matchers: dict[str, AttributePropertyMatcher] = {}
 
     def __getstate__(self) -> dict:
@@ -189,6 +201,7 @@ class _AttributeBatch:
                     class_name,
                     self.models.for_class(class_name, self.mode),
                     self.feedback_by_class.get(class_name),
+                    kernels=self.kernels,
                 )
                 self._matchers[class_name] = matcher
             results.append(
@@ -213,6 +226,10 @@ class SchemaMatcher:
     Tables are fetched from the corpus and dispatched in bounded *waves*
     (``wave_size``), so peak memory tracks the wave, not the corpus —
     a lazy store-backed corpus view is never materialized wholesale.
+
+    ``kernels`` (a session's :class:`repro.perf.KernelCache`) memoizes
+    the label similarities of table-to-class and attribute matching; the
+    mapping is the same without it.
     """
 
     #: Tables materialized per dispatch wave (corpus-size independent).
@@ -224,11 +241,15 @@ class SchemaMatcher:
         models: SchemaMatcherModels | None = None,
         candidate_limit: int = 5,
         executor: Executor = SerialExecutor(),
+        kernels: "KernelCache | None" = None,
     ) -> None:
         self.kb = kb
         self.models = models or SchemaMatcherModels()
         self.candidate_limit = candidate_limit
-        self.table_class_matcher = TableClassMatcher(kb, candidate_limit)
+        self.kernels = kernels
+        self.table_class_matcher = TableClassMatcher(
+            kb, candidate_limit, kernels=kernels
+        )
         self.executor = executor
         #: Optional persistent per-table attribute cache (the incremental
         #: engine binds a
@@ -287,7 +308,7 @@ class SchemaMatcher:
                 continue
             pending.append((table_id, need_class))
         analyze = _AnalyzeBatch(
-            self.kb, self.candidate_limit, self.table_class_matcher
+            self.kb, self.candidate_limit, self.table_class_matcher, self.kernels
         )
         for wave_start in range(0, len(pending), self.wave_size):
             wave = pending[wave_start : wave_start + self.wave_size]
@@ -353,7 +374,9 @@ class SchemaMatcher:
             kb_class.name for kb_class in self.kb.schema.classes()
         )
         cache = self.attribute_cache
-        batch = _AttributeBatch(self.kb, self.models, mode, feedback_by_class)
+        batch = _AttributeBatch(
+            self.kb, self.models, mode, feedback_by_class, self.kernels
+        )
         mapping = SchemaMapping()
         entries = list(base.items())
         for wave_start in range(0, len(entries), self.wave_size):

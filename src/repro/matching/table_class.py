@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.datatypes import DataType, candidate_property_types
 from repro.datatypes.normalization import NormalizationError, normalize_value
@@ -17,6 +18,9 @@ from repro.datatypes.similarity import TypedSimilarity
 from repro.kb.instance import KBInstance
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.webtables.table import WebTable
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.perf.kernels import KernelCache
 
 
 @dataclass
@@ -31,17 +35,23 @@ class TableClassResult:
 
 
 class TableClassMatcher:
-    """Scores candidate classes for a table and picks the best."""
+    """Scores candidate classes for a table and picks the best.
+
+    ``kernels`` (a session's :class:`repro.perf.KernelCache`) memoizes the
+    label similarity of text values; it changes no score.
+    """
 
     def __init__(
         self,
         kb: KnowledgeBase,
         candidate_limit: int = 5,
         min_row_fraction: float = 0.3,
+        kernels: "KernelCache | None" = None,
     ) -> None:
         self.kb = kb
         self.candidate_limit = candidate_limit
         self.min_row_fraction = min_row_fraction
+        self.kernels = kernels
 
     def match(
         self,
@@ -157,7 +167,7 @@ class TableClassMatcher:
                         if parsed is None:
                             continue
                         similarity = TypedSimilarity(prop.data_type, prop.tolerance)
-                        if similarity.equal(parsed, fact):
+                        if similarity.equal(parsed, fact, self.kernels):
                             matches[(column, property_name)] += 1
                             hits += 1
                 if hits > row_hits.get(row_index, -1):

@@ -8,7 +8,7 @@ POPULARITY is rank-based and therefore receives the full candidate list.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
 from repro.clustering.implicit import ImplicitAttribute, value_key
 from repro.datatypes.similarity import TypedSimilarity
@@ -17,6 +17,9 @@ from repro.kb.instance import KBInstance
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.text.monge_elkan import label_similarity
 from repro.text.vectors import binary_cosine, term_vector
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.perf.kernels import KernelCache
 
 #: Canonical metric names in the paper's aggregation order (Table 8).
 ENTITY_METRIC_NAMES = (
@@ -41,15 +44,22 @@ class EntityInstanceMetric(Protocol):
 
 
 class LabelEIMetric:
-    """Best Monge-Elkan similarity over entity labels × instance labels."""
+    """Best Monge-Elkan similarity over entity labels × instance labels.
+
+    ``kernels`` (a session's :class:`repro.perf.KernelCache`) memoizes
+    the label similarities; it changes no score.
+    """
 
     name = "LABEL"
+
+    def __init__(self, kernels: "KernelCache | None" = None) -> None:
+        self._kernels = kernels
 
     def compute(self, entity, instance, candidates) -> MetricOutput:
         if not entity.labels or not instance.labels:
             return None
         best = max(
-            label_similarity(entity_label, instance_label)
+            label_similarity(entity_label, instance_label, self._kernels)
             for entity_label in entity.labels[:3]
             for instance_label in instance.labels
         )
@@ -101,12 +111,20 @@ class BowEIMetric:
 
 
 class AttributeEIMetric:
-    """Agreement of the entity's fused facts with the instance's facts."""
+    """Agreement of the entity's fused facts with the instance's facts.
+
+    ``kernels`` memoizes the label similarity of text values.
+    """
 
     name = "ATTRIBUTE"
 
-    def __init__(self, similarities: Mapping[str, TypedSimilarity]) -> None:
+    def __init__(
+        self,
+        similarities: Mapping[str, TypedSimilarity],
+        kernels: "KernelCache | None" = None,
+    ) -> None:
         self._similarities = similarities
+        self._kernels = kernels
 
     def compute(self, entity, instance, candidates) -> MetricOutput:
         shared = entity.facts.keys() & instance.facts.keys()
@@ -120,7 +138,9 @@ class AttributeEIMetric:
                 continue
             compared += 1
             if similarity.equal(
-                entity.facts[property_name], instance.facts[property_name]
+                entity.facts[property_name],
+                instance.facts[property_name],
+                self._kernels,
             ):
                 agreeing += 1
         if compared == 0:
@@ -207,17 +227,23 @@ def make_entity_metrics(
     kb: KnowledgeBase,
     class_name: str,
     implicit_by_table: Mapping[str, Mapping[str, ImplicitAttribute]],
+    kernels: "KernelCache | None" = None,
 ) -> list[EntityInstanceMetric]:
-    """Instantiate entity metrics by canonical name."""
+    """Instantiate entity metrics by canonical name.
+
+    ``kernels`` (a :class:`repro.perf.KernelCache`) shares the session's
+    similarity memos with the LABEL and ATTRIBUTE metrics; the scores are
+    the same without it.
+    """
     similarities = {
         name: TypedSimilarity(prop.data_type, prop.tolerance)
         for name, prop in kb.schema.properties_of(class_name).items()
     }
     factory = {
-        "LABEL": lambda: LabelEIMetric(),
+        "LABEL": lambda: LabelEIMetric(kernels),
         "TYPE": lambda: TypeEIMetric(kb),
         "BOW": lambda: BowEIMetric(),
-        "ATTRIBUTE": lambda: AttributeEIMetric(similarities),
+        "ATTRIBUTE": lambda: AttributeEIMetric(similarities, kernels),
         "IMPLICIT_ATT": lambda: ImplicitEIMetric(implicit_by_table),
         "POPULARITY": lambda: PopularityEIMetric(),
     }

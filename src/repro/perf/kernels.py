@@ -7,6 +7,9 @@ for the next iteration, and even after the corpus changed.  Row-pair
 caches, keyed by row *identity*, are not held here: each
 :class:`~repro.clustering.similarity.RowSimilarity` lives for one
 cluster stage and takes its pair cache with it.
+
+The cache is passed explicitly to the components a run builds; there is
+no module-level memo, so two sessions in one process never share one.
 """
 
 from __future__ import annotations
@@ -20,18 +23,32 @@ TokenPairMemo = dict[tuple[str, str], float]
 class KernelCache:
     """The bundle of kernel memos one :class:`~repro.api.RunSession` owns.
 
-    * ``token_sim`` — the canonical-pair Monge-Elkan inner memo
-      (content-keyed, safe across runs and corpus epochs; cleared at the
-      epoch guard anyway to bound memory).
+    * ``token_sim`` — the canonical-pair Monge-Elkan inner memo;
+    * ``label_tokens`` — label → its :func:`~repro.text.tokenize.tokenize`
+      tokens, which :func:`~repro.text.monge_elkan.label_similarity`
+      scores over ``token_sim``.
+
+    Both are content-keyed, so they are safe across runs and corpus
+    epochs; the epoch guard clears them anyway to bound memory.  A
+    pickled cache is empty: a worker chunk starts cold rather than
+    receiving the session's memos with every task.
     """
 
     def __init__(self) -> None:
         self.token_sim: TokenPairMemo = {}
+        self.label_tokens: dict[str, tuple[str, ...]] = {}
+
+    def __getstate__(self) -> dict:
+        return vars(KernelCache())
 
     def cache_info(self) -> dict[str, int]:
         """Sizes of everything this cache currently holds."""
-        return {"token_pairs": len(self.token_sim)}
+        return {
+            "token_pairs": len(self.token_sim),
+            "label_tokens": len(self.label_tokens),
+        }
 
     def clear(self) -> None:
-        """Drop the token memo."""
+        """Drop every memo."""
         self.token_sim.clear()
+        self.label_tokens.clear()

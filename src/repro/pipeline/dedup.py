@@ -11,12 +11,15 @@ after new detection, directly reducing the over-segmentation ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.datatypes.similarity import TypedSimilarity
 from repro.fusion.entity import Entity, collect_labels
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.text.monge_elkan import label_similarity
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.perf.kernels import KernelCache
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,7 @@ def _facts_compatible(
     entity_b: Entity,
     similarities: dict[str, TypedSimilarity],
     min_agreement: float = 1.0,
+    kernels: "KernelCache | None" = None,
 ) -> bool:
     """Whether two entities' fused facts agree on every shared property."""
     shared = entity_a.facts.keys() & entity_b.facts.keys()
@@ -46,7 +50,7 @@ def _facts_compatible(
             continue
         compared += 1
         if similarity.equal(
-            entity_a.facts[property_name], entity_b.facts[property_name]
+            entity_a.facts[property_name], entity_b.facts[property_name], kernels
         ):
             agreeing += 1
     if compared == 0:
@@ -60,6 +64,7 @@ def deduplicate_entities(
     class_name: str,
     label_threshold: float = 0.95,
     min_fact_agreement: float = 1.0,
+    kernels: "KernelCache | None" = None,
 ) -> DedupResult:
     """Merge near-duplicate entities.
 
@@ -68,7 +73,8 @@ def deduplicate_entities(
     shared properties (``min_fact_agreement``).  Merging unions rows and
     refuses facts by simple recency of the larger entity (the larger
     entity's value wins; candidates are not re-fused to keep the operation
-    cheap and deterministic).
+    cheap and deterministic).  ``kernels`` (a session's
+    :class:`repro.perf.KernelCache`) memoizes the label similarities.
     """
     similarities = {
         name: TypedSimilarity(prop.data_type, prop.tolerance)
@@ -82,10 +88,12 @@ def deduplicate_entities(
         target = None
         for existing in merged:
             if (
-                label_similarity(entity.primary_label, existing.primary_label)
+                label_similarity(
+                    entity.primary_label, existing.primary_label, kernels
+                )
                 >= label_threshold
                 and _facts_compatible(
-                    entity, existing, similarities, min_fact_agreement
+                    entity, existing, similarities, min_fact_agreement, kernels
                 )
             ):
                 target = existing

@@ -237,7 +237,9 @@ class SchemaMatchStage:
 
     def run(self, state: PipelineState) -> PipelineState:
         if state.matcher is None:
-            state.matcher = SchemaMatcher(state.kb, state.models.schema_models)
+            state.matcher = SchemaMatcher(
+                state.kb, state.models.schema_models, kernels=state.kernels
+            )
         # The matcher outlives the iteration, but executors and
         # incremental backends are per-run resources — rebind every time.
         state.matcher.executor = state.executor
@@ -361,6 +363,7 @@ class DetectStage:
                 state.kb,
                 state.class_name,
                 context.implicit_by_table,
+                kernels=state.kernels,
             ),
             state.models.entity_aggregator,
         )

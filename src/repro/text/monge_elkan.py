@@ -10,11 +10,14 @@ qualifier tokens.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.perf.counters import bump
 from repro.text.levenshtein import levenshtein_similarity
 from repro.text.tokenize import tokenize
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.perf.kernels import KernelCache
 
 InnerSimilarity = Callable[[str, str], float]
 
@@ -141,10 +144,26 @@ def _mean_of_directions(
     return (forward + backward) / 2.0
 
 
-def label_similarity(label_a: str, label_b: str) -> float:
+def label_similarity(
+    label_a: str, label_b: str, kernels: "KernelCache | None" = None
+) -> float:
     """Similarity of two natural-language labels in [0, 1].
 
     Tokenizes both labels and applies symmetric Monge-Elkan with Levenshtein
     inner similarity — the exact configuration named in the paper.
+
+    With ``kernels`` (a session's :class:`repro.perf.KernelCache`) each
+    label is tokenized once and scored through
+    :func:`monge_elkan_symmetric_memo` over the session's token-pair
+    memo; the result is bit-identical to the plain path.
     """
-    return monge_elkan_symmetric(tokenize(label_a), tokenize(label_b))
+    if kernels is None:
+        return monge_elkan_symmetric(tokenize(label_a), tokenize(label_b))
+    tokens = kernels.label_tokens
+    tokens_a = tokens.get(label_a)
+    if tokens_a is None:
+        tokens_a = tokens[label_a] = tuple(tokenize(label_a))
+    tokens_b = tokens.get(label_b)
+    if tokens_b is None:
+        tokens_b = tokens[label_b] = tuple(tokenize(label_b))
+    return monge_elkan_symmetric_memo(tokens_a, tokens_b, kernels.token_sim)

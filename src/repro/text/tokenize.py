@@ -19,7 +19,13 @@ _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 
 def _fold_ascii(text: str) -> str:
-    """Fold accented characters to their ASCII base character."""
+    """Fold accented characters to their ASCII base character.
+
+    NFKD maps every ASCII code point to itself, so ASCII text, the
+    common case, is returned as it is.
+    """
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return decomposed.encode("ascii", "ignore").decode("ascii")
 

@@ -26,6 +26,7 @@ from repro.perf import (
     kernel_counters,
     reset_kernel_counters,
 )
+from repro.text.monge_elkan import label_similarity
 from repro.text.tokenize import normalize_label, tokenize
 from repro.text.vectors import term_vector
 
@@ -134,9 +135,8 @@ def _record(row_id, label):
 
 
 def _similarity(kernels=None):
-    memo = kernels.token_sim if kernels is not None else None
     return RowSimilarity(
-        [LabelMetric(memo=memo), BowMetric()],
+        [LabelMetric(kernels), BowMetric()],
         StaticWeightedAggregator({"LABEL": 0.7, "BOW": 0.3}, threshold=0.6),
     )
 
@@ -148,7 +148,7 @@ class TestKernelCache:
         similarity.score(_record(1, "green day"), _record(2, "green days"))
         assert kernels.cache_info()["token_pairs"] > 0
         kernels.clear()
-        assert kernels.cache_info() == {"token_pairs": 0}
+        assert kernels.cache_info() == {"token_pairs": 0, "label_tokens": 0}
 
     def test_shared_memo_changes_nothing_but_speed(self):
         kernels = KernelCache()
@@ -175,14 +175,28 @@ class TestKernelCache:
         import pickle
 
         kernels = KernelCache()
-        metric = LabelMetric(memo=kernels.token_sim)
+        metric = LabelMetric(kernels)
         metric.compute(_record(1, "green day"), _record(2, "green days"))
         assert kernels.token_sim  # the memo filled
         clone = pickle.loads(pickle.dumps(metric))
-        assert clone._memo == {}  # workers start cold, not with the session memo
+        # workers start cold, not with the session memo
+        assert clone._kernels.cache_info() == {"token_pairs": 0, "label_tokens": 0}
         # and the clone still scores identically
         a, b = _record(1, "green day"), _record(2, "green days")
         assert clone.compute(a, b) == metric.compute(a, b)
+
+
+    def test_pickle_leaves_the_memos_behind(self):
+        import pickle
+
+        kernels = KernelCache()
+        expected = label_similarity("green day", "green days", kernels)
+        filled = kernels.cache_info()
+        assert filled == {"token_pairs": 4, "label_tokens": 2}
+        clone = pickle.loads(pickle.dumps(kernels))
+        assert clone.cache_info() == {"token_pairs": 0, "label_tokens": 0}
+        assert kernels.cache_info() == filled  # the original keeps them
+        assert label_similarity("green day", "green days", clone) == expected
 
 
 class TestSessionWiring:
@@ -208,6 +222,41 @@ class TestSessionWiring:
         assert first > 0
         session.run("Settlement", executor="serial")
         assert session.kernels.cache_info()["token_pairs"] >= first
+
+    def test_fresh_sessions_start_with_empty_memos(self, tiny_world):
+        """No memo outlives its session: two fresh sessions in one process
+        compute the same token pairs on their first run."""
+        from repro.api import RunSession
+
+        misses = []
+        for __ in range(2):
+            session = RunSession(tiny_world)
+            baseline = kernel_counters()
+            session.run("Song", executor="serial", use_cache=False)
+            misses.append(
+                counter_delta(baseline)["monge_elkan.pair_memo_misses"]
+            )
+            assert session.kernels.cache_info()["label_tokens"] > 0
+        assert misses[0] == misses[1] > 0
+
+    def test_epoch_guard_clears_the_label_token_memo(self, tiny_world):
+        from repro.api import RunSession
+        from repro.webtables import TableCorpus
+
+        *table_ids, held_back = tiny_world.tables_of_class("Song")
+        corpus = TableCorpus(
+            [tiny_world.corpus.get(table_id) for table_id in table_ids]
+        )
+        session = RunSession(
+            knowledge_base=tiny_world.knowledge_base, corpus=corpus
+        )
+        session.run("Song", executor="serial", use_cache=False)
+        kernels = session.kernels
+        before = kernels.cache_info()
+        assert before["label_tokens"] > 0 and before["token_pairs"] > 0
+        corpus.add(tiny_world.corpus.get(held_back))  # a new corpus epoch
+        session._guard_corpus_epoch()
+        assert kernels.cache_info() == {"token_pairs": 0, "label_tokens": 0}
 
 
 # ---------------------------------------------------------------------------

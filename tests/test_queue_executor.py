@@ -250,6 +250,37 @@ class TestQueueExecutor:
                 ).canonical_json()
         assert blobs["serial"] == blobs["queue"]
 
+    def test_chunks_ship_the_kb_with_its_label_index(
+        self, tmp_path, tiny_world, monkeypatch
+    ):
+        """No chunk carries a KB whose label index its worker must build:
+        the first dispatch happens before the driver has searched the KB."""
+        from repro.kb.knowledge_base import KnowledgeBase
+
+        shipped_indexes = []
+
+        def recording_setstate(kb, state):
+            shipped_indexes.append(state["_label_index"])
+            kb.__dict__.update(state)
+
+        monkeypatch.setattr(
+            KnowledgeBase, "__setstate__", recording_setstate, raising=False
+        )
+        table_ids = tiny_world.tables_of_class("Song")[:6]
+        corpus = TableCorpus(
+            [tiny_world.corpus.get(table_id) for table_id in table_ids]
+        )
+        spool = tmp_path / "queue"
+        session = RunSession(
+            knowledge_base=tiny_world.knowledge_base,
+            corpus=corpus,
+            config=PipelineConfig(executor="queue", workers=1, queue_dir=str(spool)),
+        )
+        with worker_threads(spool, count=1):
+            session.run("Song", use_cache=False)
+        assert shipped_indexes  # the worker unpickled KB-carrying chunks
+        assert all(index is not None for index in shipped_indexes)
+
     def test_worker_idle_timeout_and_max_tasks(self, tmp_path):
         # An idle worker with a timeout returns instead of spinning.
         assert run_worker(tmp_path, idle_timeout=0.05, poll_interval=0.01) == 0

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import unicodedata
 
 from hypothesis import given, strategies as st
 
+from repro.perf import KernelCache
 from repro.text import (
     binary_cosine,
     clean_cell,
@@ -21,6 +23,7 @@ from repro.text import (
     term_vector,
     tokenize,
 )
+from repro.text.tokenize import _fold_ascii
 
 
 class TestCleanCell:
@@ -35,6 +38,29 @@ class TestCleanCell:
 
     def test_non_string_coerced(self):
         assert clean_cell(42) == "42"
+
+
+def _nfkd_fold(text: str) -> str:
+    """Accent folding without the ASCII shortcut: the reference."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    return decomposed.encode("ascii", "ignore").decode("ascii")
+
+
+class TestFoldAscii:
+    def test_every_ascii_code_point_equals_the_nfkd_path(self):
+        for code_point in range(128):
+            character = chr(code_point)
+            assert _fold_ascii(character) == _nfkd_fold(character) == character
+        everything = "".join(map(chr, range(128)))
+        assert _fold_ascii(everything) == _nfkd_fold(everything)
+
+    @given(st.text())
+    def test_equals_the_nfkd_path(self, text):
+        assert _fold_ascii(text) == _nfkd_fold(text)
+
+    def test_non_ascii_is_still_folded(self):
+        assert _fold_ascii("Mönchengladbach") == "Monchengladbach"
+        assert _fold_ascii("ﬁne café") == "fine cafe"
 
 
 class TestNormalizeLabel:
@@ -218,6 +244,42 @@ class TestMongeElkan:
         assert monge_elkan_symmetric_memo(a, b, memo) == monge_elkan_symmetric(a, b)
         # A warm memo must not change the value either.
         assert monge_elkan_symmetric_memo(a, b, memo) == monge_elkan_symmetric(a, b)
+
+
+_label = st.one_of(
+    st.text(max_size=16),
+    st.lists(
+        st.sampled_from(["green", "greene", "Day", "days", "dáy", "!!", "21"]),
+        max_size=4,
+    ).map(" ".join),
+)
+
+
+class TestMemoizedLabelSimilarity:
+    @given(_label, _label)
+    def test_bit_identical_to_the_plain_path(self, a, b):
+        expected = monge_elkan_symmetric(tokenize(a), tokenize(b))
+        kernels = KernelCache()
+        assert label_similarity(a, b) == expected
+        assert label_similarity(a, b, kernels) == expected
+        # Swapped arguments on the same (now warm) memo.
+        assert label_similarity(b, a, kernels) == expected
+        assert label_similarity(a, b, kernels) == expected
+        assert label_similarity(a, a, kernels) == (
+            monge_elkan_symmetric(tokenize(a), tokenize(a))
+        )
+
+    def test_labels_without_tokens_score_zero(self):
+        kernels = KernelCache()
+        for a, b in [("", ""), ("!!", "!!"), ("", "green"), ("!!", "green")]:
+            assert label_similarity(a, b, kernels) == 0.0
+            assert label_similarity(b, a, kernels) == 0.0
+            assert label_similarity(a, b) == 0.0
+
+    def test_equal_labels_score_one(self):
+        kernels = KernelCache()
+        assert label_similarity("Green Day", "Green Day", kernels) == 1.0
+        assert kernels.cache_info() == {"token_pairs": 3, "label_tokens": 1}
 
 
 class TestTermVectors:
