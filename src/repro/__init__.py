@@ -26,10 +26,10 @@ Module map:
 * :mod:`repro.clustering` — row clustering via correlation clustering.
 * :mod:`repro.fusion` — entity creation (value fusion).
 * :mod:`repro.newdetect` — new-instance detection.
-* :mod:`repro.parallel` — the execution engine for the hot paths:
-  serial/queue :class:`Executor` backends with a chunked
-  ``map_batches`` API, deterministic ordering, and per-chunk observer
-  hooks (``repro run --executor queue --workers 4``).
+* :mod:`repro.parallel` — the in-process executor for the hot paths:
+  a ``map_batches`` API with input-order results, per-batch observer
+  hooks (which tracing turns into ``chunk:<task>`` spans) and failure
+  provenance.
 * :mod:`repro.pipeline` — stage protocol, orchestration and the paper's
   evaluation protocols.
 * :mod:`repro.api` — the :class:`RunSession` service layer.
@@ -94,7 +94,6 @@ __all__ = [
     "ArtifactStore",
     "IncrementalRunReport",
     "open_table_stream",
-    "Executor",
     "ExecutorError",
     "ExecutorObserver",
     "SerialExecutor",
@@ -141,7 +140,6 @@ _LAZY_EXPORTS = {
         "IncrementalRunReport",
     ),
     "open_table_stream": ("repro.corpus.readers", "open_table_stream"),
-    "Executor": ("repro.parallel", "Executor"),
     "ExecutorError": ("repro.parallel", "ExecutorError"),
     "ExecutorObserver": ("repro.parallel", "ExecutorObserver"),
     "SerialExecutor": ("repro.parallel", "SerialExecutor"),

@@ -77,18 +77,17 @@ __all__ = [
 ]
 
 
-#: Config fields that cannot influence stage outputs — the executor
-#: determinism contract guarantees identical artifacts for any backend,
-#: so runs differing only in these share cache entries.
-_NON_SEMANTIC_CONFIG_FIELDS = frozenset({"executor", "workers", "queue_dir"})
+#: Config fields that cannot influence stage outputs, so runs differing
+#: only in these share cache entries.
+_NON_SEMANTIC_CONFIG_FIELDS = frozenset({"executor", "workers"})
 
 
 def config_hash(config: PipelineConfig) -> str:
     """A stable short hash of a config's *semantic* field values.
 
     Used for cache keying; fields in :data:`_NON_SEMANTIC_CONFIG_FIELDS`
-    (the parallel-execution knobs) are excluded because they cannot
-    change any artifact.
+    (the executor knobs) are excluded because they cannot change any
+    artifact.
     """
     payload = {
         config_field.name: getattr(config, config_field.name)
@@ -205,11 +204,6 @@ class RunSession:
         #: The :class:`repro.obs.Tracer` of the latest traced run
         #: (``trace=`` on :meth:`run`); ``None`` until one runs.
         self.last_trace = None
-        #: Conventional spool directory for the ``queue`` executor —
-        #: set by :meth:`from_corpus_store` to ``<store>/queue`` so a
-        #: store-backed session (and the service built on one) can
-        #: borrow a worker fleet without any explicit configuration.
-        self.default_queue_dir: Path | None = None
         self._corpus_epoch: str | None = None
         self._kb_fp: str | None = None
         self._models_fps: dict[int, str] = {}
@@ -303,9 +297,6 @@ class RunSession:
             session.attach_artifact_store(
                 Path(store.directory) / ARTIFACTS_DIRNAME
             )
-        from repro.parallel.workqueue import QUEUE_DIRNAME
-
-        session.default_queue_dir = Path(store.directory) / QUEUE_DIRNAME
         return session
 
     # -- artifact store -------------------------------------------------
@@ -336,8 +327,6 @@ class RunSession:
         row_ids: set[RowId] | None = None,
         known_classes: dict[str, str] | None = None,
         use_cache: bool = True,
-        executor: str | None = None,
-        workers: int | None = None,
         trace=None,
     ) -> PipelineResult:
         """Run the pipeline for one class over the session's world.
@@ -351,11 +340,7 @@ class RunSession:
         rebuilding any session state.  ``table_ids`` restricts schema
         matching to a table subset, ``row_ids`` restricts clustering to
         specific rows, and ``known_classes`` bypasses table-to-class
-        matching (gold-standard experiments).  ``executor`` /
-        ``workers`` override the parallel backend for this run only —
-        the determinism contract makes any choice produce identical
-        results, so they are *excluded* from artifact keys (a serial run
-        may be served artifacts a parallel run computed, and vice versa).
+        matching (gold-standard experiments).
 
         Every default stage first consults :attr:`artifact_store` under
         keys that fingerprint *all* of its inputs; schema matching
@@ -372,11 +357,11 @@ class RunSession:
         corpus-epoch guard, so it never reads tables cached before the
         corpus last changed.
 
-        Failures in work dispatched through the executor surface as
-        :class:`~repro.parallel.ExecutorError` naming the task, chunk and
-        originating items, on every backend.  Only the clustering
-        stage's lazily scored pairs keep their original exception types
-        (its block-local precompute runs only under a non-serial executor).
+        Failures in work dispatched through the executor (schema
+        matching, new detection) surface as
+        :class:`~repro.parallel.ExecutorError` naming the task and the
+        originating items.  Other stages raise their original exception
+        types.
 
         ``trace`` records the run as a span tree (:mod:`repro.obs`):
         ``True`` logs to ``<artifact store>/traces/<trace-id>.ndjson``
@@ -389,24 +374,6 @@ class RunSession:
         results — ``canonical_json()`` is byte-identical either way.
         """
         config = config if config is not None else self.config
-        if executor is not None or workers is not None:
-            config = dataclasses.replace(
-                config,
-                **(
-                    {"executor": executor} if executor is not None else {}
-                ),
-                **({"workers": workers} if workers is not None else {}),
-            )
-        if (
-            config.executor == "queue"
-            and config.queue_dir is None
-            and self.default_queue_dir is not None
-        ):
-            # Store-backed sessions spool under the store by convention,
-            # so `repro worker --store DIR` finds the same queue.
-            config = dataclasses.replace(
-                config, queue_dir=str(self.default_queue_dir)
-            )
         models = self._resolve_models(models, config)
         stage_specs = list(stages) if stages is not None else list(
             DEFAULT_STAGE_NAMES
@@ -523,7 +490,6 @@ class RunSession:
                 for observer in observers
                 if isinstance(observer, ExecutorObserver)
             ],
-            queue_dir=config.queue_dir,
         )
         state = PipelineState(
             kb=self.knowledge_base,

@@ -17,22 +17,14 @@ Commands:
 * ``experiment`` — regenerate one paper table/figure by experiment id
   (``table01`` … ``table12``, ``figure01``, ``ranked_eval``).
 * ``ingest`` — stream web tables (JSONL / CSV directory / WDC JSON) into
-  a sharded on-disk corpus store with optional ingest-time filtering
-  and multiprocess shard writes; the result
-  serves ``RunSession.from_corpus_store``.  ``--then-run`` chains a
-  store-served pipeline run for the named classes straight after the
-  ingest — the ingest→run loop of a continuously growing corpus in one
-  command.  ``--json`` emits the full machine-readable
+  a sharded on-disk corpus store with optional ingest-time filtering;
+  the result serves ``RunSession.from_corpus_store``.  ``--then-run``
+  chains a store-served pipeline run for the named classes straight
+  after the ingest — the ingest→run loop of a continuously growing
+  corpus in one command.  ``--json`` emits the full machine-readable
   :class:`~repro.corpus.store.IngestReport` (including the
   inserted/replaced/dirty table ids), the same document the service's
   ``POST /ingest`` answers with.
-* ``worker`` — serve a distributed work-queue spool: claim pipeline
-  chunks enqueued by a driver running with ``--executor queue`` (or a
-  service doing the same), execute them, and return the results.
-  Workers attach to ``<store>/queue`` via ``--store DIR`` — on the same
-  host or on any host sharing the directory — or to an explicit spool
-  via ``--queue DIR``.  Leases plus heartbeats make a killed worker
-  harmless: its chunk is re-queued and retried elsewhere.
 * ``serve`` — hold a persistent session over a corpus store and serve
   it over HTTP: ``POST /ingest``, ``POST /runs`` + ``GET /runs/<id>``,
   ``GET /entities`` / ``GET /facts`` with provenance, ``GET /health`` /
@@ -47,7 +39,7 @@ Commands:
   ``chrome://tracing`` / Perfetto trace, ``--summary`` prints per-kind
   span counts and total seconds.
 * ``fsck`` — verify a store directory's integrity offline (CorpusStore
-  shards, artifact store, queue spool, service journal) and optionally
+  shards, artifact store, service journal) and optionally
   repair it: ``--repair`` quarantines corrupt objects under
   ``<store>/quarantine/`` and prunes or rebuilds what the stores can
   regenerate.  Exit 0 = clean after this invocation, 1 = unrepaired
@@ -57,8 +49,7 @@ Ctrl-C anywhere exits cleanly: no traceback, exit code 130 (the shell
 convention for SIGINT), with the serve loop closing its server + writer
 thread on the way out.  SIGTERM gets the matching graceful contract on
 the long-lived commands: ``serve`` stops accepting, drains its writer
-queue, and exits 143; ``worker`` finishes the chunk it holds, drops its
-registration, and exits 143.
+queue, and exits 143.
 """
 
 from __future__ import annotations
@@ -111,19 +102,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: unknown class(es) {', '.join(unknown)}; "
                   f"the synthetic world holds {', '.join(CLASS_CHOICES)}")
             return 2
-    overrides = {}
-    if args.executor is not None:
-        overrides["executor"] = args.executor
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.queue_dir is not None:
-        overrides["queue_dir"] = args.queue_dir
     try:
         config = PipelineConfig(
             iterations=args.iterations,
             fusion_scoring=args.fusion,
             dedup_new_entities=args.dedup,
-            **overrides,
         )
     except ValueError as error:
         print(f"error: {error}")
@@ -325,58 +308,6 @@ class _Terminated(BaseException):
     while ``serve_forever`` is starting a handler thread, and
     ``socketserver`` swallows any ``Exception`` raised there.
     """
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
-    from repro.parallel.workqueue import (
-        QUEUE_DIRNAME,
-        resolve_queue_dir,
-        run_worker,
-    )
-
-    if args.queue:
-        directory = Path(args.queue)
-    elif args.store:
-        directory = Path(args.store) / QUEUE_DIRNAME
-    else:
-        try:
-            directory = resolve_queue_dir(None)
-        except ValueError as error:
-            print(f"error: {error}")
-            return 2
-    print(f"worker serving queue {directory} (Ctrl-C to stop)",
-          file=sys.stderr)
-    # SIGTERM = graceful drain: finish the chunk in hand (its lease
-    # keeper stays alive), deregister, exit 143.  SIGINT keeps its
-    # abort-now/130 contract via main().
-    stop = threading.Event()
-    terminated = threading.Event()
-
-    def _on_sigterm(signum, frame):  # pragma: no cover - signal path
-        terminated.set()
-        stop.set()
-
-    previous = signal.signal(signal.SIGTERM, _on_sigterm)
-    try:
-        tasks_done = run_worker(
-            directory,
-            worker_id=args.worker_id,
-            poll_interval=args.poll,
-            lease_seconds=args.lease,
-            idle_timeout=args.idle_timeout,
-            max_tasks=args.max_tasks,
-            stop=stop,
-        )
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-    print(f"worker exiting after {tasks_done} task(s)", file=sys.stderr)
-    if terminated.is_set():
-        print("terminated", file=sys.stderr)
-        return 143
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -619,21 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stages", default=None,
                      help="comma-separated stage names to run instead of "
                           "the full schema_match,cluster,fuse,detect")
-    run.add_argument("--executor", choices=EXECUTOR_NAMES,
-                     default=None,
-                     help="parallel backend for the hot paths (default: "
-                          "serial, in this process; 'queue' spools chunks "
-                          "to external `repro worker` processes; results "
-                          "are identical for either choice)")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker count the queue executor sizes its "
-                          "chunks for (default: the CPUs this process may "
-                          "use)")
-    run.add_argument("--queue-dir", default=None, dest="queue_dir",
-                     metavar="DIR",
-                     help="spool directory for --executor queue (default: "
-                          "<store>/queue with --store, else the "
-                          "REPRO_QUEUE_DIR env)")
     run.add_argument("--json", action="store_true", dest="as_json",
                      help="print a machine-readable JSON report")
     run.add_argument("--quiet", action="store_true",
@@ -682,35 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--json", action="store_true", dest="as_json")
     ingest.set_defaults(handler=_cmd_ingest)
 
-    worker = subparsers.add_parser(
-        "worker",
-        help="claim and execute pipeline chunks from a work-queue spool",
-    )
-    worker.add_argument("--store", default=None,
-                        help="corpus store directory; the worker serves "
-                             "the conventional spool <store>/queue")
-    worker.add_argument("--queue", default=None, metavar="DIR",
-                        help="explicit spool directory (overrides --store; "
-                             "default otherwise: REPRO_QUEUE_DIR)")
-    worker.add_argument("--id", default=None, dest="worker_id",
-                        metavar="WORKER_ID",
-                        help="stable worker id (default: "
-                             "<host>-<pid>-<random>)")
-    worker.add_argument("--poll", type=float, default=0.1, metavar="SECONDS",
-                        help="idle claim-poll interval (default: 0.1)")
-    worker.add_argument("--lease", type=float, default=15.0,
-                        metavar="SECONDS",
-                        help="claim lease length; a keeper thread renews "
-                             "it while a chunk computes, so only a dead "
-                             "worker's lease expires (default: 15)")
-    worker.add_argument("--idle-timeout", type=float, default=None,
-                        dest="idle_timeout", metavar="SECONDS",
-                        help="exit after the queue stays empty this long "
-                             "(default: serve forever)")
-    worker.add_argument("--max-tasks", type=int, default=None,
-                        dest="max_tasks", metavar="N",
-                        help="exit after completing N tasks")
-    worker.set_defaults(handler=_cmd_worker)
 
     serve = subparsers.add_parser(
         "serve", help="serve a corpus store's knowledge base over HTTP"
@@ -727,15 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 binds an ephemeral port)")
     serve.add_argument("--executor", choices=EXECUTOR_NAMES,
                        default=None,
-                       help="parallel backend for the writer's runs "
-                            "(default: serial).  "
-                            "With 'queue' the service borrows a `repro "
-                            "worker` fleet attached to <store>/queue "
-                            "instead of computing in-process")
+                       help="executor for the writer's runs; 'serial' "
+                            "(in this process) is the only one")
     serve.add_argument("--workers", type=int, default=None,
-                       help="worker count the writer's queue executor "
-                            "sizes its chunks for (default: the CPUs this "
-                            "process may use)")
+                       help="accepted for compatibility; must be >= 1")
     serve.add_argument("--warm", nargs="*", default=None, metavar="CLASS",
                        help="queue an incremental run for these classes at "
                             "startup so the first readers hit a published "
@@ -772,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fsck.add_argument("--store", required=True,
                       help="store directory to check: a corpus store "
-                           "(its artifacts/ and queue/ ride along), a "
-                           "bare artifact store, or a queue spool")
+                           "(its artifacts/ ride along) or a bare "
+                           "artifact store")
     fsck.add_argument("--repair", action="store_true",
                       help="quarantine corrupt objects under "
                            "<store>/quarantine/ and prune or rebuild "

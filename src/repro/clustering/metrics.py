@@ -43,8 +43,7 @@ class LabelMetric:
     :class:`repro.perf.KernelCache` — pass the session's so every metric
     (and every run) reuses each token pair's similarity; without one the
     metric memoizes privately for its own lifetime.  The memo changes
-    nothing but speed (values are pure and canonical-keyed), and it
-    pickles empty, so executor workers start cold.
+    nothing but speed (values are pure and canonical-keyed).
     """
 
     name = "LABEL"

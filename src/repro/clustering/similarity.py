@@ -16,8 +16,7 @@ class RowSimilarity:
     Wraps the metric bundle and a fitted aggregator; pair scores are cached
     under the canonical (sorted) row-id pair because KLj revisits the same
     pairs repeatedly — each pair runs each metric kernel at most once per
-    run, whether it is first scored lazily (greedy/KLj) or by the parallel
-    block-local precompute.
+    run.
 
     The cache is keyed by row *identity*, not content, so it must not
     survive a corpus mutation: the cluster stage builds one instance per
@@ -51,17 +50,6 @@ class RowSimilarity:
         else:
             self._hits += 1
         return cached
-
-    def preload(self, scores: dict[tuple[RowId, RowId], float]) -> None:
-        """Seed the pair cache with externally computed scores.
-
-        Keys must already be canonical (``row_id_a <= row_id_b``).  Used
-        by the parallel block-local precompute: workers score pairs with
-        the same metric bundle and aggregator, and the clustering
-        algorithms then run serially against a warm cache — which is how
-        parallel runs stay byte-identical to serial ones.
-        """
-        self._cache.update(scores)
 
     def cache_size(self) -> int:
         return len(self._cache)

@@ -110,9 +110,9 @@ def _connect(path: Path) -> sqlite3.Connection:
     connection = sqlite3.connect(path, check_same_thread=False)
     connection.execute("PRAGMA journal_mode=WAL")
     connection.execute("PRAGMA synchronous=NORMAL")
-    # Concurrent writers (service ingest racing a worker fleet on one
-    # store) should wait out a held write lock, not raise a spurious
-    # "database is locked" — same budget the work-queue spool uses.
+    # Concurrent writers (a service ingest racing a `repro ingest` on
+    # one store) should wait out a held write lock, not raise a
+    # spurious "database is locked".
     connection.execute("PRAGMA busy_timeout=30000")
     connection.executescript(_SHARD_SCHEMA)
     return connection

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the hot I/O boundaries.
 
 Crash-recovery code is only trustworthy if every failure path can be
-*provoked on demand*: a lease-expiry sweep that has never seen a dead
-worker, or an orphan-tmp sweep that has never seen an interrupted
-writer, is dead code with a comforting name.  This module is the one
-switchboard for provoking those failures — a registry of **named
+*provoked on demand*: a journal resume that has never seen a dead
+writer thread, or an orphan-tmp sweep that has never seen an
+interrupted writer, is dead code with a comforting name.  This module
+is the one switchboard for provoking those failures — a registry of **named
 injection points** compiled into the production code paths
 (:data:`POINTS` is the authoritative inventory), armed by an explicit
 plan so the same failure reproduces exactly, run after run.
@@ -24,12 +24,12 @@ Usage, test/operator side::
 
 or in-process::
 
-    with faults.armed("queue.complete:raise@1"):
+    with faults.armed("artifacts.put:raise@1"):
         ...
 
 Arming sources, later wins: the ``REPRO_FAULTS`` environment variable
 (read once, lazily — subprocesses inherit it, which is how the chaos
-suite kills real ``repro serve`` / ``repro worker`` processes at exact
+suite kills real ``repro serve`` / ``repro ingest`` processes at exact
 points), then :func:`arm` / :func:`armed`; ``with armed(spec):`` around
 a :meth:`~repro.api.RunSession.run` call arms a plan for that run only.
 
@@ -91,19 +91,6 @@ POINTS: dict[str, str] = {
     "artifacts.put": (
         "ArtifactStore.put between the temp-file write and the atomic "
         "os.replace (a crash strands an orphan *.tmp, never a torn object)"
-    ),
-    "queue.claim": (
-        "WorkQueue.claim after the claim transaction commits — the worker "
-        "holds a lease it will never serve (lease-expiry recovery path)"
-    ),
-    "queue.complete": (
-        "WorkQueue.complete before the done-row update — the result file "
-        "exists but the task still reads 'running' (retry + stale-owner "
-        "guard path)"
-    ),
-    "queue.lease_renew": (
-        "WorkQueue.extend_lease before the lease-extension update — a "
-        "stalled keeper thread lets a live worker's lease lapse"
     ),
     "serve.writer": (
         "KBService writer loop, after dequeuing a job and before "

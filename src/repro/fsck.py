@@ -1,8 +1,8 @@
 """`repro fsck` — offline integrity verification and repair for a store.
 
 Walks everything a corpus-store directory accumulates — CorpusStore
-shards, the artifact store, the work-queue spool, the service's
-pending-run journal — and checks each component's own invariants:
+shards, the artifact store, the service's pending-run journal — and
+checks each component's own invariants:
 
 ========== ==========================================================
 component  invariants checked (finding ``kind``)
@@ -22,12 +22,6 @@ artifacts  manifest readable (``manifest_unreadable``); every object
            leftover ``*.tmp`` from interrupted writers
            (``orphan_tmp`` — a *warning*: the store's own aged sweep
            also clears these)
-queue      ``queue.sqlite`` readable (``database_unreadable``);
-           pending/running tasks have their payload pickle
-           (``payload_missing``); done tasks have their result pickle
-           (``result_missing``); expired-lease rows reported as
-           warnings (``stale_running`` — the queue's own lease sweep
-           recovers these, fsck only surfaces them)
 service    ``service/pending_runs.json`` parses and has the journal
            shape (``journal_unreadable``)
 ========== ==========================================================
@@ -44,11 +38,6 @@ stores' own redesign-for-recovery properties:
   corrupt or misplaced row is quarantined (as JSON, when recoverable)
   and deleted; re-ingesting the source data restores it.  A missing or
   unreadable shard file is quarantined and recreated empty.
-* the queue spool is transient coordination state — a task whose
-  payload vanished is marked ``failed`` (the driver surfaces it), a
-  done task whose result vanished is reset to ``pending`` (a worker
-  recomputes it), and an unreadable spool database is quarantined
-  wholesale.
 * an unreadable pending-run journal is quarantined; the service then
   starts with nothing to resume, which is the honest floor.
 
@@ -62,7 +51,6 @@ from __future__ import annotations
 import json
 import pickle
 import sqlite3
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,10 +59,6 @@ from repro.corpus.store import shard_of
 from repro.pipeline import artifacts as artifact_store
 
 __all__ = ["FsckFinding", "FsckReport", "run_fsck"]
-
-#: Leases this far past expiry are flagged (generous: the queue's own
-#: recovery re-queues after expiry, fsck only reports the backlog).
-STALE_LEASE_GRACE_SECONDS = 5.0
 
 
 @dataclass
@@ -460,126 +444,6 @@ def _check_artifacts(
             finding.action = f"quarantined to {moved}"
 
 
-# -- queue spool -------------------------------------------------------
-def _check_queue(
-    directory: Path, report: FsckReport, repair: bool, quarantine: _Quarantine
-) -> None:
-    counts = {"tasks": 0}
-    report.checked["queue"] = counts
-    database = directory / "queue.sqlite"
-    if not database.exists():
-        return
-    verdict = _quick_check(database)
-    if verdict is not None:
-        finding = report.add(
-            FsckFinding(
-                "queue",
-                "database_unreadable",
-                str(database),
-                f"SQLite integrity check failed: {verdict}",
-            )
-        )
-        if repair:
-            moved = quarantine.take_file("queue", database)
-            for suffix in ("-wal", "-shm"):
-                sidecar = database.with_name(database.name + suffix)
-                if sidecar.exists():
-                    quarantine.take_file("queue", sidecar)
-            finding.repaired = True
-            finding.action = (
-                f"quarantined to {moved} (transient coordination state; "
-                f"the next queue run respools)"
-            )
-        return
-    connection = sqlite3.connect(database)
-    try:
-        try:
-            rows = connection.execute(
-                "SELECT id, status, payload_path, result_path, "
-                "lease_expires FROM tasks ORDER BY id"
-            ).fetchall()
-        except sqlite3.Error as error:
-            finding = report.add(
-                FsckFinding(
-                    "queue",
-                    "database_unreadable",
-                    str(database),
-                    f"spool schema is broken: {error}",
-                )
-            )
-            if repair:
-                connection.close()
-                moved = quarantine.take_file("queue", database)
-                finding.repaired = True
-                finding.action = f"quarantined to {moved}"
-            return
-        now = time.time()
-        for task_id, status, payload_path, result_path, lease in rows:
-            counts["tasks"] += 1
-            if status in ("pending", "running") and not Path(
-                payload_path
-            ).exists():
-                finding = report.add(
-                    FsckFinding(
-                        "queue",
-                        "payload_missing",
-                        payload_path,
-                        f"task {task_id} is {status!r} but its payload "
-                        f"pickle is gone",
-                    )
-                )
-                if repair:
-                    with connection:
-                        connection.execute(
-                            "UPDATE tasks SET status = 'failed', "
-                            "error = ?, lease_expires = NULL WHERE id = ?",
-                            ("payload missing (marked failed by fsck)",
-                             task_id),
-                        )
-                    finding.repaired = True
-                    finding.action = "marked failed (driver surfaces it)"
-            elif status == "done" and (
-                result_path is None or not Path(result_path).exists()
-            ):
-                finding = report.add(
-                    FsckFinding(
-                        "queue",
-                        "result_missing",
-                        result_path or str(database),
-                        f"task {task_id} is done but its result pickle "
-                        f"is gone",
-                    )
-                )
-                if repair:
-                    with connection:
-                        connection.execute(
-                            "UPDATE tasks SET status = 'pending', "
-                            "owner = NULL, lease_expires = NULL, "
-                            "result_path = NULL WHERE id = ?",
-                            (task_id,),
-                        )
-                    finding.repaired = True
-                    finding.action = "reset to pending (a worker re-runs it)"
-            elif (
-                status == "running"
-                and lease is not None
-                and lease < now - STALE_LEASE_GRACE_SECONDS
-            ):
-                report.add(
-                    FsckFinding(
-                        "queue",
-                        "stale_running",
-                        str(database),
-                        f"task {task_id} holds a lease that expired "
-                        f"{now - lease:.1f}s ago (the queue's own expiry "
-                        f"sweep will re-queue it)",
-                        severity="warn",
-                    )
-                )
-    finally:
-        connection.close()
-
-
 # -- service journal ---------------------------------------------------
 def _check_service(
     artifacts_dir: Path,
@@ -625,10 +489,10 @@ def run_fsck(
 ) -> FsckReport:
     """Verify (and with ``repair=True`` fix) one store directory.
 
-    ``store`` is a corpus-store directory; its conventional satellites
-    (``artifacts/``, ``queue/``) are checked when present.  Pointing it
-    at a bare artifact store or queue spool also works — each component
-    check activates on its own layout marker.
+    ``store`` is a corpus-store directory; its conventional
+    ``artifacts/`` satellite is checked when present.  Pointing it at a
+    bare artifact store also works — each component check activates on
+    its own layout marker.
 
     Raises :class:`FileNotFoundError` when ``store`` is not a directory
     (the CLI maps that to exit code 2).
@@ -643,17 +507,13 @@ def run_fsck(
         else directory / "quarantine"
     )
     _check_corpus(directory, report, repair, quarantine)
-    # Conventional layout: <store>/artifacts and <store>/queue; a bare
-    # artifact store / spool directory is also accepted directly.
+    # Conventional layout: <store>/artifacts; a bare artifact store
+    # directory is also accepted directly.
     artifacts_dir = directory / "artifacts"
     if not artifacts_dir.exists() and (
         directory / artifact_store.MANIFEST_NAME
     ).exists():
         artifacts_dir = directory
     _check_artifacts(artifacts_dir, report, repair, quarantine)
-    queue_dir = directory / "queue"
-    if not queue_dir.exists() and (directory / "queue.sqlite").exists():
-        queue_dir = directory
-    _check_queue(queue_dir, report, repair, quarantine)
     _check_service(artifacts_dir, report, repair, quarantine)
     return report

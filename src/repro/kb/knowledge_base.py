@@ -31,18 +31,6 @@ class KnowledgeBase:
         self._exact_label_map: dict[str, list[str]] = defaultdict(list)
         self._search_cache: dict[tuple[str, int], list[LabelMatch]] = {}
 
-    def __getstate__(self) -> dict:
-        """Pickle with the label index built, without the search memo.
-
-        The memo only grows, and every out-of-process chunk that carries
-        the KB would ship it.  The index is built first, so no chunk
-        builds it again in a worker.
-        """
-        self._ensure_label_index()
-        state = self.__dict__.copy()
-        state["_search_cache"] = {}
-        return state
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

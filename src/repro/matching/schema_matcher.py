@@ -11,11 +11,11 @@ matching phase of one pipeline iteration:
    duplicate-based matchers when clustering/new-detection feedback from a
    previous iteration is supplied.
 
-Steps 1–2 and the per-table attribute passes are embarrassingly parallel
-— every table is scored independently against read-only KB state.  Both
-run through an :class:`~repro.parallel.Executor` via pure, picklable
-batch callables (:class:`_AnalyzeBatch`, :class:`_AttributeBatch`), so
-every executor produces results identical to the serial one.
+Steps 1–2 and the per-table attribute passes score every table
+independently against read-only KB state.  Both run through an
+:class:`~repro.parallel.SerialExecutor` via pure batch callables
+(:class:`_AnalyzeBatch`, :class:`_AttributeBatch`), so the executor's
+observers time them and its errors name the failing tables.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.matching.matchers import (
     MATCHER_NAMES_SECOND_ITERATION,
 )
 from repro.matching.table_class import TableClassMatcher
-from repro.parallel import Executor, SerialExecutor, dispatch_dirty
+from repro.parallel import SerialExecutor, dispatch_dirty
 from repro.webtables.corpus import TableCorpus
 from repro.webtables.table import WebTable
 
@@ -102,44 +102,23 @@ def _analyze_table(
 
 
 class _AnalyzeBatch:
-    """Picklable batch function for phase A (types, label column, class).
+    """Batch function for phase A (types, label column, class).
 
     Items are ``(table, need_class, cached_analysis)`` triples — a
     non-``None`` cached analysis (types + label column) is reused so a
     table analyzed in an earlier call is never re-typed just to compute
     its class decision.  Results are ``(column_types, label_column,
-    class_decision-or-None)``.  Pure: depends only on the item and
-    read-only KB state, so every executor produces identical output.
-    In-process execution shares the owning matcher's
-    :class:`TableClassMatcher`; it is dropped from pickles, so each
-    worker chunk builds its own (stateless, hence score-identical) over
-    ``kernels``, which a pickle leaves empty.
+    class_decision-or-None)``.  Pure: depends only on the item and the
+    owning matcher's :class:`TableClassMatcher`, which reads KB state
+    only.
     """
 
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        candidate_limit: int,
-        matcher: TableClassMatcher | None = None,
-        kernels: "KernelCache | None" = None,
-    ) -> None:
-        self.kb = kb
-        self.candidate_limit = candidate_limit
-        self._matcher = matcher
-        self.kernels = kernels
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_matcher"] = None
-        return state
+    def __init__(self, matcher: TableClassMatcher) -> None:
+        self.matcher = matcher
 
     def __call__(
         self, items: list[tuple[WebTable, bool, tuple | None]]
     ) -> list[tuple[dict[int, DataType], int | None, tuple[str | None, float] | None]]:
-        if self._matcher is None:
-            self._matcher = TableClassMatcher(
-                self.kb, self.candidate_limit, kernels=self.kernels
-            )
         results = []
         for table, need_class, cached_analysis in items:
             if cached_analysis is not None:
@@ -148,24 +127,20 @@ class _AnalyzeBatch:
                 column_types, label_column = _analyze_table(table)
             decision = None
             if need_class:
-                result = self._matcher.match(table, column_types, label_column)
+                result = self.matcher.match(table, column_types, label_column)
                 decision = (result.class_name, result.score)
             results.append((column_types, label_column, decision))
         return results
 
 
 class _AttributeBatch:
-    """Picklable batch function for one attribute-to-property pass.
+    """Batch function for one attribute-to-property pass.
 
     Items are ``(table, base TableMapping)`` pairs — the caller only
     dispatches tables with a known class — and results are the attribute
     correspondence dict per table.  Per-class matchers are cached on the
-    instance, so in-process execution builds exactly one per class per
-    pass (as the pre-parallel code did); the cache is dropped from
-    pickles, so worker chunks rebuild it —
-    :class:`AttributePropertyMatcher` only caches KB-derived value
-    pools, so chunk-local construction cannot change any score.
-    ``kernels`` memoizes label similarity and pickles empty.
+    instance, so a pass builds exactly one per class.  ``kernels``
+    memoizes label similarity.
     """
 
     def __init__(
@@ -182,11 +157,6 @@ class _AttributeBatch:
         self.feedback_by_class = feedback_by_class
         self.kernels = kernels
         self._matchers: dict[str, AttributePropertyMatcher] = {}
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_matchers"] = {}
-        return state
 
     def __call__(
         self, items: list[tuple[WebTable, TableMapping]]
@@ -217,11 +187,9 @@ class _AttributeBatch:
 class SchemaMatcher:
     """The schema matching component of the pipeline.
 
-    ``executor`` (serial by default) runs the per-table work of
-    :meth:`match_corpus`: any executor produces byte-identical mappings
-    (see ``docs/architecture.md``, "Parallel execution"), and every one
-    wraps a failing table in :class:`~repro.parallel.ExecutorError` with
-    chunk provenance.
+    ``executor`` runs the per-table work of :meth:`match_corpus` and
+    wraps a failing table in :class:`~repro.parallel.ExecutorError`
+    with the labels of the tables in its batch.
 
     Tables are fetched from the corpus and dispatched in bounded *waves*
     (``wave_size``), so peak memory tracks the wave, not the corpus —
@@ -240,7 +208,7 @@ class SchemaMatcher:
         kb: KnowledgeBase,
         models: SchemaMatcherModels | None = None,
         candidate_limit: int = 5,
-        executor: Executor = SerialExecutor(),
+        executor: SerialExecutor = SerialExecutor(),
         kernels: "KernelCache | None" = None,
     ) -> None:
         self.kb = kb
@@ -307,9 +275,7 @@ class SchemaMatcher:
             if table_id in self._analysis_cache and not need_class:
                 continue
             pending.append((table_id, need_class))
-        analyze = _AnalyzeBatch(
-            self.kb, self.candidate_limit, self.table_class_matcher, self.kernels
-        )
+        analyze = _AnalyzeBatch(self.table_class_matcher)
         for wave_start in range(0, len(pending), self.wave_size):
             wave = pending[wave_start : wave_start + self.wave_size]
             items = [

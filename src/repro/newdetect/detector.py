@@ -2,10 +2,8 @@
 
 Per-entity candidate retrieval and feature extraction are independent of
 each other, so :meth:`NewDetector.detect` dispatches the entity list
-through an :class:`~repro.parallel.Executor` (serial by default) via a
-pure, picklable batch function (:class:`_DetectBatch`); results are reassembled in
-entity order, so every executor yields an identical
-:class:`DetectionResult`.
+through an :class:`~repro.parallel.SerialExecutor` via a pure batch function
+(:class:`_DetectBatch`); results come back in entity order.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from repro.kb.instance import KBInstance
 from repro.ml.aggregation import MetricVector, ScoreAggregator
 from repro.newdetect.candidates import CandidateSelector
 from repro.newdetect.metrics import EntityInstanceMetric
-from repro.parallel import Executor, SerialExecutor, dispatch_dirty
+from repro.parallel import SerialExecutor, dispatch_dirty
 
 
 class Classification(str, Enum):
@@ -94,7 +92,7 @@ class DetectionResult:
 
 
 class _DetectBatch:
-    """Picklable batch function: classify a chunk of entities.
+    """Batch function: classify a list of entities.
 
     Holds the candidate selector (KB included), the similarity bundle
     and the thresholds — all read-only — and returns one
@@ -165,10 +163,10 @@ class NewDetector:
     def detect(
         self,
         entities: Sequence[Entity],
-        executor: Executor = SerialExecutor(),
+        executor: SerialExecutor = SerialExecutor(),
         cache=None,
     ) -> DetectionResult:
-        """Classify every entity; any executor yields identical results.
+        """Classify every entity, in entity order.
 
         ``cache`` is an optional per-entity artifact cache (``get(entity)
         -> triple | None`` / ``put(entity, triple)``, e.g. the incremental

@@ -25,8 +25,6 @@ def to_chrome_trace(events: Iterable[dict]) -> dict:
     https://ui.perfetto.dev.  Spans become complete (``ph: "X"``) events;
     points become instant (``ph: "i"``) events.  Timestamps are
     microseconds relative to the earliest event, so traces start at 0.
-    Worker pids recorded on chunk spans become Chrome *thread* ids, which
-    renders each queue worker as its own row under one process.
     """
     events = list(events)
     spans = span_index(events)
@@ -41,14 +39,13 @@ def to_chrome_trace(events: Iterable[dict]) -> dict:
     trace_events: list[dict] = []
     for span_id, span in sorted(spans.items()):
         attrs = dict(span.get("attrs", {}))
-        tid = attrs.get("pid", 1)
         trace_events.append(
             {
                 "name": span.get("name", span_id),
                 "cat": span.get("kind", "span"),
                 "ph": "X",
                 "pid": 1,
-                "tid": tid,
+                "tid": 1,
                 "ts": micros(span.get("ts", origin) - origin),
                 "dur": micros(span.get("dur") or 0.0),
                 "args": {"span": span_id, "parent": span.get("parent"), **attrs},

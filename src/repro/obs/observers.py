@@ -4,19 +4,16 @@
 instance passed to ``RunSession.run(observers=[...])`` covers the whole
 hierarchy: the orchestrator's run/iteration/stage hooks produce live
 ``begin``/``end`` spans, and the executor — which receives every
-``ExecutorObserver`` automatically — delivers per-chunk timings measured
-*inside* workers, which land as complete ``span`` records parented to
-the stage that dispatched them.
+``ExecutorObserver`` automatically — reports each batch's compute
+seconds, which land as complete ``chunk:<task>`` span records parented
+to the stage that dispatched them.
 
 Per-stage kernel summaries come from the module-global counters of
 :mod:`repro.perf.counters`: a snapshot at stage start, the non-zero
-delta attached to the stage's ``end`` record.  Chunks that ran in
-another process bring their counter deltas back with their results, and
-the executor adds them to this registry before the stage ends.
-Those ``end`` records are the run's only timing record:
-:func:`~repro.obs.export.trace_summary` sums them into stage seconds
-and kernel counters for ``repro run --json`` and the service's
-``/metrics``.
+delta attached to the stage's ``end`` record.  Those ``end`` records
+are the run's only timing record: :func:`~repro.obs.export.trace_summary`
+sums them into stage seconds and kernel counters for ``repro run
+--json`` and the service's ``/metrics``.
 
 The byte-neutrality contract lives here by construction: the observer
 only *reads* pipeline state and writes to its own event log, so a traced
@@ -25,6 +22,7 @@ run's ``PipelineResult`` is byte-identical to an untraced one.
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING
 
 from repro.obs.trace import Span, Tracer
@@ -140,29 +138,17 @@ class TracingObserver(PipelineObserver, ExecutorObserver):
             attrs={"items": n_items, "chunks": n_chunks},
         )
 
-    def chunk_trace_context(self, task_name: str) -> dict | None:
-        # Handing the executor a concrete (trace, parent) pair is what
-        # lets queue workers stamp the correct parent id on the
-        # chunk records they ship back across the pickle boundary.
-        return {
-            "trace": self.tracer.trace_id,
-            "parent": self._current_parent(),
-        }
-
-    def on_chunk_spans(self, task_name: str, records: list[dict]) -> None:
-        # Records arrive in chunk-index order (the executor reassembles
-        # completion-order results deterministically), so span ids and
-        # log sequence numbers are identical for identical inputs no
-        # matter how chunks raced.
-        for record in records:
-            self.tracer.span(
-                record["name"],
-                record.get("kind", "chunk"),
-                parent=record.get("parent"),
-                ts=record.get("ts"),
-                dur=record.get("dur", 0.0),
-                attrs=record.get("attrs"),
-            )
+    def on_chunk_finished(
+        self, task_name: str, chunk_index: int, n_items: int, seconds: float
+    ) -> None:
+        self.tracer.span(
+            f"chunk:{task_name}",
+            "chunk",
+            parent=self._current_parent(),
+            ts=time.time() - seconds,
+            dur=seconds,
+            attrs={"chunk_index": chunk_index, "n_items": n_items},
+        )
 
     # -- internals ------------------------------------------------------
     def _current_parent(self) -> str | None:

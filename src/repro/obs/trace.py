@@ -24,9 +24,9 @@ Event records share one flat schema::
 ``begin``/``end`` pairs bracket live spans (the streaming consumer sees
 the begin the moment a stage starts); ``span`` records are *complete*
 spans recorded after the fact — the shape executor chunks use, because
-their timings are measured inside workers and shipped back with the
-results.  Durations come from ``time.perf_counter`` (monotonic);
-``ts`` is wall-clock so independent traces can be aligned.
+their timings are known only once the batch function returns.
+Durations come from ``time.perf_counter`` (monotonic); ``ts`` is
+wall-clock so independent traces can be aligned.
 
 Everything here is stdlib-only and thread-safe: the service's writer
 thread, HTTP handler threads, and in-process executor callbacks may all
@@ -135,8 +135,7 @@ class Tracer:
     """Records one trace into an :class:`EventLog`.
 
     Span ids are allocated sequentially under a lock, so ids are
-    deterministic for a deterministic call sequence — which the executor
-    layer exploits to merge worker-recorded chunk spans in input order.
+    deterministic for a deterministic call sequence.
     ``default_parent`` lets an outer owner (the service's per-run job
     span) adopt spans opened by code that doesn't know about it
     (:meth:`repro.api.RunSession.run` parents its root span there).
@@ -224,9 +223,9 @@ class Tracer:
     ) -> str:
         """Record a *complete* span after the fact; returns its id.
 
-        The shape for timings measured elsewhere — executor chunks
-        record ``ts``/``dur`` inside workers, the service turns a run's
-        queue wait into a span once the writer picks the job up.
+        The shape for timings measured elsewhere — executor chunks are
+        recorded once their batch function returns, the service turns a
+        run's queue wait into a span once the writer picks the job up.
         """
         span_id = self.new_span_id()
         self._emit(

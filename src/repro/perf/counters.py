@@ -10,16 +10,10 @@ Counter names are dotted ``<kernel>.<event>`` strings, e.g.
 ``levenshtein_within.band_exceeded`` or ``similar_tokens.delete_hits``;
 the full inventory lives in ``docs/architecture.md`` ("Performance").
 
-Counters are per-process.  A ``process`` pool worker or a ``queue``
-worker bumps its own registry, so every chunk carries the delta it
-bumped back to the driver in its result metadata, and the driver's
-:class:`~repro.parallel.Executor` adds that delta to this registry
-(chunks that ran in the driver itself are not added twice).  A run's
-counts therefore cover all of its work whichever executor ran it; they
-still differ between executors where the work does (per-worker memos
-start cold, and pool runs precompute block pair scores).  :func:`bump` is a
-plain read-modify-write, so it is not safe against concurrent threads;
-the pipeline bumps from one thread per process.
+Counters are per-process, and the pipeline runs all of its work in the
+process that drives it, so a run's counts cover all of its work.
+:func:`bump` is a plain read-modify-write, so it is not safe against
+concurrent threads; the pipeline bumps from one thread per process.
 """
 
 from __future__ import annotations

@@ -29,17 +29,12 @@ class KernelCache:
       scores over ``token_sim``.
 
     Both are content-keyed, so they are safe across runs and corpus
-    epochs; the epoch guard clears them anyway to bound memory.  A
-    pickled cache is empty: a worker chunk starts cold rather than
-    receiving the session's memos with every task.
+    epochs; the epoch guard clears them anyway to bound memory.
     """
 
     def __init__(self) -> None:
         self.token_sim: TokenPairMemo = {}
         self.label_tokens: dict[str, tuple[str, ...]] = {}
-
-    def __getstate__(self) -> dict:
-        return vars(KernelCache())
 
     def cache_info(self) -> dict[str, int]:
         """Sizes of everything this cache currently holds."""

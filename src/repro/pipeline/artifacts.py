@@ -103,8 +103,8 @@ class ArtifactStore:
     Those orphans — a writer killed between ``mkstemp`` and
     ``os.replace`` never reaches its own unlink — are swept on store
     open, guarded by age so a *live* writer's in-flight temp file is
-    never pulled out from under it (queue workers and the service may
-    share one store).
+    never pulled out from under it (several processes, such as a
+    ``repro run`` and the service, may share one store).
     """
 
     #: A ``*.tmp`` file must be at least this old (seconds) before the

@@ -22,7 +22,7 @@ from repro.matching.schema_matcher import SchemaMatcherModels
 from repro.ml.aggregation import ScoreAggregator
 from repro.newdetect.detector import DetectionResult
 from repro.newdetect.metrics import ENTITY_METRIC_NAMES
-from repro.parallel import EXECUTOR_NAMES, default_worker_count
+from repro.parallel import EXECUTOR_NAMES
 
 #: Fallback metric weights when the pipeline runs untrained.
 _DEFAULT_ROW_WEIGHTS = {
@@ -56,19 +56,12 @@ class PipelineConfig:
     #: paper suggests in Section 5 against over-segmentation (off by
     #: default, matching the published system).
     dedup_new_entities: bool = False
-    #: Execution backend for the parallel hot paths: ``serial`` (the
-    #: default, in this process) or ``queue`` (chunks run by ``repro
-    #: worker`` processes) — results are byte-identical on both.
-    #: ``workers`` sizes the queue's chunks; it defaults to the CPUs
-    #: this process may use.
+    #: The executor batches run on.  ``"serial"`` (in this process) is
+    #: the only accepted value and ``workers`` must be >= 1; both fields
+    #: stay only because callers still pass them.  They are excluded
+    #: from the semantic config hash.
     executor: str = "serial"
-    workers: int = field(default_factory=default_worker_count)
-    #: Spool directory for the ``queue`` executor (``None`` defers to
-    #: the session's corpus-store convention ``<store>/queue``, then to
-    #: ``REPRO_QUEUE_DIR``).  Ignored by the serial executor and —
-    #: like ``executor``/``workers`` — excluded from the semantic config
-    #: hash: where chunks run never changes what they compute.
-    queue_dir: str | None = None
+    workers: int = 1
     #: Label retrieval has one candidate path, the exact scan of
     #: :meth:`repro.index.LabelIndex.search`; ``"exact"`` is the only
     #: accepted value.  The field stays only because it is part of the
@@ -105,8 +98,6 @@ class PipelineConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.queue_dir is not None:
-            self.queue_dir = str(self.queue_dir)
         if self.candidate_mode != "exact":
             raise ValueError(
                 f"unknown candidate_mode {self.candidate_mode!r}: fast "

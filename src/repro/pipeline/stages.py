@@ -45,7 +45,7 @@ from repro.newdetect.detector import (
     NewDetector,
 )
 from repro.newdetect.metrics import make_entity_metrics
-from repro.parallel import Executor
+from repro.parallel import SerialExecutor
 from repro.perf.kernels import KernelCache
 from repro.pipeline.result import IterationArtifacts
 from repro.webtables.corpus import TableCorpus
@@ -77,10 +77,10 @@ class PipelineState:
     class_name: str
     config: "PipelineConfig"
     models: "PipelineModels"
-    #: Execution backend for the parallel hot paths, built per run by
-    #: ``RunSession.run`` from ``config.executor``/``config.workers``.
-    #: Stages hand it to the components they build.
-    executor: Executor
+    #: The executor batches run on, built per run by ``RunSession.run``
+    #: with the run's executor observers.  Stages hand it to the
+    #: components they build.
+    executor: SerialExecutor
     #: Session-scoped kernel memos (:class:`repro.perf.KernelCache`).
     #: Stages share it with the similarity kernels they build.  Purely a
     #: speed lever — outputs are identical with any cache state.
@@ -301,7 +301,6 @@ class ClusterStage:
             seed=config.seed + state.iteration,
             use_klj=config.use_klj,
             use_blocking=config.use_blocking,
-            executor=state.executor,
         )
         state.clusters = clusterer.cluster(state.records)
         return state

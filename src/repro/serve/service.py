@@ -519,28 +519,7 @@ class KBService:
             "stage_seconds": stage_seconds,
             "kernel_counters": kernel_counters,
             "session": self.session.service_stats(),
-            "work_queue": self._work_queue_stats(),
         }
-
-    def _work_queue_stats(self) -> dict | None:
-        """Distributed work-queue snapshot, ``None`` when no spool exists.
-
-        A service whose session runs with ``executor="queue"`` spools
-        chunks under ``<store>/queue``; surfacing depth, live workers and
-        lease expiries here is how an operator sees the borrowed worker
-        fleet through ``/metrics``.
-        """
-        spool = self.session.default_queue_dir
-        if spool is None and self.session.config.queue_dir is not None:
-            spool = Path(self.session.config.queue_dir)
-        if spool is None:
-            return None
-        from repro.parallel.workqueue import queue_stats
-
-        stats = queue_stats(spool)
-        if stats is None:
-            return None
-        return {"directory": str(spool), **stats}
 
     # -- transport telemetry --------------------------------------------
     def record_request(

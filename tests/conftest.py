@@ -1,9 +1,4 @@
-"""Shared fixtures: a tiny world + gold standards, built once per session.
-
-Tests that do not pin an executor run on the serial default; the
-``queue`` backend has its own legs (``tests/queue_worker_helpers.py``
-holds the worker fleets that drain it).
-"""
+"""Shared fixtures: a tiny world + gold standards, built once per session."""
 
 from __future__ import annotations
 

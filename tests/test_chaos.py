@@ -2,18 +2,17 @@
 
 For each point in :data:`repro.faults.POINTS`, this suite arms
 ``REPRO_FAULTS`` in a real subprocess (``repro ingest`` / ``repro run``
-/ ``repro worker`` / ``repro serve``), lets the ``crash`` action
+/ ``repro serve``), lets the ``crash`` action
 SIGKILL it at exactly that boundary, and then proves the recovery
 contract end to end:
 
 1. **fsck after the crash** — the surviving on-disk state verifies
    clean (at most warnings; ``--repair`` where the crash strands
    quarantinable leftovers);
-2. **recovery is complete** — re-ingest / rerun / lease expiry /
-   journal restart resumes the interrupted work;
+2. **recovery is complete** — re-ingest / rerun / journal restart
+   resumes the interrupted work;
 3. **byte equality** — the recovered output is byte-identical to the
-   committed golden fixtures (``tests/golden/expected_Song.json``) or,
-   for the spool legs, to the uninterrupted task results.
+   committed golden fixtures (``tests/golden/expected_Song.json``).
 
 A final completeness check asserts the matrix names every registered
 injection point, so adding a ``faults.check`` call site without a chaos
@@ -23,7 +22,6 @@ leg fails this file.
 from __future__ import annotations
 
 import json
-import pickle
 import signal
 import subprocess
 import sys
@@ -34,12 +32,10 @@ from pathlib import Path
 
 import pytest
 
-from queue_worker_helpers import timed_holding, timed_square
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.faults import POINTS
 from repro.fsck import run_fsck
-from repro.parallel import WorkQueue, run_worker
 from repro.serve import ServiceClient
 from test_signals import ServeProcess, make_golden_store, subprocess_env
 
@@ -53,9 +49,6 @@ SIGKILLED = (-signal.SIGKILL, 137)
 MATRIX = {
     "corpus.shard_write": "TestIngestCrash",
     "artifacts.put": "TestRunCrash",
-    "queue.claim": "TestWorkerCrash",
-    "queue.complete": "TestWorkerCrash",
-    "queue.lease_renew": "TestWorkerCrash",
     "serve.writer": "TestServeCrash",
     "serve.request": "TestServeCrash",
 }
@@ -148,115 +141,6 @@ class TestRunCrash:
         # The rerun reuses every artifact the crashed run completed and
         # recomputes the rest — to the committed bytes.
         assert session_canonical(store_dir) == expected_song
-
-
-# -- queue.*: repro worker killed around the claim/complete/renew edges -
-class TestWorkerCrash:
-    def _spool_with_task(self, directory, function, items):
-        spool = directory / "queue"
-        queue = WorkQueue(spool)
-        queue.create_batch("batch-1")
-        payload = queue.payload_dir / "chunk-0.pkl"
-        payload.write_bytes(pickle.dumps((function, items)))
-        task_id = queue.enqueue("batch-1", "chaos", 0, payload)
-        return spool, queue, task_id
-
-    def _spawn_victim(self, spool, faults):
-        return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker",
-                "--queue", str(spool), "--lease", "1.0", "--poll", "0.05",
-            ],
-            env=subprocess_env(REPRO_FAULTS=faults),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-
-    def _recover(self, queue, spool):
-        """Wait out the dead worker's lease, then drain with a clean one."""
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            queue.touch_batch("batch-1")
-            if queue.expire_leases() or queue.stats()["pending"]:
-                break
-            time.sleep(0.1)
-        done = run_worker(
-            spool, max_tasks=1, idle_timeout=10.0, poll_interval=0.01
-        )
-        assert done == 1
-
-    @pytest.mark.parametrize(
-        "spec", ["queue.claim:crash@1", "queue.complete:crash@1"]
-    )
-    def test_killed_worker_lease_expires_and_retry_is_identical(
-        self, tmp_path, spec
-    ):
-        items = list(range(5))
-        spool, queue, task_id = self._spool_with_task(
-            tmp_path, timed_square, items
-        )
-        victim = self._spawn_victim(spool, spec)
-        try:
-            assert victim.wait(timeout=120.0) in SIGKILLED
-        finally:
-            if victim.poll() is None:  # pragma: no cover - cleanup
-                victim.kill()
-        # Between death and recovery the spool verifies clean: the task
-        # sits 'running' under a lease nobody serves (at most a
-        # stale-lease *warning* once it lapses).
-        report = run_fsck(spool)
-        assert report.clean, [f.detail for f in report.findings]
-        stale_result = None
-        if spec.startswith("queue.complete"):
-            # The crash fell after the result write, before the done
-            # update — the result pickle is already on disk.
-            result_path = spool / "results" / f"{task_id}.pkl"
-            assert result_path.exists()
-            stale_result = result_path.read_bytes()
-        self._recover(queue, spool)
-        finished = queue.fetch_finished("batch-1")
-        assert [task.status for task in finished] == ["done"]
-        assert finished[0].attempts == 2
-        with open(finished[0].result_path, "rb") as handle:
-            __, results = pickle.load(handle)
-        assert results == [value * value for value in items]
-        if stale_result is not None:
-            # The retry recomputed the result byte-identically.
-            assert Path(
-                finished[0].result_path
-            ).read_bytes() == stale_result
-        assert run_fsck(spool).clean
-        queue.close()
-
-    def test_killed_lease_keeper_releases_the_chunk(self, tmp_path):
-        control = tmp_path / "control"
-        control.mkdir()
-        (control / "hold").touch()
-        items = [(value, str(control)) for value in range(4)]
-        spool, queue, __ = self._spool_with_task(
-            tmp_path, timed_holding, items
-        )
-        victim = self._spawn_victim(spool, "queue.lease_renew:crash@1")
-        try:
-            # The worker claims, starts the chunk, and dies at its first
-            # lease renewal (~lease/3 in) while the chunk still holds.
-            assert victim.wait(timeout=120.0) in SIGKILLED
-        finally:
-            if victim.poll() is None:  # pragma: no cover - cleanup
-                victim.kill()
-        started = next(control.glob("started-*"), None)
-        assert started is not None, "victim died before starting the chunk"
-        assert int(started.read_text()) == victim.pid
-        started.unlink()
-        (control / "hold").unlink()
-        assert run_fsck(spool).clean
-        self._recover(queue, spool)
-        finished = queue.fetch_finished("batch-1")
-        assert [task.status for task in finished] == ["done"]
-        with open(finished[0].result_path, "rb") as handle:
-            __, results = pickle.load(handle)
-        assert results == [value * value for value in range(4)]
-        queue.close()
 
 
 # -- serve.*: repro serve killed, restarted, resumed --------------------

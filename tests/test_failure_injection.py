@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from queue_worker_helpers import worker_threads
 from repro.api import RunSession
 from repro.clustering.clusterer import RowClusterer
 from repro.clustering.similarity import RowSimilarity
@@ -19,8 +18,7 @@ from repro.datatypes.normalization import NormalizationError
 from repro.matching import SchemaMatcher, build_row_records
 from repro.matching.records import RowRecord
 from repro.ml.aggregation import StaticWeightedAggregator
-from repro.parallel import ExecutorError, QueueExecutor, SerialExecutor
-from repro.pipeline.pipeline import PipelineConfig
+from repro.parallel import ExecutorError
 from repro.webtables import TableCorpus, WebTable
 
 
@@ -110,17 +108,14 @@ class TestPipelineRobustness:
 
 
 class BoobyTrappedTable(WebTable):
-    """A table whose column access explodes — simulates a worker crash.
-
-    Module-level so instances pickle into queue tasks.
-    """
+    """A table whose column access explodes — simulates a corrupt input."""
 
     def column(self, index):
         raise RuntimeError("corrupted payload")
 
 
 class ExplodingRowMetric:
-    """Row metric that fails on a poisoned label (picklable)."""
+    """Row metric that fails on a poisoned label."""
 
     name = "BOOM"
 
@@ -143,31 +138,15 @@ def _plain_record(number: int, label: str) -> RowRecord:
 
 
 class TestParallelFailurePropagation:
-    """Worker exceptions must surface with the originating chunk/table id."""
+    """Batch-function exceptions surface with the originating table id."""
 
-    @pytest.fixture(
-        scope="class", params=["serial", "queue"], ids=["serial", "queue"]
-    )
-    def pool(self, request, tmp_path_factory):
-        if request.param == "serial":
-            yield SerialExecutor()
-            return
-        spool = tmp_path_factory.mktemp("failure-queue")
-        with worker_threads(spool):
-            yield QueueExecutor(
-                spool, workers=2, poll_interval=0.01, no_worker_timeout=30.0
-            )
-
-    def test_schema_matching_worker_crash_names_table(self, tiny_world, pool):
+    def test_schema_matching_worker_crash_names_table(self, tiny_world):
         tables = pathological_tables()
         tables.insert(3, BoobyTrappedTable("trapped", ("a", "b"), [("x", "y")]))
         corpus = TableCorpus(tables)
-        if pool.name == "serial":
-            # A plain matcher dispatches through its default serial
-            # executor, so it wraps failures the same way the queue does.
-            matcher = SchemaMatcher(tiny_world.knowledge_base)
-        else:
-            matcher = SchemaMatcher(tiny_world.knowledge_base, executor=pool)
+        # A plain matcher dispatches through its default executor, which
+        # wraps the failure with the labels of the batch's tables.
+        matcher = SchemaMatcher(tiny_world.knowledge_base)
         with pytest.raises(ExecutorError) as caught:
             matcher.match_corpus(corpus)
         error = caught.value
@@ -175,7 +154,9 @@ class TestParallelFailurePropagation:
         assert "trapped" in error.item_labels
         assert "corrupted payload" in str(error)
 
-    def test_clustering_worker_crash_names_block(self, pool):
+    def test_clustering_worker_crash_names_block(self):
+        """Clustering scores pairs lazily, outside the executor, so a
+        failing metric's own exception surfaces unwrapped."""
         records = [
             _plain_record(0, "poison"),
             _plain_record(1, "poison"),
@@ -184,40 +165,8 @@ class TestParallelFailurePropagation:
         similarity = RowSimilarity(
             [ExplodingRowMetric()], StaticWeightedAggregator({"BOOM": 1.0}, 0.5)
         )
-        clusterer = RowClusterer(similarity, executor=pool)
-        if pool.name == "serial":
-            # Serial clustering scores pairs lazily, outside the
-            # executor, so the metric's own exception surfaces.
-            with pytest.raises(RuntimeError, match="metric blew up"):
-                clusterer.cluster(records)
-            return
-        with pytest.raises(ExecutorError) as caught:
-            clusterer.cluster(records)
-        error = caught.value
-        assert error.task_name == "cluster/block_similarity"
-        assert any(label.startswith("block:") for label in error.item_labels)
-        assert "metric blew up" in str(error)
-
-    def test_pipeline_on_garbage_corpus_parallel_matches_serial(
-        self, tiny_world, pool
-    ):
-        """Graceful degradation holds on both backends, identically."""
-        corpus = TableCorpus(pathological_tables())
-        kb = tiny_world.knowledge_base
-        serial = run_pipeline(
-            kb, corpus, "Song", PipelineConfig(executor="serial")
-        )
-        parallel = run_pipeline(
-            kb,
-            corpus,
-            "Song",
-            PipelineConfig(
-                executor=pool.name,
-                workers=2,
-                queue_dir=getattr(pool, "directory", None),
-            ),
-        )
-        assert serial.canonical_json() == parallel.canonical_json()
+        with pytest.raises(RuntimeError, match="metric blew up"):
+            RowClusterer(similarity).cluster(records)
 
 
 class TestNormalizationRobustness:

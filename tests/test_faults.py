@@ -65,8 +65,8 @@ class TestGrammar:
         ],
     )
     def test_window_forms(self, window, expected):
-        plan = parse_spec(f"queue.claim:raise{window}")
-        (rule,) = plan._rules["queue.claim"]
+        plan = parse_spec(f"corpus.shard_write:raise{window}")
+        (rule,) = plan._rules["corpus.shard_write"]
         assert (rule.first_hit, rule.last_hit) == expected
 
     def test_latency_parameter_and_probability_with_seed(self):
@@ -80,9 +80,9 @@ class TestGrammar:
 
     def test_multiple_rules_split_on_semicolon(self):
         plan = parse_spec(
-            "artifacts.put:raise@2; queue.complete:crash ;"
+            "artifacts.put:raise@2; serve.writer:crash ;"
         )
-        assert set(plan._rules) == {"artifacts.put", "queue.complete"}
+        assert set(plan._rules) == {"artifacts.put", "serve.writer"}
 
     def test_describe_round_trips_through_the_parser(self):
         spec = "serve.writer:latency:0.1@3-7~0.25/9"
@@ -127,23 +127,23 @@ class TestGrammar:
 # -- schedules ----------------------------------------------------------
 class TestSchedules:
     def test_exact_hit_window_fires_once(self):
-        plan = parse_spec("queue.complete:raise@3")
-        plan.check("queue.complete")
-        plan.check("queue.complete")
+        plan = parse_spec("serve.writer:raise@3")
+        plan.check("serve.writer")
+        plan.check("serve.writer")
         with pytest.raises(FaultInjected) as caught:
-            plan.check("queue.complete")
-        assert caught.value.point == "queue.complete"
+            plan.check("serve.writer")
+        assert caught.value.point == "serve.writer"
         assert caught.value.hit == 3
         # Past the window the point is quiet again.
-        plan.check("queue.complete")
-        assert plan.stats()["points"]["queue.complete"]["fired"] == 1
+        plan.check("serve.writer")
+        assert plan.stats()["points"]["serve.writer"]["fired"] == 1
 
     def test_open_window_fires_on_every_hit_from_n(self):
-        plan = parse_spec("queue.claim:raise@2+")
-        plan.check("queue.claim")
+        plan = parse_spec("corpus.shard_write:raise@2+")
+        plan.check("corpus.shard_write")
         for __ in range(3):
             with pytest.raises(FaultInjected):
-                plan.check("queue.claim")
+                plan.check("corpus.shard_write")
 
     def test_hits_are_counted_per_point(self):
         plan = parse_spec("artifacts.put:raise@2")
@@ -167,14 +167,14 @@ class TestSchedules:
         }
 
     def test_probabilistic_schedule_is_seed_deterministic(self):
-        spec = "queue.claim:raise@*~0.4/7"
+        spec = "corpus.shard_write:raise@*~0.4/7"
 
         def firing_pattern():
             plan = parse_spec(spec)
             pattern = []
             for __ in range(40):
                 try:
-                    plan.check("queue.claim")
+                    plan.check("corpus.shard_write")
                 except FaultInjected:
                     pattern.append(True)
                 else:
@@ -189,11 +189,11 @@ class TestSchedules:
     def test_different_seeds_give_different_streams(self):
         patterns = {}
         for seed in (1, 2):
-            plan = parse_spec(f"queue.claim:raise@*~0.5/{seed}")
+            plan = parse_spec(f"corpus.shard_write:raise@*~0.5/{seed}")
             fired = []
             for __ in range(64):
                 try:
-                    plan.check("queue.claim")
+                    plan.check("corpus.shard_write")
                 except FaultInjected:
                     fired.append(True)
                 else:
@@ -216,22 +216,22 @@ class TestArming:
         assert fault_stats() is None
 
     def test_nested_arming_restores_the_outer_plan(self):
-        arm("queue.claim:raise@1")
+        arm("corpus.shard_write:raise@1")
         with armed("artifacts.put:raise@1"):
-            faults.check("queue.claim")  # inner plan: this point is quiet
+            faults.check("corpus.shard_write")  # inner plan: this point is quiet
         with pytest.raises(FaultInjected):
-            faults.check("queue.claim")  # outer plan restored
+            faults.check("corpus.shard_write")  # outer plan restored
 
     def test_armed_none_is_a_transparent_scope(self):
-        outer = parse_spec("queue.claim:raise@1")
+        outer = parse_spec("corpus.shard_write:raise@1")
         arm(outer)
         with armed(None):
             # The no-op scope must leave the surrounding plan armed.
             with pytest.raises(FaultInjected):
-                faults.check("queue.claim")
+                faults.check("corpus.shard_write")
 
     def test_arm_returns_the_previous_plan(self):
-        first = parse_spec("queue.claim:raise@1")
+        first = parse_spec("corpus.shard_write:raise@1")
         assert arm(first) is None
         assert arm("artifacts.put:raise@1") is first
 

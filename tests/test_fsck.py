@@ -27,7 +27,6 @@ from repro.corpus.store import CorpusStore, content_hash, shard_of
 from repro.fsck import run_fsck
 from repro.io import load_world_directory, save_knowledge_base
 from repro.io.serialize import WORLD_KB_FILE
-from repro.parallel import WorkQueue
 from repro.pipeline.artifacts import ArtifactStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -279,77 +278,6 @@ class TestArtifacts:
         assert document["version"] == 1
 
 
-# -- queue-spool corruption classes -------------------------------------
-@pytest.fixture()
-def spool(tmp_path) -> WorkQueue:
-    queue = WorkQueue(tmp_path / "queue")
-    queue.create_batch("batch-1")
-    payload = queue.payload_dir / "chunk-0.pkl"
-    payload.write_bytes(pickle.dumps("chunk payload"))
-    queue.enqueue("batch-1", "demo", 0, payload)
-    yield queue
-    queue.close()
-
-
-class TestQueue:
-    def test_pristine_spool_is_clean(self, spool):
-        report = run_fsck(spool.directory)
-        assert report.clean
-        assert report.checked["queue"]["tasks"] == 1
-
-    def test_payload_missing(self, spool):
-        Path(spool.payload_dir / "chunk-0.pkl").unlink()
-        report = run_fsck(spool.directory)
-        assert not report.clean
-        assert kinds(report) == ["payload_missing"]
-        assert run_fsck(spool.directory, repair=True).clean
-        finished = spool.fetch_finished("batch-1")
-        assert [task.status for task in finished] == ["failed"]
-        assert "marked failed by fsck" in finished[0].error
-
-    def test_result_missing_resets_to_pending(self, spool):
-        spool.register_worker("w1")
-        claimed = spool.claim("w1", lease_seconds=30.0)
-        result = spool.result_dir / f"{claimed.task_id}.pkl"
-        result.write_bytes(pickle.dumps("result"))
-        assert spool.complete(claimed.task_id, "w1", result)
-        result.unlink()
-        report = run_fsck(spool.directory)
-        assert not report.clean
-        assert kinds(report) == ["result_missing"]
-        assert run_fsck(spool.directory, repair=True).clean
-        # The task is claimable again — a worker recomputes the result.
-        assert spool.claim("w1", lease_seconds=30.0) is not None
-
-    def test_stale_running_lease_is_a_warning(self, spool):
-        spool.register_worker("w1")
-        spool.claim("w1", lease_seconds=30.0)
-        spool._conn.execute(
-            "UPDATE tasks SET lease_expires = ?", (time.time() - 60.0,)
-        )
-        report = run_fsck(spool.directory)
-        assert report.clean
-        (finding,) = report.findings
-        assert finding.kind == "stale_running"
-        assert finding.severity == "warn"
-
-    def test_database_unreadable(self, spool):
-        spool.close()
-        spool.database_path.write_bytes(b"\xde\xad" * 512)
-        for sidecar in ("-wal", "-shm"):
-            side = spool.database_path.with_name(
-                spool.database_path.name + sidecar
-            )
-            if side.exists():
-                side.unlink()
-        report = run_fsck(spool.directory)
-        assert not report.clean
-        assert kinds(report) == ["database_unreadable"]
-        assert run_fsck(spool.directory, repair=True).clean
-        assert not spool.database_path.exists()
-
-
-# -- service journal ----------------------------------------------------
 class TestServiceJournal:
     def test_journal_unreadable_quarantined(self, tmp_path):
         artifacts = ArtifactStore(tmp_path / "artifacts")

@@ -15,12 +15,9 @@ The tests rerun the pipeline and diff byte-for-byte:
 * against the committed expectation — any semantic drift in matching,
   clustering, fusion or detection shows up as a diff, not as a silently
   shifted metric;
-* across executors — serial runs and ``queue`` runs (workers=2, drained
-  by two worker threads) must produce identical artifacts (the parallel
-  engine's acceptance criterion);
 * over a corpus store — runs served from the persistent artifact
-  store must reproduce the committed bytes on both backends (the
-  incremental engine's acceptance criterion).
+  store must reproduce the committed bytes (the incremental engine's
+  acceptance criterion).
 
 To regenerate after an *intentional* behaviour change::
 
@@ -38,13 +35,11 @@ and explain the diff in the commit message.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from pathlib import Path
 
 import pytest
 
-from queue_worker_helpers import worker_threads
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.io import load_world_directory, save_knowledge_base
@@ -61,14 +56,8 @@ GOLDEN_CASES = {
     ),
 }
 
-EXECUTORS = ("serial", "queue")
-
-
-def drained(executor, spool):
-    """Worker threads over ``spool`` for a queue run; nothing for serial."""
-    if executor == "queue":
-        return worker_threads(spool)
-    return contextlib.nullcontext()
+#: The executor names the config accepts; each test below runs per name.
+EXECUTORS = ("serial",)
 
 
 @pytest.fixture(scope="module", params=sorted(GOLDEN_CASES))
@@ -120,61 +109,32 @@ def test_fixture_is_committed_and_wellformed(golden_case, expected_blob):
 def test_default_pipeline_matches_golden(
     golden_case, golden_session, expected_blob
 ):
-    """The serial default pipeline reproduces the committed artifacts."""
+    """The default pipeline reproduces the committed artifacts."""
     class_name = golden_case[0]
-    result = golden_session.run(
-        class_name, executor="serial", use_cache=False
-    )
-    assert result.canonical_json() == expected_blob
-
-
-def test_queue_executor_byte_identical_to_golden(
-    golden_case, golden_session, expected_blob, tmp_path
-):
-    """The distributed queue backend reproduces the committed bytes.
-
-    Two workers drain a throwaway spool while the driver runs the
-    pipeline with ``executor='queue'``; chunks travel through pickled
-    payload/result files.  CI additionally runs this matrix against
-    *external* ``repro worker`` subprocesses.
-    """
-    from repro.pipeline.pipeline import PipelineConfig
-
-    class_name = golden_case[0]
-    spool = tmp_path / "queue"
-    with worker_threads(spool):
-        result = golden_session.run(
-            class_name,
-            executor="queue",
-            workers=2,
-            use_cache=False,
-            config=PipelineConfig(queue_dir=str(spool)),
-        )
+    result = golden_session.run(class_name, use_cache=False)
     assert result.canonical_json() == expected_blob
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_explicit_exact_candidate_mode_matches_golden(
-    golden_case, golden_session, expected_blob, executor, tmp_path
+    golden_case, golden_session, expected_blob, executor
 ):
     """``candidate_mode='exact'``, spelled out, reproduces the golden bytes.
 
     ``exact`` is the only value the field accepts, and the end-to-end
-    benchmark builds its config with it: an explicit ``exact`` config
-    must match the committed bytes on every backend.
+    benchmark builds its config with it and with ``executor``/``workers``
+    spelled out: that config must match the committed bytes.
     """
     from repro.pipeline.pipeline import PipelineConfig
 
     class_name = golden_case[0]
-    spool = tmp_path / "queue"
-    with drained(executor, spool):
-        result = golden_session.run(
-            class_name,
-            executor=executor,
-            workers=2,
-            use_cache=False,
-            config=PipelineConfig(candidate_mode="exact", queue_dir=str(spool)),
-        )
+    result = golden_session.run(
+        class_name,
+        use_cache=False,
+        config=PipelineConfig(
+            executor=executor, workers=1, candidate_mode="exact"
+        ),
+    )
     assert result.canonical_json() == expected_blob
 
 
@@ -182,29 +142,22 @@ def test_explicit_exact_candidate_mode_matches_golden(
 def test_incremental_runs_byte_identical_to_golden(
     golden_case, golden_store, incremental_session, expected_blob, executor
 ):
-    """Store-served incremental runs reproduce the committed bytes.
+    """Store-served incremental runs reproduce the committed bytes."""
+    from repro.pipeline.pipeline import PipelineConfig
 
-    Both backends share one persistent artifact store (executor
-    knobs are excluded from artifact keys by the determinism contract),
-    so after the first backend populates it the second is largely
-    *served* the same artifacts — byte-equality here proves both the
-    executor contract and the store's purity invariant at once.
-    """
     class_name = golden_case[0]
-    # A store-backed session spools under ``<store>/queue``.
-    with drained(executor, golden_store.directory / "queue"):
-        result = incremental_session.run(
-            class_name, executor=executor, workers=2
-        )
+    result = incremental_session.run(
+        class_name, config=PipelineConfig(executor=executor)
+    )
     assert result.canonical_json() == expected_blob
 
 
 def test_incremental_store_serves_second_backend(
     golden_case, incremental_session
 ):
-    """After the matrix above, a rerun is fully store-served."""
+    """After the incremental run above, a rerun is fully store-served."""
     class_name = golden_case[0]
-    incremental_session.run(class_name, executor="serial")
+    incremental_session.run(class_name)
     report = incremental_session.last_incremental_report
     assert report.stage_misses() == 0
     assert report.analysis_computed == 0

@@ -11,7 +11,7 @@ corpus produces.  This module attacks that claim three ways:
   runs, each checked byte-for-byte (``canonical_json``) against a fresh
   full rebuild;
 * a **scripted lifecycle** covering the canonical ingest → run → delta →
-  run → shrink → run sequence, serially and through a ``queue``;
+  run → shrink → run sequence;
 * **unit coverage** of the building blocks: the artifact store, corpus
   snapshots, fingerprint sensitivity, dirty-set dispatch, and the
   store's removal API.
@@ -27,7 +27,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from queue_worker_helpers import worker_threads
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore, content_hash
 from repro.io import save_knowledge_base
@@ -62,7 +61,7 @@ def world_tables(song_world):
 
 
 def _double(items: list[int]) -> list[int]:
-    """A picklable batch function for the queue executor."""
+    """A batch function for the dirty-set dispatch tests."""
     return [item * 2 for item in items]
 
 
@@ -114,7 +113,7 @@ def _make_store(tmp_path, world, tables):
 def _assert_equivalent(store, incremental_result) -> str:
     """Byte-compare an incremental result against a fresh full rebuild."""
     oracle = RunSession.from_corpus_store(store, artifacts=False)
-    full = oracle.run(CLASS_NAME, use_cache=False, executor="serial")
+    full = oracle.run(CLASS_NAME, use_cache=False)
     incremental_blob = incremental_result.canonical_json()
     assert incremental_blob == full.canonical_json()
     return incremental_blob
@@ -123,51 +122,51 @@ def _assert_equivalent(store, incremental_result) -> str:
 class TestScriptedLifecycle:
     """ingest → run → grow → run → mutate → run → shrink → run."""
 
-    @pytest.mark.parametrize("executor", ["serial", "queue"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_full_lifecycle_byte_identical(
         self, tmp_path, song_world, world_tables, executor
     ):
         base, pool = world_tables[:N_BASE], world_tables[N_BASE:]
         store = _make_store(tmp_path, song_world, base)
-        session = RunSession.from_corpus_store(store)
-        # Queue runs spool under the store, where these threads drain.
-        with worker_threads(store.directory / "queue"):
-            first = session.run(CLASS_NAME, executor=executor)
-            _assert_equivalent(store, first)
-            assert session.last_incremental_report.analysis_computed == N_BASE
+        session = RunSession.from_corpus_store(
+            store, config=PipelineConfig(executor=executor)
+        )
+        first = session.run(CLASS_NAME)
+        _assert_equivalent(store, first)
+        assert session.last_incremental_report.analysis_computed == N_BASE
 
-            # Identical corpus: the whole run must be served from the store.
-            again = session.run(CLASS_NAME, executor=executor)
-            assert again.canonical_json() == first.canonical_json()
-            assert session.last_incremental_report.stage_misses() == 0
+        # Identical corpus: the whole run must be served from the store.
+        again = session.run(CLASS_NAME)
+        assert again.canonical_json() == first.canonical_json()
+        assert session.last_incremental_report.stage_misses() == 0
 
-            # Grow.
-            grow = store.ingest(pool[:2])
-            assert sorted(grow.dirty_ids) == sorted(
-                table.table_id for table in pool[:2]
-            )
-            grown = session.run(CLASS_NAME, executor=executor)
-            _assert_equivalent(store, grown)
-            assert session.last_incremental_report.analysis_computed == len(
-                grow.dirty_ids
-            )
+        # Grow.
+        grow = store.ingest(pool[:2])
+        assert sorted(grow.dirty_ids) == sorted(
+            table.table_id for table in pool[:2]
+        )
+        grown = session.run(CLASS_NAME)
+        _assert_equivalent(store, grown)
+        assert session.last_incremental_report.analysis_computed == len(
+            grow.dirty_ids
+        )
 
-            # Mutate one table in place.
-            victim = base[0]
-            replace = store.ingest(
-                [_mutated(victim, salt=1)], on_conflict="replace"
-            )
-            assert replace.replaced_ids == [victim.table_id]
-            mutated = session.run(CLASS_NAME, executor=executor)
-            _assert_equivalent(store, mutated)
-            assert session.last_incremental_report.analysis_computed == 1
+        # Mutate one table in place.
+        victim = base[0]
+        replace = store.ingest(
+            [_mutated(victim, salt=1)], on_conflict="replace"
+        )
+        assert replace.replaced_ids == [victim.table_id]
+        mutated = session.run(CLASS_NAME)
+        _assert_equivalent(store, mutated)
+        assert session.last_incremental_report.analysis_computed == 1
 
-            # Shrink.
-            removed = store.remove_tables([base[1].table_id])
-            assert removed == [base[1].table_id]
-            shrunk = session.run(CLASS_NAME, executor=executor)
-            _assert_equivalent(store, shrunk)
-            assert session.last_incremental_report.analysis_computed == 0
+        # Shrink.
+        removed = store.remove_tables([base[1].table_id])
+        assert removed == [base[1].table_id]
+        shrunk = session.run(CLASS_NAME)
+        _assert_equivalent(store, shrunk)
+        assert session.last_incremental_report.analysis_computed == 0
 
     def test_long_tail_delta_recomputes_only_its_analyses(
         self, tmp_path, song_world, world_tables
@@ -345,7 +344,8 @@ class TestArtifactStore:
 
     def test_sweep_spares_young_tmp_files(self, tmp_path):
         """A fresh temp file may belong to a live writer sharing the
-        store (queue worker, service) — the sweep must not touch it."""
+        store (another process, the service) — the sweep must not
+        touch it."""
         directory = tmp_path / "artifacts"
         ArtifactStore(directory).put(["key"], "value")
         bucket = next((directory / "objects").iterdir())
@@ -408,8 +408,8 @@ class TestFingerprints:
 
 
 class TestDirtySetDispatch:
-    @pytest.mark.parametrize("executor_name", ["serial", "queue"])
-    def test_merges_cached_and_fresh(self, executor_name, tmp_path):
+    @pytest.mark.parametrize("executor_name", ["serial"])
+    def test_merges_cached_and_fresh(self, executor_name):
         class Recorder(ExecutorObserver):
             def __init__(self):
                 self.started = []
@@ -418,17 +418,14 @@ class TestDirtySetDispatch:
                 self.started.append((task_name, n_items))
 
         recorder = Recorder()
-        executor = make_executor(
-            executor_name, 2, [recorder], queue_dir=tmp_path
+        executor = make_executor(executor_name, 2, [recorder])
+        merged = dispatch_dirty(
+            _double,
+            [1, 2, 3, 4],
+            [None, 40, None, 80],
+            executor=executor,
+            task_name="test",
         )
-        with worker_threads(tmp_path):
-            merged = dispatch_dirty(
-                _double,
-                [1, 2, 3, 4],
-                [None, 40, None, 80],
-                executor=executor,
-                task_name="test",
-            )
         assert merged == [2, 40, 6, 80]
         # Only the two dirty items were dispatched.
         assert recorder.started == [("test", 2)]

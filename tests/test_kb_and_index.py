@@ -144,29 +144,6 @@ class TestKnowledgeBase:
         second = kb.label_matches("john smith")
         assert first == second
 
-    def test_pickle_leaves_the_search_cache_behind(self):
-        kb = make_kb()
-        served = [
-            instance.uri for instance in kb.candidates_by_label("John Smith")
-        ]
-        assert kb._search_cache
-        clone = pickle.loads(pickle.dumps(kb))
-        assert clone._search_cache == {}
-        assert kb._search_cache  # the pickled original keeps its memo
-        assert [
-            instance.uri for instance in clone.candidates_by_label("John Smith")
-        ] == served
-
-    def test_pickle_ships_the_label_index_built(self):
-        kb = make_kb()
-        assert kb._label_index is None  # never searched: not built yet
-        clone = pickle.loads(pickle.dumps(kb))
-        assert clone._label_index is not None
-        assert len(clone._label_index) == len(kb._label_index)
-        assert [
-            instance.uri for instance in clone.candidates_by_label("John Smith")
-        ] == [instance.uri for instance in kb.candidates_by_label("John Smith")]
-
     def test_property_values(self):
         kb = make_kb()
         assert sorted(kb.property_values("Player", "team")) == ["Bears", "Packers"]

@@ -4,9 +4,9 @@ The load-bearing claims under test:
 
 * **byte-neutrality** — a traced run's canonical JSON is byte-identical
   to an untraced one (the observer only reads pipeline state);
-* **deterministic merge** — chunk spans recorded inside ``repro worker``
-  processes reassemble in input order with stable span ids, and parent
-  ids survive the pickle boundary;
+* **chunk spans** — every batch the executor dispatches lands as one
+  ``chunk:<task>`` span under the stage that dispatched it, and the
+  trace readers count it;
 * **streaming contract** — ``tail_events`` yields each record exactly
   once, survives partial trailing lines, and terminates only after a
   read pass that ran *after* the producer flipped its terminal state.
@@ -20,7 +20,6 @@ import time
 
 import pytest
 
-from queue_worker_helpers import square_batch, worker_processes
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.obs import (
@@ -35,7 +34,6 @@ from repro.obs import (
     to_chrome_trace,
     trace_summary,
 )
-from repro.parallel import QueueExecutor
 from repro.serve.service import sanitize_trace_id
 
 CLASS_NAME = "Song"
@@ -194,7 +192,7 @@ def small_trace() -> Tracer:
     tracer.point("map:score", "executor", parent=stage.span_id)
     tracer.span(
         "chunk:score", "chunk", parent=stage.span_id,
-        ts=time.time(), dur=0.1, attrs={"pid": 4242},
+        ts=time.time(), dur=0.1, attrs={"chunk_index": 0, "n_items": 4},
     )
     tracer.end(stage, {"kernels": {"calls": 3}})
     tracer.end(run)
@@ -239,9 +237,8 @@ class TestExport:
         assert len(complete) == 3 and len(instants) == 1
         # Timestamps are microseconds relative to the earliest event.
         assert min(e["ts"] for e in document["traceEvents"]) == 0
-        # The worker pid lands as the Chrome thread id.
         chunk = next(e for e in complete if e["name"] == "chunk:score")
-        assert chunk["tid"] == 4242
+        assert chunk["args"]["n_items"] == 4
 
     def test_trace_summary_counts(self):
         events = small_trace().events()
@@ -255,70 +252,68 @@ class TestExport:
         assert summary["kernel_counters"] == {"calls": 3}
 
 
-# -- chunk spans across the process boundary ----------------------------
-class TestChunkSpanMerge:
-    @pytest.fixture(scope="class")
-    def executor(self, tmp_path_factory):
-        """A queue drained by two worker subprocesses."""
-        spool = tmp_path_factory.mktemp("chunk-spans") / "queue"
-        with worker_processes(spool, count=2):
-            yield QueueExecutor(
-                spool, workers=2, poll_interval=0.01, no_worker_timeout=30.0
-            )
+# -- chunk spans --------------------------------------------------------
+class TestChunkSpans:
+    def test_observer_records_a_chunk_span_under_its_parent(self):
+        from repro.parallel import SerialExecutor
 
-    def run_traced_map(self, executor) -> list[dict]:
         tracer = Tracer(trace_id="tr-map")
         observer = TracingObserver(tracer, parent="s7777")
-        executor.observers.append(observer)
-        try:
-            results = executor.map_batches(
-                square_batch, list(range(24)),
-                chunk_size=4, task_name="double",
-            )
-        finally:
-            executor.observers.remove(observer)
+        executor = SerialExecutor(observers=[observer])
+        before = time.time()
+        results = executor.map_batches(
+            lambda chunk: [value * value for value in chunk],
+            list(range(24)),
+            task_name="square",
+        )
         assert results == [value * value for value in range(24)]
-        return tracer.events()
+        point, chunk = tracer.events()
+        assert point["type"] == "point" and point["name"] == "map:square"
+        assert point["attrs"] == {"items": 24, "chunks": 1}
+        assert chunk["type"] == "span" and chunk["kind"] == "chunk"
+        assert chunk["name"] == "chunk:square"
+        # No pipeline/stage span is open: the constructor's parent wins.
+        assert chunk["parent"] == "s7777"
+        assert chunk["attrs"] == {"chunk_index": 0, "n_items": 24}
+        assert before <= chunk["ts"] <= chunk["ts"] + chunk["dur"]
+        assert chunk["ts"] + chunk["dur"] <= time.time()
 
-    def test_deterministic_merge_across_worker_processes(self, executor):
-        first = self.run_traced_map(executor)
-        second = self.run_traced_map(executor)
+    def test_traced_run_has_one_chunk_span_per_map(
+        self, tiny_world, tmp_path, capsys
+    ):
+        from repro import cli
 
-        def shape(events):
-            return [
-                (
-                    event["type"],
-                    event.get("span"),
-                    event["name"],
-                    event.get("parent"),
-                    event["attrs"].get("chunk_index")
-                    if "attrs" in event else None,
-                )
-                for event in events
-            ]
-
-        # Identical inputs → identical ids and ordering, however the
-        # six chunks raced across the two workers.
-        assert shape(first) == shape(second)
-        chunks = [e for e in first if e.get("kind") == "chunk"]
-        assert [e["attrs"]["chunk_index"] for e in chunks] == list(range(6))
-        assert [e["span"] for e in chunks] == [
-            f"s{n:04d}" for n in range(1, 7)
-        ]
-
-    def test_parent_ids_survive_pickling(self, executor):
-        events = self.run_traced_map(executor)
-        chunks = [e for e in events if e.get("kind") == "chunk"]
-        assert chunks, "the worker fleet produced no chunk spans"
-        # No pipeline/stage span is open, so the observer's parent
-        # fallback (the constructor arg) is what crossed the boundary.
-        assert all(e["parent"] == "s7777" for e in chunks)
-        assert all(e["trace"] == "tr-map" for e in chunks)
-        # Real worker pids, recorded in-worker.
-        import os
-
-        pids = {e["attrs"]["pid"] for e in chunks}
-        assert pids and os.getpid() not in pids
+        session = RunSession(world=tiny_world)
+        path = tmp_path / "run.ndjson"
+        session.run(CLASS_NAME, use_cache=False, trace=path)
+        events = list(read_events(path))
+        spans = span_index(events)
+        stage_ids = {
+            span_id for span_id, span in spans.items()
+            if span["kind"] == "stage"
+        }
+        maps = [e for e in events if e["type"] == "point"
+                and e["name"].startswith("map:")]
+        chunks = [s for s in spans.values() if s["kind"] == "chunk"]
+        # Schema matching and detection dispatch in both iterations.
+        assert len(maps) >= 4
+        assert sorted(c["name"] for c in chunks) == sorted(
+            "chunk:" + m["name"][len("map:"):] for m in maps
+        )
+        for chunk in chunks:
+            assert chunk["parent"] in stage_ids
+            assert chunk["dur"] >= 0.0
+        # Each chunk sits under the stage span that dispatched its map.
+        assert sorted(c["parent"] for c in chunks) == sorted(
+            m["parent"] for m in maps
+        )
+        summary = trace_summary(events)
+        assert summary["by_kind"]["chunk"]["count"] == len(maps)
+        # `repro trace --summary` reads the same spans from the log.
+        capsys.readouterr()
+        assert cli.main(["trace", str(path), "--summary"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["by_kind"]["chunk"] == summary["by_kind"]["chunk"]
 
 
 # -- whole-pipeline tracing ---------------------------------------------

@@ -26,7 +26,6 @@ from repro.perf import (
     kernel_counters,
     reset_kernel_counters,
 )
-from repro.text.monge_elkan import label_similarity
 from repro.text.tokenize import normalize_label, tokenize
 from repro.text.vectors import term_vector
 
@@ -171,44 +170,13 @@ class TestKernelCache:
         similarity.clear()
         assert similarity.cache_info() == {"entries": 0, "hits": 0, "misses": 0}
 
-    def test_label_metric_pickles_without_its_memo(self):
-        import pickle
-
-        kernels = KernelCache()
-        metric = LabelMetric(kernels)
-        metric.compute(_record(1, "green day"), _record(2, "green days"))
-        assert kernels.token_sim  # the memo filled
-        clone = pickle.loads(pickle.dumps(metric))
-        # workers start cold, not with the session memo
-        assert clone._kernels.cache_info() == {"token_pairs": 0, "label_tokens": 0}
-        # and the clone still scores identically
-        a, b = _record(1, "green day"), _record(2, "green days")
-        assert clone.compute(a, b) == metric.compute(a, b)
-
-
-    def test_pickle_leaves_the_memos_behind(self):
-        import pickle
-
-        kernels = KernelCache()
-        expected = label_similarity("green day", "green days", kernels)
-        filled = kernels.cache_info()
-        assert filled == {"token_pairs": 4, "label_tokens": 2}
-        clone = pickle.loads(pickle.dumps(kernels))
-        assert clone.cache_info() == {"token_pairs": 0, "label_tokens": 0}
-        assert kernels.cache_info() == filled  # the original keeps them
-        assert label_similarity("green day", "green days", clone) == expected
-
 
 class TestSessionWiring:
-    # Serial executor throughout: queue workers keep their kernel memos
-    # to themselves, so the main-process numbers these tests assert on
-    # are only guaranteed in-process.
-
     def test_session_clear_cache_clears_kernels(self, tiny_world):
         from repro.api import RunSession
 
         session = RunSession(tiny_world)
-        session.run("Song", executor="serial")
+        session.run("Song")
         assert session.kernels.cache_info()["token_pairs"] > 0
         session.clear_cache()
         assert session.kernels.cache_info()["token_pairs"] == 0
@@ -217,10 +185,10 @@ class TestSessionWiring:
         from repro.api import RunSession
 
         session = RunSession(tiny_world)
-        session.run("Song", executor="serial")
+        session.run("Song")
         first = session.kernels.cache_info()["token_pairs"]
         assert first > 0
-        session.run("Settlement", executor="serial")
+        session.run("Settlement")
         assert session.kernels.cache_info()["token_pairs"] >= first
 
     def test_fresh_sessions_start_with_empty_memos(self, tiny_world):
@@ -232,7 +200,7 @@ class TestSessionWiring:
         for __ in range(2):
             session = RunSession(tiny_world)
             baseline = kernel_counters()
-            session.run("Song", executor="serial", use_cache=False)
+            session.run("Song", use_cache=False)
             misses.append(
                 counter_delta(baseline)["monge_elkan.pair_memo_misses"]
             )
@@ -250,7 +218,7 @@ class TestSessionWiring:
         session = RunSession(
             knowledge_base=tiny_world.knowledge_base, corpus=corpus
         )
-        session.run("Song", executor="serial", use_cache=False)
+        session.run("Song", use_cache=False)
         kernels = session.kernels
         before = kernels.cache_info()
         assert before["label_tokens"] > 0 and before["token_pairs"] > 0
@@ -307,7 +275,7 @@ class TestPerfHarness:
 
         session = RunSession(tiny_world)
         baseline = kernel_counters()
-        session.run("Song", executor="serial", trace=True)
+        session.run("Song", trace=True)
         delta = counter_delta(baseline)
         summary = trace_summary(session.last_trace.events())
         assert summary["kernel_counters"] == delta

@@ -62,7 +62,7 @@ def table_record(table: WebTable) -> dict:
 def batch_canonical(store: CorpusStore) -> str:
     """The oracle: a fresh from-scratch run over the store's current state."""
     session = RunSession.from_corpus_store(store, artifacts=False)
-    result = session.run(CLASS_NAME, use_cache=False, executor="serial")
+    result = session.run(CLASS_NAME, use_cache=False)
     return result.canonical_json()
 
 

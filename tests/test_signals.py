@@ -1,17 +1,15 @@
 """SIGTERM contracts of the long-lived commands, against real processes.
 
 ``repro serve``: stop accepting, drain every queued writer job, release
-the port, exit 143.  ``repro worker``: finish the chunk in hand (its
-lease keeper stays alive throughout), deregister from the spool, exit
-143.  Both are proven here with actual subprocesses and actual signals —
-a handler that only works in-process is not a shutdown contract.
+the port, exit 143.  This is proven here with actual subprocesses and
+actual signals — a handler that only works in-process is not a shutdown
+contract.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import socket
 import socketserver
@@ -27,7 +25,6 @@ import pytest
 from repro.corpus.store import CorpusStore
 from repro.io import load_world_directory, save_knowledge_base
 from repro.io.serialize import WORLD_KB_FILE
-from repro.parallel import WorkQueue
 
 TESTS_DIR = Path(__file__).parent
 SRC_DIR = TESTS_DIR.parent / "src"
@@ -37,7 +34,7 @@ GOLDEN_DIR = TESTS_DIR / "golden"
 def subprocess_env(**extra: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC_DIR), str(TESTS_DIR), env.get("PYTHONPATH", "")]
+        [str(SRC_DIR), env.get("PYTHONPATH", "")]
     ).rstrip(os.pathsep)
     env.update(extra)
     return env
@@ -168,86 +165,3 @@ class TestServeSigterm:
         # close() drained the writer: the run reached its terminal
         # status and was journal-removed before the process exited.
         assert json.loads(journal.read_text())["runs"] == []
-
-
-class TestWorkerSigterm:
-    def test_sigterm_finishes_the_held_chunk_then_exits_143(self, tmp_path):
-        spool = tmp_path / "queue"
-        control = tmp_path / "control"
-        control.mkdir()
-        (control / "hold").touch()
-        queue = WorkQueue(spool)
-        queue.create_batch("batch-1")
-        from queue_worker_helpers import timed_holding
-
-        items = [(value, str(control)) for value in range(3)]
-        payload = queue.payload_dir / "chunk-0.pkl"
-        payload.write_bytes(pickle.dumps((timed_holding, items)))
-        task_id = queue.enqueue("batch-1", "held", 0, payload)
-        worker = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker",
-                "--queue", str(spool), "--lease", "2.0", "--poll", "0.05",
-            ],
-            env=subprocess_env(),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if next(control.glob("started-*"), None) is not None:
-                    break
-                time.sleep(0.05)
-            else:
-                raise AssertionError("worker never started the chunk")
-            # SIGTERM lands mid-chunk: the worker must keep going (and
-            # keep renewing its lease) until the chunk completes.
-            worker.send_signal(signal.SIGTERM)
-            time.sleep(0.5)
-            assert worker.poll() is None, "worker abandoned its chunk"
-            (control / "hold").unlink()
-            code = worker.wait(timeout=60.0)
-            stderr = worker.stderr.read()
-        finally:
-            if worker.poll() is None:  # pragma: no cover - test failed
-                worker.kill()
-                worker.wait(timeout=30.0)
-        assert code == 143
-        assert "terminated" in stderr
-        assert "after 1 task(s)" in stderr
-        finished = queue.fetch_finished("batch-1")
-        assert [task.status for task in finished] == ["done"]
-        with open(finished[0].result_path, "rb") as handle:
-            __, results = pickle.load(handle)
-        assert results == [value * value for value in range(3)]
-        assert finished[0].task_id == task_id
-        # Graceful exit deregistered the worker from the spool.
-        assert queue.live_workers() == 0
-        queue.close()
-
-    def test_idle_worker_sigterm_exits_143_promptly(self, tmp_path):
-        WorkQueue(tmp_path / "queue").close()
-        worker = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker",
-                "--queue", str(tmp_path / "queue"), "--poll", "0.05",
-            ],
-            env=subprocess_env(),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            time.sleep(1.0)  # let it enter the poll loop
-            worker.send_signal(signal.SIGTERM)
-            code = worker.wait(timeout=30.0)
-            stderr = worker.stderr.read()
-        finally:
-            if worker.poll() is None:  # pragma: no cover - test failed
-                worker.kill()
-                worker.wait(timeout=30.0)
-        assert code == 143
-        assert "after 0 task(s)" in stderr
-
