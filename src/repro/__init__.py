@@ -10,7 +10,7 @@ stages**:
   loaded once, serves single runs, batch runs, stage substitution,
   observer hooks and a content-keyed artifact store across runs.
 * :mod:`repro.pipeline.stages` — the paper's four Figure-1 components as
-  registered :class:`PipelineStage` objects (``schema_match`` →
+  :class:`PipelineStage` objects (``schema_match`` →
   ``cluster`` → ``fuse`` → ``detect``) over a shared
   :class:`PipelineState`.
 
@@ -78,7 +78,6 @@ __all__ = [
     "PipelineStage",
     "PipelineState",
     "PipelineObserver",
-    "StageRegistry",
     "STAGES",
     "DEFAULT_STAGE_NAMES",
     "SchemaMatchStage",
@@ -122,7 +121,6 @@ _LAZY_EXPORTS = {
     "PipelineStage": ("repro.pipeline.stages", "PipelineStage"),
     "PipelineState": ("repro.pipeline.stages", "PipelineState"),
     "PipelineObserver": ("repro.pipeline.stages", "PipelineObserver"),
-    "StageRegistry": ("repro.pipeline.stages", "StageRegistry"),
     "STAGES": ("repro.pipeline.stages", "STAGES"),
     "DEFAULT_STAGE_NAMES": ("repro.pipeline.stages", "DEFAULT_STAGE_NAMES"),
     "SchemaMatchStage": ("repro.pipeline.stages", "SchemaMatchStage"),

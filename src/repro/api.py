@@ -7,9 +7,10 @@ them:
 * ``session.run("Song")`` — one class, default stages.
 * ``session.run_many(["Song", "Settlement"])`` — batch runs sharing all
   session state.
-* ``session.run("Song", stages=("schema_match", "cluster"))`` — partial
-  or substituted stage sequences (names resolve against
-  :data:`repro.pipeline.stages.STAGES`; instances are used as-is).
+* ``session.run("Song", stages=("schema_match", "cluster"))`` — a
+  partial stage sequence (names resolve against
+  :data:`repro.pipeline.stages.STAGES`; stage instances, such as a
+  test's fake, are used as-is).
 * ``observers=`` — per-stage timing/progress hooks
   (:class:`~repro.pipeline.stages.PipelineObserver`).
 
@@ -62,10 +63,10 @@ from repro.pipeline.pipeline import (
 from repro.pipeline.result import PipelineResult
 from repro.pipeline.stages import (
     DEFAULT_STAGE_NAMES,
-    STAGES,
     PipelineObserver,
     PipelineStage,
     PipelineState,
+    resolve_stages,
 )
 from repro.webtables.corpus import TableCorpus
 from repro.webtables.table import RowId
@@ -378,7 +379,7 @@ class RunSession:
         stage_specs = list(stages) if stages is not None else list(
             DEFAULT_STAGE_NAMES
         )
-        stage_list: list[PipelineStage] = STAGES.resolve(stage_specs)
+        stage_list: list[PipelineStage] = resolve_stages(stage_specs)
         restriction = self._restriction_key(table_ids, row_ids, known_classes)
         tracer, owns_tracer = self._resolve_trace(trace)
         run_span = None

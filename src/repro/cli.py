@@ -90,9 +90,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     stages = args.stages.split(",") if args.stages else None
     if stages is not None:
-        unknown = [name for name in stages if name not in STAGES.names()]
+        unknown = [name for name in stages if name not in STAGES]
         if unknown:
-            known = ", ".join(STAGES.names())
+            known = ", ".join(STAGES)
             print(f"error: unknown stage(s) {', '.join(unknown)}; "
                   f"registered stages: {known}")
             return 2

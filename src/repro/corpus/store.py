@@ -9,7 +9,9 @@ which is what makes batch-wise incremental ingestion safe.
 
 Ingestion is streaming: tables flow in batch by batch, so peak memory is
 bounded by ``batch_size``, independent of corpus size.  Each batch is
-split into one sub-batch per shard, written in shard order.
+split into one sub-batch per shard; every sub-batch's outcomes are
+decided before any is written, then each is written in one transaction,
+in shard order.
 
 The store serves the full read API of
 :class:`~repro.webtables.corpus.TableCorpus` (``get`` / ``row`` /
@@ -23,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import os
 import sqlite3
 import threading
 import time
@@ -73,7 +74,7 @@ def shard_of(table_id: str, n_shards: int) -> int:
 
 
 def _encode(table: WebTable, seq: int) -> dict:
-    """A picklable, writable record for one table."""
+    """The row one table is stored as (``INSERT`` parameters by name)."""
     return {
         "table_id": table.table_id,
         "seq": seq,
@@ -116,107 +117,6 @@ def _connect(path: Path) -> sqlite3.Connection:
     connection.execute("PRAGMA busy_timeout=30000")
     connection.executescript(_SHARD_SCHEMA)
     return connection
-
-
-def _write_shard_batch(
-    shard_path: str, records: list[dict], on_conflict: str
-) -> list[tuple[str, str]]:
-    """Write one shard's sub-batch; returns ``(table_id, outcome)`` pairs.
-
-    Outcomes: ``inserted`` / ``identical`` (idempotent re-ingest) /
-    ``replaced`` / ``conflict`` (kept the stored version).  Opens and
-    closes its own connection.
-    """
-    connection = _connect(Path(shard_path))
-    try:
-        # table_id -> (content_hash, seq) of what the store will hold once
-        # earlier records of this batch are applied.
-        existing: dict[str, tuple[str, int]] = {}
-        ids = [record["table_id"] for record in records]
-        for start in range(0, len(ids), 500):
-            chunk = ids[start:start + 500]
-            placeholders = ",".join("?" * len(chunk))
-            for table_id, known_hash, seq in connection.execute(
-                f"SELECT table_id, content_hash, seq FROM tables "
-                f"WHERE table_id IN ({placeholders})",
-                chunk,
-            ):
-                existing[table_id] = (known_hash, seq)
-        outcomes: list[tuple[str, str]] = []
-        writes: list[dict] = []
-        for record in records:
-            table_id = record["table_id"]
-            known = existing.get(table_id)
-            if known is None:
-                outcomes.append((table_id, "inserted"))
-                writes.append(record)
-                existing[table_id] = (record["content_hash"], record["seq"])
-            elif known[0] == record["content_hash"]:
-                outcomes.append((table_id, "identical"))
-            elif on_conflict == "replace":
-                # Keep the original seq: replacement updates content in
-                # place, it does not move the table in ingest order.
-                record["seq"] = known[1]
-                outcomes.append((table_id, "replaced"))
-                writes.append(record)
-                existing[table_id] = (record["content_hash"], known[1])
-            elif on_conflict == "error":
-                raise ValueError(
-                    f"table id conflict: {table_id!r} already stored with "
-                    f"different content (hash {known[0][:12]} != "
-                    f"{record['content_hash'][:12]})"
-                )
-            else:
-                # Skip: the store keeps its version; later duplicates of
-                # the rejected content must also count as conflicts.
-                outcomes.append((table_id, "conflict"))
-        # A crash here loses this sub-batch (the transaction below never
-        # commits) but can never tear a shard — re-ingest is idempotent.
-        faults.check("corpus.shard_write")
-        with connection:
-            connection.executemany(
-                "INSERT OR REPLACE INTO tables "
-                "(table_id, seq, content_hash, n_rows, n_columns, url, payload) "
-                "VALUES (:table_id, :seq, :content_hash, :n_rows, :n_columns, "
-                ":url, :payload)",
-                writes,
-            )
-        return outcomes
-    finally:
-        connection.close()
-
-
-def _scan_conflicts(shard_path: str, records: list[dict]) -> None:
-    """Raise on any changed-content conflict without writing anything.
-
-    Run before the write phase when ``on_conflict='error'`` so an
-    erroring batch leaves every shard untouched (per-batch atomicity).
-    """
-    connection = _connect(Path(shard_path))
-    try:
-        stored: dict[str, str] = {}
-        ids = [record["table_id"] for record in records]
-        for start in range(0, len(ids), 500):
-            chunk = ids[start:start + 500]
-            placeholders = ",".join("?" * len(chunk))
-            stored.update(
-                connection.execute(
-                    f"SELECT table_id, content_hash FROM tables "
-                    f"WHERE table_id IN ({placeholders})",
-                    chunk,
-                )
-            )
-        for record in records:
-            known_hash = stored.get(record["table_id"])
-            if known_hash is not None and known_hash != record["content_hash"]:
-                raise ValueError(
-                    f"table id conflict: {record['table_id']!r} already "
-                    f"stored with different content (hash {known_hash[:12]} "
-                    f"!= {record['content_hash'][:12]})"
-                )
-            stored[record["table_id"]] = record["content_hash"]
-    finally:
-        connection.close()
 
 
 @dataclass
@@ -454,27 +354,36 @@ class CorpusStore:
             self._next_seq += 1
             shard = shard_of(table.table_id, self.n_shards)
             partitions.setdefault(shard, []).append(record)
-        jobs = [
-            (str(self._shard_path(shard)), partitions[shard], on_conflict)
-            for shard in sorted(partitions)
-        ]
+        shards = sorted(partitions)
         batch_span = None
         if tracer is not None:
             batch_span = tracer.begin(
                 "ingest_batch",
                 "ingest",
-                attrs={"tables": len(batch), "shards": len(jobs)},
+                attrs={"tables": len(batch), "shards": len(shards)},
             )
-        if on_conflict == "error":
-            # Scan every shard before writing any, so an erroring batch
-            # cannot leave some shards committed and others not.
-            for shard_path, records, _ in jobs:
-                _scan_conflicts(shard_path, records)
-        outcome_lists = []
-        for shard, job in zip(sorted(partitions), jobs):
+        # Decide every shard's outcomes before writing any, so an
+        # ``on_conflict="error"`` batch raises with every shard untouched.
+        decided = [
+            self._decide(shard, partitions[shard], on_conflict)
+            for shard in shards
+        ]
+        for shard, (_, writes) in zip(shards, decided):
             started_wall = time.time()
             started = time.perf_counter()
-            outcome_lists.append(_write_shard_batch(*job))
+            connection = self._connection(shard)
+            # A crash here loses this shard's writes (the transaction
+            # below never commits) but can never tear a shard — re-ingest
+            # is idempotent.
+            faults.check("corpus.shard_write")
+            with connection:
+                connection.executemany(
+                    "INSERT OR REPLACE INTO tables "
+                    "(table_id, seq, content_hash, n_rows, n_columns, url, "
+                    "payload) VALUES (:table_id, :seq, :content_hash, "
+                    ":n_rows, :n_columns, :url, :payload)",
+                    writes,
+                )
             if tracer is not None:
                 tracer.span(
                     f"shard-{shard:03d}",
@@ -482,33 +391,83 @@ class CorpusStore:
                     parent=batch_span.span_id,
                     ts=started_wall,
                     dur=time.perf_counter() - started,
-                    attrs={
-                        "pid": os.getpid(),
-                        "tables": len(partitions[shard]),
-                    },
+                    attrs={"tables": len(partitions[shard])},
                 )
-        for outcomes in outcome_lists:
-            for table_id, outcome in outcomes:
-                if outcome == "inserted":
-                    report.inserted += 1
-                    report.inserted_ids.append(table_id)
-                elif outcome == "identical":
-                    report.identical += 1
-                elif outcome == "replaced":
-                    report.replaced += 1
-                    report.replaced_ids.append(table_id)
-                else:
-                    report.conflicts += 1
+        flat = [outcome for outcomes, _ in decided for outcome in outcomes]
+        for table_id, outcome in flat:
+            if outcome == "inserted":
+                report.inserted += 1
+                report.inserted_ids.append(table_id)
+            elif outcome == "identical":
+                report.identical += 1
+            elif outcome == "replaced":
+                report.replaced += 1
+                report.replaced_ids.append(table_id)
+            else:
+                report.conflicts += 1
         if batch_span is not None:
-            flat = [outcome for outcomes in outcome_lists for _, outcome in outcomes]
+            kinds = [outcome for _, outcome in flat]
             tracer.end(
                 batch_span,
                 {
-                    "inserted": flat.count("inserted"),
-                    "replaced": flat.count("replaced"),
-                    "identical": flat.count("identical"),
+                    "inserted": kinds.count("inserted"),
+                    "replaced": kinds.count("replaced"),
+                    "identical": kinds.count("identical"),
                 },
             )
+
+    def _decide(
+        self, shard: int, records: list[dict], on_conflict: str
+    ) -> tuple[list[tuple[str, str]], list[dict]]:
+        """One shard's ``(table_id, outcome)`` pairs and records to write.
+
+        Outcomes: ``inserted`` / ``identical`` (idempotent re-ingest) /
+        ``replaced`` / ``conflict`` (kept the stored version).  Raises
+        on a changed-content conflict under ``on_conflict="error"``.
+        """
+        connection = self._connection(shard)
+        # table_id -> (content_hash, seq) of what the store will hold once
+        # earlier records of this batch are applied.
+        existing: dict[str, tuple[str, int]] = {}
+        ids = [record["table_id"] for record in records]
+        for start in range(0, len(ids), 500):
+            chunk = ids[start:start + 500]
+            placeholders = ",".join("?" * len(chunk))
+            for table_id, known_hash, seq in connection.execute(
+                f"SELECT table_id, content_hash, seq FROM tables "
+                f"WHERE table_id IN ({placeholders})",
+                chunk,
+            ):
+                existing[table_id] = (known_hash, seq)
+        outcomes: list[tuple[str, str]] = []
+        writes: list[dict] = []
+        for record in records:
+            table_id = record["table_id"]
+            known = existing.get(table_id)
+            if known is None:
+                outcomes.append((table_id, "inserted"))
+                writes.append(record)
+                existing[table_id] = (record["content_hash"], record["seq"])
+            elif known[0] == record["content_hash"]:
+                outcomes.append((table_id, "identical"))
+            elif on_conflict == "replace":
+                # Keep the original seq: replacement updates content in
+                # place, it does not move the table in ingest order.
+                record["seq"] = known[1]
+                outcomes.append((table_id, "replaced"))
+                writes.append(record)
+                existing[table_id] = (record["content_hash"], known[1])
+            elif on_conflict == "error":
+                raise ValueError(
+                    f"table id conflict: {table_id!r} already stored with "
+                    f"different content (hash {known[0][:12]} != "
+                    f"{record['content_hash'][:12]})"
+                )
+            else:
+                # Skip: the store keeps its version; later duplicates of
+                # the rejected content must also count as conflicts.
+                outcomes.append((table_id, "conflict"))
+        return outcomes, writes
 
     def remove_tables(
         self, table_ids: Iterable[str], *, missing_ok: bool = False

@@ -4,7 +4,6 @@ from repro.faults.registry import (
     FAULTS_ENV,
     FaultInjected,
     FaultPlan,
-    FaultRule,
     POINTS,
     arm,
     armed,
@@ -12,14 +11,12 @@ from repro.faults.registry import (
     disarm,
     fault_stats,
     parse_spec,
-    register_point,
 )
 
 __all__ = [
     "FAULTS_ENV",
     "FaultInjected",
     "FaultPlan",
-    "FaultRule",
     "POINTS",
     "arm",
     "armed",
@@ -27,5 +24,4 @@ __all__ = [
     "disarm",
     "fault_stats",
     "parse_spec",
-    "register_point",
 ]

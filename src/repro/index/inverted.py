@@ -39,20 +39,21 @@ class InvertedIndex:
     content is an idempotent no-op, and re-adding it with different
     content raises.
 
-    Fuzzy token expansion (:meth:`similar_tokens`) is served by a
-    SymSpell-style deletion-neighborhood map for the common
-    ``max_distance=1`` case — a handful of hash lookups instead of a
-    linear scan over the prefix bucket — while reproducing the
-    prefix-bucket scan's result set *exactly* (the candidate set is
-    post-filtered to the same first-two-characters bucket and verified
-    with the bounded edit-distance kernel).  Larger distances fall back
-    to the bucket scan.  :meth:`add` extends both structures.
+    Fuzzy token expansion (:meth:`similar_tokens`, edit distance 1) is
+    served by a SymSpell-style deletion-neighborhood map — a handful of
+    hash lookups instead of a linear scan over the prefix bucket —
+    while reproducing the prefix-bucket scan's result set *exactly* (the
+    candidate set is post-filtered to the same first-two-characters
+    bucket and verified with the bounded edit-distance kernel).  The
+    prefix buckets serve only :meth:`similar_tokens_reference`, the
+    scan kept as the equivalence oracle.  :meth:`add` extends both
+    structures.
     """
 
     def __init__(self) -> None:
         self._postings: dict[str, set[Hashable]] = defaultdict(set)
         self._doc_tokens: dict[Hashable, frozenset[str]] = {}
-        # First-two-characters bucket used to bound fuzzy token expansion.
+        # First-two-characters buckets of the reference scan.
         self._prefix_buckets: dict[str, set[str]] = defaultdict(set)
         # Deletion string -> indexed tokens whose depth-1 neighborhood
         # contains it (only tokens long enough to ever match fuzzily).
@@ -110,57 +111,46 @@ class InvertedIndex:
         frequency = len(self._postings.get(token, ()))
         return math.log((1 + total) / (1 + frequency)) + 1.0
 
-    def similar_tokens(self, token: str, max_distance: int = 1) -> set[str]:
-        """Indexed tokens within ``max_distance`` edits of ``token``.
+    def similar_tokens(self, token: str) -> set[str]:
+        """Indexed tokens within one edit of ``token``.
 
         Only tokens sharing the first two characters and of comparable
         length are considered, which bounds the candidate set without a
         trie; short tokens (< 4 chars) only match exactly, mirroring
-        common fuzzy search practice.  ``max_distance=1`` (the pipeline's
-        only fuzzy depth) resolves through the deletion-neighborhood map;
-        the result set is identical to :meth:`similar_tokens_reference`
-        for every input (the hypothesis suite in
-        ``tests/test_perf_kernels.py`` holds this under random
-        sequences of adds).
+        common fuzzy search practice.  Candidates come from the
+        deletion-neighborhood map; the result set is identical to
+        :meth:`similar_tokens_reference` at ``max_distance=1`` for every
+        input (the hypothesis suite in ``tests/test_perf_kernels.py``
+        holds this under random sequences of adds).
         """
         if token in self._postings:
             result = {token}
         else:
             result = set()
-        if len(token) < MIN_FUZZY_QUERY_LEN or max_distance <= 0:
+        if len(token) < MIN_FUZZY_QUERY_LEN:
             return result
         from repro.text.levenshtein import levenshtein_within
 
-        if max_distance == 1:
-            bump("similar_tokens.delete_lookups")
-            prefix = token[:2]
-            length = len(token)
-            candidates: set[str] = set()
-            for delete in deletion_neighborhood(token):
-                neighbors = self._delete_neighbors.get(delete)
-                if neighbors is not None:
-                    candidates.update(neighbors)
-            bump("similar_tokens.delete_candidates", len(candidates))
-            for candidate in candidates:
-                if candidate in result:
-                    continue
-                # The legacy scan only saw the query's own prefix bucket
-                # and rejected on the length gap; apply the same filters
-                # so the result set cannot shift.
-                if candidate[:2] != prefix:
-                    continue
-                if abs(len(candidate) - length) > 1:
-                    continue
-                if levenshtein_within(candidate, token, 1) is not None:
-                    result.add(candidate)
-            return result
-        bump("similar_tokens.bucket_scans")
-        for candidate in self._prefix_buckets.get(token[:2], ()):
+        bump("similar_tokens.delete_lookups")
+        prefix = token[:2]
+        length = len(token)
+        candidates: set[str] = set()
+        for delete in deletion_neighborhood(token):
+            neighbors = self._delete_neighbors.get(delete)
+            if neighbors is not None:
+                candidates.update(neighbors)
+        bump("similar_tokens.delete_candidates", len(candidates))
+        for candidate in candidates:
             if candidate in result:
                 continue
-            if abs(len(candidate) - len(token)) > max_distance:
+            # The legacy scan only saw the query's own prefix bucket
+            # and rejected on the length gap; apply the same filters
+            # so the result set cannot shift.
+            if candidate[:2] != prefix:
                 continue
-            if levenshtein_within(candidate, token, max_distance) is not None:
+            if abs(len(candidate) - length) > 1:
+                continue
+            if levenshtein_within(candidate, token, 1) is not None:
                 result.add(candidate)
         return result
 

@@ -26,8 +26,8 @@ class LabelIndex:
 
     Labels are normalized and tokenized; each distinct normalized label is
     one *document*.  Queries score candidate labels by IDF-weighted token
-    overlap (a cheap cosine) and optionally expand query tokens to
-    edit-distance-1 neighbours, which recovers typo'd web table labels.
+    overlap (a cheap cosine) and expand query tokens to edit-distance-1
+    neighbours, which recovers typo'd web table labels.
 
     :meth:`search` scores every label sharing an (expanded) query token;
     its result is provably identical to :meth:`search_reference`, the
@@ -35,10 +35,9 @@ class LabelIndex:
     "Candidate generation").
     """
 
-    def __init__(self, fuzzy: bool = True) -> None:
+    def __init__(self) -> None:
         self._index = InvertedIndex()
         self._payloads: dict[str, list[Hashable]] = defaultdict(list)
-        self._fuzzy = fuzzy
         self._generation = 0
         #: Per-label norm memo, invalidated by the generation counter —
         #: any add shifts IDFs globally, so the whole memo goes.  It is
@@ -82,10 +81,7 @@ class LabelIndex:
             return []
         scores: dict[str, float] = defaultdict(float)
         for token in query_tokens:
-            expansions = (
-                self._index.similar_tokens(token) if self._fuzzy else
-                ({token} if self._index.postings(token) else set())
-            )
+            expansions = self._index.similar_tokens(token)
             # Sorted iteration: per-label float accumulation order must
             # not depend on the process's hash seed.
             for expanded in sorted(expansions):
@@ -123,10 +119,7 @@ class LabelIndex:
             return []
         scores: dict[str, float] = defaultdict(float)
         for token in query_tokens:
-            expansions = (
-                self._index.similar_tokens(token) if self._fuzzy else
-                ({token} if self._index.postings(token) else set())
-            )
+            expansions = self._index.similar_tokens(token)
             # Sorted iteration: per-label float accumulation order must
             # not depend on the process's hash seed.
             for expanded in sorted(expansions):

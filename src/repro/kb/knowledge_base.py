@@ -46,10 +46,6 @@ class KnowledgeBase:
         self._label_index = None  # invalidate
         self._search_cache.clear()
 
-    def add_instances(self, instances: Iterable[KBInstance]) -> None:
-        for instance in instances:
-            self.add_instance(instance)
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

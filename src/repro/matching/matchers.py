@@ -127,14 +127,6 @@ class AttributeMatchers:
         self._pools: dict[str, ValuePool] = {}
 
     # ------------------------------------------------------------------
-    def available_matchers(self) -> tuple[str, ...]:
-        names = ["kb_overlap", "kb_label"]
-        if self.header_stats is not None:
-            names.append("wt_label")
-        if self.evidence is not None:
-            names.extend(["kb_duplicate", "wt_duplicate"])
-        return tuple(names)
-
     def score_all(
         self, table: WebTable, column: int, prop: KBProperty
     ) -> dict[str, float | None]:

@@ -76,13 +76,6 @@ class DetectionResult:
     #: confidently new).
     best_scores: dict[str, float | None] = field(default_factory=dict)
 
-    def new_entity_ids(self) -> list[str]:
-        return [
-            entity_id
-            for entity_id, classification in self.classifications.items()
-            if classification is Classification.NEW
-        ]
-
     def existing_entity_ids(self) -> list[str]:
         return [
             entity_id

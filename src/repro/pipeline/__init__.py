@@ -1,6 +1,6 @@
 """Pipeline orchestration and the paper's evaluation protocols.
 
-:meth:`repro.api.RunSession.run` drives the four registered
+:meth:`repro.api.RunSession.run` drives the four
 :mod:`~repro.pipeline.stages` — schema matching, row clustering, entity
 creation, new detection — iterated as in Figure 1; this package holds
 the stages, their configuration and models, and the artifact store.
@@ -30,7 +30,6 @@ from repro.pipeline.stages import (
     PipelineStage,
     PipelineState,
     SchemaMatchStage,
-    StageRegistry,
 )
 from repro.pipeline.result import IterationArtifacts, PipelineResult
 from repro.pipeline.training import TrainedModels, train_models
@@ -62,7 +61,6 @@ __all__ = [
     "build_duplicate_evidence",
     "DEFAULT_STAGE_NAMES",
     "STAGES",
-    "StageRegistry",
     "PipelineStage",
     "PipelineState",
     "PipelineObserver",

@@ -1,10 +1,9 @@
-"""Composable pipeline stages (the Figure-1 components as plug points).
+"""The pipeline stages: the paper's Figure-1 components.
 
-The paper's pipeline is four swappable components — schema matching, row
+The paper's pipeline is four components — schema matching, row
 clustering, entity creation (fusion) and new-instance detection.  This
-module makes each of them a first-class :class:`PipelineStage` operating
-on a shared :class:`PipelineState`, so experiments can substitute,
-instrument, reorder or skip a stage without forking the orchestrator:
+module makes each of them a :class:`PipelineStage` operating on a
+shared :class:`PipelineState`:
 
 ========================  ==================  ===========================
 Figure-1 component        stage name          state fields produced
@@ -16,15 +15,16 @@ Entity Creation           ``fuse``            entities
 New Instance Detection    ``detect``          detection
 ========================  ==================  ===========================
 
-Stages are looked up by name in the module-level :data:`STAGES` registry;
-:meth:`repro.api.RunSession.run` drives whatever stage sequence it is
-given, with caching and observer plumbing around each stage.
+:data:`STAGES` maps each name to its class.
+:meth:`repro.api.RunSession.run` drives the stage sequence it is given
+(names, or instances — the seam tests substitute fakes through), with
+caching and observer plumbing around each stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from repro.clustering.clusterer import RowClusterer
 from repro.clustering.context import RowMetricContext, make_row_metrics
@@ -130,10 +130,11 @@ class PipelineState:
 class PipelineStage(Protocol):
     """One component of the pipeline.
 
-    ``name`` identifies the stage (registry key, observer events, cache
-    keys); ``provides`` names the :class:`PipelineState` fields the stage
-    sets, which is what the :class:`repro.api.RunSession` artifact store
-    keeps of a default stage; ``run`` transforms the state and returns it.
+    ``name`` identifies the stage (:data:`STAGES` key, observer events,
+    cache keys); ``provides`` names the :class:`PipelineState` fields the
+    stage sets, which is what the :class:`repro.api.RunSession` artifact
+    store keeps of a default stage; ``run`` transforms the state and
+    returns it.
     """
 
     name: str
@@ -173,59 +174,6 @@ class PipelineObserver:
         pass
 
 
-class StageRegistry:
-    """Name → stage factory registry with mixed-sequence resolution."""
-
-    def __init__(self) -> None:
-        self._factories: dict[str, Callable[[], PipelineStage]] = {}
-
-    def register(
-        self, name: str, factory: Callable[[], PipelineStage] | None = None
-    ):
-        """Register a factory, directly or as a class decorator."""
-        if factory is not None:
-            self._factories[name] = factory
-            return factory
-
-        def decorator(cls):
-            self._factories[name] = cls
-            return cls
-
-        return decorator
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._factories)
-
-    def create(self, name: str) -> PipelineStage:
-        try:
-            factory = self._factories[name]
-        except KeyError:
-            known = ", ".join(sorted(self._factories))
-            raise ValueError(
-                f"unknown pipeline stage {name!r}; registered stages: {known}"
-            ) from None
-        return factory()
-
-    def resolve(
-        self, stages: Iterable[PipelineStage | str] | None = None
-    ) -> list[PipelineStage]:
-        """A concrete stage list from names, instances, or the default."""
-        if stages is None:
-            stages = DEFAULT_STAGE_NAMES
-        resolved: list[PipelineStage] = []
-        for stage in stages:
-            if isinstance(stage, str):
-                resolved.append(self.create(stage))
-            else:
-                resolved.append(stage)
-        return resolved
-
-
-#: The process-wide registry the orchestrator resolves stage names against.
-STAGES = StageRegistry()
-
-
-@STAGES.register("schema_match")
 class SchemaMatchStage:
     """Figure-1 "Schema Matching": corpus mapping + row-record projection."""
 
@@ -277,7 +225,6 @@ class SchemaMatchStage:
         )
 
 
-@STAGES.register("cluster")
 class ClusterStage:
     """Figure-1 "Row Clustering": correlation clustering of row records."""
 
@@ -306,7 +253,6 @@ class ClusterStage:
         return state
 
 
-@STAGES.register("fuse")
 class FuseStage:
     """Figure-1 "Entity Creation": value fusion of each cluster."""
 
@@ -340,7 +286,6 @@ class FuseStage:
         return make_scorer(config.fusion_scoring, mapping=state.mapping)
 
 
-@STAGES.register("detect")
 class DetectStage:
     """Figure-1 "New Instance Detection": entity-vs-KB classification."""
 
@@ -381,3 +326,32 @@ class DetectStage:
             state.entities, executor=state.executor, cache=cache
         )
         return state
+
+
+#: Stage name → stage class, for the names ``RunSession.run(stages=...)``
+#: and ``repro run --stages`` accept.
+STAGES: dict[str, type] = {
+    "schema_match": SchemaMatchStage,
+    "cluster": ClusterStage,
+    "fuse": FuseStage,
+    "detect": DetectStage,
+}
+
+
+def resolve_stages(
+    stages: Iterable[PipelineStage | str] = DEFAULT_STAGE_NAMES,
+) -> list[PipelineStage]:
+    """A concrete stage list: names become fresh stages from
+    :data:`STAGES`, instances (a test's fake stage) are used as-is."""
+    resolved: list[PipelineStage] = []
+    for stage in stages:
+        if not isinstance(stage, str):
+            resolved.append(stage)
+        elif stage in STAGES:
+            resolved.append(STAGES[stage]())
+        else:
+            known = ", ".join(STAGES)
+            raise ValueError(
+                f"unknown pipeline stage {stage!r}; registered stages: {known}"
+            )
+    return resolved

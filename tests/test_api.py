@@ -13,6 +13,7 @@ from repro.pipeline.stages import (
     STAGES,
     PipelineObserver,
     PipelineStage,
+    resolve_stages,
 )
 from repro.obs import trace_summary
 
@@ -130,24 +131,24 @@ class TestConfigValidation:
 
 class TestStageRegistry:
     def test_default_names_registered(self):
-        assert set(DEFAULT_STAGE_NAMES) <= set(STAGES.names())
+        assert tuple(STAGES) == DEFAULT_STAGE_NAMES
 
     def test_resolve_default_order(self):
-        assert [stage.name for stage in STAGES.resolve()] == list(
+        assert [stage.name for stage in resolve_stages()] == list(
             DEFAULT_STAGE_NAMES
         )
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError, match="unknown pipeline stage"):
-            STAGES.resolve(("schema_match", "bogus"))
+            resolve_stages(("schema_match", "bogus"))
 
     def test_instances_pass_through(self):
         stub = StubDetectStage()
-        resolved = STAGES.resolve(("schema_match", stub))
+        resolved = resolve_stages(("schema_match", stub))
         assert resolved[1] is stub
 
     def test_builtin_stages_satisfy_protocol(self):
-        for stage in STAGES.resolve():
+        for stage in resolve_stages():
             assert isinstance(stage, PipelineStage)
 
 

@@ -257,6 +257,30 @@ class TestCorpusStore:
         assert store.get("t1").n_rows == 3
         assert len(store) == 1
 
+    def test_ingest_reuses_one_connection_per_shard(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.corpus.store as store_module
+
+        opened = []
+        real_connect = store_module._connect
+
+        def counting_connect(path):
+            opened.append(path)
+            return real_connect(path)
+
+        monkeypatch.setattr(store_module, "_connect", counting_connect)
+        store = CorpusStore.create(tmp_path / "store", shards=4)
+        report = store.ingest(
+            [make_table(number) for number in range(24)], batch_size=5
+        )
+        store.ingest([make_table(3, rows=7)], on_conflict="replace")
+        with pytest.raises(ValueError, match="conflict"):
+            store.ingest([make_table(4, rows=7)], on_conflict="error")
+        assert report.inserted == 24
+        assert store.get("t3").n_rows == 7
+        assert len(opened) <= store.n_shards
+
     def test_skip_counts_within_batch_duplicate_of_rejected_content(
         self, tmp_path
     ):

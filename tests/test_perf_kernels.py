@@ -40,16 +40,15 @@ class TestSimilarTokensEquivalence:
     @given(
         st.lists(st.lists(_token, min_size=1, max_size=5), min_size=1, max_size=12),
         st.lists(_token, min_size=1, max_size=20),
-        st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=200)
-    def test_equivalent_over_random_vocabularies(self, documents, queries, k):
+    def test_equivalent_over_random_vocabularies(self, documents, queries):
         index = InvertedIndex()
         for doc_id, tokens in enumerate(documents):
             index.add(doc_id, tokens)
         for query in queries:
-            assert index.similar_tokens(query, k) == (
-                index.similar_tokens_reference(query, k)
+            assert index.similar_tokens(query) == (
+                index.similar_tokens_reference(query)
             )
 
     @given(
@@ -79,10 +78,9 @@ class TestSimilarTokensEquivalence:
                 doc_id = position % len(index)
                 index.add(doc_id, index.tokens_of(doc_id))  # idempotent re-add
         for query in queries:
-            for k in (0, 1, 2):
-                assert index.similar_tokens(query, k) == (
-                    index.similar_tokens_reference(query, k)
-                )
+            assert index.similar_tokens(query) == (
+                index.similar_tokens_reference(query)
+            )
 
     def test_typo_found_through_deletion_neighborhood(self):
         index = InvertedIndex()

@@ -53,12 +53,16 @@ class ServeProcess:
     """A real ``repro serve`` subprocess with its stderr tailed live."""
 
     def __init__(self, store: Path, *, env: dict | None = None, args=()):
+        env = dict(env or subprocess_env())
+        # Lets terminate_and_wait make a hung server print every
+        # thread's stack (faulthandler dumps them on SIGABRT).
+        env["PYTHONFAULTHANDLER"] = "1"
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
                 "--store", str(store), "--port", "0", "--quiet", *args,
             ],
-            env=env or subprocess_env(),
+            env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             text=True,
@@ -87,7 +91,20 @@ class ServeProcess:
 
     def terminate_and_wait(self, timeout: float = 240.0) -> int:
         self.proc.send_signal(signal.SIGTERM)
-        code = self.proc.wait(timeout=timeout)
+        try:
+            code = self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            self.proc.send_signal(signal.SIGABRT)
+            try:
+                self.proc.wait(timeout=30.0)
+            except subprocess.TimeoutExpired:
+                pass  # cleanup() kills it
+            self._reader.join(timeout=10.0)
+            tail = "".join(self.stderr_lines[-200:])
+            pytest.fail(
+                f"repro serve still running {timeout:g} s after SIGTERM; "
+                f"stderr after SIGABRT (thread stacks):\n{tail}"
+            )
         self._reader.join(timeout=10.0)
         return code
 
