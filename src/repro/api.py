@@ -190,9 +190,10 @@ class RunSession:
         self.config = config or PipelineConfig()
         self.models = models
         self.observers: list[PipelineObserver] = list(observers)
-        #: Session-scoped kernel memos (token pairs, label tokens) shared
-        #: by every run; cleared at the corpus-epoch guard to bound
-        #: memory.
+        #: Session-scoped kernel memos (token pairs, label tokens, and
+        #: attribute matching's parsed columns, value pools and KB-side
+        #: scores) shared by every run; cleared at the corpus-epoch guard
+        #: to bound memory.
         self.kernels = KernelCache()
         #: Strong references keep cache-key identity tokens stable.
         self._identity_registry: list[object] = []

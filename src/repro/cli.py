@@ -707,6 +707,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from repro.faults import current_plan
+
+    # A malformed REPRO_FAULTS fails every command, also one that would
+    # reach no injection point (a run served wholly from its cache).
+    try:
+        current_plan()
+    except ValueError as error:
+        print(f"error: {error}")
+        return 2
     try:
         return args.handler(args)
     except KeyboardInterrupt:

@@ -8,6 +8,7 @@ from repro.faults.registry import (
     arm,
     armed,
     check,
+    current_plan,
     disarm,
     fault_stats,
     parse_spec,
@@ -21,6 +22,7 @@ __all__ = [
     "arm",
     "armed",
     "check",
+    "current_plan",
     "disarm",
     "fault_stats",
     "parse_spec",

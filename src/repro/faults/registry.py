@@ -28,10 +28,12 @@ or in-process::
         ...
 
 Arming sources, later wins: the ``REPRO_FAULTS`` environment variable
-(read once, lazily — subprocesses inherit it, which is how the chaos
-suite kills real ``repro serve`` / ``repro ingest`` processes at exact
-points), then :func:`arm` / :func:`armed`; ``with armed(spec):`` around
-a :meth:`~repro.api.RunSession.run` call arms a plan for that run only.
+(read once, by :func:`current_plan` — the CLI calls it before any
+command runs, other processes at their first check; subprocesses
+inherit it, which is how the chaos suite kills real ``repro serve`` /
+``repro ingest`` processes at exact points), then :func:`arm` /
+:func:`armed`; ``with armed(spec):`` around a
+:meth:`~repro.api.RunSession.run` call arms a plan for that run only.
 
 Spec grammar (one rule)::
 
@@ -63,6 +65,7 @@ __all__ = [
     "arm",
     "armed",
     "check",
+    "current_plan",
     "disarm",
     "fault_stats",
     "parse_spec",
@@ -200,7 +203,12 @@ _plan: FaultPlan | None = None
 _env_loaded = False
 
 
-def _current_plan() -> FaultPlan | None:
+def current_plan() -> FaultPlan | None:
+    """The plan in force, parsing ``REPRO_FAULTS`` on the first call.
+
+    A malformed spec raises :class:`ValueError` here; ``repro``'s CLI
+    calls this before it dispatches, so every command fails on one.
+    """
     global _env_loaded, _plan
     if not _env_loaded:
         with _state_lock:
@@ -219,7 +227,7 @@ def check(point: str) -> None:
     and a ``None`` comparison.  Armed, it counts the hit and fires the
     plan's action when this is the armed point's ``N``-th hit.
     """
-    plan = _plan if _env_loaded else _current_plan()
+    plan = _plan if _env_loaded else current_plan()
     if plan is None:
         return
     plan.check(point)
@@ -263,5 +271,5 @@ class armed:
 
 def fault_stats() -> dict | None:
     """The armed plan's counters, or ``None`` when disarmed."""
-    plan = _current_plan()
+    plan = current_plan()
     return None if plan is None else plan.stats()

@@ -29,9 +29,9 @@ class LabelIndex:
     overlap (a cheap cosine) and expand query tokens to edit-distance-1
     neighbours, which recovers typo'd web table labels.
 
-    :meth:`search` scores every label sharing an (expanded) query token;
-    its result is provably identical to :meth:`search_reference`, the
-    kept-verbatim pre-optimization scan (see ``docs/architecture.md``,
+    :meth:`search` scores every label sharing an (expanded) query token,
+    with each label's norm memoized per index generation; the tests hold
+    it identical to the unmemoized scan (see ``docs/architecture.md``,
     "Candidate generation").
     """
 
@@ -71,7 +71,7 @@ class LabelIndex:
         """Top-``limit`` labels most similar to ``query``.
 
         Deterministic: ties are broken by label lexicographic order.
-        Identical to :meth:`search_reference` by construction — the only
+        Identical to the unmemoized scan by construction — the only
         delta is the generation-memoized per-label norm, which computes
         the same float from the same sorted token iteration.
         """
@@ -108,55 +108,12 @@ class LabelIndex:
         matches.sort(key=lambda match: (-match.score, match.label))
         return matches[:limit]
 
-    def search_reference(self, query: str, limit: int = 10) -> list[LabelMatch]:
-        """The pre-optimization full scan, kept verbatim.
-
-        The equivalence oracle for :meth:`search`, which is
-        hypothesis-tested to return identical matches.
-        """
-        query_tokens = list(dict.fromkeys(tokenize(normalize_label(query))))
-        if not query_tokens:
-            return []
-        scores: dict[str, float] = defaultdict(float)
-        for token in query_tokens:
-            expansions = self._index.similar_tokens(token)
-            # Sorted iteration: per-label float accumulation order must
-            # not depend on the process's hash seed.
-            for expanded in sorted(expansions):
-                weight = self._index.idf(expanded)
-                # Penalize fuzzy (non-exact) expansions slightly so exact
-                # token matches dominate.
-                if expanded != token:
-                    weight *= 0.7
-                for label in self._index.postings(expanded):
-                    scores[label] += weight
-        if not scores:
-            return []
-        query_norm = math.sqrt(
-            sum(self._index.idf(token) ** 2 for token in query_tokens)
-        )
-        matches = []
-        for label, dot in scores.items():
-            # Sorted iteration over the token *set*: the norm's float
-            # accumulation order must not depend on the hash seed (a
-            # 1-ulp drift here flips top-k ties at the limit boundary).
-            label_tokens = sorted(self._index.tokens_of(label))
-            label_norm = math.sqrt(
-                sum(self._index.idf(token) ** 2 for token in label_tokens)
-            )
-            denominator = query_norm * label_norm
-            score = dot / denominator if denominator > 0 else 0.0
-            score = min(1.0, score)
-            matches.append(LabelMatch(label, score, tuple(self._payloads[label])))
-        matches.sort(key=lambda match: (-match.score, match.label))
-        return matches[:limit]
-
     def _label_norm(self, label: str) -> float:
         """Memoized ``sqrt(sum idf²)`` over a label's tokens.
 
         IDFs shift with every :meth:`add`, so the memo keys on the
         generation counter: stale generation ⇒ the whole memo is
-        dropped.  The computed value is bit-identical to the reference
+        dropped.  The computed value is bit-identical to the unmemoized
         scan's (same sorted token iteration, same float operations).
         """
         if self._norm_generation != self._generation:

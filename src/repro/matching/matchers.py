@@ -25,19 +25,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.datatypes.normalization import NormalizationError, normalize_value
 from repro.datatypes.similarity import TypedSimilarity
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.schema import KBProperty
 from repro.matching.pools import ValuePool
+from repro.perf.counters import bump
+from repro.perf.kernels import ColumnCells, KernelCache
 from repro.text.monge_elkan import label_similarity
 from repro.text.tokenize import normalize_label
 from repro.webtables.table import RowId, WebTable
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.perf.kernels import KernelCache
 
 #: Canonical matcher names, in aggregation order.
 MATCHER_NAMES_FIRST_ITERATION = ("kb_overlap", "kb_label", "wt_label")
@@ -106,9 +104,11 @@ class DuplicateEvidence:
 class AttributeMatchers:
     """Computes all matcher scores for (table, column, property) triples.
 
-    ``kernels`` (a session's :class:`repro.perf.KernelCache`) memoizes the
-    label similarities of KB-Label and the duplicate matchers; it changes
-    no score.
+    ``kernels`` (a session's :class:`repro.perf.KernelCache`; a private
+    one when ``None``) memoizes the label similarities of KB-Label and
+    the duplicate matchers, the parsed columns, the KB value pools and
+    the (KB-Overlap, KB-Label) pair of each column, which read only the
+    column and the knowledge base.  It changes no score.
     """
 
     def __init__(
@@ -117,57 +117,75 @@ class AttributeMatchers:
         class_name: str,
         header_stats: HeaderStatistics | None = None,
         evidence: DuplicateEvidence | None = None,
-        kernels: "KernelCache | None" = None,
+        kernels: KernelCache | None = None,
     ) -> None:
         self.kb = kb
         self.class_name = class_name
         self.header_stats = header_stats
         self.evidence = evidence
-        self.kernels = kernels
-        self._pools: dict[str, ValuePool] = {}
+        self.kernels = kernels if kernels is not None else KernelCache()
 
     # ------------------------------------------------------------------
     def score_all(
         self, table: WebTable, column: int, prop: KBProperty
     ) -> dict[str, float | None]:
         """All available matcher scores for one column-property pair."""
-        parsed = self._parse_column(table, column, prop)
+        header = table.header[column]
+        cells = tuple(row[column] for row in table.rows)
+        key = (self.class_name, prop.name, header, cells)
+        kb_scores = self.kernels.attribute_scores.get(key)
+        if kb_scores is None:
+            bump("attribute_scores.computed")
+            kb_scores = (
+                self._kb_overlap(self._parse_column(cells, prop), prop),
+                self._kb_label(header, prop),
+            )
+            self.kernels.attribute_scores[key] = kb_scores
+        else:
+            bump("attribute_scores.reused")
         scores: dict[str, float | None] = {
-            "kb_overlap": self._kb_overlap(parsed, prop),
-            "kb_label": self._kb_label(table.header[column], prop),
+            "kb_overlap": kb_scores[0],
+            "kb_label": kb_scores[1],
         }
         if self.header_stats is not None:
-            scores["wt_label"] = self.header_stats.score(
-                table.header[column], prop.name
-            )
+            scores["wt_label"] = self.header_stats.score(header, prop.name)
         if self.evidence is not None:
+            parsed = self._parse_column(cells, prop)
             scores["kb_duplicate"] = self._kb_duplicate(table, parsed, prop)
             scores["wt_duplicate"] = self._wt_duplicate(table, parsed, prop)
         return scores
 
     # ------------------------------------------------------------------
     def _parse_column(
-        self, table: WebTable, column: int, prop: KBProperty
+        self, cells: ColumnCells, prop: KBProperty
     ) -> dict[int, object]:
-        """Row index → cell parsed as the property's type (parseable only)."""
-        parsed: dict[int, object] = {}
-        for row_index in range(table.n_rows):
-            cell = table.rows[row_index][column]
-            if cell is None:
-                continue
-            try:
-                parsed[row_index] = normalize_value(cell, prop.data_type)
-            except NormalizationError:
-                continue
+        """Row index → cell parsed as the property's type (parseable only).
+
+        Memoized per (type, cells); callers must not mutate the result.
+        """
+        key = (prop.data_type, cells)
+        parsed = self.kernels.parsed_columns.get(key)
+        if parsed is None:
+            bump("parsed_columns.computed")
+            parsed = {}
+            for row_index, cell in enumerate(cells):
+                if cell is None:
+                    continue
+                try:
+                    parsed[row_index] = normalize_value(cell, prop.data_type)
+                except NormalizationError:
+                    continue
+            self.kernels.parsed_columns[key] = parsed
         return parsed
 
     def _pool(self, prop: KBProperty) -> ValuePool:
-        if prop.name not in self._pools:
+        key = (self.class_name, prop.name)
+        pool = self.kernels.value_pools.get(key)
+        if pool is None:
             values = self.kb.property_values(self.class_name, prop.name)
-            self._pools[prop.name] = ValuePool(
-                prop.data_type, values, prop.tolerance
-            )
-        return self._pools[prop.name]
+            pool = ValuePool(prop.data_type, values, prop.tolerance)
+            self.kernels.value_pools[key] = pool
+        return pool
 
     # ------------------------------------------------------------------
     # The five matchers

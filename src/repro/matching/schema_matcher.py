@@ -140,7 +140,7 @@ class _AttributeBatch:
     dispatches tables with a known class — and results are the attribute
     correspondence dict per table.  Per-class matchers are cached on the
     instance, so a pass builds exactly one per class.  ``kernels``
-    memoizes label similarity.
+    memoizes label similarity and the KB-side attribute scores.
     """
 
     def __init__(
@@ -196,8 +196,9 @@ class SchemaMatcher:
     a lazy store-backed corpus view is never materialized wholesale.
 
     ``kernels`` (a session's :class:`repro.perf.KernelCache`) memoizes
-    the label similarities of table-to-class and attribute matching; the
-    mapping is the same without it.
+    the label similarities of table-to-class and attribute matching and
+    the KB-side attribute scores of each column; the mapping is the same
+    without it.
     """
 
     #: Tables materialized per dispatch wave (corpus-size independent).

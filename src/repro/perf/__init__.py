@@ -7,8 +7,9 @@ Three pieces:
   paths; the tracing observer attaches their per-stage deltas to the
   run's span log, which ``repro run --json`` and ``/metrics`` sum.
 * :mod:`repro.perf.kernels` — :class:`KernelCache`, the session-scoped
-  token-pair similarity and label-token memos, cleared at the
-  corpus-epoch guard.
+  token-pair similarity and label-token memos and the parsed-column,
+  value-pool and attribute-score memos of attribute matching, cleared
+  at the corpus-epoch guard.
 * :mod:`repro.perf.percentiles` — exact nearest-rank percentiles for
   the small latency samples the service's ``GET /metrics`` reports.
 

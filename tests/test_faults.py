@@ -34,6 +34,7 @@ from repro.faults import (
     parse_spec,
 )
 from repro.faults.registry import GRAMMAR
+from test_signals import make_golden_store, subprocess_env
 
 SRC_DIR = Path(__file__).parent.parent / "src"
 
@@ -234,3 +235,28 @@ class TestRunIntegration:
                 session.run("Song")
         result = session.run("Song")
         assert result.summary_dict()["class_name"] == "Song"
+
+    def test_malformed_environment_fails_a_fully_cached_cli_run(
+        self, tmp_path
+    ):
+        """A run served wholly from its store's cache reaches no
+        injection point; a malformed ``REPRO_FAULTS`` must fail it all
+        the same, with the grammar's message."""
+        store_dir = make_golden_store(tmp_path / "store")
+        command = [
+            sys.executable, "-m", "repro",
+            "run", "Song", "--store", str(store_dir), "--quiet",
+        ]
+        warm = subprocess.run(
+            command, env=subprocess_env(), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert warm.returncode == 0, warm.stderr
+        spec = "artifacts.put:raise@2+"
+        rejected = subprocess.run(
+            command, env=subprocess_env(REPRO_FAULTS=spec),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert rejected.returncode == 2, rejected.stdout + rejected.stderr
+        assert repr(spec) in rejected.stdout
+        assert GRAMMAR in rejected.stdout

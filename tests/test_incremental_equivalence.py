@@ -80,6 +80,14 @@ def _mutated(table: WebTable, salt: int) -> WebTable:
     )
 
 
+def _columns(table: WebTable) -> set[tuple]:
+    """Each column's cells, top to bottom (the column memos' content key)."""
+    return {
+        tuple(row[column] for row in table.rows)
+        for column in range(table.n_columns)
+    }
+
+
 def _filler_tables(start: int, count: int) -> list[WebTable]:
     """Deterministic long-tail tables that match no KB class."""
     return [
@@ -565,10 +573,24 @@ class TestSessionGuards:
         session = RunSession.from_corpus_store(store)
         stale = session.run(CLASS_NAME, use_cache=False)  # fills the view
         # This table's replacement changes the class's entities.
-        store.ingest(
-            [_mutated(world_tables[1], salt=1)], on_conflict="replace"
+        replacement = _mutated(world_tables[1], salt=1)
+        store.ingest([replacement], on_conflict="replace")
+        # Columns only the replaced content had: after the guard, no
+        # column memo may still hold an entry for them.
+        current = [*world_tables[:1], replacement, *world_tables[2:N_BASE]]
+        gone = _columns(world_tables[1]) - set().union(
+            *(_columns(table) for table in current)
         )
+        kernels = session.kernels
+
+        def stale_entries():
+            return [
+                key for key in kernels.attribute_scores if key[3] in gone
+            ] + [key for key in kernels.parsed_columns if key[1] in gone]
+
+        assert stale_entries()
         result = session.run(CLASS_NAME, use_cache=False)
+        assert stale_entries() == []
         assert result.canonical_json() != stale.canonical_json()
         _assert_equivalent(store, result)
 

@@ -23,6 +23,8 @@ from repro.matching.learning import (
 )
 from repro.matching.matchers import AttributeMatchers, HeaderStatistics
 from repro.matching.pools import ValuePool
+from repro.matching.schema_matcher import SchemaMatcherModels
+from repro.perf import KernelCache, counter_delta, kernel_counters
 from repro.datatypes.values import DateValue
 from repro.webtables import TableCorpus, WebTable
 
@@ -167,6 +169,85 @@ class TestAttributeMatchers:
     def test_wt_label_unseen_header_is_none(self):
         stats = HeaderStatistics({("other", "height"): 0.9})
         assert stats.score("ht", "height") is None
+
+    def test_memo_keys_on_content_not_table_id(self):
+        """Two tables sharing an id but not their cells or header, scored
+        through one cache, each get the scores a fresh cache gives."""
+        kb = small_kb()
+        prop = kb.schema.properties_of("Player")["team"]
+        shared = AttributeMatchers(kb, "Player", kernels=KernelCache())
+        known = player_table()
+        unknown = WebTable(
+            known.table_id,
+            known.header,
+            [(row[0], "Nowhere FC", row[2]) for row in known.rows],
+        )
+        renamed = WebTable(known.table_id, ("player", "squad", "ht"), known.rows)
+        scores = []
+        for table in (known, unknown, renamed):
+            fresh = AttributeMatchers(kb, "Player").score_all(table, 1, prop)
+            assert shared.score_all(table, 1, prop) == fresh
+            scores.append(fresh)
+        assert scores[0]["kb_overlap"] == 1.0
+        assert scores[1]["kb_overlap"] == 0.0
+        assert scores[2]["kb_label"] < scores[0]["kb_label"] == 1.0
+        assert shared.kernels.cache_info()["attribute_scores"] == 3
+
+
+class TestSessionMemoEquivalence:
+    def test_shared_cache_changes_no_correspondence(self, tiny_world):
+        """Every class-matched table of a tiny world gets the same
+        correspondences in all three attribute passes whether its
+        matcher reads one shared cache or a fresh one per call."""
+        from repro.api import RunSession
+        from repro.pipeline import PipelineConfig, build_duplicate_evidence
+
+        kb, corpus = tiny_world.knowledge_base, tiny_world.corpus
+        schema_matcher = SchemaMatcher(kb)
+        header_stats = HeaderStatistics.from_correspondences(
+            schema_matcher.match_corpus(corpus).all_correspondences(), corpus
+        )
+        session = RunSession(tiny_world, config=PipelineConfig(iterations=1))
+        evidence = {}
+        for class_name in ("Song", "Settlement", "GridironFootballPlayer"):
+            final = session.run(class_name, use_cache=False).final
+            evidence[class_name] = build_duplicate_evidence(
+                final.entities, final.detection
+            )
+        models = SchemaMatcherModels()
+        shared = KernelCache()
+        baseline = kernel_counters()
+        # Iteration 2 of each class run matches every class's tables
+        # with that run's evidence.
+        passes = [("preliminary", None), ("first", None)] + [
+            ("second", run_evidence) for run_evidence in evidence.values()
+        ]
+        matched = 0
+        for mode, run_evidence in passes:
+            for table_id in corpus.table_ids():
+                class_name, __ = schema_matcher.table_class(corpus, table_id)
+                if class_name is None:
+                    continue
+                column_types, label_column = schema_matcher.analyze_table(
+                    corpus, table_id
+                )
+                feedback = None
+                if mode != "preliminary":
+                    feedback = MatcherFeedback(header_stats, run_evidence)
+                correspondences = [
+                    AttributePropertyMatcher(
+                        kb,
+                        class_name,
+                        models.for_class(class_name, mode),
+                        feedback,
+                        kernels=kernels,
+                    ).match_table(corpus.get(table_id), column_types, label_column)
+                    for kernels in (shared, KernelCache())
+                ]
+                assert correspondences[0] == correspondences[1], (mode, table_id)
+                matched += bool(correspondences[0])
+        assert matched > 0
+        assert counter_delta(baseline)["attribute_scores.reused"] > 0
 
 
 class TestModelLearning:

@@ -145,7 +145,13 @@ class TestKernelCache:
         similarity.score(_record(1, "green day"), _record(2, "green days"))
         assert kernels.cache_info()["token_pairs"] > 0
         kernels.clear()
-        assert kernels.cache_info() == {"token_pairs": 0, "label_tokens": 0}
+        assert kernels.cache_info() == {
+            "token_pairs": 0,
+            "label_tokens": 0,
+            "parsed_columns": 0,
+            "value_pools": 0,
+            "attribute_scores": 0,
+        }
 
     def test_shared_memo_changes_nothing_but_speed(self):
         kernels = KernelCache()
@@ -219,10 +225,16 @@ class TestSessionWiring:
         session.run("Song", use_cache=False)
         kernels = session.kernels
         before = kernels.cache_info()
-        assert before["label_tokens"] > 0 and before["token_pairs"] > 0
+        assert all(size > 0 for size in before.values()), before
         corpus.add(tiny_world.corpus.get(held_back))  # a new corpus epoch
         session._guard_corpus_epoch()
-        assert kernels.cache_info() == {"token_pairs": 0, "label_tokens": 0}
+        assert kernels.cache_info() == {
+            "token_pairs": 0,
+            "label_tokens": 0,
+            "parsed_columns": 0,
+            "value_pools": 0,
+            "attribute_scores": 0,
+        }
 
 
 # ---------------------------------------------------------------------------

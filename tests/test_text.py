@@ -279,7 +279,13 @@ class TestMemoizedLabelSimilarity:
     def test_equal_labels_score_one(self):
         kernels = KernelCache()
         assert label_similarity("Green Day", "Green Day", kernels) == 1.0
-        assert kernels.cache_info() == {"token_pairs": 3, "label_tokens": 1}
+        assert kernels.cache_info() == {
+            "token_pairs": 3,
+            "label_tokens": 1,
+            "parsed_columns": 0,
+            "value_pools": 0,
+            "attribute_scores": 0,
+        }
 
 
 class TestTermVectors:
