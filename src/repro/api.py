@@ -21,8 +21,9 @@ sessions.  Each default stage, each table's analysis and each entity's
 detection is keyed on fingerprints of all of its inputs, so a repeated
 run loads every stage, a run after a corpus delta recomputes only what
 the delta touched, and a run for a second class reuses the
-class-independent table analyses of the first.  ``use_cache=False``
-reuses and stores nothing.
+class-independent table analyses of the first — from the session's
+in-memory analysis memo, without reading the store again.
+``use_cache=False`` reuses and stores nothing.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from repro.parallel import ExecutorObserver, make_executor
 from repro.perf.kernels import KernelCache
 from repro.pipeline.artifacts import (
     ARTIFACTS_DIRNAME,
+    AnalysisMemo,
     ArtifactStore,
     IncrementalBackend,
     IncrementalRunReport,
+    prune_analysis_memo,
 )
 from repro.pipeline.delta import (
     corpus_state,
@@ -195,6 +198,13 @@ class RunSession:
         #: scores) shared by every run; cleared at the corpus-epoch guard
         #: to bound memory.
         self.kernels = KernelCache()
+        #: Table analyses of every cached run, keyed on (table id,
+        #: content hash, candidate limit), so a class run reads from the
+        #: artifact store only the analyses this session has not seen.
+        #: Not in :attr:`kernels`: the epoch guard prunes it to the
+        #: snapshot's tables rather than clearing it, as a refresh keeps
+        #: most tables.  Values are shared with the matchers; read-only.
+        self.analysis_memo: AnalysisMemo = {}
         #: Strong references keep cache-key identity tokens stable.
         self._identity_registry: list[object] = []
         self._default_models: dict[str, PipelineModels] = {}
@@ -400,12 +410,14 @@ class RunSession:
             extra_observers.append(
                 TracingObserver(tracer, parent=run_span.span_id)
             )
-        state = self._guard_corpus_epoch()
+        state, epoch = self._guard_corpus_epoch()
         backend: IncrementalBackend | None = None
         if use_cache:
             backend = IncrementalBackend(
                 self.artifact_store,
                 corpus_state=state,
+                corpus_fp=epoch,
+                analyses=self.analysis_memo,
                 kb_fp=self._kb_fingerprint(),
                 models_fp=self._models_fingerprint(models),
                 config_fp=config_hash(config),
@@ -578,23 +590,26 @@ class RunSession:
 
     # -- cache administration ------------------------------------------
     def clear_cache(self) -> None:
-        """Drop the kernel memos, and every artifact of an in-memory
-        store (a store with a directory keeps what it wrote)."""
+        """Drop the kernel memos, the analysis memo, and every artifact
+        of an in-memory store (a store with a directory keeps what it
+        wrote)."""
         if self.artifact_store.directory is None:
             self.artifact_store = ArtifactStore()
         self.kernels.clear()
+        self.analysis_memo.clear()
 
     def service_stats(self) -> dict:
         """Every cache/store statistic of this session, as one document.
 
         The read-only monitoring surface a long-lived holder (the
         ``repro serve`` service's ``GET /metrics``) reports: the kernel
-        memo bundle and the artifact store's shape and hit/miss
-        counters.  Purely observational: calling it changes no cache
-        state.
+        memo bundle, the analysis memo's size and the artifact store's
+        shape and hit/miss counters.  Purely observational: calling it
+        changes no cache state.
         """
         return {
             "kernel_cache": self.kernels.cache_info(),
+            "analysis_memo": len(self.analysis_memo),
             "artifact_store": self.artifact_store.describe(),
             "corpus_tables": len(self.corpus),
             "kb_instances": len(self.knowledge_base),
@@ -627,27 +642,30 @@ class RunSession:
             return Tracer(path=path, trace_id=trace_id), True
         return Tracer(path=trace), True
 
-    def _guard_corpus_epoch(self) -> dict[str, str]:
+    def _guard_corpus_epoch(self) -> tuple[dict[str, str], str]:
         """Snapshot the corpus; the session's corpus-epoch guard.
 
         Taken by every run, cached or not.  When the snapshot differs
         from the previous run's, the content-keyed kernel memos are
-        cleared to bound memory, and a live store-backed corpus view
-        drops its table cache, so no run reads a table that the store
-        has since replaced.  The session's first run takes it too
-        (``_corpus_epoch`` starts as None).  Stored artifacts stay:
-        their keys embed content fingerprints, so none of them can go
-        stale.
+        cleared to bound memory, the analysis memo is pruned to the
+        snapshot's ``(table id, content hash)`` pairs, and a live
+        store-backed corpus view drops its table cache, so no run reads
+        a table that the store has since replaced.  The session's first
+        run takes it too (``_corpus_epoch`` starts as None).  Stored
+        artifacts stay: their keys embed content fingerprints, so none
+        of them can go stale.  Returns the snapshot and its fingerprint
+        (the epoch), which the run's backend keys on.
         """
         state = corpus_state(self.corpus)
         epoch = fingerprint_corpus_state(state, order=list(state))
         if epoch != self._corpus_epoch:
             self.kernels.clear()
+            prune_analysis_memo(self.analysis_memo, state)
             invalidate = getattr(self.corpus, "invalidate", None)
             if invalidate is not None:
                 invalidate()
             self._corpus_epoch = epoch
-        return state
+        return state, epoch
 
     def _kb_fingerprint(self) -> str:
         """The session KB's structural digest, computed once.

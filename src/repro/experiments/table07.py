@@ -83,6 +83,7 @@ def run(env: ExperimentEnv | None = None, folds=FOLDS) -> ExperimentTable:
                 known_classes={
                     table_id: class_name for table_id in train_gold.table_ids
                 },
+                classes=kb.schema.descendants(class_name),
             )
             train_records = build_row_records(
                 corpus,

@@ -9,10 +9,12 @@ matching phase of one pipeline iteration:
 4. derive WT-Label header statistics from the preliminary mapping,
 5. rerun attribute matching with the web-table matchers enabled — plus the
    duplicate-based matchers when clustering/new-detection feedback from a
-   previous iteration is supplied.
+   previous iteration is supplied, in which case only the run's own
+   classes are scored.
 
 Steps 1–2 and the per-table attribute passes score every table
-independently against read-only KB state.  Both run through an
+independently against read-only KB state; the attribute passes see only
+class-matched tables.  Both run through an
 :class:`~repro.parallel.SerialExecutor` via pure batch callables
 (:class:`_AnalyzeBatch`, :class:`_AttributeBatch`), so the executor's
 observers time them and its errors name the failing tables.
@@ -20,8 +22,8 @@ observers time them and its errors name the failing tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Collection
 
 from repro.datatypes import DataType
 from repro.datatypes.detection import detect_column_type
@@ -255,18 +257,31 @@ class SchemaMatcher:
         evidence: DuplicateEvidence | None = None,
         table_ids: list[str] | None = None,
         known_classes: dict[str, str] | None = None,
+        classes: Collection[str] | None = None,
     ) -> SchemaMapping:
         """Full schema matching over (a subset of) the corpus.
 
         ``evidence`` enables the duplicate-based matchers (iteration 2);
         ``known_classes`` bypasses table-to-class matching for tables whose
         class is externally known (gold standard experiments).
+        ``classes`` (the evidence's class and its descendants) comes with
+        ``evidence`` and scopes its final pass to the tables of those
+        classes, because the evidence is that class's; every other table
+        keeps its class but no attributes.  Without evidence the pass is
+        corpus-wide (iteration 1).
+
+        The returned mapping has an entry for every table.  Its column
+        types are copied from the analysis cache, which an incremental
+        run shares with the session's analysis memo.
         """
+        if evidence is not None and classes is None:
+            raise ValueError("evidence needs the classes it applies to")
         ids = table_ids if table_ids is not None else corpus.table_ids()
         # Phase A: types, label columns, classes — dispatched in waves
         # for tables whose analysis is not already cached (the matcher
         # persists across pipeline iterations, so iteration 2 is all
-        # cache hits).
+        # cache hits; an incremental run pre-warms the caches from the
+        # session's analysis memo, so only the delta is dispatched).
         pending: list[tuple[str, bool]] = []
         for table_id in ids:
             externally_classed = (
@@ -295,6 +310,8 @@ class SchemaMatcher:
                 self._analysis_cache[table.table_id] = (column_types, label_column)
                 if decision is not None:
                     self._class_cache[table.table_id] = decision
+        # The base entry of every table; the cached analyses are shared
+        # and read-only, so each entry copies its column types once.
         base: dict[str, TableMapping] = {}
         for table_id in ids:
             column_types, label_column = self._analysis_cache[table_id]
@@ -307,60 +324,83 @@ class SchemaMatcher:
                 class_name=class_name,
                 class_score=class_score,
                 label_column=label_column,
-                column_types=column_types,
+                column_types=dict(column_types),
             )
+        # Only tables matched to a KB class are worth attribute matching —
+        # on a realistic web corpus most tables match nothing.
+        kb_classes = frozenset(
+            kb_class.name for kb_class in self.kb.schema.classes()
+        )
+        matched = {
+            table_id: table_mapping
+            for table_id, table_mapping in base.items()
+            if table_mapping.class_name in kb_classes
+        }
 
-        # Phase B: preliminary attribute matching (KB matchers only).
+        # Phase B: preliminary attribute matching (KB matchers only) over
+        # the class-matched tables.  It feeds only the header statistics,
+        # which read correspondences, and an unclassed table has none.
         preliminary = self._attribute_pass(
-            corpus, base, feedback_by_class={}, mode="preliminary"
+            corpus, matched, feedback_by_class={}, mode="preliminary"
         )
 
         # Phase C: WT-Label statistics from the preliminary mapping, then
-        # the final pass with the corpus matchers (and duplicate evidence).
+        # the final pass with the corpus matchers (and duplicate evidence,
+        # scoped to ``classes``).
         header_stats = HeaderStatistics.from_correspondences(
-            preliminary.all_correspondences(), corpus
+            [
+                correspondence
+                for attributes in preliminary.values()
+                for correspondence in attributes.values()
+            ],
+            corpus,
         )
+        scored = matched
+        if evidence is not None:
+            scored = {
+                table_id: table_mapping
+                for table_id, table_mapping in matched.items()
+                if table_mapping.class_name in classes
+            }
         feedback_by_class = {
             class_name: MatcherFeedback(header_stats=header_stats, evidence=evidence)
             for class_name in {
-                mapping.class_name for mapping in base.values() if mapping.class_name
+                table_mapping.class_name for table_mapping in scored.values()
             }
         }
         mode = "second" if evidence is not None else "first"
-        return self._attribute_pass(corpus, base, feedback_by_class, mode)
+        final = self._attribute_pass(corpus, scored, feedback_by_class, mode)
+        # A table the final pass did not score goes in as its base entry.
+        mapping = SchemaMapping()
+        for table_id, table_mapping in base.items():
+            attributes = final.get(table_id)
+            if attributes is not None:
+                table_mapping = replace(table_mapping, attributes=attributes)
+            mapping.add(table_mapping)
+        return mapping
 
     # ------------------------------------------------------------------
     def _attribute_pass(
         self,
         corpus: TableCorpus,
-        base: dict[str, TableMapping],
+        matched: dict[str, TableMapping],
         feedback_by_class: dict[str, MatcherFeedback],
         mode: str,
-    ) -> SchemaMapping:
-        known_classes = frozenset(
-            kb_class.name for kb_class in self.kb.schema.classes()
-        )
+    ) -> dict[str, dict]:
+        """The attribute correspondences of each class-matched table."""
         cache = self.attribute_cache
         batch = _AttributeBatch(
             self.kb, self.models, mode, feedback_by_class, self.kernels
         )
-        mapping = SchemaMapping()
-        entries = list(base.items())
+        attributes_by_id: dict[str, dict] = {}
+        entries = list(matched.items())
         for wave_start in range(0, len(entries), self.wave_size):
             wave = entries[wave_start : wave_start + self.wave_size]
-            # Only class-matched tables are worth a corpus fetch — on a
-            # realistic web corpus most tables match nothing.
-            to_match = [
-                (table_id, table_mapping)
-                for table_id, table_mapping in wave
-                if table_mapping.class_name is not None
-                and table_mapping.class_name in known_classes
-            ]
             cached: list[dict | None] = [
                 cache.load(mode, table_mapping, feedback_by_class)
                 if cache is not None
                 else None
-                for __, table_mapping in to_match
+                for __, table_mapping in wave
             ]
             # Only the dirty subset is worth a corpus fetch — a table
             # served from the attribute cache is never even decoded.
@@ -371,7 +411,7 @@ class SchemaMatcher:
                     else None,
                     table_mapping,
                 )
-                for position, (table_id, table_mapping) in enumerate(to_match)
+                for position, (table_id, table_mapping) in enumerate(wave)
             ]
             attribute_maps = dispatch_dirty(
                 batch,
@@ -383,26 +423,12 @@ class SchemaMatcher:
             )
             if cache is not None:
                 for (__, table_mapping), was_cached, attributes in zip(
-                    to_match, cached, attribute_maps
+                    wave, cached, attribute_maps
                 ):
                     if was_cached is None:
                         cache.save(
                             mode, table_mapping, feedback_by_class, attributes
                         )
-            attributes_by_id = {
-                table_id: attributes
-                for (table_id, __), attributes in zip(to_match, attribute_maps)
-            }
-            for table_id, table_mapping in wave:
-                result = TableMapping(
-                    table_id=table_id,
-                    class_name=table_mapping.class_name,
-                    class_score=table_mapping.class_score,
-                    label_column=table_mapping.label_column,
-                    column_types=dict(table_mapping.column_types),
-                )
-                attributes = attributes_by_id.get(table_id)
-                if attributes is not None:
-                    result.attributes = attributes
-                mapping.add(result)
-        return mapping
+            for (table_id, __), attributes in zip(wave, attribute_maps):
+                attributes_by_id[table_id] = attributes
+        return attributes_by_id

@@ -26,6 +26,18 @@ Every cached :meth:`repro.api.RunSession.run` goes through this module:
   3. **per-entity detection artifacts** — classification triples keyed
      by entity content, so only entities in dirty blocks re-detect.
 
+Table analyses also live in memory, in the session's analysis memo
+(:class:`AnalysisMemo`, owned by :class:`repro.api.RunSession`), keyed on
+``(table id, content hash, candidate limit)``: the analysis key without
+the knowledge-base fingerprint, which a session holds fixed.  A backend
+reads the memo first and the store second, and fills the memo from both
+store loads and fresh analyses, so a session reads each unchanged
+table's analysis from the store once, not once per class run.  The
+session prunes the memo to the corpus snapshot's ``(id, content)`` pairs
+whenever the snapshot changes.  The store stays the backing across
+processes: a new session's first run loads from it.  Memo values are
+shared with every matcher they warm and must be treated as read-only.
+
 A full run is therefore an incremental run over an empty store.  What
 a run reuses follows from its keys alone, and :class:`IncrementalRunReport`
 counts it as the run goes: stage hits and misses, and the analyses,
@@ -50,7 +62,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro import faults
-from repro.pipeline.delta import (
+# ``fingerprint_corpus_state`` is unused here since the backend takes the
+# epoch guard's digest, but perfbench/tracing.py wraps it by this module
+# path; it goes when the benchmark stops doing so.
+from repro.pipeline.delta import (  # noqa: F401 - see above
     digest,
     fingerprint_clusters,
     fingerprint_corpus_state,
@@ -69,9 +84,11 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.pipeline.stages import PipelineState
 
 __all__ = [
+    "AnalysisMemo",
     "ArtifactStore",
     "IncrementalBackend",
     "IncrementalRunReport",
+    "prune_analysis_memo",
     "ARTIFACTS_DIRNAME",
 ]
 
@@ -334,6 +351,19 @@ def _feedback_payload(feedback: "MatcherFeedback | None") -> object:
 # The per-run backend
 # ---------------------------------------------------------------------------
 
+#: A session's table analyses: ``(table id, content hash, candidate
+#: limit)`` -> ``(column types, label column, class decision or None)``.
+#: Values are shared with the matchers they warm; treat them as read-only.
+AnalysisMemo = dict[tuple[str, str, int], tuple]
+
+
+def prune_analysis_memo(memo: AnalysisMemo, state: Mapping[str, str]) -> None:
+    """Drop every memo entry whose ``(table id, content hash)`` pair is
+    not in the corpus snapshot ``state``."""
+    for key in [key for key in memo if state.get(key[0]) != key[1]]:
+        del memo[key]
+
+
 @dataclass
 class IncrementalRunReport:
     """What one incremental run reused versus recomputed, as measured."""
@@ -388,7 +418,10 @@ class IncrementalBackend:
     Instances are cheap and per-run: they pin the corpus snapshot taken
     at run start (a run must never observe a half-applied delta) and the
     session-level fingerprints, and collect the reuse statistics for the
-    :class:`IncrementalRunReport`.
+    :class:`IncrementalRunReport`.  ``corpus_fp`` is the snapshot's
+    :func:`~repro.pipeline.delta.fingerprint_corpus_state` in snapshot
+    order, as the session's epoch guard computed it; ``analyses`` is the
+    session's :data:`AnalysisMemo`.
     """
 
     def __init__(
@@ -396,6 +429,8 @@ class IncrementalBackend:
         store: ArtifactStore,
         *,
         corpus_state: Mapping[str, str],
+        corpus_fp: str,
+        analyses: AnalysisMemo,
         kb_fp: str,
         models_fp: str,
         config_fp: str,
@@ -404,9 +439,8 @@ class IncrementalBackend:
     ) -> None:
         self.store = store
         self.corpus_state = dict(corpus_state)
-        self.corpus_fp = fingerprint_corpus_state(
-            self.corpus_state, order=list(self.corpus_state)
-        )
+        self.corpus_fp = corpus_fp
+        self.analyses = analyses
         self.kb_fp = kb_fp
         self.models_fp = models_fp
         self.config_fp = config_fp
@@ -445,6 +479,12 @@ class IncrementalBackend:
                 self.corpus_fp,
                 "evidence",
                 fingerprint_evidence(state.evidence),
+                # Evidence scores only the run's class tables (see
+                # ``SchemaMatcher.match_corpus``); the tag keeps a store
+                # written before that scoping from serving its
+                # corpus-wide iteration-2 mapping.
+                "scope",
+                "class" if state.evidence is not None else "corpus",
             ]
             return key
         if stage_name == "cluster":
@@ -490,12 +530,17 @@ class IncrementalBackend:
     def warm_matcher(self, matcher: "SchemaMatcher") -> None:
         """Load per-table analyses into a matcher's caches.
 
-        Only tables present in the run's corpus snapshot are considered,
-        and each is warmed at most once per backend — the second
-        iteration's call is a no-op for everything iteration one warmed
-        or computed.
+        Each analysis comes from the session's memo when it holds one,
+        and from the store otherwise (a store hit then fills the memo),
+        so only a table new to the session costs a store read.  Either
+        way it counts as loaded.  Only tables present in the run's corpus
+        snapshot are considered, and each is warmed at most once per
+        backend — the second iteration's call is a no-op for everything
+        iteration one warmed or computed.  The matcher's caches share
+        the memo's values, which are read-only.
         """
         matcher.attribute_cache = self._attribute_cache
+        limit = matcher.candidate_limit
         for table_id, content in self.corpus_state.items():
             if table_id in self._warmed_analysis:
                 continue
@@ -503,11 +548,15 @@ class IncrementalBackend:
                 table_id in matcher._class_cache
             ):
                 continue
-            artifact = self.store.get(
-                self._analysis_key(matcher, table_id, content)
-            )
+            memo_key = (table_id, content, limit)
+            artifact = self.analyses.get(memo_key)
             if artifact is None:
-                continue
+                artifact = self.store.get(
+                    self._analysis_key(matcher, table_id, content)
+                )
+                if artifact is None:
+                    continue
+                self.analyses[memo_key] = artifact
             column_types, label_column, decision = artifact
             matcher._analysis_cache[table_id] = (column_types, label_column)
             if decision is not None:
@@ -516,7 +565,8 @@ class IncrementalBackend:
             self.report.analysis_loaded += 1
 
     def harvest_matcher(self, matcher: "SchemaMatcher") -> None:
-        """Persist analyses the matcher computed this run."""
+        """Persist analyses the matcher computed this run, to the store
+        and to the session's memo."""
         for table_id, analysis in matcher._analysis_cache.items():
             if table_id in self._warmed_analysis:
                 continue
@@ -524,10 +574,11 @@ class IncrementalBackend:
             if content is None:
                 continue
             decision = matcher._class_cache.get(table_id)
+            artifact = (analysis[0], analysis[1], decision)
             self.store.put(
-                self._analysis_key(matcher, table_id, content),
-                (analysis[0], analysis[1], decision),
+                self._analysis_key(matcher, table_id, content), artifact
             )
+            self.analyses[table_id, content, matcher.candidate_limit] = artifact
             self._warmed_analysis.add(table_id)
             self.report.analysis_computed += 1
 

@@ -201,6 +201,7 @@ class SchemaMatchStage:
             evidence=state.evidence,
             table_ids=state.table_ids,
             known_classes=state.known_classes,
+            classes=state.kb.schema.descendants(state.class_name),
         )
         if state.incremental is not None:
             state.incremental.harvest_matcher(state.matcher)

@@ -13,8 +13,8 @@ corpus produces.  This module attacks that claim three ways:
 * a **scripted lifecycle** covering the canonical ingest → run → delta →
   run → shrink → run sequence;
 * **unit coverage** of the building blocks: the artifact store, corpus
-  snapshots, fingerprint sensitivity, dirty-set dispatch, and the
-  store's removal API.
+  snapshots, fingerprint sensitivity, dirty-set dispatch, the store's
+  removal API, and the session's analysis memo.
 """
 
 from __future__ import annotations
@@ -615,3 +615,108 @@ class TestSessionGuards:
         store.ingest(world_tables[N_BASE : N_BASE + 1])
         session.run(CLASS_NAME)
         assert len(clears) == 2
+
+
+def _count_gets(store: ArtifactStore, kind: str | None = None) -> list:
+    """Record the keys ``store.get`` is asked for (of one kind, if given)."""
+    keys: list = []
+    get = store.get
+
+    def counting_get(key):
+        if kind is None or key[0] == kind:
+            keys.append(key)
+        return get(key)
+
+    store.get = counting_get
+    return keys
+
+
+def _memo_tables(session) -> set[tuple[str, str]]:
+    return {(table_id, content) for table_id, content, __ in session.analysis_memo}
+
+
+class TestAnalysisMemo:
+    """The session's analysis memo: a class run reads the store's
+    analyses only for tables the session has not seen."""
+
+    def test_second_class_run_reads_no_stored_analysis(self, tiny_world):
+        session = RunSession(tiny_world)
+        analysis_gets = _count_gets(session.artifact_store, "analysis")
+        session.run("Song", stages=("schema_match",))
+        assert len(analysis_gets) == len(tiny_world.corpus)  # all misses
+        analysis_gets.clear()
+        session.run("Settlement", stages=("schema_match",))
+        assert analysis_gets == []
+        report = session.last_incremental_report
+        assert report.analysis_loaded == len(tiny_world.corpus)
+        assert report.analysis_computed == 0
+        assert session.service_stats()["analysis_memo"] == len(
+            tiny_world.corpus
+        )
+        session.clear_cache()
+        assert session.analysis_memo == {}
+
+    def test_replace_prunes_the_memo_to_the_snapshot(
+        self, tmp_path, song_world, world_tables
+    ):
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        session.run(CLASS_NAME)
+        assert _memo_tables(session) == set(store.content_hashes().items())
+        delta = store.ingest(
+            [_mutated(world_tables[0], salt=1), *_filler_tables(0, 2)],
+            on_conflict="replace",
+        )
+        analysis_gets = _count_gets(session.artifact_store, "analysis")
+        result = session.run(CLASS_NAME)
+        # The replaced content's entry is gone; the new ones are in.
+        assert _memo_tables(session) == set(store.content_hashes().items())
+        assert len(session.analysis_memo) == len(store)
+        assert session.last_incremental_report.analysis_computed == len(
+            delta.dirty_ids
+        )
+        # Only the delta missed the memo and asked the store.
+        assert sorted(key[3] for key in analysis_gets) == sorted(
+            delta.dirty_ids
+        )
+        _assert_equivalent(store, result)
+
+    def test_fresh_session_loads_analyses_from_disk(
+        self, tmp_path, song_world, world_tables
+    ):
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        RunSession.from_corpus_store(store).run(CLASS_NAME)
+        fresh = RunSession.from_corpus_store(store)
+        assert fresh.analysis_memo == {}
+        analysis_gets = _count_gets(fresh.artifact_store, "analysis")
+        fresh.run(CLASS_NAME, stages=("schema_match",))
+        assert len(analysis_gets) == len(store)
+        report = fresh.last_incremental_report
+        assert report.analysis_loaded == len(store)
+        assert report.analysis_computed == 0
+        assert _memo_tables(fresh) == set(store.content_hashes().items())
+
+    def test_warm_run_store_reads_do_not_grow_with_unclassed_tables(
+        self, tmp_path, song_world, world_tables
+    ):
+        """After a small delta, a warm class run makes the same number of
+        store reads over N and over 2N tables of no class."""
+        n = 8
+        reads = []
+        for count in (n, 2 * n):
+            store = _make_store(
+                tmp_path / f"filler-{count}",
+                song_world,
+                world_tables[:N_BASE] + _filler_tables(0, count),
+            )
+            session = RunSession.from_corpus_store(store)
+            session.run(CLASS_NAME)
+            store.ingest(
+                [_mutated(world_tables[0], salt=1), *_filler_tables(100, 1)],
+                on_conflict="replace",
+            )
+            gets = _count_gets(session.artifact_store)
+            session.run(CLASS_NAME)
+            assert session.last_incremental_report.analysis_computed == 2
+            reads.append(len(gets))
+        assert reads[0] == reads[1] > 0

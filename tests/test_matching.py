@@ -217,8 +217,8 @@ class TestSessionMemoEquivalence:
         models = SchemaMatcherModels()
         shared = KernelCache()
         baseline = kernel_counters()
-        # Iteration 2 of each class run matches every class's tables
-        # with that run's evidence.
+        # Each class run's evidence is applied to every class's tables,
+        # a superset of what iteration 2 scores (the run's classes only).
         passes = [("preliminary", None), ("first", None)] + [
             ("second", run_evidence) for run_evidence in evidence.values()
         ]
@@ -248,6 +248,61 @@ class TestSessionMemoEquivalence:
                 matched += bool(correspondences[0])
         assert matched > 0
         assert counter_delta(baseline)["attribute_scores.reused"] > 0
+
+
+class TestIterationTwoScope:
+    def test_second_pass_scores_only_the_run_classes(
+        self, tiny_world, monkeypatch
+    ):
+        """With evidence, the final attribute pass scores only the tables
+        of the run's class and its descendants, while iteration 1 stays
+        corpus-wide: one call per such table, none for another class."""
+        from repro.api import RunSession
+        from repro.matching import schema_matcher
+
+        calls: list[tuple[str, str | None, str]] = []
+        batch_call = schema_matcher._AttributeBatch.__call__
+
+        def counting(self, items):
+            calls.extend(
+                (self.mode, table_mapping.class_name, table_mapping.table_id)
+                for __, table_mapping in items
+            )
+            return batch_call(self, items)
+
+        monkeypatch.setattr(schema_matcher._AttributeBatch, "__call__", counting)
+        session = RunSession(tiny_world)
+        schema = tiny_world.knowledge_base.schema
+        second_total = first_total = 0
+        for class_name in ("Song", "Settlement", "GridironFootballPlayer"):
+            calls.clear()
+            result = session.run(class_name, use_cache=False)
+            scope = schema.descendants(class_name)
+            first = [call for call in calls if call[0] == "first"]
+            second = [call for call in calls if call[0] == "second"]
+            by_table = result.iterations[0].mapping.by_table
+            classed = {
+                table_id: mapping.class_name
+                for table_id, mapping in by_table.items()
+                if mapping.class_name is not None
+            }
+            assert sorted(table_id for *__, table_id in first) == sorted(classed)
+            assert sorted(table_id for *__, table_id in second) == sorted(
+                table_id for table_id, name in classed.items() if name in scope
+            )
+            assert second and all(name in scope for __, name, __ in second)
+            first_total += len(first)
+            second_total += len(second)
+        # Unscoped, every run's second pass would score every classed table.
+        assert second_total < first_total
+
+    def test_evidence_requires_its_classes(self, tiny_world):
+        from repro.matching.matchers import DuplicateEvidence
+        from repro.matching.schema_matcher import SchemaMatcher
+
+        matcher = SchemaMatcher(tiny_world.knowledge_base, SchemaMatcherModels())
+        with pytest.raises(ValueError, match="classes"):
+            matcher.match_corpus(tiny_world.corpus, evidence=DuplicateEvidence())
 
 
 class TestModelLearning:
