@@ -217,6 +217,8 @@ class RunSession:
         #: (``trace=`` on :meth:`run`); ``None`` until one runs.
         self.last_trace = None
         self._corpus_epoch: str | None = None
+        #: The snapshot the epoch was taken from.
+        self._corpus_snapshot: dict[str, str] | None = None
         self._kb_fp: str | None = None
         self._models_fps: dict[int, str] = {}
 
@@ -443,6 +445,7 @@ class RunSession:
                 row_ids=row_ids,
                 known_classes=known_classes,
                 incremental=backend,
+                corpus_ids=list(state),
             )
         except BaseException as error:
             if tracer is not None:
@@ -488,6 +491,7 @@ class RunSession:
         row_ids: set[RowId] | None,
         known_classes: dict[str, str] | None,
         incremental: IncrementalBackend | None,
+        corpus_ids: list[str],
     ) -> PipelineResult:
         """The stage loop of Figure 1: ``config.iterations`` passes over
         ``stage_list``, each iteration's entities and correspondences
@@ -517,6 +521,7 @@ class RunSession:
             row_ids=row_ids,
             known_classes=known_classes,
             incremental=incremental,
+            corpus_ids=corpus_ids,
         )
         result = PipelineResult(class_name=class_name)
         for observer in observers:
@@ -654,9 +659,18 @@ class RunSession:
         run takes it too (``_corpus_epoch`` starts as None).  Stored
         artifacts stay: their keys embed content fingerprints, so none
         of them can go stale.  Returns the snapshot and its fingerprint
-        (the epoch), which the run's backend keys on.
+        (the epoch), which the run's backend keys on.  A snapshot whose
+        ``(table id, content hash)`` sequence equals the previous one
+        reuses the previous epoch without digesting it again.
         """
         state = corpus_state(self.corpus)
+        previous = self._corpus_snapshot
+        # Order-sensitive, as the fingerprint is: the same pairs in
+        # another ingest order are another epoch.
+        if previous is not None and list(state.items()) == list(
+            previous.items()
+        ):
+            return previous, self._corpus_epoch
         epoch = fingerprint_corpus_state(state, order=list(state))
         if epoch != self._corpus_epoch:
             self.kernels.clear()
@@ -665,6 +679,7 @@ class RunSession:
             if invalidate is not None:
                 invalidate()
             self._corpus_epoch = epoch
+        self._corpus_snapshot = state
         return state, epoch
 
     def _kb_fingerprint(self) -> str:

@@ -375,6 +375,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise _Terminated()
 
     previous = signal.signal(signal.SIGTERM, _on_sigterm)
+    # A shell starts a background job with SIGINT ignored, and Python
+    # then installs no Ctrl-C handler; serve still stops on SIGINT.
+    previous_int = signal.signal(signal.SIGINT, signal.default_int_handler)
     exit_code = 0
     try:
         server.serve_forever()
@@ -386,6 +389,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # port and lets the writer drain every queued job (close()
         # enqueues its stop sentinel *behind* pending work).
         signal.signal(signal.SIGTERM, previous)
+        signal.signal(signal.SIGINT, previous_int)
         server.server_close()
         service.close()
     return exit_code

@@ -22,8 +22,12 @@ artifacts  manifest readable (``manifest_unreadable``); every object
            leftover ``*.tmp`` from interrupted writers
            (``orphan_tmp`` — a *warning*: the store's own aged sweep
            also clears these)
-service    ``service/pending_runs.json`` parses and has the journal
-           shape (``journal_unreadable``)
+service    every pending-run entry ``service/pending/<run_id>.json``
+           parses and has the entry shape, as does an older
+           version's ``service/pending_runs.json`` if one is left
+           (``journal_unreadable``, one finding per file); no
+           leftover ``*.tmp`` from an interrupted entry write
+           (``orphan_tmp`` — a *warning*)
 ========== ==========================================================
 
 **Repair semantics** (``--repair``): destructive fixes always move the
@@ -38,8 +42,8 @@ stores' own redesign-for-recovery properties:
   corrupt or misplaced row is quarantined (as JSON, when recoverable)
   and deleted; re-ingesting the source data restores it.  A missing or
   unreadable shard file is quarantined and recreated empty.
-* an unreadable pending-run journal is quarantined; the service then
-  starts with nothing to resume, which is the honest floor.
+* an unreadable pending-run entry is quarantined on its own; the
+  service then resumes every other owed run, which is the honest floor.
 
 :func:`run_fsck` returns a machine-readable :class:`FsckReport`; the
 CLI exit-code contract is **0** = clean after this invocation, **1** =
@@ -57,6 +61,7 @@ from pathlib import Path
 from repro.corpus import store as corpus_store
 from repro.corpus.store import shard_of
 from repro.pipeline import artifacts as artifact_store
+from repro.serve.journal import PendingRunJournal
 
 __all__ = ["FsckFinding", "FsckReport", "run_fsck"]
 
@@ -451,34 +456,55 @@ def _check_service(
     repair: bool,
     quarantine: _Quarantine,
 ) -> None:
-    journal = artifacts_dir / "service" / "pending_runs.json"
-    counts = {"pending_runs": 0}
+    journal = PendingRunJournal(artifacts_dir)
+    counts = {"pending_runs": 0, "tmp": 0}
     report.checked["service"] = counts
-    if not journal.exists():
-        return
-    try:
-        document = json.loads(journal.read_text(encoding="utf-8"))
-        runs = document["runs"]
-        if not isinstance(runs, list):
-            raise ValueError("journal 'runs' is not a list")
-    except (OSError, ValueError, KeyError, TypeError) as error:
+
+    def unreadable(path: Path, error: Exception) -> None:
         finding = report.add(
             FsckFinding(
                 "service",
                 "journal_unreadable",
-                str(journal),
+                str(path),
                 f"pending-run journal does not parse: {error}",
             )
         )
         if repair:
-            moved = quarantine.take_file("service", journal)
+            moved = quarantine.take_file("service", path)
             finding.repaired = True
             finding.action = (
-                f"quarantined to {moved} (the service restarts with "
-                f"nothing to resume)"
+                f"quarantined to {moved} (the service restarts without "
+                f"the runs it names)"
             )
-        return
-    counts["pending_runs"] = len(runs)
+
+    # An older version's single-file journal, not yet migrated.
+    if journal.legacy_path.exists():
+        try:
+            counts["pending_runs"] += len(journal.read_legacy())
+        except (OSError, ValueError) as error:
+            unreadable(journal.legacy_path, error)
+    for path in journal.paths():
+        try:
+            journal.read(path)
+        except (OSError, ValueError) as error:
+            unreadable(path, error)
+            continue
+        counts["pending_runs"] += 1
+    for path in journal.temp_paths():
+        counts["tmp"] += 1
+        finding = report.add(
+            FsckFinding(
+                "service",
+                "orphan_tmp",
+                str(path),
+                "temp file from an interrupted journal write",
+                severity="warn",
+            )
+        )
+        if repair:
+            moved = quarantine.take_file("service", path)
+            finding.repaired = True
+            finding.action = f"quarantined to {moved}"
 
 
 def run_fsck(

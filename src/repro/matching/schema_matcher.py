@@ -270,9 +270,13 @@ class SchemaMatcher:
         keeps its class but no attributes.  Without evidence the pass is
         corpus-wide (iteration 1).
 
-        The returned mapping has an entry for every table.  Its column
-        types are copied from the analysis cache, which an incremental
-        run shares with the session's analysis memo.
+        ``table_ids`` defaults to the corpus's tables; a session run
+        passes the ids of its corpus snapshot, so the store is not
+        listed again.  The returned mapping has an entry for every table
+        matched to a KB class, and none for the others: their class
+        decisions stay in the matcher's cache.  Its column types are
+        copied from the analysis cache, which an incremental run shares
+        with the session's analysis memo.
         """
         if evidence is not None and classes is None:
             raise ValueError("evidence needs the classes it applies to")
@@ -310,32 +314,30 @@ class SchemaMatcher:
                 self._analysis_cache[table.table_id] = (column_types, label_column)
                 if decision is not None:
                     self._class_cache[table.table_id] = decision
-        # The base entry of every table; the cached analyses are shared
-        # and read-only, so each entry copies its column types once.
-        base: dict[str, TableMapping] = {}
+        # The base entry of every table matched to a KB class — on a
+        # realistic web corpus most tables match nothing, and nothing
+        # downstream reads an unclassed table's entry.  The cached
+        # analyses are shared and read-only, so each entry copies its
+        # column types once.
+        kb_classes = frozenset(
+            kb_class.name for kb_class in self.kb.schema.classes()
+        )
+        matched: dict[str, TableMapping] = {}
         for table_id in ids:
-            column_types, label_column = self._analysis_cache[table_id]
             if known_classes is not None and table_id in known_classes:
                 class_name, class_score = known_classes[table_id], 1.0
             else:
                 class_name, class_score = self._class_cache[table_id]
-            base[table_id] = TableMapping(
+            if class_name not in kb_classes:
+                continue
+            column_types, label_column = self._analysis_cache[table_id]
+            matched[table_id] = TableMapping(
                 table_id=table_id,
                 class_name=class_name,
                 class_score=class_score,
                 label_column=label_column,
                 column_types=dict(column_types),
             )
-        # Only tables matched to a KB class are worth attribute matching —
-        # on a realistic web corpus most tables match nothing.
-        kb_classes = frozenset(
-            kb_class.name for kb_class in self.kb.schema.classes()
-        )
-        matched = {
-            table_id: table_mapping
-            for table_id, table_mapping in base.items()
-            if table_mapping.class_name in kb_classes
-        }
 
         # Phase B: preliminary attribute matching (KB matchers only) over
         # the class-matched tables.  It feeds only the header statistics,
@@ -372,7 +374,7 @@ class SchemaMatcher:
         final = self._attribute_pass(corpus, scored, feedback_by_class, mode)
         # A table the final pass did not score goes in as its base entry.
         mapping = SchemaMapping()
-        for table_id, table_mapping in base.items():
+        for table_id, table_mapping in matched.items():
             attributes = final.get(table_id)
             if attributes is not None:
                 table_mapping = replace(table_mapping, attributes=attributes)

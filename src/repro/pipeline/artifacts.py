@@ -485,6 +485,11 @@ class IncrementalBackend:
                 # corpus-wide iteration-2 mapping.
                 "scope",
                 "class" if state.evidence is not None else "corpus",
+                # The mapping holds only KB-classed tables; the tag keeps
+                # a store written before that from serving a mapping
+                # with an entry for every table.
+                "entries",
+                "classed",
             ]
             return key
         if stage_name == "cluster":

@@ -85,6 +85,10 @@ class PipelineState:
     #: Stages share it with the similarity kernels they build.  Purely a
     #: speed lever — outputs are identical with any cache state.
     kernels: KernelCache
+    #: The table ids of the run's corpus snapshot, in ingest order (set
+    #: by ``RunSession.run``); schema matching walks these instead of
+    #: listing the corpus again.  ``None`` lists the corpus.
+    corpus_ids: list[str] | None = None
     #: Optional restrictions (gold-standard experiments).
     table_ids: list[str] | None = None
     row_ids: set[RowId] | None = None
@@ -199,7 +203,11 @@ class SchemaMatchStage:
         state.mapping = state.matcher.match_corpus(
             state.corpus,
             evidence=state.evidence,
-            table_ids=state.table_ids,
+            table_ids=(
+                state.table_ids
+                if state.table_ids is not None
+                else state.corpus_ids
+            ),
             known_classes=state.known_classes,
             classes=state.kb.schema.descendants(state.class_name),
         )

@@ -15,6 +15,8 @@ Layering, transport-independent core first:
 * :mod:`repro.serve.snapshot` — immutable read models (entity/fact
   documents, canonical-JSON witness) built once per publish;
 * :mod:`repro.serve.runs` — the run registry behind ``POST/GET /runs``;
+* :mod:`repro.serve.journal` — the pending-run journal (one file per
+  owed run) a restarted service resumes from;
 * :mod:`repro.serve.service` — :class:`KBService`, the queue/writer/
   snapshot core the tests drive directly;
 * :mod:`repro.serve.http` — the stdlib REST transport;
@@ -24,6 +26,7 @@ Layering, transport-independent core first:
 
 from repro.serve.client import ServiceClient, ServiceClientError
 from repro.serve.http import KBRequestHandler, KBServer, make_server
+from repro.serve.journal import PendingRunJournal
 from repro.serve.runs import RunRecord, RunRegistry
 from repro.serve.service import KBService, ServiceError
 from repro.serve.snapshot import ClassView, Snapshot, build_class_view
@@ -33,6 +36,7 @@ __all__ = [
     "KBRequestHandler",
     "KBServer",
     "KBService",
+    "PendingRunJournal",
     "RunRecord",
     "RunRegistry",
     "ServiceClient",

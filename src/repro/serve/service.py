@@ -26,7 +26,6 @@ transport should answer with.
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import re
@@ -45,6 +44,7 @@ from repro.corpus.readers import table_from_record
 from repro.corpus.store import CorpusStore
 from repro.obs import Tracer, new_trace_id, trace_summary
 from repro.perf.percentiles import percentile_summary
+from repro.serve.journal import PendingRunJournal
 from repro.serve.runs import RunRecord, RunRegistry
 from repro.serve.snapshot import Snapshot, build_class_view
 from repro.webtables.table import WebTable
@@ -185,16 +185,18 @@ class KBService:
         #: span log (``/metrics``), folded in by the writer thread.
         self._stage_seconds: Counter = Counter()
         self._kernel_counters: Counter = Counter()
-        #: Durable pending-run journal: runs are added at submit time and
-        #: removed at their terminal status, so a killed service can
-        #: re-queue exactly the runs it still owed on restart.  Only
-        #: meaningful with a persistent artifact store — an in-memory
-        #: service has nothing durable to resume against.
-        self._journal_lock = threading.Lock()
-        if artifacts_dir is not None:
-            self._journal_path = artifacts_dir / "service" / "pending_runs.json"
-        else:
-            self._journal_path = None
+        #: Durable pending-run journal, one file per owed run
+        #: (:class:`~repro.serve.journal.PendingRunJournal`): an entry is
+        #: written at submit time and unlinked at the run's terminal
+        #: status, so a killed service re-queues exactly the runs it
+        #: still owed on restart.  No transition rewrites a shared file.
+        #: Only meaningful with a persistent artifact store — an
+        #: in-memory service has nothing durable to resume against.
+        self._journal = (
+            PendingRunJournal(artifacts_dir)
+            if artifacts_dir is not None
+            else None
+        )
         self._recover_pending_runs()
 
     @classmethod
@@ -314,10 +316,12 @@ class KBService:
         record = self.runs.create(
             class_name, incremental, trace_id=sanitize_trace_id(trace_id)
         )
-        self.runs.update(
-            record,
-            events_path=str(self._traces_dir / f"{record.run_id}.ndjson"),
-        )
+        events_path = self._traces_dir / f"{record.run_id}.ndjson"
+        self.runs.update(record, events_path=str(events_path))
+        # A restarted service numbers runs from run-0001 again when
+        # nothing was owed; the tracer appends, so a log an earlier
+        # process left under this id must go before this run's events.
+        events_path.unlink(missing_ok=True)
         # Journal before enqueueing: once the client holds a run id, a
         # crash must not lose the run (the restart re-queues it).
         self._journal_add(record)
@@ -643,7 +647,7 @@ class KBService:
             # Journal removal comes *after* the terminal status: a crash
             # between the two re-runs a finished run on restart, which
             # republishes byte-identical output — never loses one.
-            self._journal_remove(record.run_id)
+            self._journal_remove(record)
         except Exception as error:  # noqa: BLE001 - surfaced via the record
             detail = "".join(
                 traceback.format_exception_only(type(error), error)
@@ -656,7 +660,7 @@ class KBService:
                 finished_at=time.time(),
                 error=detail,
             )
-            self._journal_remove(record.run_id)
+            self._journal_remove(record)
 
     def _fold_timings(self, events: list[dict]) -> None:
         """Add one run's stage seconds and kernel counters to the totals."""
@@ -666,52 +670,9 @@ class KBService:
             self._kernel_counters.update(timings["kernel_counters"])
 
     # -- pending-run journal (crash-safe restart) ------------------------
-    def _journal_entries(self) -> list[dict]:
-        """Current journal content; caller holds ``_journal_lock``."""
-        path = self._journal_path
-        if path is None or not path.exists():
-            return []
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            # A torn journal cannot happen through the atomic writer
-            # below; if it is unreadable anyway (disk fault, manual
-            # edit), `repro fsck --repair` quarantines it.  Starting
-            # with nothing to resume beats refusing to start.
-            return []
-        runs = document.get("runs") if isinstance(document, dict) else None
-        return [entry for entry in runs or [] if isinstance(entry, dict)]
-
-    def _journal_write(self, entries: list[dict]) -> None:
-        """Atomically rewrite the journal; caller holds ``_journal_lock``."""
-        path = self._journal_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"version": 1, "runs": entries}, handle, sort_keys=True
-                )
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-
     def _journal_add(self, record: RunRecord) -> None:
-        if self._journal_path is None:
-            return
-        with self._journal_lock:
-            entries = [
-                entry
-                for entry in self._journal_entries()
-                if entry.get("run_id") != record.run_id
-            ]
-            entries.append(
+        if self._journal is not None:
+            self._journal.add(
                 {
                     "run_id": record.run_id,
                     "class_name": record.class_name,
@@ -720,37 +681,28 @@ class KBService:
                     "submitted_at": record.submitted_at,
                 }
             )
-            self._journal_write(entries)
 
-    def _journal_remove(self, run_id: str) -> None:
-        if self._journal_path is None:
-            return
-        with self._journal_lock:
-            entries = self._journal_entries()
-            remaining = [
-                entry for entry in entries if entry.get("run_id") != run_id
-            ]
-            if len(remaining) != len(entries):
-                self._journal_write(remaining)
+    def _journal_remove(self, record: RunRecord) -> None:
+        if self._journal is not None:
+            self._journal.remove(record.run_id)
 
     def _recover_pending_runs(self) -> None:
         """Re-queue runs the previous process died owing (constructor).
 
-        Recovered jobs enter the queue directly — the admission bound
-        applies to new client traffic, never to owed work.  Re-running a
+        Entries come back in submission order; a journal left by an
+        older version is migrated first.  Recovered jobs enter the queue
+        directly — the admission bound applies to new client traffic,
+        never to owed work.  Re-running a
         run whose crash fell between publish and journal removal is
         safe: the artifact store serves the same artifacts and the
         published canonical output is byte-identical.
         """
-        if self._journal_path is None:
+        if self._journal is None:
             return
-        with self._journal_lock:
-            entries = self._journal_entries()
-        for entry in entries:
-            run_id = entry.get("run_id")
-            class_name = entry.get("class_name")
-            if not isinstance(run_id, str) or not isinstance(class_name, str):
-                continue
+        self._journal.migrate_legacy()
+        for entry in self._journal.entries():
+            run_id = entry["run_id"]
+            class_name = entry["class_name"]
             try:
                 submitted_at = float(entry.get("submitted_at"))
             except (TypeError, ValueError):

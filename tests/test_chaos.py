@@ -21,7 +21,6 @@ leg fails this file.
 
 from __future__ import annotations
 
-import json
 import signal
 import subprocess
 import sys
@@ -36,7 +35,7 @@ from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.faults import POINTS
 from repro.fsck import run_fsck
-from repro.serve import ServiceClient
+from repro.serve import PendingRunJournal, ServiceClient
 from test_signals import ServeProcess, make_golden_store, subprocess_env
 
 TESTS_DIR = Path(__file__).parent
@@ -149,9 +148,7 @@ class TestServeCrash:
         self, tmp_path, expected_song
     ):
         store_dir = make_golden_store(tmp_path / "store")
-        journal = (
-            store_dir / "artifacts" / "service" / "pending_runs.json"
-        )
+        journal = PendingRunJournal(store_dir / "artifacts")
         victim = ServeProcess(
             store_dir,
             env=subprocess_env(REPRO_FAULTS="serve.writer:crash@1"),
@@ -168,7 +165,7 @@ class TestServeCrash:
             assert victim.proc.wait(timeout=120.0) in SIGKILLED
         finally:
             victim.cleanup()
-        owed = json.loads(journal.read_text())["runs"]
+        owed = journal.entries()
         assert len(owed) == 1
         run_id = owed[0]["run_id"]
         report = run_fsck(store_dir)
@@ -187,7 +184,7 @@ class TestServeCrash:
             assert document.get("recovered") is True
             assert client.run_canonical(run_id) == expected_song
             # The debt is paid: nothing left to resume.
-            assert json.loads(journal.read_text())["runs"] == []
+            assert journal.entries() == []
             assert restarted.terminate_and_wait() == 143
         finally:
             restarted.cleanup()

@@ -28,6 +28,7 @@ from repro.fsck import run_fsck
 from repro.io import load_world_directory, save_knowledge_base
 from repro.io.serialize import WORLD_KB_FILE
 from repro.pipeline.artifacts import ArtifactStore
+from repro.serve import PendingRunJournal
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -279,22 +280,51 @@ class TestArtifacts:
 
 
 class TestServiceJournal:
+    @staticmethod
+    def owed(journal, *run_ids):
+        for run_id in run_ids:
+            journal.add({"run_id": run_id, "class_name": "Song"})
+
     def test_journal_unreadable_quarantined(self, tmp_path):
         artifacts = ArtifactStore(tmp_path / "artifacts")
-        journal = artifacts.directory / "service" / "pending_runs.json"
-        journal.parent.mkdir(parents=True)
-        journal.write_text("{torn mid-write")
+        journal = PendingRunJournal(artifacts.directory)
+        self.owed(journal, "run-0001", "run-0002")
+        torn = journal.directory / "run-0001.json"
+        torn.write_text("{torn mid-write")
         report = run_fsck(artifacts.directory)
         assert not report.clean
         assert kinds(report) == ["journal_unreadable"]
+        assert report.checked["service"]["pending_runs"] == 1
         assert run_fsck(artifacts.directory, repair=True).clean
-        assert not journal.exists()
+        assert not torn.exists()
+        # Only the torn entry went; the other run is still owed.
+        assert [entry["run_id"] for entry in journal.entries()] == [
+            "run-0002"
+        ]
 
     def test_wellformed_journal_is_counted(self, tmp_path):
         artifacts = ArtifactStore(tmp_path / "artifacts")
-        journal = artifacts.directory / "service" / "pending_runs.json"
-        journal.parent.mkdir(parents=True)
-        journal.write_text(
+        self.owed(PendingRunJournal(artifacts.directory), "run-0001")
+        report = run_fsck(artifacts.directory)
+        assert report.clean
+        assert report.findings == []
+        assert report.checked["service"]["pending_runs"] == 1
+
+    def test_legacy_journal_unreadable_quarantined(self, tmp_path):
+        artifacts = ArtifactStore(tmp_path / "artifacts")
+        legacy = PendingRunJournal(artifacts.directory).legacy_path
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text("{torn mid-write")
+        report = run_fsck(artifacts.directory)
+        assert kinds(report) == ["journal_unreadable"]
+        assert run_fsck(artifacts.directory, repair=True).clean
+        assert not legacy.exists()
+
+    def test_legacy_journal_is_counted(self, tmp_path):
+        artifacts = ArtifactStore(tmp_path / "artifacts")
+        legacy = PendingRunJournal(artifacts.directory).legacy_path
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(
             json.dumps(
                 {"version": 1, "runs": [{"run_id": "run-0001",
                                          "class_name": "Song"}]}
@@ -303,6 +333,21 @@ class TestServiceJournal:
         report = run_fsck(artifacts.directory)
         assert report.clean
         assert report.checked["service"]["pending_runs"] == 1
+
+    def test_stranded_entry_tmp_is_a_warning(self, tmp_path):
+        artifacts = ArtifactStore(tmp_path / "artifacts")
+        journal = PendingRunJournal(artifacts.directory)
+        self.owed(journal, "run-0001")
+        (journal.directory / "tmpabc123.tmp").write_text('{"run_id"')
+        report = run_fsck(artifacts.directory)
+        assert report.clean
+        (finding,) = report.findings
+        assert (finding.kind, finding.severity) == ("orphan_tmp", "warn")
+        assert report.checked["service"] == {"pending_runs": 1, "tmp": 1}
+        repaired = run_fsck(artifacts.directory, repair=True)
+        assert repaired.findings[0].repaired
+        assert journal.temp_paths() == []
+        assert run_fsck(artifacts.directory).findings == []
 
 
 # -- the CLI contract ---------------------------------------------------

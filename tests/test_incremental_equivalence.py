@@ -527,6 +527,59 @@ class TestStoreRemoval:
 
 
 class TestSessionGuards:
+    def test_epoch_guard_digests_only_a_changed_snapshot(
+        self, song_world, monkeypatch
+    ):
+        """An unchanged ``(id, content)`` sequence reuses the previous
+        epoch; the same pairs in another order are another epoch."""
+        import repro.api as api
+
+        class Snapshots:
+            state = {"a": "1", "b": "2"}
+
+            def content_hashes(self):
+                return dict(self.state)
+
+        corpus = Snapshots()
+        session = RunSession(
+            knowledge_base=song_world.knowledge_base, corpus=corpus
+        )
+        digests = []
+        fingerprint = api.fingerprint_corpus_state
+
+        def counting(state, order=None):
+            digests.append(list(state.items()))
+            return fingerprint(state, order=order)
+
+        monkeypatch.setattr(api, "fingerprint_corpus_state", counting)
+        __, first = session._guard_corpus_epoch()
+        __, again = session._guard_corpus_epoch()
+        assert again == first
+        assert len(digests) == 1
+        corpus.state = {"b": "2", "a": "1"}
+        __, reordered = session._guard_corpus_epoch()
+        assert reordered != first
+        assert len(digests) == 2
+
+    def test_schema_matching_does_not_list_the_store(
+        self, tmp_path, song_world, world_tables
+    ):
+        """A session run takes its table ids from the epoch guard's
+        snapshot; the corpus is not listed again."""
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        listings = []
+        table_ids = session.corpus.table_ids
+
+        def counting_table_ids():
+            listings.append(1)
+            return table_ids()
+
+        session.corpus.table_ids = counting_table_ids
+        result = session.run(CLASS_NAME)
+        assert listings == []
+        _assert_equivalent(store, result)
+
     def test_in_memory_session_can_attach_store(
         self, tmp_path, song_world
     ):
@@ -720,3 +773,37 @@ class TestAnalysisMemo:
             assert session.last_incremental_report.analysis_computed == 2
             reads.append(len(gets))
         assert reads[0] == reads[1] > 0
+
+    def test_stored_schema_mapping_does_not_grow_with_unclassed_tables(
+        self, tmp_path, song_world, world_tables
+    ):
+        """The stored ``schema_match`` mapping holds the same entries over
+        N and over 2N tables of no class."""
+        n = 8
+        sizes = []
+        for count in (n, 2 * n):
+            store = _make_store(
+                tmp_path / f"filler-{count}",
+                song_world,
+                world_tables[:N_BASE] + _filler_tables(0, count),
+            )
+            session = RunSession.from_corpus_store(store)
+            stored = []
+            put = session.artifact_store.put
+
+            def spying_put(key, value, stored=stored, put=put):
+                if key[:2] == ["stage", "schema_match"]:
+                    stored.append(value["mapping"])
+                return put(key, value)
+
+            session.artifact_store.put = spying_put
+            session.run(CLASS_NAME)
+            assert len(stored) == 2  # one per iteration
+            sizes.append({len(mapping.by_table) for mapping in stored})
+            assert not any(
+                table_id.startswith("longtail-")
+                for mapping in stored
+                for table_id in mapping.by_table
+            )
+        assert sizes[0] == sizes[1]
+        assert min(sizes[0]) > 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import os
 import statistics
 import sys
 import threading
@@ -31,8 +32,10 @@ from repro.api import RunSession
 from repro.corpus.store import CorpusStore
 from repro.io import save_knowledge_base
 from repro.io.serialize import WORLD_KB_FILE
+from repro.obs import read_events
 from repro.serve import (
     KBService,
+    PendingRunJournal,
     ServiceClient,
     ServiceClientError,
     ServiceError,
@@ -615,3 +618,158 @@ class TestRunTracing:
         assert entry["status"] == 200
         assert entry["ms"] >= 0
         assert entry["trace"] == "tr-log-1"
+
+
+# -- the pending-run journal --------------------------------------------
+def _store_with_kb(directory, world, tables=()):
+    store = CorpusStore.create(directory / "store", shards=2)
+    save_knowledge_base(
+        world.knowledge_base, store.directory / WORLD_KB_FILE
+    )
+    if tables:
+        store.ingest(tables)
+    return store
+
+
+def _owed(run_id: str) -> dict:
+    return {
+        "run_id": run_id,
+        "class_name": CLASS_NAME,
+        "incremental": True,
+        "trace_id": None,
+        "submitted_at": 1.0,
+    }
+
+
+def _wait_terminal(service: KBService, run_id: str) -> dict:
+    deadline = time.monotonic() + 120.0
+    while time.monotonic() < deadline:
+        document = service.run_document(run_id)
+        if document["status"] in ("done", "failed"):
+            return document
+        time.sleep(0.05)
+    raise AssertionError(f"run {run_id} did not finish")
+
+
+def _recovered_ids(service: KBService) -> list[str]:
+    """Run ids the constructor re-queued, in queue order (the writer is
+    not started, so nothing has left the queue)."""
+    return [job.record.run_id for job in list(service._queue.queue)]
+
+
+class TestPendingRunJournal:
+    """One entry file per owed run: written at submit, unlinked at the
+    terminal status, read back in submission order at start-up."""
+
+    def test_finished_runs_never_rename_onto_an_existing_file(
+        self, tmp_path, song_world, world_tables, monkeypatch
+    ):
+        box = Served(tmp_path, song_world, world_tables[:N_BASE])
+        try:
+            onto_existing = []
+            for name in ("replace", "rename"):
+                real = getattr(os, name)
+
+                def spy(source, target, *args, real=real, **kwargs):
+                    if os.path.exists(target):
+                        onto_existing.append(str(target))
+                    return real(source, target, *args, **kwargs)
+
+                monkeypatch.setattr(os, name, spy)
+            for _ in range(3):
+                run_id = box.client.submit_run(CLASS_NAME)["run_id"]
+                document = box.client.wait_for_run(run_id)
+                assert document["status"] == "done"
+            assert onto_existing == []
+            journal = PendingRunJournal(
+                box.service.session.artifact_store.directory
+            )
+            assert journal.entries() == []
+            assert journal.paths() == []
+        finally:
+            box.close()
+
+    def test_torn_entry_loses_only_its_own_run(self, tmp_path, song_world):
+        store = _store_with_kb(tmp_path, song_world)
+        journal = PendingRunJournal(store.directory / "artifacts")
+        journal.add(_owed("run-0001"))
+        journal.add(_owed("run-0002"))
+        (journal.directory / "run-0001.json").write_text('{"run_id": "ru')
+        service = KBService.from_store(store)
+        try:
+            assert _recovered_ids(service) == ["run-0002"]
+            assert service.run_document("run-0002")["recovered"] is True
+        finally:
+            service.close()
+            store.close()
+
+    def test_owed_runs_requeue_in_submission_order(
+        self, tmp_path, song_world
+    ):
+        store = _store_with_kb(tmp_path, song_world)
+        journal = PendingRunJournal(store.directory / "artifacts")
+        # The counter orders them, not the file names or write order.
+        journal.add(_owed("run-10000"))
+        journal.add(_owed("run-9999"))
+        service = KBService.from_store(store)
+        try:
+            assert _recovered_ids(service) == ["run-9999", "run-10000"]
+        finally:
+            service.close()
+            store.close()
+
+    def test_legacy_journal_migrates_and_is_deleted(
+        self, tmp_path, song_world
+    ):
+        store = _store_with_kb(tmp_path, song_world)
+        journal = PendingRunJournal(store.directory / "artifacts")
+        journal.legacy_path.parent.mkdir(parents=True)
+        journal.legacy_path.write_text(
+            json.dumps(
+                {"version": 1, "runs": [_owed("run-0003"), _owed("run-0004")]}
+            ),
+            encoding="utf-8",
+        )
+        service = KBService.from_store(store)
+        try:
+            assert not journal.legacy_path.exists()
+            assert [entry["run_id"] for entry in journal.entries()] == [
+                "run-0003",
+                "run-0004",
+            ]
+            assert _recovered_ids(service) == ["run-0003", "run-0004"]
+        finally:
+            service.close()
+            store.close()
+
+    def test_restarted_service_starts_a_fresh_event_log(
+        self, tmp_path, song_world, world_tables
+    ):
+        """With nothing owed, a restarted service numbers runs from
+        run-0001 again; that run's event log holds only its own events."""
+        store = _store_with_kb(tmp_path, song_world, world_tables[:N_BASE])
+        try:
+            logs = []
+            for process in ("first-process", "second-process"):
+                service = KBService.from_store(store).start()
+                try:
+                    run_id = service.submit_run(
+                        CLASS_NAME, trace_id=process
+                    )["run_id"]
+                    assert run_id == "run-0001"
+                    assert _wait_terminal(service, run_id)["status"] == "done"
+                    logs.append(service.run_events_record(run_id).events_path)
+                finally:
+                    service.close()
+            assert logs[0] == logs[1]
+            events = list(read_events(logs[1]))
+            assert {event["trace"] for event in events} == {"second-process"}
+            roots = [
+                event
+                for event in events
+                if event["type"] == "begin"
+                and event["name"].startswith("service_run:")
+            ]
+            assert len(roots) == 1
+        finally:
+            store.close()

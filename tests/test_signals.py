@@ -25,6 +25,7 @@ import pytest
 from repro.corpus.store import CorpusStore
 from repro.io import load_world_directory, save_knowledge_base
 from repro.io.serialize import WORLD_KB_FILE
+from repro.serve import PendingRunJournal
 
 TESTS_DIR = Path(__file__).parent
 SRC_DIR = TESTS_DIR.parent / "src"
@@ -153,6 +154,24 @@ class TestServeSigterm:
             with pytest.raises(_Terminated):
                 server.handle_request()
 
+    def test_sigint_stops_a_serve_started_with_sigint_ignored(
+        self, golden_store_dir
+    ):
+        """A shell's background job starts with SIGINT ignored (the CI
+        smoke job's ``repro serve &``); ``kill -INT`` still stops it."""
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            serve = ServeProcess(golden_store_dir)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            serve.await_url()
+            serve.proc.send_signal(signal.SIGINT)
+            code = serve.proc.wait(timeout=60.0)
+        finally:
+            serve.cleanup()
+        assert code == 130
+
     def test_sigterm_drains_a_queued_run_before_exiting(
         self, golden_store_dir
     ):
@@ -170,15 +189,12 @@ class TestServeSigterm:
                 run_id = json.load(reply)["run_id"]
             assert run_id
             # The journal owes the run until its terminal status.
-            journal = (
-                golden_store_dir / "artifacts" / "service"
-                / "pending_runs.json"
-            )
-            assert json.loads(journal.read_text())["runs"]
+            journal = PendingRunJournal(golden_store_dir / "artifacts")
+            assert journal.entries()
             code = serve.terminate_and_wait()
         finally:
             serve.cleanup()
         assert code == 143
         # close() drained the writer: the run reached its terminal
         # status and was journal-removed before the process exited.
-        assert json.loads(journal.read_text())["runs"] == []
+        assert journal.entries() == []
