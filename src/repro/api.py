@@ -46,7 +46,6 @@ from repro.pipeline.artifacts import (
     ArtifactStore,
     IncrementalBackend,
     IncrementalRunReport,
-    prune_analysis_memo,
 )
 from repro.pipeline.delta import (
     corpus_state,
@@ -195,16 +194,16 @@ class RunSession:
         self.observers: list[PipelineObserver] = list(observers)
         #: Session-scoped kernel memos (token pairs, label tokens, and
         #: attribute matching's parsed columns, value pools and KB-side
-        #: scores) shared by every run; cleared at the corpus-epoch guard
-        #: to bound memory.
+        #: scores) shared by every run; the corpus-epoch guard ages them
+        #: (:meth:`KernelCache.age`) to bound memory.
         self.kernels = KernelCache()
         #: Table analyses of every cached run, keyed on (table id,
         #: content hash, candidate limit), so a class run reads from the
         #: artifact store only the analyses this session has not seen.
-        #: Not in :attr:`kernels`: the epoch guard prunes it to the
-        #: snapshot's tables rather than clearing it, as a refresh keeps
-        #: most tables.  Values are shared with the matchers; read-only.
-        self.analysis_memo: AnalysisMemo = {}
+        #: Not in :attr:`kernels`: its keys name tables, so the epoch
+        #: guard evicts the tables a snapshot change touched instead.
+        #: Values are shared with the matchers; read-only.
+        self.analysis_memo = AnalysisMemo()
         #: Strong references keep cache-key identity tokens stable.
         self._identity_registry: list[object] = []
         self._default_models: dict[str, PipelineModels] = {}
@@ -217,7 +216,7 @@ class RunSession:
         #: (``trace=`` on :meth:`run`); ``None`` until one runs.
         self.last_trace = None
         self._corpus_epoch: str | None = None
-        #: The snapshot the epoch was taken from.
+        #: The snapshot the epoch was taken from (shared, read-only).
         self._corpus_snapshot: dict[str, str] | None = None
         self._kb_fp: str | None = None
         self._models_fps: dict[int, str] = {}
@@ -383,7 +382,8 @@ class RunSession:
         there, and a :class:`repro.obs.Tracer` records into the caller's
         trace (left open — the caller owns its lifecycle).  The root
         span carries the config hash, the run's stage hits and misses,
-        and its kernel-cache totals; the finished tracer
+        and its kernel-cache totals; its first child is the epoch
+        guard's ``corpus_guard`` span (kind ``guard``); the finished tracer
         is exposed as :attr:`last_trace`.  Tracing never changes
         results — ``canonical_json()`` is byte-identical either way.
         """
@@ -412,7 +412,7 @@ class RunSession:
             extra_observers.append(
                 TracingObserver(tracer, parent=run_span.span_id)
             )
-        state, epoch = self._guard_corpus_epoch()
+        state, epoch = self._guard_corpus_epoch(tracer, run_span)
         backend: IncrementalBackend | None = None
         if use_cache:
             backend = IncrementalBackend(
@@ -608,15 +608,31 @@ class RunSession:
 
         The read-only monitoring surface a long-lived holder (the
         ``repro serve`` service's ``GET /metrics``) reports: the kernel
-        memo bundle, the analysis memo's size and the artifact store's
-        shape and hit/miss counters.  Purely observational: calling it
-        changes no cache state.
+        memo bundle, the analysis memo's size, this artifact-store
+        handle's counters and the size of the latest run's corpus
+        snapshot (``None`` before the first run).  Purely observational:
+        calling it changes no cache state, and it reads neither the
+        corpus store nor the artifact directory, so a request thread
+        opens no connection and walks no object; ``describe()`` and
+        ``repro fsck`` walk the store.
         """
+        store = self.artifact_store
+        snapshot = self._corpus_snapshot
         return {
             "kernel_cache": self.kernels.cache_info(),
             "analysis_memo": len(self.analysis_memo),
-            "artifact_store": self.artifact_store.describe(),
-            "corpus_tables": len(self.corpus),
+            "artifact_store": {
+                "directory": (
+                    str(store.directory)
+                    if store.directory is not None
+                    else None
+                ),
+                "tmp_swept": store.tmp_swept,
+                **store.stats(),
+            },
+            "corpus_tables": (
+                len(snapshot) if snapshot is not None else None
+            ),
             "kb_instances": len(self.knowledge_base),
         }
 
@@ -647,40 +663,92 @@ class RunSession:
             return Tracer(path=path, trace_id=trace_id), True
         return Tracer(path=trace), True
 
-    def _guard_corpus_epoch(self) -> tuple[dict[str, str], str]:
+    def _guard_corpus_epoch(
+        self, tracer=None, run_span=None
+    ) -> tuple[dict[str, str], str]:
         """Snapshot the corpus; the session's corpus-epoch guard.
 
-        Taken by every run, cached or not.  When the snapshot differs
-        from the previous run's, the content-keyed kernel memos are
-        cleared to bound memory, the analysis memo is pruned to the
-        snapshot's ``(table id, content hash)`` pairs, and a live
-        store-backed corpus view drops its table cache, so no run reads
-        a table that the store has since replaced.  The session's first
-        run takes it too (``_corpus_epoch`` starts as None).  Stored
-        artifacts stay: their keys embed content fingerprints, so none
-        of them can go stale.  Returns the snapshot and its fingerprint
-        (the epoch), which the run's backend keys on.  A snapshot whose
-        ``(table id, content hash)`` sequence equals the previous one
+        Taken by every run, cached or not.  A snapshot whose ``(table
+        id, content hash)`` sequence equals the previous one (a store
+        handle hands back the very same mapping when no shard changed)
         reuses the previous epoch without digesting it again.
+        Otherwise the new epoch's work follows the difference between
+        the two snapshots, not the corpus: the ids whose content changed
+        or went away are evicted from the analysis memo and from a live
+        store-backed corpus view's table cache, so no run reads a table
+        the store has since replaced, and the kernel memos age
+        (:meth:`KernelCache.age`), which retires what no run used since
+        the change before.  The session's first run takes it too
+        (``_corpus_epoch`` starts as None) and empties the view's cache
+        and the memo whole.  Stored artifacts stay: their keys embed
+        content fingerprints, so none of them can go stale.  Returns the
+        snapshot and its fingerprint (the epoch), which the run's
+        backend keys on.
+
+        With a ``tracer``, a ``corpus_guard`` span (kind ``guard``, not
+        a stage) under ``run_span`` records whether the epoch was
+        reused and what the change cost.
         """
+        span = None
+        if tracer is not None:
+            span = tracer.begin(
+                "corpus_guard",
+                "guard",
+                parent=run_span.span_id if run_span is not None else None,
+            )
         state = corpus_state(self.corpus)
         previous = self._corpus_snapshot
+        attrs = {
+            "reused": True,
+            "changed": 0,
+            "removed": 0,
+            "memo_pruned": 0,
+            "view_evicted": 0,
+            "kernel_retired": 0,
+        }
         # Order-sensitive, as the fingerprint is: the same pairs in
         # another ingest order are another epoch.
-        if previous is not None and list(state.items()) == list(
-            previous.items()
+        if previous is not None and (
+            state is previous
+            or list(state.items()) == list(previous.items())
         ):
-            return previous, self._corpus_epoch
-        epoch = fingerprint_corpus_state(state, order=list(state))
-        if epoch != self._corpus_epoch:
-            self.kernels.clear()
-            prune_analysis_memo(self.analysis_memo, state)
-            invalidate = getattr(self.corpus, "invalidate", None)
-            if invalidate is not None:
-                invalidate()
-            self._corpus_epoch = epoch
-        self._corpus_snapshot = state
+            state, epoch = previous, self._corpus_epoch
+        else:
+            epoch = fingerprint_corpus_state(state, order=list(state))
+            if epoch != self._corpus_epoch:
+                attrs.update(self._start_epoch(previous, state))
+                self._corpus_epoch = epoch
+            self._corpus_snapshot = state
+        if span is not None:
+            tracer.end(span, attrs)
         return state, epoch
+
+    def _start_epoch(
+        self, previous: dict[str, str] | None, state: dict[str, str]
+    ) -> dict:
+        """Evict what a snapshot change touched; the guard span's attrs."""
+        invalidate = getattr(self.corpus, "invalidate", None)
+        if previous is None:
+            changed, removed = state.keys(), ()
+            pruned = len(self.analysis_memo)
+            self.analysis_memo.clear()
+            evicted = invalidate() if invalidate is not None else 0
+        else:
+            changed = {
+                table_id for table_id, __ in state.items() - previous.items()
+            }
+            removed = previous.keys() - state.keys()
+            touched = [*changed, *removed]
+            pruned = self.analysis_memo.evict(touched)
+            evicted = invalidate(touched) if invalidate is not None else 0
+        return {
+            "reused": False,
+            "changed": len(changed),
+            "removed": len(removed),
+            "memo_pruned": pruned,
+            "view_evicted": evicted,
+            "kernel_retired": self.kernels.age(),
+        }
 
     def _kb_fingerprint(self) -> str:
         """The session KB's structural digest, computed once.

@@ -55,7 +55,10 @@ class LabelMetric:
         if a.label_tokens and b.label_tokens:
             return (
                 monge_elkan_symmetric_memo(
-                    a.label_tokens, b.label_tokens, self._kernels.token_sim
+                    a.label_tokens,
+                    b.label_tokens,
+                    self._kernels.token_sim,
+                    self._kernels.retiring["token_sim"],
                 ),
                 1.0,
             )

@@ -54,7 +54,26 @@ CREATE TABLE IF NOT EXISTS tables (
     payload TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS tables_seq ON tables (seq);
+CREATE TABLE IF NOT EXISTS changes (
+    id INTEGER PRIMARY KEY CHECK (id = 1),
+    token TEXT NOT NULL,
+    counter INTEGER NOT NULL
+);
+""" + "".join(
+    # Every committed write to ``tables``, by any connection, handle or
+    # process, moves the shard's change mark (see ``_change_marks``).
+    # The random token is drawn when the row is first made, so a shard
+    # file recreated from scratch never repeats an old mark.
+    f"""
+CREATE TRIGGER IF NOT EXISTS tables_{event.lower()}_counted
+AFTER {event} ON tables BEGIN
+    INSERT INTO changes (id, token, counter)
+    VALUES (1, lower(hex(randomblob(8))), 1)
+    ON CONFLICT (id) DO UPDATE SET counter = counter + 1;
+END;
 """
+    for event in ("INSERT", "UPDATE", "DELETE")
+)
 
 
 def content_hash(table: WebTable) -> str:
@@ -217,6 +236,9 @@ class CorpusStore:
         ] = {}
         self._connections_guard = threading.Lock()
         self._next_seq = self._max_seq() + 1
+        #: The last :meth:`content_hashes` result and the shards' change
+        #: marks it was read at; shared by every thread of this handle.
+        self._snapshot: tuple[tuple, dict[str, str]] | None = None
 
     # -- lifecycle ------------------------------------------------------
     @classmethod
@@ -501,8 +523,16 @@ class CorpusStore:
 
         Served straight from the shard metadata — no payload is decoded —
         so the corpus snapshot every run takes at its start is cheap even
-        at web scale.
+        at web scale.  When no thread, handle or process has committed a
+        write to any shard since the last call, the last snapshot is
+        handed back as is, after one read of each shard's change mark
+        and without reading ``tables``.  Callers share the returned
+        mapping and must not mutate it.
         """
+        marks = self._change_marks()
+        cached = self._snapshot
+        if cached is not None and cached[0] == marks:
+            return cached[1]
         entries: list[tuple[int, str, str]] = []
         for shard in range(self.n_shards):
             entries.extend(
@@ -511,7 +541,26 @@ class CorpusStore:
                 )
             )
         entries.sort()
-        return {table_id: chash for _seq, table_id, chash in entries}
+        snapshot = {table_id: chash for _seq, table_id, chash in entries}
+        # The marks were read first: a write racing the reads above
+        # leaves them behind, so the next call reads again.
+        self._snapshot = (marks, snapshot)
+        return snapshot
+
+    def _change_marks(self) -> tuple:
+        """Each shard's ``(token, counter)`` change mark, in shard order.
+
+        The triggers of the shard schema move a shard's mark in every
+        transaction that writes its ``tables``, so equal marks mean no
+        committed write in between.  ``PRAGMA data_version`` would not
+        do: it is per connection, and this store opens one per thread.
+        """
+        return tuple(
+            self._connection(shard).execute(
+                "SELECT token, counter FROM changes"
+            ).fetchone()
+            for shard in range(self.n_shards)
+        )
 
     def get(self, table_id: str) -> WebTable:
         row = self._connection(shard_of(table_id, self.n_shards)).execute(

@@ -86,19 +86,25 @@ class StoredCorpusView(TableCorpus):
     def total_rows(self) -> int:
         return self.store.total_rows()
 
-    def invalidate(self, table_ids: Iterable[str] | None = None) -> None:
-        """Drop cached tables after the backing store mutated.
+    def invalidate(self, table_ids: Iterable[str] | None = None) -> int:
+        """Drop cached tables after the backing store mutated; returns
+        how many were dropped.
 
         Incremental ingestion rewrites store content underneath a live
         view; the view must not keep serving pre-delta tables.  With no
-        argument the whole cache is dropped (the safe call after any
-        delta); with ``table_ids`` only those entries are evicted.
+        argument the whole cache is dropped; with ``table_ids`` (the
+        session's epoch guard passes the ids whose content changed) only
+        those entries are evicted.
         """
         if table_ids is None:
+            dropped = len(self._cache)
             self._cache.clear()
-            return
+            return dropped
+        dropped = 0
         for table_id in table_ids:
-            self._cache.pop(table_id, None)
+            if self._cache.pop(table_id, None) is not None:
+                dropped += 1
+        return dropped
 
     # -- diagnostics ----------------------------------------------------
     def cache_info(self) -> dict[str, int]:

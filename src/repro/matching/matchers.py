@@ -135,6 +135,8 @@ class AttributeMatchers:
         key = (self.class_name, prop.name, header, cells)
         kb_scores = self.kernels.attribute_scores.get(key)
         if kb_scores is None:
+            kb_scores = self.kernels.recall("attribute_scores", key)
+        if kb_scores is None:
             bump("attribute_scores.computed")
             kb_scores = (
                 self._kb_overlap(self._parse_column(cells, prop), prop),
@@ -165,6 +167,8 @@ class AttributeMatchers:
         """
         key = (prop.data_type, cells)
         parsed = self.kernels.parsed_columns.get(key)
+        if parsed is None:
+            parsed = self.kernels.recall("parsed_columns", key)
         if parsed is None:
             bump("parsed_columns.computed")
             parsed = {}

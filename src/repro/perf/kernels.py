@@ -11,6 +11,10 @@ base.  Row-pair caches, keyed by row *identity*, are not held here:
 each :class:`~repro.clustering.similarity.RowSimilarity` lives for one
 cluster stage and takes its pair cache with it.
 
+Memory is bounded by corpus epochs, not by a size knob: at every corpus
+change the session calls :meth:`KernelCache.age`, which retires what no
+run has used since the change before (see there).
+
 The cache is passed explicitly to the components a run builds; there is
 no module-level memo, so two sessions in one process never share one.
 """
@@ -47,11 +51,24 @@ class KernelCache:
       the column's (KB-Overlap, KB-Label) scores.
 
     Every key is content, never a table id, so the memos are safe across
-    runs and corpus epochs; the epoch guard clears them anyway to bound
-    memory.  The last two read the knowledge base, which a session
-    holds fixed.  An :class:`~repro.matching.matchers.AttributeMatchers`
-    built outside a session (training) makes a private cache.
+    runs and corpus epochs.  The last two read the knowledge base, which
+    a session holds fixed.  An
+    :class:`~repro.matching.matchers.AttributeMatchers` built outside a
+    session (training) makes a private cache.
+
+    The session's epoch guard calls :meth:`age` at every corpus change,
+    which bounds memory at two epochs' working sets: each memo of
+    :data:`AGED` starts the new epoch empty, and its previous contents
+    wait in :attr:`retiring`.  A lookup that misses the live memo looks
+    there before computing and moves a found entry back (:meth:`recall`,
+    or the ``retiring`` argument of
+    :func:`~repro.text.monge_elkan.monge_elkan_symmetric_memo`), so only
+    the miss path pays for the bound.  ``value_pools`` is keyed only on
+    the session's fixed knowledge base and never ages.
     """
+
+    #: The memos :meth:`age` retires from.
+    AGED = ("token_sim", "label_tokens", "parsed_columns", "attribute_scores")
 
     def __init__(self) -> None:
         self.token_sim: TokenPairMemo = {}
@@ -64,21 +81,52 @@ class KernelCache:
             tuple[str, str, str, ColumnCells],
             tuple[float | None, float | None],
         ] = {}
+        #: Per aged memo: the entries of the epoch before the current
+        #: one that no run has used in the current one.  The next
+        #: :meth:`age` drops them.
+        self.retiring: dict[str, dict] = {name: {} for name in self.AGED}
+
+    def recall(self, memo: str, key):
+        """The miss path of memo ``memo``: the value ``key`` had in the
+        previous epoch, moved back into the live memo; ``None`` when it
+        had none (or it was retired)."""
+        value = self.retiring[memo].pop(key, None)
+        if value is not None:
+            getattr(self, memo)[key] = value
+        return value
+
+    def age(self) -> int:
+        """Start a new corpus epoch; returns how many entries it retired.
+
+        Drops every entry no run has read or written since the previous
+        call, and sets the rest aside in :attr:`retiring` for one more
+        epoch.  An entry the current epoch used survives; one unused for
+        two corpus changes is gone.
+        """
+        retired = 0
+        for name in self.AGED:
+            retired += len(self.retiring[name])
+            self.retiring[name] = getattr(self, name)
+            setattr(self, name, {})
+        return retired
 
     def cache_info(self) -> dict[str, int]:
-        """Sizes of everything this cache currently holds."""
+        """Sizes of everything this cache currently holds, live and
+        retiring entries together."""
         return {
-            "token_pairs": len(self.token_sim),
-            "label_tokens": len(self.label_tokens),
-            "parsed_columns": len(self.parsed_columns),
+            "token_pairs": self._held("token_sim"),
+            "label_tokens": self._held("label_tokens"),
+            "parsed_columns": self._held("parsed_columns"),
             "value_pools": len(self.value_pools),
-            "attribute_scores": len(self.attribute_scores),
+            "attribute_scores": self._held("attribute_scores"),
         }
 
     def clear(self) -> None:
         """Drop every memo."""
-        self.token_sim.clear()
-        self.label_tokens.clear()
-        self.parsed_columns.clear()
+        for name in self.AGED:
+            getattr(self, name).clear()
+            self.retiring[name].clear()
         self.value_pools.clear()
-        self.attribute_scores.clear()
+
+    def _held(self, name: str) -> int:
+        return len(getattr(self, name)) + len(self.retiring[name])

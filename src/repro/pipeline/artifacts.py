@@ -32,11 +32,13 @@ Table analyses also live in memory, in the session's analysis memo
 the knowledge-base fingerprint, which a session holds fixed.  A backend
 reads the memo first and the store second, and fills the memo from both
 store loads and fresh analyses, so a session reads each unchanged
-table's analysis from the store once, not once per class run.  The
-session prunes the memo to the corpus snapshot's ``(id, content)`` pairs
-whenever the snapshot changes.  The store stays the backing across
-processes: a new session's first run loads from it.  Memo values are
-shared with every matcher they warm and must be treated as read-only.
+table's analysis from the store once, not once per class run.  When
+the snapshot changes, the session evicts from the memo the ids whose
+content changed or went away, so it holds analyses of the current
+snapshot only, and a run's matcher is warmed from it in bulk.  The
+store stays the backing across processes: a new session's first run
+loads from it.  Memo values are shared with every matcher they warm and
+must be treated as read-only.
 
 A full run is therefore an incremental run over an empty store.  What
 a run reuses follows from its keys alone, and :class:`IncrementalRunReport`
@@ -59,7 +61,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro import faults
 # ``fingerprint_corpus_state`` is unused here since the backend takes the
@@ -88,7 +90,6 @@ __all__ = [
     "ArtifactStore",
     "IncrementalBackend",
     "IncrementalRunReport",
-    "prune_analysis_memo",
     "ARTIFACTS_DIRNAME",
 ]
 
@@ -351,17 +352,73 @@ def _feedback_payload(feedback: "MatcherFeedback | None") -> object:
 # The per-run backend
 # ---------------------------------------------------------------------------
 
-#: A session's table analyses: ``(table id, content hash, candidate
-#: limit)`` -> ``(column types, label column, class decision or None)``.
-#: Values are shared with the matchers they warm; treat them as read-only.
-AnalysisMemo = dict[tuple[str, str, int], tuple]
+class _LimitView:
+    """One candidate limit's analyses, keyed by table id and shaped like
+    a :class:`~repro.matching.schema_matcher.SchemaMatcher`'s caches."""
+
+    __slots__ = ("contents", "analyses", "decisions")
+
+    def __init__(self) -> None:
+        #: table id -> the content hash its analysis is of.
+        self.contents: dict[str, str] = {}
+        #: table id -> (column types, label column).
+        self.analyses: dict[str, tuple] = {}
+        #: table id -> class decision, for tables that have one.
+        self.decisions: dict[str, tuple] = {}
 
 
-def prune_analysis_memo(memo: AnalysisMemo, state: Mapping[str, str]) -> None:
-    """Drop every memo entry whose ``(table id, content hash)`` pair is
-    not in the corpus snapshot ``state``."""
-    for key in [key for key in memo if state.get(key[0]) != key[1]]:
-        del memo[key]
+class AnalysisMemo(dict):
+    """A session's table analyses: ``(table id, content hash, candidate
+    limit)`` -> ``(column types, label column, class decision or None)``.
+
+    Besides the mapping itself it keeps one :class:`_LimitView` per
+    candidate limit, so a run's fresh matcher is warmed with two dict
+    updates rather than one lookup per table.  It holds analyses of the
+    session's current corpus snapshot only: entries come from runs over
+    that snapshot, and the epoch guard evicts the ids a snapshot change
+    touched.  Write through :meth:`remember` and :meth:`evict`, never
+    item assignment.  Values are shared with the matchers they warm;
+    treat them as read-only.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._views: dict[int, _LimitView] = {}
+
+    def view(self, limit: int) -> _LimitView:
+        view = self._views.get(limit)
+        if view is None:
+            view = self._views[limit] = _LimitView()
+        return view
+
+    def remember(
+        self, table_id: str, content: str, limit: int, artifact: tuple
+    ) -> None:
+        self[table_id, content, limit] = artifact
+        view = self.view(limit)
+        column_types, label_column, decision = artifact
+        view.contents[table_id] = content
+        view.analyses[table_id] = (column_types, label_column)
+        if decision is not None:
+            view.decisions[table_id] = decision
+
+    def evict(self, table_ids: Iterable[str]) -> int:
+        """Drop every entry of the given tables; returns how many."""
+        dropped = 0
+        for table_id in table_ids:
+            for limit, view in self._views.items():
+                content = view.contents.pop(table_id, None)
+                if content is None:
+                    continue
+                del self[table_id, content, limit]
+                del view.analyses[table_id]
+                view.decisions.pop(table_id, None)
+                dropped += 1
+        return dropped
+
+    def clear(self) -> None:
+        super().clear()
+        self._views.clear()
 
 
 @dataclass
@@ -418,10 +475,12 @@ class IncrementalBackend:
     Instances are cheap and per-run: they pin the corpus snapshot taken
     at run start (a run must never observe a half-applied delta) and the
     session-level fingerprints, and collect the reuse statistics for the
-    :class:`IncrementalRunReport`.  ``corpus_fp`` is the snapshot's
+    :class:`IncrementalRunReport`.  ``corpus_state`` is the session's
+    snapshot, shared and read-only; ``corpus_fp`` is its
     :func:`~repro.pipeline.delta.fingerprint_corpus_state` in snapshot
     order, as the session's epoch guard computed it; ``analyses`` is the
-    session's :data:`AnalysisMemo`.
+    session's :class:`AnalysisMemo`, which holds analyses of that
+    snapshot only.
     """
 
     def __init__(
@@ -438,7 +497,7 @@ class IncrementalBackend:
         class_name: str,
     ) -> None:
         self.store = store
-        self.corpus_state = dict(corpus_state)
+        self.corpus_state = corpus_state
         self.corpus_fp = corpus_fp
         self.analyses = analyses
         self.kb_fp = kb_fp
@@ -448,7 +507,7 @@ class IncrementalBackend:
         self.class_name = class_name
         self.report = IncrementalRunReport()
         self._attribute_cache = _MatcherAttributeCache(self)
-        self._warmed_analysis: set[str] = set()
+        self._bulk_warmed = False
 
     # -- stage-level artifacts ------------------------------------------
     def _base_key(self, stage_name: str, iteration: int) -> list:
@@ -535,45 +594,58 @@ class IncrementalBackend:
     def warm_matcher(self, matcher: "SchemaMatcher") -> None:
         """Load per-table analyses into a matcher's caches.
 
-        Each analysis comes from the session's memo when it holds one,
-        and from the store otherwise (a store hit then fills the memo),
-        so only a table new to the session costs a store read.  Either
-        way it counts as loaded.  Only tables present in the run's corpus
-        snapshot are considered, and each is warmed at most once per
-        backend — the second iteration's call is a no-op for everything
-        iteration one warmed or computed.  The matcher's caches share
-        the memo's values, which are read-only.
+        The first call of a run gets the run's fresh matcher and copies
+        in the session memo's view for the matcher's candidate limit in
+        two dict updates: every memo entry is an analysis of a snapshot
+        table.  Only when some snapshot table has no memo entry are the
+        snapshot's ids walked, and each such table costs a store read (a
+        hit then fills the memo).  Loads from either count as loaded.
+        The second iteration's call finds every table iteration one
+        warmed or computed already in the memo.  The matcher's caches
+        share the memo's values, which are read-only.
         """
         matcher.attribute_cache = self._attribute_cache
         limit = matcher.candidate_limit
+        view = self.analyses.view(limit)
+        if not self._bulk_warmed:
+            self._bulk_warmed = True
+            matcher._analysis_cache.update(view.analyses)
+            matcher._class_cache.update(view.decisions)
+            self.report.analysis_loaded += len(view.analyses)
+        if len(view.contents) == len(self.corpus_state):
+            return
         for table_id, content in self.corpus_state.items():
-            if table_id in self._warmed_analysis:
+            if table_id in view.contents:
                 continue
             if table_id in matcher._analysis_cache and (
                 table_id in matcher._class_cache
             ):
                 continue
-            memo_key = (table_id, content, limit)
-            artifact = self.analyses.get(memo_key)
+            artifact = self.store.get(
+                self._analysis_key(matcher, table_id, content)
+            )
             if artifact is None:
-                artifact = self.store.get(
-                    self._analysis_key(matcher, table_id, content)
-                )
-                if artifact is None:
-                    continue
-                self.analyses[memo_key] = artifact
+                continue
+            self.analyses.remember(table_id, content, limit, artifact)
             column_types, label_column, decision = artifact
             matcher._analysis_cache[table_id] = (column_types, label_column)
             if decision is not None:
                 matcher._class_cache[table_id] = decision
-            self._warmed_analysis.add(table_id)
             self.report.analysis_loaded += 1
 
     def harvest_matcher(self, matcher: "SchemaMatcher") -> None:
         """Persist analyses the matcher computed this run, to the store
-        and to the session's memo."""
+        and to the session's memo.
+
+        Every memo entry of the matcher's limit is in the matcher's
+        cache (warmed or harvested), so equal sizes mean nothing new.
+        """
+        limit = matcher.candidate_limit
+        contents = self.analyses.view(limit).contents
+        if len(matcher._analysis_cache) == len(contents):
+            return
         for table_id, analysis in matcher._analysis_cache.items():
-            if table_id in self._warmed_analysis:
+            if table_id in contents:
                 continue
             content = self.corpus_state.get(table_id)
             if content is None:
@@ -583,8 +655,7 @@ class IncrementalBackend:
             self.store.put(
                 self._analysis_key(matcher, table_id, content), artifact
             )
-            self.analyses[table_id, content, matcher.candidate_limit] = artifact
-            self._warmed_analysis.add(table_id)
+            self.analyses.remember(table_id, content, limit, artifact)
             self.report.analysis_computed += 1
 
     # -- per-entity detection artifacts ---------------------------------

@@ -84,6 +84,7 @@ def monge_elkan_symmetric_memo(
     tokens_a: Sequence[str],
     tokens_b: Sequence[str],
     memo: TokenPairMemo,
+    retiring: TokenPairMemo | None = None,
 ) -> float:
     """:func:`monge_elkan_symmetric` through a shared token-pair memo.
 
@@ -95,6 +96,12 @@ def monge_elkan_symmetric_memo(
     looked up in ``memo`` — labels within a block share most of their
     tokens, so across the pairs of a clustering run the memo absorbs
     the overwhelming majority of inner calls.
+
+    ``retiring`` is the memo's previous-epoch generation
+    (:meth:`repro.perf.KernelCache.age`): a pair that misses ``memo`` is
+    taken from it, and moved into ``memo``, before it is computed.  It
+    is read on the miss path only; a pair served from either counts as
+    a memo hit.
     """
     if not tokens_a or not tokens_b:
         return 0.0
@@ -112,9 +119,14 @@ def monge_elkan_symmetric_memo(
             )
             score = memo.get(key)
             if score is None:
-                score = levenshtein_similarity(token_a, token_b)
+                if retiring:
+                    score = retiring.pop(key, None)
+                if score is None:
+                    score = levenshtein_similarity(token_a, token_b)
+                    misses += 1
+                else:
+                    hits += 1
                 memo[key] = score
-                misses += 1
             else:
                 hits += 1
             if score > best_a:
@@ -162,8 +174,14 @@ def label_similarity(
     tokens = kernels.label_tokens
     tokens_a = tokens.get(label_a)
     if tokens_a is None:
-        tokens_a = tokens[label_a] = tuple(tokenize(label_a))
+        tokens_a = kernels.recall("label_tokens", label_a)
+        if tokens_a is None:
+            tokens_a = tokens[label_a] = tuple(tokenize(label_a))
     tokens_b = tokens.get(label_b)
     if tokens_b is None:
-        tokens_b = tokens[label_b] = tuple(tokenize(label_b))
-    return monge_elkan_symmetric_memo(tokens_a, tokens_b, kernels.token_sim)
+        tokens_b = kernels.recall("label_tokens", label_b)
+        if tokens_b is None:
+            tokens_b = tokens[label_b] = tuple(tokenize(label_b))
+    return monge_elkan_symmetric_memo(
+        tokens_a, tokens_b, kernels.token_sim, kernels.retiring["token_sim"]
+    )

@@ -257,6 +257,55 @@ class TestCorpusStore:
         assert store.get("t1").n_rows == 3
         assert len(store) == 1
 
+    def test_unchanged_store_hands_back_its_last_snapshot(self, tmp_path):
+        store = CorpusStore.create(tmp_path / "store", shards=4)
+        store.ingest(make_table(number) for number in range(12))
+        first = store.content_hashes()
+        assert store.content_hashes() is first
+        # An identical re-ingest writes nothing, so nothing moves.
+        store.ingest([make_table(3)])
+        assert store.content_hashes() is first
+        store.ingest([make_table(3, rows=5)], on_conflict="replace")
+        replaced = store.content_hashes()
+        assert replaced is not first
+        assert replaced["t3"] == content_hash(make_table(3, rows=5))
+
+    def test_remove_tables_invalidates_the_cached_snapshot(self, tmp_path):
+        store = CorpusStore.create(tmp_path / "store", shards=2)
+        store.ingest(make_table(number) for number in range(6))
+        assert "t4" in store.content_hashes()
+        assert store.remove_tables(["t4"]) == ["t4"]
+        assert list(store.content_hashes()) == [
+            "t0", "t1", "t2", "t3", "t5"
+        ]
+
+    def test_snapshot_after_a_stopped_ingest_holds_committed_shards(
+        self, tmp_path
+    ):
+        """An ingest stopped at its second shard write leaves the first
+        shard committed; the next snapshot holds exactly what is stored."""
+        from repro import faults
+        from repro.faults import FaultInjected
+
+        store = CorpusStore.create(tmp_path / "store", shards=4)
+        store.ingest(make_table(number) for number in range(8))
+        before = store.content_hashes()
+        batch = [make_table(number) for number in range(8, 40)]
+        with faults.armed("corpus.shard_write:raise@2"):
+            with pytest.raises(FaultInjected):
+                store.ingest(batch)
+        snapshot = store.content_hashes()
+        new_ids = set(snapshot) - set(before)
+        assert new_ids  # the first shard's write committed
+        first_shard = min(shard_of(table.table_id, 4) for table in batch)
+        assert new_ids == {
+            table.table_id
+            for table in batch
+            if shard_of(table.table_id, 4) == first_shard
+        }
+        reopened = CorpusStore.open(store.directory)
+        assert reopened.content_hashes() == snapshot
+
     def test_ingest_reuses_one_connection_per_shard(
         self, tmp_path, monkeypatch
     ):

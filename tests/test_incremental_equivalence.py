@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -47,6 +50,8 @@ CLASS_NAME = "Song"
 
 #: Tables ingested before the first run; the rest form the mutation pool.
 N_BASE = 16
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -561,6 +566,151 @@ class TestSessionGuards:
         assert reordered != first
         assert len(digests) == 2
 
+    def test_replace_through_a_second_handle_reaches_the_next_run(
+        self, tmp_path, song_world, world_tables
+    ):
+        """A write through another handle on the same directory moves
+        the shard's change mark, so the session's cached snapshot is not
+        served again."""
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        session.run(CLASS_NAME)
+        other = CorpusStore.open(store.directory)
+        report = other.ingest(
+            [_mutated(world_tables[1], salt=2)], on_conflict="replace"
+        )
+        other.close()
+        assert report.replaced_ids == [world_tables[1].table_id]
+        result = session.run(CLASS_NAME)
+        assert session.last_incremental_report.analysis_computed == 1
+        _assert_equivalent(store, result)
+
+    def test_replace_by_an_ingest_process_reaches_the_next_run(
+        self, tmp_path, song_world, world_tables
+    ):
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        session.run(CLASS_NAME)
+        replacement = _mutated(world_tables[1], salt=3)
+        source = tmp_path / "delta.jsonl"
+        source.write_text(
+            json.dumps(
+                {
+                    "table_id": replacement.table_id,
+                    "header": list(replacement.header),
+                    "rows": [list(row) for row in replacement.rows],
+                    "url": replacement.url,
+                }
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC_DIR), env.get("PYTHONPATH", "")]
+        ).rstrip(os.pathsep)
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "ingest", str(source),
+                "--store", str(store.directory),
+                "--on-conflict", "replace", "--json",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout)["report"]["replaced"] == 1
+        result = session.run(CLASS_NAME)
+        assert session.last_incremental_report.analysis_computed == 1
+        _assert_equivalent(store, result)
+
+    def test_run_after_no_store_change_reads_no_snapshot(
+        self, tmp_path, song_world, world_tables
+    ):
+        """With every shard's change mark where the last snapshot read
+        it, a run issues no snapshot ``SELECT`` on ``tables``."""
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        first = session.run(CLASS_NAME)
+        statements: list[str] = []
+        for connections in store._connections_by_thread.values():
+            for connection in connections.values():
+                connection.set_trace_callback(statements.append)
+        again = session.run(CLASS_NAME)
+        for connections in store._connections_by_thread.values():
+            for connection in connections.values():
+                connection.set_trace_callback(None)
+        assert again.canonical_json() == first.canonical_json()
+        assert [s for s in statements if "FROM changes" in s]
+        assert [s for s in statements if "content_hash FROM tables" in s] == []
+
+    def test_replace_evicts_only_that_id_from_the_view(
+        self, tmp_path, song_world, world_tables
+    ):
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store, cache_size=1024)
+        view = session.corpus
+        session.run(CLASS_NAME, use_cache=False)
+        cached = set(view._cache)
+        replaced = world_tables[1].table_id
+        assert replaced in cached
+        store.ingest(
+            [_mutated(world_tables[1], salt=4)], on_conflict="replace"
+        )
+        session._guard_corpus_epoch()
+        assert set(view._cache) == cached - {replaced}
+
+    def test_guard_span_reports_the_snapshot_delta(
+        self, tmp_path, song_world, world_tables
+    ):
+        """Each traced run has a ``corpus_guard`` span (kind ``guard``,
+        not a stage) under its run span."""
+        from repro.obs import Tracer, span_index, trace_summary
+
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+
+        def guard_span(tracer):
+            spans = span_index(tracer.events())
+            (guard,) = [
+                span for span in spans.values()
+                if span["name"] == "corpus_guard"
+            ]
+            assert guard["kind"] == "guard"
+            assert spans[guard["parent"]]["kind"] == "run"
+            return guard["attrs"]
+
+        first = Tracer()
+        session.run(CLASS_NAME, trace=first)
+        attrs = guard_span(first)
+        assert attrs["reused"] is False
+        assert attrs["changed"] == N_BASE
+        assert "corpus_guard" not in trace_summary(first.events())[
+            "stage_seconds"
+        ]
+        repeat = Tracer()
+        session.run(CLASS_NAME, trace=repeat)
+        assert guard_span(repeat) == {
+            "reused": True,
+            "changed": 0,
+            "removed": 0,
+            "memo_pruned": 0,
+            "view_evicted": 0,
+            "kernel_retired": 0,
+        }
+        store.ingest(
+            [_mutated(world_tables[1], salt=5)], on_conflict="replace"
+        )
+        store.remove_tables([world_tables[2].table_id])
+        delta = Tracer()
+        session.run(CLASS_NAME, trace=delta)
+        attrs = guard_span(delta)
+        assert attrs["reused"] is False
+        assert (attrs["changed"], attrs["removed"]) == (1, 1)
+        assert attrs["memo_pruned"] == 2
+
     def test_schema_matching_does_not_list_the_store(
         self, tmp_path, song_world, world_tables
     ):
@@ -628,46 +778,76 @@ class TestSessionGuards:
         # This table's replacement changes the class's entities.
         replacement = _mutated(world_tables[1], salt=1)
         store.ingest([replacement], on_conflict="replace")
-        # Columns only the replaced content had: after the guard, no
-        # column memo may still hold an entry for them.
+        # Columns only the replaced content had: no run uses their
+        # column memo entries after the replace, so the guard retires
+        # them at the corpus change after next.
         current = [*world_tables[:1], replacement, *world_tables[2:N_BASE]]
         gone = _columns(world_tables[1]) - set().union(
             *(_columns(table) for table in current)
         )
         kernels = session.kernels
 
-        def stale_entries():
+        def stale_entries(generation):
             return [
-                key for key in kernels.attribute_scores if key[3] in gone
-            ] + [key for key in kernels.parsed_columns if key[1] in gone]
+                key
+                for key in generation(kernels, "attribute_scores")
+                if key[3] in gone
+            ] + [
+                key
+                for key in generation(kernels, "parsed_columns")
+                if key[1] in gone
+            ]
 
-        assert stale_entries()
+        live = getattr
+
+        def retiring(kernels, name):
+            return kernels.retiring[name]
+
+        assert stale_entries(live)
         result = session.run(CLASS_NAME, use_cache=False)
-        assert stale_entries() == []
+        assert stale_entries(live) == []
+        assert stale_entries(retiring)
         assert result.canonical_json() != stale.canonical_json()
         _assert_equivalent(store, result)
+        store.ingest(world_tables[N_BASE : N_BASE + 1])
+        session.run(CLASS_NAME, use_cache=False)
+        assert stale_entries(live) == stale_entries(retiring) == []
 
-    def test_epoch_change_clears_in_memory_cache(
+    def test_epoch_change_ages_the_kernel_memos(
         self, tmp_path, song_world, world_tables
     ):
-        """The guard clears the session's content-keyed token memo (to
-        bound memory) when the corpus moves, and only then."""
+        """The guard ages the session's content-keyed memos (to bound
+        memory) when the corpus moves, and only then; it never clears
+        them, so entries the runs keep using survive every change."""
         store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
         session = RunSession.from_corpus_store(store)
-        clears = []
-        clear = session.kernels.clear
+        ages, clears = [], []
+        age, clear = session.kernels.age, session.kernels.clear
+
+        def counting_age():
+            ages.append(1)
+            return age()
 
         def counting_clear():
             clears.append(1)
             clear()
 
+        session.kernels.age = counting_age
         session.kernels.clear = counting_clear
         session.run(CLASS_NAME)
         session.run(CLASS_NAME)
-        assert len(clears) == 1  # the session's first run, not the repeat
+        assert len(ages) == 1  # the session's first run, not the repeat
+        pairs = dict(session.kernels.token_sim)
+        assert pairs
         store.ingest(world_tables[N_BASE : N_BASE + 1])
         session.run(CLASS_NAME)
-        assert len(clears) == 2
+        assert len(ages) == 2
+        assert clears == []
+        # Every pair the first epoch used is still held: in the live
+        # memo if the run after the change used it, retiring if not.
+        kernels = session.kernels
+        held = {**kernels.retiring["token_sim"], **kernels.token_sim}
+        assert pairs.items() <= held.items()
 
 
 def _count_gets(store: ArtifactStore, kind: str | None = None) -> list:

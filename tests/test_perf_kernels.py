@@ -26,6 +26,7 @@ from repro.perf import (
     kernel_counters,
     reset_kernel_counters,
 )
+from repro.text.monge_elkan import label_similarity
 from repro.text.tokenize import normalize_label, tokenize
 from repro.text.vectors import term_vector
 
@@ -153,6 +154,40 @@ class TestKernelCache:
             "attribute_scores": 0,
         }
 
+    def test_age_keeps_what_the_latest_epoch_used(self):
+        """An entry used since the latest corpus change survives the next
+        one; an entry unused for two changes is gone; value pools stay."""
+        kernels = KernelCache()
+        label_similarity("green day", "green days", kernels)
+        kernels.value_pools["Song", "artist"] = pool = object()
+        assert kernels.age() == 0  # change 1: everything was used
+        assert ("day", "days") in kernels.retiring["token_sim"]
+        label_similarity("day", "days", kernels)  # served, not computed
+        assert ("day", "days") in kernels.token_sim
+        assert kernels.age() == 5  # change 2: 3 pairs and 2 labels
+        assert set(kernels.retiring["token_sim"]) == {("day", "days")}
+        assert set(kernels.retiring["label_tokens"]) == {"day", "days"}
+        assert kernels.token_sim == kernels.label_tokens == {}
+        assert kernels.value_pools == {("Song", "artist"): pool}
+        assert kernels.age() == 3  # change 3: unused since change 2
+        assert kernels.cache_info() == {
+            "token_pairs": 0,
+            "label_tokens": 0,
+            "parsed_columns": 0,
+            "value_pools": 1,
+            "attribute_scores": 0,
+        }
+
+    def test_recalled_pairs_count_as_memo_hits(self):
+        kernels = KernelCache()
+        label_similarity("green day", "green days", kernels)
+        kernels.age()
+        baseline = kernel_counters()
+        label_similarity("green day", "green days", kernels)
+        delta = counter_delta(baseline)
+        assert delta.get("monge_elkan.pair_memo_misses", 0) == 0
+        assert delta["monge_elkan.pair_memo_hits"] == 4
+
     def test_shared_memo_changes_nothing_but_speed(self):
         kernels = KernelCache()
         shared = _similarity(kernels)
@@ -211,11 +246,13 @@ class TestSessionWiring:
             assert session.kernels.cache_info()["label_tokens"] > 0
         assert misses[0] == misses[1] > 0
 
-    def test_epoch_guard_clears_the_label_token_memo(self, tiny_world):
+    def test_epoch_guard_retires_memos_unused_for_two_changes(
+        self, tiny_world
+    ):
         from repro.api import RunSession
         from repro.webtables import TableCorpus
 
-        *table_ids, held_back = tiny_world.tables_of_class("Song")
+        *table_ids, second, held_back = tiny_world.tables_of_class("Song")
         corpus = TableCorpus(
             [tiny_world.corpus.get(table_id) for table_id in table_ids]
         )
@@ -226,13 +263,17 @@ class TestSessionWiring:
         kernels = session.kernels
         before = kernels.cache_info()
         assert all(size > 0 for size in before.values()), before
-        corpus.add(tiny_world.corpus.get(held_back))  # a new corpus epoch
+        corpus.add(tiny_world.corpus.get(second))  # a new corpus epoch
+        session._guard_corpus_epoch()
+        # The first change retires nothing: the run used every entry.
+        assert kernels.cache_info() == before
+        corpus.add(tiny_world.corpus.get(held_back))  # no run in between
         session._guard_corpus_epoch()
         assert kernels.cache_info() == {
             "token_pairs": 0,
             "label_tokens": 0,
             "parsed_columns": 0,
-            "value_pools": 0,
+            "value_pools": before["value_pools"],
             "attribute_scores": 0,
         }
 

@@ -620,6 +620,55 @@ class TestRunTracing:
         assert entry["trace"] == "tr-log-1"
 
 
+# -- the /metrics request path ------------------------------------------
+class TestMetricsRequestPath:
+    def test_metrics_on_fresh_threads_touch_no_store(
+        self, tmp_path, song_world, world_tables, monkeypatch
+    ):
+        """``metrics()`` on a new request thread opens no corpus-store
+        connection and globs no artifact object: the corpus size comes
+        from the session's last snapshot and the artifact block from
+        the handle's counters."""
+        import pathlib
+
+        import repro.corpus.store as corpus_store
+
+        store = _store_with_kb(tmp_path, song_world, world_tables[:N_BASE])
+        service = KBService.from_store(store).start()
+        try:
+            run_id = service.submit_run(CLASS_NAME)["run_id"]
+            assert _wait_terminal(service, run_id)["status"] == "done"
+            connects, globs = [], []
+            connect, glob = corpus_store._connect, pathlib.Path.glob
+
+            def counting_connect(path):
+                connects.append(path)
+                return connect(path)
+
+            def counting_glob(self, pattern, *args, **kwargs):
+                globs.append(pattern)
+                return glob(self, pattern, *args, **kwargs)
+
+            monkeypatch.setattr(corpus_store, "_connect", counting_connect)
+            monkeypatch.setattr(pathlib.Path, "glob", counting_glob)
+            documents = []
+            for _ in range(5):
+                thread = threading.Thread(
+                    target=lambda: documents.append(service.metrics())
+                )
+                thread.start()
+                thread.join(timeout=60)
+            assert len(documents) == 5
+            assert connects == []
+            assert globs == []
+            session = documents[-1]["session"]
+            assert session["corpus_tables"] == N_BASE
+            assert session["artifact_store"]["writes"] > 0
+        finally:
+            service.close()
+            store.close()
+
+
 # -- the pending-run journal --------------------------------------------
 def _store_with_kb(directory, world, tables=()):
     store = CorpusStore.create(directory / "store", shards=2)
