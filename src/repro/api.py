@@ -101,6 +101,18 @@ def config_hash(config: PipelineConfig) -> str:
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _store_counters(store: ArtifactStore) -> dict:
+    """An artifact-store handle's running totals; a run span records
+    how far its run moved them."""
+    return {
+        "gets": store.hits + store.misses,
+        "hits": store.hits,
+        "puts": store.writes,
+        "get_s": store.get_seconds,
+        "put_s": store.put_seconds,
+    }
+
+
 class ProgressObserver(PipelineObserver):
     """Prints one line per finished stage (CLI-friendly progress)."""
 
@@ -382,9 +394,10 @@ class RunSession:
         there, and a :class:`repro.obs.Tracer` records into the caller's
         trace (left open — the caller owns its lifecycle).  The root
         span carries the config hash, the run's stage hits and misses,
-        and its kernel-cache totals; its first child is the epoch
-        guard's ``corpus_guard`` span (kind ``guard``); the finished tracer
-        is exposed as :attr:`last_trace`.  Tracing never changes
+        its artifact-store gets, hits, puts and seconds in get and put
+        (``artifacts``), and its kernel-cache totals; its first child is
+        the epoch guard's ``corpus_guard`` span (kind ``guard``); the
+        finished tracer is exposed as :attr:`last_trace`.  Tracing never changes
         results — ``canonical_json()`` is byte-identical either way.
         """
         config = config if config is not None else self.config
@@ -413,6 +426,7 @@ class RunSession:
                 TracingObserver(tracer, parent=run_span.span_id)
             )
         state, epoch = self._guard_corpus_epoch(tracer, run_span)
+        store_before = _store_counters(self.artifact_store)
         backend: IncrementalBackend | None = None
         if use_cache:
             backend = IncrementalBackend(
@@ -473,6 +487,11 @@ class RunSession:
             if backend is not None:
                 attrs["stage_hits"] = backend.report.stage_hits()
                 attrs["stage_misses"] = backend.report.stage_misses()
+                store_after = _store_counters(self.artifact_store)
+                attrs["artifacts"] = {
+                    name: round(store_after[name] - before, 6)
+                    for name, before in store_before.items()
+                }
             tracer.end(run_span, attrs)
             if owns_tracer:
                 tracer.close()
@@ -627,7 +646,6 @@ class RunSession:
                     if store.directory is not None
                     else None
                 ),
-                "tmp_swept": store.tmp_swept,
                 **store.stats(),
             },
             "corpus_tables": (

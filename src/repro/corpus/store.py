@@ -122,19 +122,24 @@ def _decode(table_id: str, url: str, payload: str) -> WebTable:
     )
 
 
-def _connect(path: Path) -> sqlite3.Connection:
+def _connect(path: Path, schema: str = _SHARD_SCHEMA) -> sqlite3.Connection:
+    """A WAL connection to a SQLite file, with ``schema`` applied.
+
+    The artifact store opens its database through this too.
+    """
     # ``check_same_thread=False`` lets :meth:`CorpusStore.close` release
     # a connection from a different thread than the one that opened it.
     # Concurrent *use* of one connection is still excluded — the store
     # hands out connections per thread (see ``_connection``).
     connection = sqlite3.connect(path, check_same_thread=False)
-    connection.execute("PRAGMA journal_mode=WAL")
-    connection.execute("PRAGMA synchronous=NORMAL")
     # Concurrent writers (a service ingest racing a `repro ingest` on
     # one store) should wait out a held write lock, not raise a
-    # spurious "database is locked".
+    # spurious "database is locked" — switching a fresh file to WAL
+    # included.
     connection.execute("PRAGMA busy_timeout=30000")
-    connection.executescript(_SHARD_SCHEMA)
+    connection.execute("PRAGMA journal_mode=WAL")
+    connection.execute("PRAGMA synchronous=NORMAL")
+    connection.executescript(schema)
     return connection
 
 

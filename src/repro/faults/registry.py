@@ -2,7 +2,7 @@
 
 Crash-recovery code is only trustworthy if every failure path can be
 *provoked on demand*: a journal resume that has never seen a dead
-writer thread, or an orphan-tmp sweep that has never seen an
+writer thread, or a transaction rollback that has never seen an
 interrupted writer, is dead code with a comforting name.  This module
 is the one switchboard for provoking those failures — a registry of **named
 injection points** compiled into the production code paths
@@ -13,7 +13,7 @@ Usage, production side (one line per boundary)::
 
     from repro import faults
     ...
-    faults.check("artifacts.put")   # between mkstemp and os.replace
+    faults.check("artifacts.put")   # inside the put's transaction
 
 A disarmed check is a few attribute loads — there is no plan object to
 consult, so shipping the checks costs nothing.
@@ -90,8 +90,8 @@ POINTS: dict[str, str] = {
         "commits (a crash loses this shard's writes, never corrupts them)"
     ),
     "artifacts.put": (
-        "ArtifactStore.put between the temp-file write and the atomic "
-        "os.replace (a crash strands an orphan *.tmp, never a torn object)"
+        "ArtifactStore.put inside its transaction, after the row's "
+        "INSERT and before COMMIT (a crash or raise leaves no row)"
     ),
     "serve.writer": (
         "KBService writer loop, after dequeuing a job and before "

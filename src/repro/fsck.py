@@ -16,12 +16,10 @@ corpus     manifest readable (``manifest_missing`` /
            the shard ``shard_of(table_id)`` demands
            (``misplaced_table``); no table id stored twice
            (``duplicate_table``)
-artifacts  manifest readable (``manifest_unreadable``); every object
-           unpickles (``object_undecodable``) and sits under its
-           digest's prefix directory (``object_misplaced``); no
-           leftover ``*.tmp`` from interrupted writers
-           (``orphan_tmp`` — a *warning*: the store's own aged sweep
-           also clears these)
+artifacts  manifest readable (``manifest_unreadable``); the
+           ``artifacts.sqlite`` database passing SQLite's integrity
+           check (``database_unreadable``); every object row unpickles
+           (``object_undecodable``)
 service    every pending-run entry ``service/pending/<run_id>.json``
            parses and has the entry shape, as does an older
            version's ``service/pending_runs.json`` if one is left
@@ -36,8 +34,9 @@ so nothing fsck does is unrecoverable by hand.  The repairs lean on the
 stores' own redesign-for-recovery properties:
 
 * artifact-store objects are pure functions of their content-addressed
-  keys — a corrupt object is simply deleted (quarantined); the next
-  run recomputes it, byte-identically.
+  keys — a corrupt object row is deleted (its blob quarantined), and a
+  corrupt database is quarantined and started afresh, empty; the next
+  run recomputes what went, byte-identically.
 * corpus rows are content-addressed and re-ingest is idempotent — a
   corrupt or misplaced row is quarantined (as JSON, when recoverable)
   and deleted; re-ingesting the source data restores it.  A missing or
@@ -158,6 +157,12 @@ class _Quarantine:
         path.replace(target)
         return str(target)
 
+    def write_blob(self, component: str, name: str, data: bytes) -> str:
+        """Write raw bytes (a quarantined row's blob) to a new file."""
+        target = self._slot(component, name)
+        target.write_bytes(data)
+        return str(target)
+
     def write_record(self, component: str, name: str, payload: dict) -> str:
         """Append one JSON record (quarantined row content) to a file."""
         directory = self.root / component
@@ -182,6 +187,21 @@ def _quick_check(path: Path) -> str | None:
     except sqlite3.Error as error:
         return f"{type(error).__name__}: {error}"
     return None if verdict == "ok" else str(verdict)
+
+
+def _quarantine_database(
+    quarantine: _Quarantine, component: str, path: Path
+) -> str:
+    """Move a SQLite file into quarantine; returns the destination.
+
+    Its WAL sidecars go too: they must not leak into a fresh file.
+    """
+    moved = quarantine.take_file(component, path)
+    for suffix in ("-wal", "-shm"):
+        sidecar = path.with_name(path.name + suffix)
+        if sidecar.exists():
+            quarantine.take_file(component, sidecar)
+    return moved
 
 
 def _recreate_shard(path: Path) -> None:
@@ -258,13 +278,7 @@ def _check_corpus(
                 )
             )
             if repair:
-                moved = quarantine.take_file("corpus", shard_path)
-                # WAL sidecars of the corrupt shard must not leak into
-                # the fresh file.
-                for suffix in ("-wal", "-shm"):
-                    sidecar = shard_path.with_name(shard_path.name + suffix)
-                    if sidecar.exists():
-                        quarantine.take_file("corpus", sidecar)
+                moved = _quarantine_database(quarantine, "corpus", shard_path)
                 _recreate_shard(shard_path)
                 finding.repaired = True
                 finding.action = f"quarantined to {moved}, recreated empty"
@@ -286,7 +300,7 @@ def _check_corpus(
                 )
             )
             if repair:
-                moved = quarantine.take_file("corpus", shard_path)
+                moved = _quarantine_database(quarantine, "corpus", shard_path)
                 _recreate_shard(shard_path)
                 finding.repaired = True
                 finding.action = f"quarantined to {moved}, recreated empty"
@@ -370,7 +384,7 @@ def _check_corpus(
 def _check_artifacts(
     directory: Path, report: FsckReport, repair: bool, quarantine: _Quarantine
 ) -> None:
-    counts = {"objects": 0, "tmp": 0}
+    counts = {"objects": 0}
     report.checked["artifacts"] = counts
     if not directory.exists():
         return
@@ -397,56 +411,65 @@ def _check_artifacts(
                 )
                 finding.repaired = True
                 finding.action = "quarantined, rewrote version manifest"
-    objects = directory / "objects"
-    for path in sorted(objects.glob("*/*.pkl")):
-        counts["objects"] += 1
-        digest = path.stem
-        finding: FsckFinding | None = None
-        if path.parent.name != digest[:2]:
-            finding = FsckFinding(
-                "artifacts",
-                "object_misplaced",
-                str(path),
-                f"object {digest} filed under prefix {path.parent.name!r}, "
-                f"expected {digest[:2]!r}",
-            )
-        else:
+    database = directory / artifact_store.DATABASE_NAME
+    if not database.exists():
+        return
+    verdict = _quick_check(database)
+    connection = sqlite3.connect(database)
+    undecodable: list[tuple[str, bytes, FsckFinding]] = []
+    try:
+        rows = connection.execute(
+            "SELECT digest, blob FROM objects ORDER BY digest"
+        ) if verdict is None else ()
+        for digest, blob in rows:
+            counts["objects"] += 1
             try:
-                pickle.loads(path.read_bytes())
+                pickle.loads(blob)
             except Exception as error:  # noqa: BLE001 - any unpickling error
                 finding = FsckFinding(
                     "artifacts",
                     "object_undecodable",
-                    str(path),
-                    f"object does not unpickle "
+                    str(database),
+                    f"object {digest} does not unpickle "
                     f"({type(error).__name__}: {error})",
                 )
-        if finding is None:
-            continue
-        report.add(finding)
-        if repair:
-            moved = quarantine.take_file("artifacts", path)
-            finding.repaired = True
-            finding.action = (
-                f"quarantined to {moved} (content-addressed cache entry; "
-                f"the next run recomputes it)"
-            )
-    # Any *.tmp visible to an offline fsck is an interrupted writer.
-    for path in sorted(directory.glob(artifact_store.TMP_PATTERN)):
-        counts["tmp"] += 1
+                undecodable.append((digest, blob, finding))
+    except sqlite3.Error as error:
+        verdict = f"{type(error).__name__}: {error}"
+    if verdict is not None:
+        connection.close()
         finding = report.add(
             FsckFinding(
                 "artifacts",
-                "orphan_tmp",
-                str(path),
-                "temp file from an interrupted writer",
-                severity="warn",
+                "database_unreadable",
+                str(database),
+                f"SQLite integrity check failed: {verdict}",
             )
         )
         if repair:
-            moved = quarantine.take_file("artifacts", path)
+            moved = _quarantine_database(quarantine, "artifacts", database)
+            artifact_store.connect_database(database).close()
             finding.repaired = True
-            finding.action = f"quarantined to {moved}"
+            finding.action = (
+                f"quarantined to {moved}, started an empty store (the "
+                f"next run recomputes every artifact)"
+            )
+        return
+    for digest, blob, finding in undecodable:
+        report.add(finding)
+        if not repair:
+            continue
+        moved = quarantine.write_blob("artifacts", f"{digest}.pkl", blob)
+        with connection:
+            connection.execute(
+                "DELETE FROM objects WHERE digest = ?", (digest,)
+            )
+        finding.repaired = True
+        finding.action = (
+            f"quarantined to {moved} and deleted (content-addressed cache "
+            f"entry; the next run recomputes it)"
+        )
+    connection.close()
 
 
 # -- service journal ---------------------------------------------------

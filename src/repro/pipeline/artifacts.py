@@ -5,11 +5,11 @@ Every cached :meth:`repro.api.RunSession.run` goes through this module:
 * :class:`ArtifactStore` — a small content-addressed object store.  Keys
   are canonical-JSON structures digesting every input of the stored
   value; values are pickles.  A store with a directory (by convention
-  ``<corpus-store>/artifacts``) writes them atomically to disk and
-  survives the process; a store without one keeps them in memory for
-  the life of its session.  There is deliberately no invalidation API:
-  a key embeds the fingerprints of all its inputs, so stale entries are
-  simply never addressed again.
+  ``<corpus-store>/artifacts``) keeps them as rows of one SQLite file,
+  one transaction per write, and survives the process; a store without
+  one keeps them in memory for the life of its session.  There is
+  deliberately no invalidation API: a key embeds the fingerprints of
+  all its inputs, so stale entries are simply never addressed again.
 * :class:`IncrementalBackend` — one run's view of the store.  It holds
   the fingerprints shared by every key (knowledge base, models, config,
   corpus snapshot, restrictions) and hands out the three cache layers:
@@ -55,15 +55,17 @@ store is byte-identical to recomputing — which the differential harness
 from __future__ import annotations
 
 import json
-import os
 import pickle
-import tempfile
+import shutil
+import sqlite3
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro import faults
+from repro.corpus import store as corpus_store
 # ``fingerprint_corpus_state`` is unused here since the backend takes the
 # epoch guard's digest, but perfbench/tracing.py wraps it by this module
 # path; it goes when the benchmark stops doing so.
@@ -97,10 +99,26 @@ __all__ = [
 ARTIFACTS_DIRNAME = "artifacts"
 
 MANIFEST_NAME = "artifact_store.json"
-STORE_VERSION = 1
+#: The SQLite file holding every object of a store with a directory.
+DATABASE_NAME = "artifacts.sqlite"
+#: Version 1 kept one pickle file per object under ``objects/``.
+STORE_VERSION = 2
 
-#: Where an interrupted object write leaves its temp file.
-TMP_PATTERN = "objects/*/*.tmp"
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS objects (
+    digest TEXT PRIMARY KEY,
+    blob BLOB NOT NULL
+) WITHOUT ROWID;
+"""
+
+
+def connect_database(path: Path) -> sqlite3.Connection:
+    """A connection to an artifact database, made if it is missing."""
+    connection = corpus_store._connect(path, _SCHEMA)
+    # Rows are read once per run and never scanned: a small page cache
+    # keeps a long-lived service's footprint flat.
+    connection.execute("PRAGMA cache_size=-256")
+    return connection
 
 
 class ArtifactStore:
@@ -108,78 +126,69 @@ class ArtifactStore:
 
     Layout of a store with a directory::
 
-        <directory>/artifact_store.json     # version manifest
-        <directory>/objects/ab/<digest>.pkl # one pickle per artifact
+        <directory>/artifact_store.json  # version manifest
+        <directory>/artifacts.sqlite     # objects(digest, blob), WAL
 
     A store built without a directory keeps the same pickle blobs in a
     dict and lives as long as its session.  Both backings pickle on
     :meth:`put` and unpickle on :meth:`get`, so a caller mutating a
     value it stored or loaded never changes what the store serves next.
 
-    Disk writes are atomic (temp file + rename), so a crashed run leaves
-    at worst an unreferenced temp file, never a truncated artifact.
-    Those orphans — a writer killed between ``mkstemp`` and
-    ``os.replace`` never reaches its own unlink — are swept on store
-    open, guarded by age so a *live* writer's in-flight temp file is
-    never pulled out from under it (several processes, such as a
-    ``repro run`` and the service, may share one store).
+    On disk each thread gets its own connection, opened on first use.
+    A put is one short transaction, so a killed writer leaves either the
+    whole row or nothing, and several processes (a ``repro run`` and the
+    service, say) may share one store.  A version-1 directory is
+    upgraded on open by dropping its ``objects/`` tree: every artifact
+    is a pure function of its key, so the only loss is recomputation.
     """
 
-    #: A ``*.tmp`` file must be at least this old (seconds) before the
-    #: open-time sweep treats it as an orphan of a dead writer.
-    ORPHAN_TMP_AGE = 3600.0
-
-    def __init__(
-        self,
-        directory: str | Path | None = None,
-        *,
-        orphan_tmp_age: float = ORPHAN_TMP_AGE,
-    ) -> None:
+    def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = Path(directory) if directory is not None else None
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        self.orphan_tmp_age = orphan_tmp_age
-        self.tmp_swept = 0
+        #: Wall seconds spent in :meth:`get` and :meth:`put`.
+        self.get_seconds = 0.0
+        self.put_seconds = 0.0
         #: The in-memory backing: key digest -> pickle blob.  Unused
         #: when a directory is set.
         self._objects: dict[str, bytes] = {}
+        self._local = threading.local()
         if self.directory is None:
             return
         manifest = self.directory / MANIFEST_NAME
+        version = None
         if manifest.exists():
-            document = json.loads(manifest.read_text(encoding="utf-8"))
-            if document.get("version") != STORE_VERSION:
+            version = json.loads(manifest.read_text(encoding="utf-8")).get(
+                "version"
+            )
+            if version not in (1, STORE_VERSION):
                 raise ValueError(
-                    "unsupported artifact store version "
-                    f"{document.get('version')!r} at {self.directory}"
+                    f"unsupported artifact store version {version!r} "
+                    f"at {self.directory}"
                 )
-        else:
+        if version != STORE_VERSION:
             self.directory.mkdir(parents=True, exist_ok=True)
+            shutil.rmtree(self.directory / "objects", ignore_errors=True)
             manifest.write_text(
                 json.dumps({"version": STORE_VERSION}), encoding="utf-8"
             )
-        (self.directory / "objects").mkdir(exist_ok=True)
-        self.tmp_swept = self._sweep_orphans()
 
-    def _sweep_orphans(self) -> int:
-        """Unlink age-expired ``*.tmp`` leftovers; returns how many."""
-        cutoff = time.time() - self.orphan_tmp_age
-        swept = 0
-        for path in self.directory.glob(TMP_PATTERN):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-                    swept += 1
-            except OSError:  # pragma: no cover - racing writer/sweeper
-                pass
-        return swept
+    def _connection(self) -> sqlite3.Connection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = connect_database(
+                self.directory / DATABASE_NAME
+            )
+        return connection
 
-    def _pending_tmp(self) -> int:
-        """Temp files currently on disk (in-flight writers or young orphans)."""
+    def _blob(self, key_digest: str) -> bytes | None:
         if self.directory is None:
-            return 0
-        return sum(1 for _ in self.directory.glob(TMP_PATTERN))
+            return self._objects.get(key_digest)
+        row = self._connection().execute(
+            "SELECT blob FROM objects WHERE digest = ?", (key_digest,)
+        ).fetchone()
+        return None if row is None else row[0]
 
     # -- object API -----------------------------------------------------
     def get(self, key: object) -> object | None:
@@ -189,46 +198,53 @@ class ArtifactStore:
         non-``None`` mapping or tuple, which keeps the miss signal
         unambiguous.
         """
-        key_digest = self.key_digest(key)
-        if self.directory is None:
-            blob = self._objects.get(key_digest)
-        else:
-            try:
-                blob = self._object_path(key_digest).read_bytes()
-            except FileNotFoundError:
-                blob = None
+        started = time.perf_counter()
+        blob = self._blob(self.key_digest(key))
         if blob is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        return pickle.loads(blob)
+            value = None
+        else:
+            self.hits += 1
+            value = pickle.loads(blob)
+        self.get_seconds += time.perf_counter() - started
+        return value
 
     def put(self, key: object, value: object) -> str:
         """Store a value under a key; returns the key digest."""
         if value is None:
             raise ValueError("ArtifactStore cannot store None (miss marker)")
+        started = time.perf_counter()
         key_digest = self.key_digest(key)
         blob = pickle.dumps(value, protocol=4)
         if self.directory is None:
             self._objects[key_digest] = blob
         else:
-            path = self._object_path(key_digest)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(path, blob)
+            connection = self._connection()
+            # Commits on success, rolls back on any raise.
+            with connection:
+                connection.execute(
+                    "INSERT OR REPLACE INTO objects VALUES (?, ?)",
+                    (key_digest, blob),
+                )
+                faults.check("artifacts.put")
         self.writes += 1
+        self.put_seconds += time.perf_counter() - started
         return key_digest
 
     def __contains__(self, key: object) -> bool:
-        key_digest = self.key_digest(key)
-        if self.directory is None:
-            return key_digest in self._objects
-        return self._object_path(key_digest).exists()
+        return self._blob(self.key_digest(key)) is not None
 
     def __len__(self) -> int:
+        return self._size()[0]
+
+    def _size(self) -> tuple[int, int]:
+        """``(objects, bytes of pickles)`` as stored right now."""
         if self.directory is None:
-            return len(self._objects)
-        objects = self.directory / "objects"
-        return sum(1 for _ in objects.glob("*/*.pkl"))
+            return len(self._objects), sum(map(len, self._objects.values()))
+        count, total = self._connection().execute(
+            "SELECT count(*), sum(length(blob)) FROM objects"
+        ).fetchone()
+        return count, total or 0
 
     @staticmethod
     def key_digest(key: object) -> str:
@@ -242,24 +258,13 @@ class ArtifactStore:
         }
 
     def describe(self) -> dict:
-        """A read-only stat surface for monitoring (``GET /metrics``).
+        """A read-only stat surface for monitoring.
 
-        On disk it walks the object directory, so it reflects what is
-        stored — including artifacts written by other processes — not
-        just this handle's activity (which :meth:`stats` counts).
+        On disk it queries the database, so it reflects what is stored
+        — including artifacts written by other processes — not just
+        this handle's activity (which :meth:`stats` counts).
         """
-        if self.directory is None:
-            n_objects = len(self._objects)
-            total_bytes = sum(map(len, self._objects.values()))
-        else:
-            n_objects = 0
-            total_bytes = 0
-            for path in (self.directory / "objects").glob("*/*.pkl"):
-                n_objects += 1
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:  # pragma: no cover - racing deletion
-                    pass
+        n_objects, total_bytes = self._size()
         return {
             "directory": (
                 str(self.directory) if self.directory is not None else None
@@ -267,37 +272,8 @@ class ArtifactStore:
             "version": STORE_VERSION,
             "objects": n_objects,
             "bytes": total_bytes,
-            "tmp_swept": self.tmp_swept,
-            "tmp_pending": self._pending_tmp(),
             **self.stats(),
         }
-
-    # -- internals ------------------------------------------------------
-    def _object_path(self, key_digest: str) -> Path:
-        return (
-            self.directory / "objects" / key_digest[:2] / f"{key_digest}.pkl"
-        )
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temp file and a rename.
-
-    A crash at the ``artifacts.put`` fault point strands an orphan ``*.tmp`` (fsck/sweep
-    territory); a raise is cleaned up below.  Either way ``path`` never
-    holds a torn file.
-    """
-    descriptor, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
-        faults.check("artifacts.put")
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
 
 
 # ---------------------------------------------------------------------------

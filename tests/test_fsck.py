@@ -12,15 +12,16 @@ equivalence by re-running the producer.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
-import pickle
 import sqlite3
 import time
 from pathlib import Path
 
 import pytest
 
+from repro import faults
 from repro.api import RunSession
 from repro.cli import main
 from repro.corpus.store import CorpusStore, content_hash, shard_of
@@ -219,53 +220,71 @@ def artifacts(tmp_path) -> ArtifactStore:
     return store
 
 
+def database(artifacts: ArtifactStore) -> Path:
+    return artifacts.directory / "artifacts.sqlite"
+
+
 class TestArtifacts:
     def test_pristine_artifacts_are_clean(self, artifacts):
         report = run_fsck(artifacts.directory)
         assert report.clean
+        assert report.findings == []
         assert report.checked["artifacts"]["objects"] == 2
 
     def test_object_undecodable(self, artifacts):
-        victim = next(artifacts.directory.glob("objects/*/*.pkl"))
-        victim.write_bytes(b"not a pickle")
+        connection = sqlite3.connect(database(artifacts))
+        with connection:
+            connection.execute(
+                "UPDATE objects SET blob = ? WHERE digest = ?",
+                (b"not a pickle", artifacts.key_digest(["stage", 1])),
+            )
+        connection.close()
         report = run_fsck(artifacts.directory)
         assert not report.clean
         assert kinds(report) == ["object_undecodable"]
         repaired = run_fsck(artifacts.directory, repair=True)
         assert repaired.clean
-        assert list(
-            (artifacts.directory / "quarantine" / "artifacts").iterdir()
-        )
-        # The pruned entry is recomputed on the next put — same key,
-        # same digest, same path.
+        quarantined = artifacts.directory / "quarantine" / "artifacts"
+        (parked,) = quarantined.iterdir()
+        assert parked.read_bytes() == b"not a pickle"
+        # The row went; the next put recomputes it under the same key.
+        assert artifacts.get(["stage", 1]) is None
+        assert len(artifacts) == 1
         artifacts.put(["stage", 1], {"payload": list(range(8))})
+        assert run_fsck(artifacts.directory).findings == []
+        assert len(artifacts) == 2
+
+    def test_database_unreadable_is_started_afresh(self, tmp_path):
+        artifacts = ArtifactStore(tmp_path / "artifacts")
         artifacts.put(["stage", 2], {"payload": "two"})
-        assert run_fsck(artifacts.directory).clean
-        assert len(list(artifacts.directory.glob("objects/*/*.pkl"))) == 2
-
-    def test_object_misplaced(self, artifacts):
-        victim = next(artifacts.directory.glob("objects/*/*.pkl"))
-        wrong = artifacts.directory / "objects" / "zz"
-        wrong.mkdir()
-        victim.rename(wrong / victim.name)
-        report = run_fsck(artifacts.directory)
+        directory, path = artifacts.directory, database(artifacts)
+        # Collecting the only handle closes its connection, which folds
+        # the WAL back into the file before the bytes are clobbered.
+        del artifacts
+        gc.collect()
+        path.write_bytes(b"not a database" * 300)
+        report = run_fsck(directory)
         assert not report.clean
-        assert kinds(report) == ["object_misplaced"]
-        assert run_fsck(artifacts.directory, repair=True).clean
-
-    def test_orphan_tmp_is_a_warning_not_an_error(self, artifacts):
-        prefix_dir = next(artifacts.directory.glob("objects/*"))
-        (prefix_dir / "interrupted.tmp").write_bytes(b"partial write")
-        report = run_fsck(artifacts.directory)
-        # An interrupted writer leaves no torn object — the store stays
-        # clean; the leftover is surfaced, not escalated.
-        assert report.clean
-        (finding,) = report.findings
-        assert finding.kind == "orphan_tmp"
-        assert finding.severity == "warn"
-        repaired = run_fsck(artifacts.directory, repair=True)
+        assert kinds(report) == ["database_unreadable"]
+        repaired = run_fsck(directory, repair=True)
+        assert repaired.clean
         assert repaired.findings[0].repaired
-        assert not list(artifacts.directory.glob("objects/*/*.tmp"))
+        assert list((directory / "quarantine" / "artifacts").iterdir())
+        after = run_fsck(directory)
+        assert after.findings == []
+        assert after.checked["artifacts"]["objects"] == 0
+        reopened = ArtifactStore(directory)
+        assert reopened.get(["stage", 2]) is None
+        reopened.put(["stage", 2], {"payload": "two"})
+        assert ArtifactStore(directory).get(["stage", 2]) == {"payload": "two"}
+
+    def test_interrupted_put_leaves_nothing_to_find(self, artifacts):
+        with faults.armed("artifacts.put:raise@1"):
+            with pytest.raises(faults.FaultInjected):
+                artifacts.put(["stage", 3], {"payload": "three"})
+        report = run_fsck(artifacts.directory)
+        assert report.findings == []
+        assert report.checked["artifacts"]["objects"] == 2
 
     def test_manifest_unreadable_is_rewritten(self, artifacts):
         (artifacts.directory / "artifact_store.json").write_text("[]")
@@ -276,7 +295,7 @@ class TestArtifacts:
         document = json.loads(
             (artifacts.directory / "artifact_store.json").read_text()
         )
-        assert document["version"] == 1
+        assert document["version"] == 2
 
 
 class TestServiceJournal:

@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
-import time
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.api import RunSession
 from repro.corpus.store import CorpusStore, content_hash
 from repro.io import save_knowledge_base
@@ -333,45 +335,102 @@ class TestArtifactStore:
         with pytest.raises(ValueError, match="version"):
             ArtifactStore(directory)
 
-    def test_open_sweeps_aged_orphan_tmp_files(self, tmp_path):
-        """A writer killed between mkstemp and os.replace leaves a
-        ``*.tmp`` behind; reopening the store reclaims it once it is
-        older than the age guard — and reports it in ``describe()``."""
+    def test_two_handles_see_each_others_puts(self, tmp_path):
+        """A ``repro run --store`` beside the service opens a second
+        handle on the same directory."""
         directory = tmp_path / "artifacts"
-        first = ArtifactStore(directory)
-        first.put(["key"], "value")
-        bucket = next((directory / "objects").iterdir())
-        orphans = [bucket / "deadbeef.pkl.tmp", bucket / "cafef00d.pkl.tmp"]
-        ancient = time.time() - 7200
-        for orphan in orphans:
-            orphan.write_bytes(b"partial write")
-            os.utime(orphan, (ancient, ancient))
-        second = ArtifactStore(directory)
-        assert second.tmp_swept == 2
-        assert not any(orphan.exists() for orphan in orphans)
-        described = second.describe()
-        assert described["tmp_swept"] == 2
-        assert described["tmp_pending"] == 0
-        # The real artifact survived the sweep.
-        assert second.get(["key"]) == "value"
+        service, run = ArtifactStore(directory), ArtifactStore(directory)
+        service.put(["from", "service"], {"value": 1})
+        run.put(["from", "run"], (2, "two"))
+        assert run.get(["from", "service"]) == {"value": 1}
+        assert service.get(["from", "run"]) == (2, "two")
+        assert len(service) == len(run) == 2
+        assert service.describe()["objects"] == 2
 
-    def test_sweep_spares_young_tmp_files(self, tmp_path):
-        """A fresh temp file may belong to a live writer sharing the
-        store (another process, the service) — the sweep must not
-        touch it."""
+    def test_writer_and_reader_threads_share_one_store(self, tmp_path):
+        """Threads get their own connections: concurrent puts wait out
+        each other's write lock and reads never see "database is
+        locked"."""
+        store = ArtifactStore(tmp_path / "artifacts")
+        n_writers, n_keys = 3, 100
+        errors: list[BaseException] = []
+        writing = threading.Barrier(n_writers + 1)
+        done = threading.Event()
+
+        def write(writer: int) -> None:
+            try:
+                writing.wait(timeout=60)
+                for number in range(n_keys):
+                    store.put(["key", writer, number], (writer, number))
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def read() -> None:
+            try:
+                writing.wait(timeout=60)
+                while not done.is_set():
+                    for number in range(0, n_keys, 7):
+                        value = store.get(["key", 0, number])
+                        assert value in (None, (0, number))
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        writers = [
+            threading.Thread(target=write, args=(writer,))
+            for writer in range(n_writers)
+        ]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in [*writers, reader]:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=120)
+            done.set()
+            reader.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*writers, reader])
+        assert errors == []
+        assert len(store) == n_writers * n_keys
+        assert all(
+            store.get(["key", writer, number]) == (writer, number)
+            for writer in range(n_writers)
+            for number in range(n_keys)
+        )
+
+    def test_raise_at_put_leaves_no_row(self, tmp_path):
+        store = ArtifactStore(tmp_path / "artifacts")
+        with faults.armed("artifacts.put:raise@1"):
+            with pytest.raises(faults.FaultInjected):
+                store.put(["doomed"], "value")
+        assert store.get(["doomed"]) is None
+        assert len(store) == 0
+        assert store.writes == 0
+        store.put(["doomed"], "value")
+        assert store.get(["doomed"]) == "value"
+        assert ArtifactStore(store.directory).get(["doomed"]) == "value"
+
+    def test_version_1_directory_opens_as_empty_version_2(self, tmp_path):
+        """Version 1 kept one pickle file per object; its objects are
+        dropped on open and recomputed by the next run."""
         directory = tmp_path / "artifacts"
-        ArtifactStore(directory).put(["key"], "value")
-        bucket = next((directory / "objects").iterdir())
-        in_flight = bucket / "deadbeef.pkl.tmp"
-        in_flight.write_bytes(b"partial write")
-        reopened = ArtifactStore(directory)
-        assert reopened.tmp_swept == 0
-        assert in_flight.exists()
-        assert reopened.describe()["tmp_pending"] == 1
-        # An explicit zero age guard reclaims immediately.
-        eager = ArtifactStore(directory, orphan_tmp_age=0.0)
-        assert eager.tmp_swept == 1
-        assert not in_flight.exists()
+        bucket = directory / "objects" / "ab"
+        bucket.mkdir(parents=True)
+        (bucket / ("ab" + "0" * 38 + ".pkl")).write_bytes(
+            pickle.dumps({"stale": True})
+        )
+        (directory / "artifact_store.json").write_text(
+            json.dumps({"version": 1}), encoding="utf-8"
+        )
+        store = ArtifactStore(directory)
+        assert len(store) == 0
+        assert not (directory / "objects").exists()
+        manifest = json.loads((directory / "artifact_store.json").read_text())
+        assert manifest == {"version": 2}
+        store.put(["key"], "value")
+        assert ArtifactStore(directory).get(["key"]) == "value"
 
 
 class TestFingerprints:

@@ -425,6 +425,42 @@ class TestTracedRuns:
         assert logs
         store.close()
 
+    def test_run_span_counts_its_own_artifact_traffic(
+        self, tiny_world, tmp_path
+    ):
+        store = CorpusStore.create(tmp_path / "store", shards=2)
+        store.ingest(list(tiny_world.corpus))
+        session = RunSession.from_corpus_store(
+            store, knowledge_base=tiny_world.knowledge_base
+        )
+        artifacts = session.artifact_store
+
+        def traced_run() -> dict:
+            before = artifacts.stats()
+            session.run(CLASS_NAME, trace=True)
+            after = artifacts.stats()
+            (run_end,) = [
+                e for e in session.last_trace.events()
+                if e["type"] == "end" and e["kind"] == "run"
+            ]
+            counts = run_end["attrs"]["artifacts"]
+            assert counts["hits"] == after["hits"] - before["hits"]
+            assert counts["puts"] == after["writes"] - before["writes"]
+            assert counts["gets"] == counts["hits"] + (
+                after["misses"] - before["misses"]
+            )
+            assert counts["get_s"] >= 0 and counts["put_s"] >= 0
+            return counts
+
+        cold = traced_run()
+        assert cold["puts"] > 0 and cold["put_s"] > 0
+        # The rerun is served from the store: its span shows only its
+        # own reads, none of the first run's writes.
+        warm = traced_run()
+        assert warm["puts"] == 0 and warm["put_s"] == 0
+        assert warm["gets"] == warm["hits"] > 0
+        store.close()
+
 
 # -- ingest spans -------------------------------------------------------
 class TestIngestTracing:

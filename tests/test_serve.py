@@ -626,9 +626,9 @@ class TestMetricsRequestPath:
         self, tmp_path, song_world, world_tables, monkeypatch
     ):
         """``metrics()`` on a new request thread opens no corpus-store
-        connection and globs no artifact object: the corpus size comes
-        from the session's last snapshot and the artifact block from
-        the handle's counters."""
+        or artifact-database connection and globs no path: the corpus
+        size comes from the session's last snapshot and the artifact
+        block from the handle's counters."""
         import pathlib
 
         import repro.corpus.store as corpus_store
@@ -641,9 +641,10 @@ class TestMetricsRequestPath:
             connects, globs = [], []
             connect, glob = corpus_store._connect, pathlib.Path.glob
 
-            def counting_connect(path):
+            # The artifact store connects through this helper too.
+            def counting_connect(path, *schema):
                 connects.append(path)
-                return connect(path)
+                return connect(path, *schema)
 
             def counting_glob(self, pattern, *args, **kwargs):
                 globs.append(pattern)
