@@ -33,7 +33,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.ml.aggregation import StaticWeightedAggregator
@@ -42,14 +42,18 @@ from repro.parallel import ExecutorObserver, make_executor
 from repro.perf.kernels import KernelCache
 from repro.pipeline.artifacts import (
     ARTIFACTS_DIRNAME,
+    FINGERPRINTS,
     AnalysisMemo,
     ArtifactStore,
     IncrementalBackend,
     IncrementalRunReport,
 )
 from repro.pipeline.delta import (
+    SnapshotOrder,
+    corpus_patch,
     corpus_state,
     digest,
+    fingerprint_corpus_patch,
     fingerprint_corpus_state,
     fingerprint_kb,
     pickle_digest,
@@ -139,7 +143,9 @@ class _PersistentStage:
     hit is byte-identical to recomputing by the purity invariant of
     :mod:`repro.pipeline.artifacts`.  On a miss the inner stage runs —
     with its per-table/per-entity caches warmed by the same backend —
-    and the state fields it ``provides`` are stored.
+    and the state fields it ``provides`` are stored, with the
+    fingerprints of those the next stages' keys name; a hit brings them
+    back, so its outputs are never fingerprinted.
     """
 
     def __init__(self, inner: PipelineStage, backend: IncrementalBackend) -> None:
@@ -149,24 +155,26 @@ class _PersistentStage:
         self._backend = backend
 
     def run(self, state: PipelineState) -> PipelineState:
-        key = self._backend.stage_key(self.name, state)
+        backend = self._backend
+        key = backend.stage_key(self.name, state)
         if key is None:  # pragma: no cover - defensive; names are vetted
             return self.inner.run(state)
-        cached = self._backend.store.get(key)
+        cached = backend.store.get(key)
         if cached is not None:
+            fingerprints = cached.pop(FINGERPRINTS)
             for field_name, value in cached.items():
                 setattr(state, field_name, value)
-            self._backend.record_stage(self.name, state.iteration, "hit")
+            backend.record_stage(self.name, state.iteration, "hit")
+            backend.stage_outputs(self.name, state, key, fingerprints)
             return state
-        self._backend.record_stage(self.name, state.iteration, "miss")
+        backend.record_stage(self.name, state.iteration, "miss")
         state = self.inner.run(state)
-        self._backend.store.put(
-            key,
-            {
-                field_name: getattr(state, field_name)
-                for field_name in self.provides
-            },
-        )
+        stored = {
+            field_name: getattr(state, field_name)
+            for field_name in self.provides
+        }
+        stored[FINGERPRINTS] = backend.stage_outputs(self.name, state, key)
+        backend.store.put(key, stored)
         return state
 
 
@@ -230,6 +238,8 @@ class RunSession:
         self._corpus_epoch: str | None = None
         #: The snapshot the epoch was taken from (shared, read-only).
         self._corpus_snapshot: dict[str, str] | None = None
+        #: The snapshot ids' ranks, kept in step with the snapshot.
+        self._corpus_order: SnapshotOrder | None = None
         self._kb_fp: str | None = None
         self._models_fps: dict[int, str] = {}
 
@@ -433,6 +443,7 @@ class RunSession:
                 self.artifact_store,
                 corpus_state=state,
                 corpus_fp=epoch,
+                corpus_order=self._corpus_order,
                 analyses=self.analysis_memo,
                 kb_fp=self._kb_fingerprint(),
                 models_fp=self._models_fingerprint(models),
@@ -459,7 +470,7 @@ class RunSession:
                 row_ids=row_ids,
                 known_classes=known_classes,
                 incremental=backend,
-                corpus_ids=list(state),
+                corpus_ids=state,
             )
         except BaseException as error:
             if tracer is not None:
@@ -510,7 +521,7 @@ class RunSession:
         row_ids: set[RowId] | None,
         known_classes: dict[str, str] | None,
         incremental: IncrementalBackend | None,
-        corpus_ids: list[str],
+        corpus_ids: Iterable[str],
     ) -> PipelineResult:
         """The stage loop of Figure 1: ``config.iterations`` passes over
         ``stage_list``, each iteration's entities and correspondences
@@ -686,26 +697,39 @@ class RunSession:
     ) -> tuple[dict[str, str], str]:
         """Snapshot the corpus; the session's corpus-epoch guard.
 
-        Taken by every run, cached or not.  A snapshot whose ``(table
-        id, content hash)`` sequence equals the previous one (a store
-        handle hands back the very same mapping when no shard changed)
-        reuses the previous epoch without digesting it again.
-        Otherwise the new epoch's work follows the difference between
-        the two snapshots, not the corpus: the ids whose content changed
-        or went away are evicted from the analysis memo and from a live
-        store-backed corpus view's table cache, so no run reads a table
-        the store has since replaced, and the kernel memos age
-        (:meth:`KernelCache.age`), which retires what no run used since
-        the change before.  The session's first run takes it too
-        (``_corpus_epoch`` starts as None) and empties the view's cache
-        and the memo whole.  Stored artifacts stay: their keys embed
-        content fingerprints, so none of them can go stale.  Returns the
-        snapshot and its fingerprint (the epoch), which the run's
-        backend keys on.
+        Taken by every run, cached or not.  When the snapshot is the
+        previous one (a store handle hands back the very same mapping
+        when no shard changed) the previous epoch stays, with no digest.
+        When the session's own store handle made every change since —
+        the service's ingest, say — the handle patched the snapshot and
+        names the patch (:func:`~repro.pipeline.delta.corpus_patch`):
+        the new epoch is digested from the previous epoch and the patch
+        (:func:`~repro.pipeline.delta.fingerprint_corpus_patch`), and
+        the changed and removed ids come from the patch, so the guard's
+        work follows the delta, not the corpus.  A snapshot that was
+        read instead — the session's first run, a write by another
+        handle or process, an in-memory corpus — is compared with the
+        previous one and, if its ``(table id, content hash)`` sequence
+        differs, digested whole, its delta taken by a set difference.
+
+        A new epoch evicts the ids whose content changed or went away
+        from the analysis memo and from a live store-backed corpus
+        view's table cache, so no run reads a table the store has since
+        replaced, and the kernel memos age (:meth:`KernelCache.age`),
+        which retires what no run used since the change before.  The
+        session's first run empties the view's cache and the memo whole
+        (``_corpus_epoch`` starts as None).  Stored artifacts stay:
+        their keys embed content fingerprints or epochs, so none of them
+        can go stale.  An epoch names one snapshot, but one snapshot may
+        get several epochs — a fresh session digests whole what this one
+        patched — which costs a ``schema_match`` stage miss served from
+        the per-table artifacts.  Returns the snapshot and its epoch,
+        which the run's backend keys on.
 
         With a ``tracer``, a ``corpus_guard`` span (kind ``guard``, not
         a stage) under ``run_span`` records whether the epoch was
-        reused and what the change cost.
+        reused, how the snapshot was had (``snapshot``: ``"cached"``,
+        ``"patched"`` or ``"read"``) and what the change cost.
         """
         span = None
         if tracer is not None:
@@ -718,46 +742,79 @@ class RunSession:
         previous = self._corpus_snapshot
         attrs = {
             "reused": True,
+            "snapshot": "cached",
             "changed": 0,
             "removed": 0,
             "memo_pruned": 0,
             "view_evicted": 0,
             "kernel_retired": 0,
         }
-        # Order-sensitive, as the fingerprint is: the same pairs in
-        # another ingest order are another epoch.
-        if previous is not None and (
-            state is previous
-            or list(state.items()) == list(previous.items())
-        ):
-            state, epoch = previous, self._corpus_epoch
+        if state is previous:
+            epoch = self._corpus_epoch
+        elif (patch := corpus_patch(self.corpus, previous, state)) is not None:
+            attrs["snapshot"] = "patched"
+            epoch = fingerprint_corpus_patch(self._corpus_epoch, patch)
+            touched = dict.fromkeys(table_id for table_id, __ in patch)
+            attrs.update(
+                self._start_epoch(
+                    changed=[
+                        table_id for table_id in touched
+                        if table_id in state
+                        and previous.get(table_id) != state[table_id]
+                    ],
+                    removed=[
+                        table_id for table_id in touched
+                        if table_id in previous and table_id not in state
+                    ],
+                )
+            )
+            self._corpus_order.apply(patch)
+            self._corpus_epoch, self._corpus_snapshot = epoch, state
         else:
-            epoch = fingerprint_corpus_state(state, order=list(state))
-            if epoch != self._corpus_epoch:
-                attrs.update(self._start_epoch(previous, state))
-                self._corpus_epoch = epoch
-            self._corpus_snapshot = state
+            attrs["snapshot"] = "read"
+            # Order-sensitive, as the fingerprint is: the same pairs in
+            # another ingest order are another epoch.
+            if previous is not None and list(state.items()) == list(
+                previous.items()
+            ):
+                epoch = self._corpus_epoch
+                self._corpus_snapshot = state
+            else:
+                epoch = fingerprint_corpus_state(state, order=list(state))
+                if previous is None:
+                    attrs.update(self._start_epoch(changed=state, removed=()))
+                else:
+                    attrs.update(
+                        self._start_epoch(
+                            changed={
+                                table_id
+                                for table_id, __ in state.items()
+                                - previous.items()
+                            },
+                            removed=previous.keys() - state.keys(),
+                        )
+                    )
+                self._corpus_order = SnapshotOrder(state)
+                self._corpus_epoch, self._corpus_snapshot = epoch, state
         if span is not None:
             tracer.end(span, attrs)
         return state, epoch
 
     def _start_epoch(
-        self, previous: dict[str, str] | None, state: dict[str, str]
+        self, changed: Collection[str], removed: Collection[str]
     ) -> dict:
-        """Evict what a snapshot change touched; the guard span's attrs."""
+        """Evict what a snapshot change touched; the guard span's attrs.
+
+        The first epoch (no snapshot before) drops the memo and the
+        view's cache whole."""
         invalidate = getattr(self.corpus, "invalidate", None)
-        if previous is None:
-            changed, removed = state.keys(), ()
+        if self._corpus_snapshot is None:
             pruned = len(self.analysis_memo)
             self.analysis_memo.clear()
             evicted = invalidate() if invalidate is not None else 0
         else:
-            changed = {
-                table_id for table_id, __ in state.items() - previous.items()
-            }
-            removed = previous.keys() - state.keys()
             touched = [*changed, *removed]
-            pruned = self.analysis_memo.evict(touched)
+            pruned = self.analysis_memo.evict(changed, removed)
             evicted = invalidate(touched) if invalidate is not None else 0
         return {
             "reused": False,

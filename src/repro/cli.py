@@ -131,25 +131,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     traces = {}
     events: list[dict] = []
     class_names = list(dict.fromkeys(args.classes))
-    for class_name in class_names:
-        # Every run is traced: the span log is where stage seconds and
-        # kernel counters come from.  Without --trace it stays in memory.
-        destination = _trace_destination(
-            args.trace, class_name, len(class_names)
-        )
-        results[class_name] = session.run(
-            class_name,
-            stages=stages,
-            trace=destination if destination is not None else Tracer(),
-        )
-        run_events = session.last_trace.events()
-        events.extend(run_events)
-        if destination is not None:
-            traces[class_name] = {
-                "path": str(destination),
-                "events": len(run_events),
-            }
-        reports[class_name] = session.last_incremental_report
+    try:
+        for class_name in class_names:
+            # Every run is traced: the span log is where stage seconds
+            # and kernel counters come from.  Without --trace it stays
+            # in memory.
+            destination = _trace_destination(
+                args.trace, class_name, len(class_names)
+            )
+            results[class_name] = session.run(
+                class_name,
+                stages=stages,
+                trace=destination if destination is not None else Tracer(),
+            )
+            run_events = session.last_trace.events()
+            events.extend(run_events)
+            if destination is not None:
+                traces[class_name] = {
+                    "path": str(destination),
+                    "events": len(run_events),
+                }
+            reports[class_name] = session.last_incremental_report
+    finally:
+        session.artifact_store.close()
     if args.as_json:
         timings = trace_summary(events)
         document = {
@@ -266,9 +270,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         except (ValueError, FileNotFoundError) as error:
             print(f"error: --then-run failed: {error}")
             return 2
-        for class_name in dict.fromkeys(args.then_run):
-            run_results[class_name] = session.run(class_name)
-            run_reports[class_name] = session.last_incremental_report
+        try:
+            for class_name in dict.fromkeys(args.then_run):
+                run_results[class_name] = session.run(class_name)
+                run_reports[class_name] = session.last_incremental_report
+        finally:
+            session.artifact_store.close()
     if args.as_json:
         document = {
             "store": str(store.directory),
@@ -311,6 +318,7 @@ class _Terminated(BaseException):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import gc
     import signal
 
     from repro.serve import KBService, make_server
@@ -347,6 +355,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"journal: "
               f"{', '.join(doc['run_id'] for doc in recovered)}",
               file=sys.stderr)
+    # The knowledge base and the rest of the start-up heap live as long
+    # as the service; frozen, they leave the collector's generations, so
+    # a full pass that lands inside a refresh cycle no longer walks them.
+    gc.collect()
+    gc.freeze()
     service.start()
     if args.warm:
         for class_name in dict.fromkeys(args.warm):

@@ -122,6 +122,40 @@ def _decode(table_id: str, url: str, payload: str) -> WebTable:
     )
 
 
+def apply_patch(
+    snapshot: dict[str, str], patch: list[tuple[str, str | None]]
+) -> dict[str, str]:
+    """``snapshot`` with ``patch`` applied, as a new mapping.
+
+    Each ``(table id, content hash)`` entry updates a known id in place
+    and appends a new one; ``(table id, None)`` removes the id.  The
+    result, order included, is a function of the two arguments alone,
+    which is what lets an epoch be derived from the previous epoch and
+    the patch (see :func:`repro.pipeline.delta.fingerprint_corpus_patch`).
+    """
+    patched = dict(snapshot)
+    for table_id, chash in patch:
+        if chash is None:
+            patched.pop(table_id, None)
+        else:
+            patched[table_id] = chash
+    return patched
+
+
+#: A shard's change mark (see ``CorpusStore._change_marks``).
+_MARK_SQL = "SELECT token, counter FROM changes"
+
+
+@dataclass(frozen=True)
+class _Snapshot:
+    """A ``content_hashes`` result and the change marks it is valid at."""
+
+    marks: tuple
+    hashes: dict[str, str]
+    #: No table of ``hashes`` has a larger ``seq``.
+    max_seq: int
+
+
 def _connect(path: Path, schema: str = _SHARD_SCHEMA) -> sqlite3.Connection:
     """A WAL connection to a SQLite file, with ``schema`` applied.
 
@@ -242,8 +276,14 @@ class CorpusStore:
         self._connections_guard = threading.Lock()
         self._next_seq = self._max_seq() + 1
         #: The last :meth:`content_hashes` result and the shards' change
-        #: marks it was read at; shared by every thread of this handle.
-        self._snapshot: tuple[tuple, dict[str, str]] | None = None
+        #: marks it is valid at; shared by every thread of this handle.
+        #: This handle's own writes patch it (see ``_patch_snapshot``).
+        self._snapshot: _Snapshot | None = None
+        #: ``(base, patch)``: applying ``patch`` to ``base``, the mapping
+        #: :meth:`patch_since` last answered for, gives the cached
+        #: snapshot's mapping.  ``None`` when that is not known.
+        self._lineage: tuple[dict[str, str], list] | None = None
+        self._snapshot_guard = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------
     @classmethod
@@ -395,31 +435,48 @@ class CorpusStore:
             self._decide(shard, partitions[shard], on_conflict)
             for shard in shards
         ]
-        for shard, (_, writes) in zip(shards, decided):
-            started_wall = time.time()
-            started = time.perf_counter()
-            connection = self._connection(shard)
-            # A crash here loses this shard's writes (the transaction
-            # below never commits) but can never tear a shard — re-ingest
-            # is idempotent.
-            faults.check("corpus.shard_write")
-            with connection:
-                connection.executemany(
-                    "INSERT OR REPLACE INTO tables "
-                    "(table_id, seq, content_hash, n_rows, n_columns, url, "
-                    "payload) VALUES (:table_id, :seq, :content_hash, "
-                    ":n_rows, :n_columns, :url, :payload)",
-                    writes,
-                )
-            if tracer is not None:
-                tracer.span(
-                    f"shard-{shard:03d}",
-                    "shard",
-                    parent=batch_span.span_id,
-                    ts=started_wall,
-                    dur=time.perf_counter() - started,
-                    attrs={"tables": len(partitions[shard])},
-                )
+        base = self._snapshot
+        marks = list(base.marks) if base is not None else None
+        try:
+            for shard, (_, writes) in zip(shards, decided):
+                started_wall = time.time()
+                started = time.perf_counter()
+                # A crash here loses this shard's writes (the transaction
+                # below never commits) but can never tear a shard —
+                # re-ingest is idempotent.
+                faults.check("corpus.shard_write")
+                if writes:
+                    __, marks = self._write(
+                        shard,
+                        marks,
+                        "INSERT OR REPLACE INTO tables "
+                        "(table_id, seq, content_hash, n_rows, n_columns, url, "
+                        "payload) VALUES (:table_id, :seq, :content_hash, "
+                        ":n_rows, :n_columns, :url, :payload)",
+                        writes,
+                    )
+                if tracer is not None:
+                    tracer.span(
+                        f"shard-{shard:03d}",
+                        "shard",
+                        parent=batch_span.span_id,
+                        ts=started_wall,
+                        dur=time.perf_counter() - started,
+                        attrs={"tables": len(partitions[shard])},
+                    )
+        except BaseException:
+            self._forget_snapshot()
+            raise
+        written = [record for _, writes in decided for record in writes]
+        if written:
+            self._patch_snapshot(
+                base,
+                marks,
+                [
+                    (record["table_id"], record["content_hash"], record["seq"])
+                    for record in written
+                ],
+            )
         flat = [outcome for outcomes, _ in decided for outcome in outcomes]
         for table_id, outcome in flat:
             if outcome == "inserted":
@@ -506,21 +563,134 @@ class CorpusStore:
         delta.  Unknown ids raise ``KeyError`` unless ``missing_ok``.
         """
         removed: list[str] = []
-        for table_id in table_ids:
-            shard = shard_of(table_id, self.n_shards)
-            with self._connection(shard) as connection:
-                cursor = connection.execute(
-                    "DELETE FROM tables WHERE table_id = ?", (table_id,)
+        base = self._snapshot
+        marks = list(base.marks) if base is not None else None
+        try:
+            for table_id in table_ids:
+                shard = shard_of(table_id, self.n_shards)
+                deleted, marks = self._write(
+                    shard,
+                    marks,
+                    "DELETE FROM tables WHERE table_id = ?",
+                    [(table_id,)],
                 )
-            if cursor.rowcount == 0:
-                if missing_ok:
-                    continue
-                raise KeyError(
-                    f"cannot remove {table_id!r}: not in corpus store "
-                    f"{self.directory}"
-                )
-            removed.append(table_id)
+                if deleted == 0:
+                    if missing_ok:
+                        continue
+                    raise KeyError(
+                        f"cannot remove {table_id!r}: not in corpus store "
+                        f"{self.directory}"
+                    )
+                removed.append(table_id)
+        except BaseException:
+            self._forget_snapshot()
+            raise
+        if removed:
+            self._patch_snapshot(
+                base, marks, [(table_id, None, 0) for table_id in removed]
+            )
         return removed
+
+    # -- the cached snapshot ---------------------------------------------
+    def _write(
+        self, shard: int, marks: list | None, sql: str, rows: list
+    ) -> tuple[int, list | None]:
+        """``sql`` over ``rows`` in one write transaction on a shard.
+
+        Returns the rows it changed and ``marks`` with the shard's new
+        change mark, or ``None`` for ``marks``.  The mark is read inside
+        the transaction, before and after the write.  If the mark before
+        is the one in ``marks`` (the marks the cached snapshot is valid
+        at, as moved by this call's earlier writes), no other writer
+        touched the shard since that snapshot, so this write is its only
+        change and the snapshot can be patched with it.  Otherwise the
+        next read is a full one.
+        """
+        connection = self._connection(shard)
+        # Commits on success, rolls back on any raise.
+        with connection:
+            connection.execute("BEGIN IMMEDIATE")
+            before = connection.execute(_MARK_SQL).fetchone()
+            changed = connection.executemany(sql, rows).rowcount
+            after = connection.execute(_MARK_SQL).fetchone()
+        if marks is None or before != marks[shard]:
+            return changed, None
+        marks[shard] = after
+        return changed, marks
+
+    def _patch_snapshot(
+        self,
+        base: _Snapshot | None,
+        marks: list | None,
+        written: list[tuple[str, str | None, int]],
+    ) -> None:
+        """Apply one call's committed writes to the cached snapshot.
+
+        ``written`` holds ``(table id, content hash, seq)`` per stored
+        record and ``(table id, None, 0)`` per removed table, in write
+        order.  Sorted by ``seq``, stored records become the patch that
+        :func:`apply_patch` applies: a replaced id
+        keeps its ``seq`` and so its place, a new id goes to the end in
+        ``seq`` order, as a full read sorts them.  That holds only if
+        ``base`` is still the cached snapshot, every write started from
+        its marks, and every new id's ``seq`` follows every ``seq`` in
+        it; in any other case the snapshot is dropped.  A patch makes a
+        new mapping; no caller's is mutated.
+        """
+        with self._snapshot_guard:
+            if base is None or self._snapshot is not base:
+                return
+            written = sorted(written, key=lambda entry: entry[2])
+            fresh = [
+                seq for table_id, chash, seq in written
+                if chash is not None and table_id not in base.hashes
+            ]
+            if marks is None or (fresh and fresh[0] <= base.max_seq):
+                self._snapshot = None
+                self._lineage = None
+                return
+            patch = [(table_id, chash) for table_id, chash, __ in written]
+            hashes = apply_patch(base.hashes, patch)
+            self._snapshot = _Snapshot(
+                tuple(marks), hashes, max([base.max_seq, *fresh])
+            )
+            lineage = self._lineage
+            if lineage is not None:
+                pending = lineage[1] + patch
+                # Past the snapshot's size, digesting it whole is cheaper.
+                self._lineage = (
+                    (lineage[0], pending)
+                    if len(pending) <= len(hashes)
+                    else None
+                )
+
+    def _forget_snapshot(self) -> None:
+        with self._snapshot_guard:
+            self._snapshot = None
+            self._lineage = None
+
+    def patch_since(
+        self, previous: dict[str, str] | None, snapshot: dict[str, str]
+    ) -> list[tuple[str, str | None]] | None:
+        """The patch that turns ``previous`` into ``snapshot``, if known.
+
+        Known when ``snapshot`` is the cached :meth:`content_hashes`
+        result, ``previous`` is the mapping the last call answered for
+        (or the read it came from), and every change between the two was
+        a write of this handle's (see ``_patch_snapshot``).  Otherwise
+        ``None``.  Either way the next call answers for ``snapshot``.
+        The session's epoch guard is the one caller: it holds
+        ``previous`` and derives the next epoch from the patch.
+        """
+        with self._snapshot_guard:
+            cached = self._snapshot
+            if cached is None or cached.hashes is not snapshot:
+                return None
+            lineage = self._lineage
+            self._lineage = (snapshot, [])
+            if lineage is None or lineage[0] is not previous:
+                return None
+            return lineage[1]
 
     # -- read API -------------------------------------------------------
     def content_hashes(self) -> dict[str, str]:
@@ -531,26 +701,34 @@ class CorpusStore:
         at web scale.  When no thread, handle or process has committed a
         write to any shard since the last call, the last snapshot is
         handed back as is, after one read of each shard's change mark
-        and without reading ``tables``.  Callers share the returned
-        mapping and must not mutate it.
+        and without reading ``tables``.  When only this handle wrote —
+        :meth:`ingest` and :meth:`remove_tables` check that inside each
+        write transaction — the snapshot was already patched with the
+        writes and is handed back the same way; :meth:`patch_since` then
+        names the patch.  Callers share the returned mapping and must
+        not mutate it; a patch makes a new one.
         """
         marks = self._change_marks()
-        cached = self._snapshot
-        if cached is not None and cached[0] == marks:
-            return cached[1]
-        entries: list[tuple[int, str, str]] = []
-        for shard in range(self.n_shards):
-            entries.extend(
-                self._connection(shard).execute(
-                    "SELECT seq, table_id, content_hash FROM tables"
+        with self._snapshot_guard:
+            cached = self._snapshot
+            if cached is not None and cached.marks == marks:
+                return cached.hashes
+            entries: list[tuple[int, str, str]] = []
+            for shard in range(self.n_shards):
+                entries.extend(
+                    self._connection(shard).execute(
+                        "SELECT seq, table_id, content_hash FROM tables"
+                    )
                 )
+            entries.sort()
+            snapshot = {table_id: chash for _seq, table_id, chash in entries}
+            # The marks were read first: a write racing the reads above
+            # leaves them behind, so the next call reads again.
+            self._snapshot = _Snapshot(
+                marks, snapshot, entries[-1][0] if entries else 0
             )
-        entries.sort()
-        snapshot = {table_id: chash for _seq, table_id, chash in entries}
-        # The marks were read first: a write racing the reads above
-        # leaves them behind, so the next call reads again.
-        self._snapshot = (marks, snapshot)
-        return snapshot
+            self._lineage = (snapshot, [])
+            return snapshot
 
     def _change_marks(self) -> tuple:
         """Each shard's ``(token, counter)`` change mark, in shard order.
@@ -561,9 +739,7 @@ class CorpusStore:
         do: it is per connection, and this store opens one per thread.
         """
         return tuple(
-            self._connection(shard).execute(
-                "SELECT token, counter FROM changes"
-            ).fetchone()
+            self._connection(shard).execute(_MARK_SQL).fetchone()
             for shard in range(self.n_shards)
         )
 

@@ -23,7 +23,7 @@ observers time them and its errors name the failing tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Collection
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping
 
 from repro.datatypes import DataType
 from repro.datatypes.detection import detect_column_type
@@ -89,6 +89,44 @@ class SchemaMatcherModels:
                 class_name, ("kb_overlap", "kb_label")
             )
         raise ValueError(f"unknown model mode: {mode!r}")
+
+
+@dataclass
+class TableWalk:
+    """The tables one :meth:`SchemaMatcher.match_corpus` call visits when
+    the matcher's caches hold a class decision for every other table of
+    the corpus (an incremental run's matcher, warmed by
+    :meth:`repro.pipeline.artifacts.IncrementalBackend.warm_matcher`)."""
+
+    #: Tables without a cached class decision, in corpus order.
+    pending: list[str]
+    #: Tables whose cached decision names a class (read-only).
+    classed: Collection[str]
+    #: Puts table ids in corpus order.
+    order: Callable[[Iterable[str]], list[str]]
+
+
+class _Layer(dict):
+    """A matcher cache over a shared mapping it never writes: lookups
+    fall through to ``base``, writes stay in the layer.  ``len`` and
+    iteration see the layer only."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: Mapping) -> None:
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, key):
+        return self.base[key]
+
+    def __contains__(self, key) -> bool:
+        return dict.__contains__(self, key) or key in self.base
+
+    def get(self, key, default=None):
+        if dict.__contains__(self, key):
+            return dict.__getitem__(self, key)
+        return self.base.get(key, default)
 
 
 def _analyze_table(
@@ -231,6 +269,20 @@ class SchemaMatcher:
             str, tuple[dict[int, DataType], int | None]
         ] = {}
         self._class_cache: dict[str, tuple[str | None, float]] = {}
+        #: The tables the last :meth:`match_corpus` call analyzed or
+        #: classed, in the order it dispatched them.
+        self.analyzed: list[str] = []
+
+    def share(
+        self,
+        analyses: Mapping[str, tuple],
+        decisions: Mapping[str, tuple[str | None, float]],
+    ) -> None:
+        """Read cached analyses and class decisions through to shared
+        mappings (a session's analysis memo) instead of copying them;
+        what this matcher computes stays its own."""
+        self._analysis_cache = _Layer(analyses)
+        self._class_cache = _Layer(decisions)
 
     # ------------------------------------------------------------------
     def analyze_table(self, corpus: TableCorpus, table_id: str):
@@ -258,6 +310,7 @@ class SchemaMatcher:
         table_ids: list[str] | None = None,
         known_classes: dict[str, str] | None = None,
         classes: Collection[str] | None = None,
+        walk: TableWalk | None = None,
     ) -> SchemaMapping:
         """Full schema matching over (a subset of) the corpus.
 
@@ -272,7 +325,14 @@ class SchemaMatcher:
 
         ``table_ids`` defaults to the corpus's tables; a session run
         passes the ids of its corpus snapshot, so the store is not
-        listed again.  The returned mapping has an entry for every table
+        listed again.  A ``walk`` replaces both passes over the tables:
+        phase A visits only its pending tables, and the mapping is built
+        from its classed tables and the pending ones phase A classed, in
+        corpus order — the same entries in the same order, with no pass
+        over every table.  It needs ``table_ids`` and ``known_classes``
+        left as ``None``.
+
+        The returned mapping has an entry for every table
         matched to a KB class, and none for the others: their class
         decisions stay in the matcher's cache.  Its column types are
         copied from the analysis cache, which an incremental run shares
@@ -280,12 +340,15 @@ class SchemaMatcher:
         """
         if evidence is not None and classes is None:
             raise ValueError("evidence needs the classes it applies to")
-        ids = table_ids if table_ids is not None else corpus.table_ids()
+        if walk is not None:
+            ids = walk.pending
+        else:
+            ids = table_ids if table_ids is not None else corpus.table_ids()
         # Phase A: types, label columns, classes — dispatched in waves
         # for tables whose analysis is not already cached (the matcher
         # persists across pipeline iterations, so iteration 2 is all
-        # cache hits; an incremental run pre-warms the caches from the
-        # session's analysis memo, so only the delta is dispatched).
+        # cache hits; an incremental run reads the session's analysis
+        # memo through, so only the delta is dispatched).
         pending: list[tuple[str, bool]] = []
         for table_id in ids:
             externally_classed = (
@@ -314,6 +377,17 @@ class SchemaMatcher:
                 self._analysis_cache[table.table_id] = (column_types, label_column)
                 if decision is not None:
                     self._class_cache[table.table_id] = decision
+        self.analyzed = [table_id for table_id, __ in pending]
+        if walk is not None:
+            ids = walk.order(
+                {
+                    *walk.classed,
+                    *(
+                        table_id for table_id in self.analyzed
+                        if self._class_cache[table_id][0] is not None
+                    ),
+                }
+            )
         # The base entry of every table matched to a KB class — on a
         # realistic web corpus most tables match nothing, and nothing
         # downstream reads an unclassed table's entry.  The cached

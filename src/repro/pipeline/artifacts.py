@@ -66,25 +66,23 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro import faults
 from repro.corpus import store as corpus_store
-# ``fingerprint_corpus_state`` is unused here since the backend takes the
-# epoch guard's digest, but perfbench/tracing.py wraps it by this module
-# path; it goes when the benchmark stops doing so.
+from repro.pipeline import delta
+# Kept importable from here: perfbench/tracing.py wraps
+# ``fingerprint_corpus_state`` by this module path, and callers import
+# ``fingerprint_evidence`` from it.
 from repro.pipeline.delta import (  # noqa: F401 - see above
+    SnapshotOrder,
     digest,
-    fingerprint_clusters,
     fingerprint_corpus_state,
-    fingerprint_entities,
-    fingerprint_entity,
-    fingerprint_mapping,
-    fingerprint_records,
-    fingerprint_tables,
+    fingerprint_evidence,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.fusion.entity import Entity
     from repro.matching.attribute_property import MatcherFeedback
     from repro.matching.correspondences import TableMapping
     from repro.matching.matchers import DuplicateEvidence
-    from repro.matching.schema_matcher import SchemaMatcher
+    from repro.matching.schema_matcher import SchemaMatcher, TableWalk
     from repro.pipeline.stages import PipelineState
 
 __all__ = [
@@ -103,6 +101,21 @@ MANIFEST_NAME = "artifact_store.json"
 DATABASE_NAME = "artifacts.sqlite"
 #: Version 1 kept one pickle file per object under ``objects/``.
 STORE_VERSION = 2
+#: In every stage key, after the stage name.  Format 2 names inputs by
+#: fingerprints taken once per value and keeps each stage output's
+#: fingerprints beside it (:data:`FINGERPRINTS`); a store written in
+#: format 1 simply misses.
+STAGE_KEY_FORMAT = 2
+#: The entry of a stage artifact holding its outputs' fingerprints.
+FINGERPRINTS = "fingerprints"
+#: The stage whose output each fingerprinted stage input is.
+_PRODUCERS = {
+    "records": "schema_match",
+    "mapping": "schema_match",
+    "tables": "schema_match",
+    "clusters": "cluster",
+    "entities": "fuse",
+}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS objects (
@@ -154,6 +167,9 @@ class ArtifactStore:
         #: when a directory is set.
         self._objects: dict[str, bytes] = {}
         self._local = threading.local()
+        #: Every thread's connection by thread ident, for :meth:`close`.
+        self._connections: dict[int, sqlite3.Connection] = {}
+        self._connections_guard = threading.Lock()
         if self.directory is None:
             return
         manifest = self.directory / MANIFEST_NAME
@@ -180,7 +196,33 @@ class ArtifactStore:
             connection = self._local.connection = connect_database(
                 self.directory / DATABASE_NAME
             )
+            with self._connections_guard:
+                # A connection whose thread has exited (or whose ident
+                # this thread now reuses) is closed here.
+                alive = {thread.ident for thread in threading.enumerate()}
+                ident = threading.get_ident()
+                for owner in [
+                    owner for owner in self._connections
+                    if owner == ident or owner not in alive
+                ]:
+                    self._connections.pop(owner).close()
+                self._connections[ident] = connection
         return connection
+
+    def close(self) -> None:
+        """Close every thread's connection to the database.
+
+        Closing the last connection folds the WAL back into the file, so
+        a handle closed this way leaves no ``-wal`` or ``-shm`` behind,
+        while a dropped one keeps them until the garbage collector frees
+        its connections.  The handle stays usable: a later call opens a
+        new connection.  No thread may be using the store meanwhile.
+        """
+        with self._connections_guard:
+            connections, self._connections = self._connections, {}
+        for connection in connections.values():
+            connection.close()
+        self._local = threading.local()
 
     def _blob(self, key_digest: str) -> bytes | None:
         if self.directory is None:
@@ -277,54 +319,6 @@ class ArtifactStore:
 
 
 # ---------------------------------------------------------------------------
-# Structured fingerprints of matcher feedback (hash-seed independent)
-# ---------------------------------------------------------------------------
-
-def _evidence_payload(evidence: "DuplicateEvidence | None") -> object:
-    if evidence is None:
-        return None
-    return [
-        sorted(
-            [list(row_id), uri]
-            for row_id, uri in evidence.row_instance.items()
-        ),
-        sorted(
-            [list(row_id), cluster_id]
-            for row_id, cluster_id in evidence.cluster_of_row.items()
-        ),
-        sorted(
-            [
-                cluster_id,
-                property_name,
-                sorted([repr(value), table_id] for value, table_id in values),
-            ]
-            for (cluster_id, property_name), values
-            in evidence.cluster_values.items()
-        ),
-    ]
-
-
-def fingerprint_evidence(evidence: "DuplicateEvidence | None") -> str:
-    """Digest of the cross-iteration duplicate feedback."""
-    return digest(_evidence_payload(evidence))
-
-
-def _feedback_payload(feedback: "MatcherFeedback | None") -> object:
-    if feedback is None:
-        return None
-    header_stats = feedback.header_stats
-    return [
-        sorted(
-            [header, property_name, repr(score)]
-            for (header, property_name), score in header_stats.scores.items()
-        )
-        if header_stats is not None
-        else None,
-        _evidence_payload(feedback.evidence),
-    ]
-
-
-# ---------------------------------------------------------------------------
 # The per-run backend
 # ---------------------------------------------------------------------------
 
@@ -332,7 +326,7 @@ class _LimitView:
     """One candidate limit's analyses, keyed by table id and shaped like
     a :class:`~repro.matching.schema_matcher.SchemaMatcher`'s caches."""
 
-    __slots__ = ("contents", "analyses", "decisions")
+    __slots__ = ("contents", "analyses", "decisions", "classed", "missing")
 
     def __init__(self) -> None:
         #: table id -> the content hash its analysis is of.
@@ -341,6 +335,12 @@ class _LimitView:
         self.analyses: dict[str, tuple] = {}
         #: table id -> class decision, for tables that have one.
         self.decisions: dict[str, tuple] = {}
+        #: Tables whose decision names a class.
+        self.classed: set[str] = set()
+        #: Snapshot tables with no decision here; ``None`` until a run
+        #: walks the snapshot once to find them (see
+        #: :meth:`IncrementalBackend.warm_matcher`).
+        self.missing: set[str] | None = None
 
 
 class AnalysisMemo(dict):
@@ -348,10 +348,11 @@ class AnalysisMemo(dict):
     limit)`` -> ``(column types, label column, class decision or None)``.
 
     Besides the mapping itself it keeps one :class:`_LimitView` per
-    candidate limit, so a run's fresh matcher is warmed with two dict
-    updates rather than one lookup per table.  It holds analyses of the
-    session's current corpus snapshot only: entries come from runs over
-    that snapshot, and the epoch guard evicts the ids a snapshot change
+    candidate limit, which a run's fresh matcher reads through instead
+    of copying, and which knows the tables it lacks a decision for and
+    the tables it has classed.  It holds analyses of the session's
+    current corpus snapshot only: entries come from runs over that
+    snapshot, and the epoch guard evicts the ids a snapshot change
     touched.  Write through :meth:`remember` and :meth:`evict`, never
     item assignment.  Values are shared with the matchers they warm;
     treat them as read-only.
@@ -377,11 +378,21 @@ class AnalysisMemo(dict):
         view.analyses[table_id] = (column_types, label_column)
         if decision is not None:
             view.decisions[table_id] = decision
+            if decision[0] is not None:
+                view.classed.add(table_id)
+            if view.missing is not None:
+                view.missing.discard(table_id)
 
-    def evict(self, table_ids: Iterable[str]) -> int:
-        """Drop every entry of the given tables; returns how many."""
+    def evict(
+        self, changed: Iterable[str], removed: Iterable[str] = ()
+    ) -> int:
+        """Drop every entry of the tables a snapshot change touched;
+        returns how many.  ``changed`` tables are in the new snapshot
+        with new content, so each view now lacks them; ``removed`` ones
+        are gone from it."""
+        changed, removed = list(changed), list(removed)
         dropped = 0
-        for table_id in table_ids:
+        for table_id in [*changed, *removed]:
             for limit, view in self._views.items():
                 content = view.contents.pop(table_id, None)
                 if content is None:
@@ -389,7 +400,12 @@ class AnalysisMemo(dict):
                 del self[table_id, content, limit]
                 del view.analyses[table_id]
                 view.decisions.pop(table_id, None)
+                view.classed.discard(table_id)
                 dropped += 1
+        for view in self._views.values():
+            if view.missing is not None:
+                view.missing.update(changed)
+                view.missing.difference_update(removed)
         return dropped
 
     def clear(self) -> None:
@@ -452,11 +468,17 @@ class IncrementalBackend:
     at run start (a run must never observe a half-applied delta) and the
     session-level fingerprints, and collect the reuse statistics for the
     :class:`IncrementalRunReport`.  ``corpus_state`` is the session's
-    snapshot, shared and read-only; ``corpus_fp`` is its
-    :func:`~repro.pipeline.delta.fingerprint_corpus_state` in snapshot
-    order, as the session's epoch guard computed it; ``analyses`` is the
-    session's :class:`AnalysisMemo`, which holds analyses of that
-    snapshot only.
+    snapshot, shared and read-only; ``corpus_fp`` is its epoch, as the
+    session's epoch guard computed it; ``corpus_order`` ranks its ids;
+    ``analyses`` is the session's :class:`AnalysisMemo`, which holds
+    analyses of that snapshot only.
+
+    Every stage input is fingerprinted at most once per value: each
+    kind's latest fingerprint is kept with the objects it was taken of
+    and served again while the state still holds those very objects.
+    A stage artifact keeps its outputs' fingerprints beside them
+    (:data:`FINGERPRINTS`), so an input that came out of a stage hit is
+    not fingerprinted at all.
     """
 
     def __init__(
@@ -465,6 +487,7 @@ class IncrementalBackend:
         *,
         corpus_state: Mapping[str, str],
         corpus_fp: str,
+        corpus_order: SnapshotOrder,
         analyses: AnalysisMemo,
         kb_fp: str,
         models_fp: str,
@@ -475,6 +498,7 @@ class IncrementalBackend:
         self.store = store
         self.corpus_state = corpus_state
         self.corpus_fp = corpus_fp
+        self.corpus_order = corpus_order
         self.analyses = analyses
         self.kb_fp = kb_fp
         self.models_fp = models_fp
@@ -484,12 +508,135 @@ class IncrementalBackend:
         self.report = IncrementalRunReport()
         self._attribute_cache = _MatcherAttributeCache(self)
         self._bulk_warmed = False
+        #: kind -> (the objects it was taken of, fingerprint).
+        self._fingerprints: dict[str, tuple[tuple, object]] = {}
+
+    # -- fingerprints, one per value -------------------------------------
+    def _fingerprint(self, kind: str, sources: tuple, compute) -> object:
+        known = self._fingerprints.get(kind)
+        if known is not None and all(
+            held is source for held, source in zip(known[0], sources)
+        ):
+            return known[1]
+        value = compute()
+        self._fingerprints[kind] = (sources, value)
+        return value
+
+    def _seed(self, kind: str, sources: tuple, value: object) -> None:
+        self._fingerprints[kind] = (sources, value)
+
+    def evidence_fp(self, evidence: "DuplicateEvidence | None") -> str:
+        """Shared by the ``schema_match`` key and the attribute cache's
+        feedback keys."""
+        return self._fingerprint(
+            "evidence",
+            (evidence,),
+            lambda: delta.fingerprint_evidence(evidence),
+        )
+
+    def entity_fps(self, entities: list["Entity"]) -> list[str]:
+        """Each entity's content fingerprint, aligned with ``entities``:
+        the entity list's fingerprint and the per-entity detection keys
+        are both made of them."""
+        return self._fingerprint(
+            "entity",
+            (entities,),
+            lambda: [delta.fingerprint_entity(entity) for entity in entities],
+        )
+
+    def _output_fingerprints(
+        self, stage_name: str, state: "PipelineState"
+    ) -> dict[str, tuple[tuple, object]]:
+        """``kind -> (sources, compute)`` of a stage's fingerprinted
+        outputs: the inputs of the stages after it."""
+        if stage_name == "schema_match":
+            records, mapping, tables = (
+                state.records, state.mapping, state.target_tables,
+            )
+            return {
+                "records": (
+                    (records,),
+                    lambda: delta.fingerprint_records(records),
+                ),
+                "mapping": (
+                    (mapping, tables),
+                    lambda: delta.fingerprint_mapping(mapping, tables)
+                    if mapping is not None
+                    else None,
+                ),
+                "tables": (
+                    (tables,),
+                    lambda: delta.fingerprint_tables(
+                        self.corpus_state, tables
+                    ),
+                ),
+            }
+        if stage_name == "cluster":
+            clusters = state.clusters
+            return {
+                "clusters": (
+                    (clusters,),
+                    lambda: delta.fingerprint_clusters(clusters),
+                ),
+            }
+        if stage_name == "fuse":
+            entities = state.entities
+            return {
+                "entity": ((entities,), lambda: self.entity_fps(entities)),
+                "entities": (
+                    (entities,),
+                    lambda: delta.fingerprint_entities(
+                        entities, self.entity_fps(entities)
+                    ),
+                ),
+            }
+        return {}
+
+    def _input(self, kind: str, state: "PipelineState") -> object:
+        sources, compute = self._output_fingerprints(
+            _PRODUCERS[kind], state
+        )[kind]
+        return self._fingerprint(kind, sources, compute)
+
+    def stage_outputs(
+        self,
+        stage_name: str,
+        state: "PipelineState",
+        key: list,
+        stored: dict | None = None,
+    ) -> dict:
+        """Fingerprints of a finished stage's outputs.
+
+        After a hit, ``stored`` holds the ones its artifact kept, and
+        they are taken as they are.  After a miss they are computed once
+        here and returned, for the artifact to keep.  The clusters are
+        named by the cluster key instead: equal keys mean equal clusters
+        and, the records and the rest of the key being their only
+        inputs, the reverse holds too.  No other key stands in for the
+        value it produced; a ``schema_match`` key changes with every
+        snapshot, and an unchanged class must still hit after it.
+        """
+        if stage_name == "cluster":
+            self._seed(
+                "clusters", (state.clusters,), "stage:" + digest(key)
+            )
+            return {}
+        fingerprints = {}
+        for kind, (sources, compute) in self._output_fingerprints(
+            stage_name, state
+        ).items():
+            if stored is not None:
+                self._seed(kind, sources, stored[kind])
+            else:
+                fingerprints[kind] = self._fingerprint(kind, sources, compute)
+        return fingerprints
 
     # -- stage-level artifacts ------------------------------------------
     def _base_key(self, stage_name: str, iteration: int) -> list:
         return [
             "stage",
             stage_name,
+            STAGE_KEY_FORMAT,
             self.class_name,
             "config",
             self.config_fp,
@@ -506,48 +653,43 @@ class IncrementalBackend:
     def stage_key(self, stage_name: str, state: "PipelineState") -> list | None:
         """The exact-input key of one stage artifact, or ``None`` when the
         stage is not one of the four known default stages (custom stages
-        opt out of persistence — their inputs cannot be fingerprinted)."""
+        opt out of persistence — their inputs cannot be fingerprinted).
+
+        Inputs are named by fingerprints this backend takes once per
+        value, or by those a stage hit brought back
+        (:meth:`stage_outputs`): the records fingerprint of the cluster
+        key serves the detect key, and the evidence fingerprint of the
+        ``schema_match`` key serves the attribute cache.  The corpus is
+        named by its epoch, and the clusters by the cluster key.
+        """
         key = self._base_key(stage_name, state.iteration)
         if stage_name == "schema_match":
             key += [
                 "corpus",
                 self.corpus_fp,
                 "evidence",
-                fingerprint_evidence(state.evidence),
-                # Evidence scores only the run's class tables (see
-                # ``SchemaMatcher.match_corpus``); the tag keeps a store
-                # written before that scoping from serving its
-                # corpus-wide iteration-2 mapping.
-                "scope",
-                "class" if state.evidence is not None else "corpus",
-                # The mapping holds only KB-classed tables; the tag keeps
-                # a store written before that from serving a mapping
-                # with an entry for every table.
-                "entries",
-                "classed",
+                self.evidence_fp(state.evidence),
             ]
             return key
         if stage_name == "cluster":
-            key += ["records", fingerprint_records(state.records)]
+            key += ["records", self._input("records", state)]
             return key
         if stage_name == "fuse":
             key += [
                 "clusters",
-                fingerprint_clusters(state.clusters),
+                self._input("clusters", state),
                 "mapping",
-                fingerprint_mapping(state.mapping, state.target_tables)
-                if state.mapping is not None
-                else None,
+                self._input("mapping", state),
                 "tables",
-                fingerprint_tables(self.corpus_state, state.target_tables),
+                self._input("tables", state),
             ]
             return key
         if stage_name == "detect":
             key += [
                 "entities",
-                fingerprint_entities(state.entities),
+                self._input("entities", state),
                 "records",
-                fingerprint_records(state.records),
+                self._input("records", state),
             ]
             return key
         return None
@@ -567,67 +709,72 @@ class IncrementalBackend:
             content,
         ]
 
-    def warm_matcher(self, matcher: "SchemaMatcher") -> None:
-        """Load per-table analyses into a matcher's caches.
+    def warm_matcher(self, matcher: "SchemaMatcher") -> "TableWalk":
+        """Serve per-table analyses to a matcher; returns the tables its
+        :meth:`~repro.matching.schema_matcher.SchemaMatcher.match_corpus`
+        call has left to visit.
 
-        The first call of a run gets the run's fresh matcher and copies
-        in the session memo's view for the matcher's candidate limit in
-        two dict updates: every memo entry is an analysis of a snapshot
-        table.  Only when some snapshot table has no memo entry are the
-        snapshot's ids walked, and each such table costs a store read (a
-        hit then fills the memo).  Loads from either count as loaded.
-        The second iteration's call finds every table iteration one
-        warmed or computed already in the memo.  The matcher's caches
-        share the memo's values, which are read-only.
+        The first call of a run has the run's fresh matcher read through
+        the session memo's view for its candidate limit: nothing is
+        copied, and every memo entry is an analysis of a snapshot table.
+        The view knows which snapshot tables it has no decision for —
+        after a snapshot patch, the patch's new and changed ids.  Only
+        the session's first run over a snapshot walks the snapshot to
+        find them.  Each of them that has no analysis costs a store read
+        (a hit fills the memo); loads from either count as loaded.  The
+        second iteration's call finds every table iteration one warmed
+        or computed already in the memo.  The memo's values are
+        read-only.
         """
+        from repro.matching.schema_matcher import TableWalk
+
         matcher.attribute_cache = self._attribute_cache
         limit = matcher.candidate_limit
         view = self.analyses.view(limit)
         if not self._bulk_warmed:
             self._bulk_warmed = True
-            matcher._analysis_cache.update(view.analyses)
-            matcher._class_cache.update(view.decisions)
+            matcher.share(view.analyses, view.decisions)
             self.report.analysis_loaded += len(view.analyses)
-        if len(view.contents) == len(self.corpus_state):
-            return
-        for table_id, content in self.corpus_state.items():
+        if view.missing is None:
+            view.missing = {
+                table_id for table_id in self.corpus_state
+                if table_id not in view.decisions
+            }
+        missing = self.corpus_order.sort(view.missing)
+        for table_id in missing:
             if table_id in view.contents:
-                continue
-            if table_id in matcher._analysis_cache and (
-                table_id in matcher._class_cache
-            ):
-                continue
+                continue  # analysed; its decision is left to compute
+            content = self.corpus_state[table_id]
             artifact = self.store.get(
                 self._analysis_key(matcher, table_id, content)
             )
             if artifact is None:
                 continue
             self.analyses.remember(table_id, content, limit, artifact)
-            column_types, label_column, decision = artifact
-            matcher._analysis_cache[table_id] = (column_types, label_column)
-            if decision is not None:
-                matcher._class_cache[table_id] = decision
             self.report.analysis_loaded += 1
+        return TableWalk(
+            pending=[
+                table_id for table_id in missing
+                if table_id not in view.decisions
+            ],
+            classed=view.classed,
+            order=self.corpus_order.sort,
+        )
 
     def harvest_matcher(self, matcher: "SchemaMatcher") -> None:
-        """Persist analyses the matcher computed this run, to the store
-        and to the session's memo.
-
-        Every memo entry of the matcher's limit is in the matcher's
-        cache (warmed or harvested), so equal sizes mean nothing new.
-        """
+        """Persist the analyses the matcher's last ``match_corpus`` call
+        computed, to the store and to the session's memo."""
         limit = matcher.candidate_limit
-        contents = self.analyses.view(limit).contents
-        if len(matcher._analysis_cache) == len(contents):
-            return
-        for table_id, analysis in matcher._analysis_cache.items():
-            if table_id in contents:
-                continue
+        for table_id in matcher.analyzed:
             content = self.corpus_state.get(table_id)
             if content is None:
                 continue
-            decision = matcher._class_cache.get(table_id)
-            artifact = (analysis[0], analysis[1], decision)
+            column_types, label_column = matcher._analysis_cache[table_id]
+            artifact = (
+                column_types,
+                label_column,
+                matcher._class_cache.get(table_id),
+            )
             self.store.put(
                 self._analysis_key(matcher, table_id, content), artifact
             )
@@ -638,8 +785,9 @@ class IncrementalBackend:
     def detection_cache(
         self,
         implicit_by_table: Mapping[str, Mapping[str, object]],
+        entities: list["Entity"],
     ) -> "_DetectionCache":
-        return _DetectionCache(self, implicit_by_table)
+        return _DetectionCache(self, implicit_by_table, entities)
 
 
 class _MatcherAttributeCache:
@@ -658,6 +806,23 @@ class _MatcherAttributeCache:
         #: class name -> digest, memoized per (mode, feedback) pass.
         self._feedback_fps: dict[tuple[str, str], str] = {}
 
+    def _feedback_fp(self, feedback: "MatcherFeedback | None") -> str:
+        if feedback is None:
+            return digest(None)
+        header_stats = feedback.header_stats
+        return digest(
+            [
+                sorted(
+                    [header, property_name, repr(score)]
+                    for (header, property_name), score
+                    in header_stats.scores.items()
+                )
+                if header_stats is not None
+                else None,
+                self._backend.evidence_fp(feedback.evidence),
+            ]
+        )
+
     def _key(
         self,
         mode: str,
@@ -670,10 +835,8 @@ class _MatcherAttributeCache:
         memo = (mode, table_mapping.class_name)
         feedback_fp = self._feedback_fps.get(memo)
         if feedback_fp is None:
-            feedback_fp = digest(
-                _feedback_payload(
-                    feedback_by_class.get(table_mapping.class_name)
-                )
+            feedback_fp = self._feedback_fp(
+                feedback_by_class.get(table_mapping.class_name)
             )
             self._feedback_fps[memo] = feedback_fp
         return [
@@ -726,25 +889,37 @@ class _DetectionCache:
     ``(classification, correspondence, best_score)`` — entity ids stay
     *outside* the key (they are creation-order counters), so an entity
     whose content survived a delta is served even when its id moved.
+    The key names the entity by the content fingerprint the run already
+    took for the entity list, plus the implicit attributes of its
+    tables; each entity's key is built once.
     """
 
     def __init__(
         self,
         backend: IncrementalBackend,
         implicit_by_table: Mapping[str, Mapping[str, object]],
+        entities: list["Entity"],
     ) -> None:
         self._backend = backend
-        self._implicit = implicit_by_table
+        #: ``id(entity)`` -> key; ``entities`` keeps the ids live.
+        self._entities = entities
+        self._keys = {
+            id(entity): [
+                "detect-entity",
+                backend.kb_fp,
+                backend.models_fp,
+                backend.config_fp,
+                backend.class_name,
+                entity_fp,
+                delta.implicit_payload(entity, implicit_by_table),
+            ]
+            for entity, entity_fp in zip(
+                entities, backend.entity_fps(entities)
+            )
+        }
 
     def _key(self, entity) -> list:
-        return [
-            "detect-entity",
-            self._backend.kb_fp,
-            self._backend.models_fp,
-            self._backend.config_fp,
-            self._backend.class_name,
-            fingerprint_entity(entity, self._implicit),
-        ]
+        return self._keys[id(entity)]
 
     def get(self, entity) -> tuple | None:
         artifact = self._backend.store.get(self._key(entity))

@@ -15,9 +15,15 @@ Two layers live here:
   ``{table_id: content_hash}`` mapping (see
   :meth:`repro.corpus.store.CorpusStore.content_hashes`), and
   :func:`fingerprint_corpus_state` digests it, ingest order included.
+  When a store handle patched its snapshot with its own writes,
+  :func:`corpus_patch` names the patch and
+  :func:`fingerprint_corpus_patch` derives the next digest from the
+  previous one and the patch, without reading the whole snapshot.
 * **Fingerprints** — canonical digests for every stage input: row
-  records, schema mappings, clusters, entities, table subsets, the
-  knowledge base, and arbitrary picklable model state.
+  records, schema mappings, clusters, entities, duplicate evidence,
+  table subsets, the knowledge base, and arbitrary picklable model
+  state.  A run takes each at most once per value
+  (:class:`repro.pipeline.artifacts.IncrementalBackend`).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.clustering.greedy import Cluster
 from repro.fusion.entity import Entity
@@ -33,9 +39,15 @@ from repro.kb.knowledge_base import KnowledgeBase
 from repro.matching.correspondences import SchemaMapping
 from repro.matching.records import RowRecord
 
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.matching.matchers import DuplicateEvidence
+
 __all__ = [
+    "corpus_patch",
     "corpus_state",
+    "fingerprint_corpus_patch",
     "fingerprint_corpus_state",
+    "fingerprint_evidence",
     "fingerprint_records",
     "fingerprint_mapping",
     "fingerprint_clusters",
@@ -43,7 +55,9 @@ __all__ = [
     "fingerprint_entity",
     "fingerprint_kb",
     "fingerprint_tables",
+    "implicit_payload",
     "pickle_digest",
+    "SnapshotOrder",
     "digest",
 ]
 
@@ -111,6 +125,63 @@ def fingerprint_corpus_state(
     """
     ids = list(order) if order is not None else list(state)
     return digest([[table_id, state[table_id]] for table_id in ids])
+
+
+def corpus_patch(
+    corpus, previous: Mapping[str, str] | None, state: Mapping[str, str]
+) -> list[tuple[str, str | None]] | None:
+    """The patch that turned snapshot ``previous`` into ``state``.
+
+    Only a store handle that made every change itself knows it
+    (:meth:`repro.corpus.store.CorpusStore.patch_since`); for any other
+    corpus, a first snapshot or a foreign write it is ``None``.
+    """
+    store = getattr(corpus, "store", None)
+    patch_since = getattr(store, "patch_since", None)
+    if previous is None or patch_since is None:
+        return None
+    return patch_since(previous, state)
+
+
+def fingerprint_corpus_patch(
+    epoch: str, patch: Sequence[tuple[str, str | None]]
+) -> str:
+    """The digest of ``apply_patch(previous, patch)`` given ``epoch``,
+    the digest of ``previous``.
+
+    Sound because :func:`repro.corpus.store.apply_patch` is a function
+    of the snapshot and the patch alone, order included: equal digests
+    mean equal previous snapshots and equal patches, hence equal
+    snapshots.  The leading tag keeps this input apart from a whole
+    snapshot's (a list of pairs).  The same snapshot reached another
+    way (a full read, another sequence of patches) gets another digest,
+    which costs a stage miss, never a wrong hit.
+    """
+    return digest(["patch", epoch, [list(entry) for entry in patch]])
+
+
+class SnapshotOrder:
+    """Each snapshot table's rank in snapshot order, kept in step with
+    patches, so a few ids can be put in snapshot order without walking
+    the snapshot."""
+
+    __slots__ = ("rank", "_next")
+
+    def __init__(self, state: Iterable[str]) -> None:
+        self.rank = {table_id: number for number, table_id in enumerate(state)}
+        self._next = len(self.rank)
+
+    def apply(self, patch: Iterable[tuple[str, str | None]]) -> None:
+        """Follow a patch, by the rule of :func:`~repro.corpus.store.apply_patch`."""
+        for table_id, content in patch:
+            if content is None:
+                self.rank.pop(table_id, None)
+            elif table_id not in self.rank:
+                self.rank[table_id] = self._next
+                self._next += 1
+
+    def sort(self, table_ids: Iterable[str]) -> list[str]:
+        return sorted(table_ids, key=self.rank.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -198,53 +269,90 @@ def fingerprint_clusters(clusters: Sequence[Cluster]) -> str:
     )
 
 
-def _entity_payload(entity: Entity, include_id: bool = True) -> list:
-    payload = [
+def _entity_payload(entity: Entity) -> list:
+    return [
         entity.class_name,
         list(entity.labels),
         sorted((name, repr(value)) for name, value in entity.facts.items()),
         [_record_payload(record) for record in entity.rows],
     ]
-    if include_id:
-        payload.insert(0, entity.entity_id)
-    return payload
 
 
-def fingerprint_entities(entities: Sequence[Entity]) -> str:
-    """Order-sensitive digest of an entity list (detection keys by id)."""
-    return digest([_entity_payload(entity) for entity in entities])
-
-
-def fingerprint_entity(
-    entity: Entity,
-    implicit_by_table: Mapping[str, Mapping[str, object]] | None = None,
+def fingerprint_entities(
+    entities: Sequence[Entity], entity_fps: Sequence[str] | None = None
 ) -> str:
-    """Content digest of one entity for the per-entity detection cache.
+    """Order-sensitive digest of an entity list (detection keys by id).
+
+    Built from each entity's id and :func:`fingerprint_entity`, so a run
+    that holds ``entity_fps`` (aligned with ``entities``) digests no
+    entity twice.
+    """
+    if entity_fps is None:
+        entity_fps = [fingerprint_entity(entity) for entity in entities]
+    return digest(
+        [
+            [entity.entity_id, entity_fp]
+            for entity, entity_fp in zip(entities, entity_fps)
+        ]
+    )
+
+
+def implicit_payload(
+    entity: Entity, implicit_by_table: Mapping[str, Mapping[str, object]]
+) -> list:
+    """The implicit attributes of an entity's tables, the only context
+    the IMPLICIT_ATT metric consults, in canonical form."""
+    return [
+        [
+            table_id,
+            sorted(
+                repr(attribute)
+                for attribute in implicit_by_table.get(table_id, {}).values()
+            ),
+        ]
+        for table_id in sorted({record.table_id for record in entity.rows})
+    ]
+
+
+def fingerprint_entity(entity: Entity) -> str:
+    """Content digest of one entity.
 
     Excludes the entity id (a creation-order counter — two corpus states
     may assign different ids to the same content) and the provenance
-    (detection never reads it).  ``implicit_by_table`` folds in the
-    implicit attributes of the entity's tables, the only context the
-    IMPLICIT_ATT metric consults.
+    (detection never reads it).  One digest serves both the entity
+    list's fingerprint and the entity's detection key, which keeps
+    :func:`implicit_payload` beside it.
     """
-    payload = _entity_payload(entity, include_id=False)
-    if implicit_by_table is not None:
-        tables = sorted({record.table_id for record in entity.rows})
-        payload.append(
+    return digest(_entity_payload(entity))
+
+
+def _evidence_payload(evidence: "DuplicateEvidence | None") -> object:
+    if evidence is None:
+        return None
+    return [
+        sorted(
+            [list(row_id), uri]
+            for row_id, uri in evidence.row_instance.items()
+        ),
+        sorted(
+            [list(row_id), cluster_id]
+            for row_id, cluster_id in evidence.cluster_of_row.items()
+        ),
+        sorted(
             [
-                [
-                    table_id,
-                    sorted(
-                        repr(attribute)
-                        for attribute in implicit_by_table.get(
-                            table_id, {}
-                        ).values()
-                    ),
-                ]
-                for table_id in tables
+                cluster_id,
+                property_name,
+                sorted([repr(value), table_id] for value, table_id in values),
             ]
-        )
-    return digest(payload)
+            for (cluster_id, property_name), values
+            in evidence.cluster_values.items()
+        ),
+    ]
+
+
+def fingerprint_evidence(evidence: "DuplicateEvidence | None") -> str:
+    """Digest of the cross-iteration duplicate feedback."""
+    return digest(_evidence_payload(evidence))
 
 
 def fingerprint_tables(state: Mapping[str, str], table_ids: Iterable[str]) -> str:

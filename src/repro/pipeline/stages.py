@@ -86,9 +86,10 @@ class PipelineState:
     #: speed lever — outputs are identical with any cache state.
     kernels: KernelCache
     #: The table ids of the run's corpus snapshot, in ingest order (set
-    #: by ``RunSession.run``); schema matching walks these instead of
-    #: listing the corpus again.  ``None`` lists the corpus.
-    corpus_ids: list[str] | None = None
+    #: by ``RunSession.run``, as the snapshot mapping itself); schema
+    #: matching walks these instead of listing the corpus again.
+    #: ``None`` lists the corpus.
+    corpus_ids: Iterable[str] | None = None
     #: Optional restrictions (gold-standard experiments).
     table_ids: list[str] | None = None
     row_ids: set[RowId] | None = None
@@ -196,10 +197,14 @@ class SchemaMatchStage:
         # incremental backends are per-run resources — rebind every time.
         state.matcher.executor = state.executor
         state.matcher.attribute_cache = None
+        walk = None
         if state.incremental is not None:
             # Serve unchanged tables' analyses and attribute maps from
-            # the persistent store; only the corpus delta recomputes.
-            state.incremental.warm_matcher(state.matcher)
+            # the persistent store; only the corpus delta recomputes,
+            # and only the delta and the classed tables are visited.
+            walk = state.incremental.warm_matcher(state.matcher)
+            if state.table_ids is not None or state.known_classes is not None:
+                walk = None
         state.mapping = state.matcher.match_corpus(
             state.corpus,
             evidence=state.evidence,
@@ -210,6 +215,7 @@ class SchemaMatchStage:
             ),
             known_classes=state.known_classes,
             classes=state.kb.schema.descendants(state.class_name),
+            walk=walk,
         )
         if state.incremental is not None:
             state.incremental.harvest_matcher(state.matcher)
@@ -327,7 +333,9 @@ class DetectStage:
             state.models.existing_threshold,
         )
         cache = (
-            state.incremental.detection_cache(context.implicit_by_table)
+            state.incremental.detection_cache(
+                context.implicit_by_table, state.entities
+            )
             if state.incremental is not None
             else None
         )

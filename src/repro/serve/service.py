@@ -227,13 +227,16 @@ class KBService:
         return self
 
     def close(self, timeout: float = 30.0) -> None:
-        """Stop accepting jobs and join the writer thread."""
+        """Stop accepting jobs, join the writer thread, and close the
+        artifact store's connections (a later run reopens them)."""
         if self._closed.is_set():
             return
         self._closed.set()
         self._queue.put(_StopJob())
         if self._writer is not None and self._writer.is_alive():
             self._writer.join(timeout=timeout)
+        if self._writer is None or not self._writer.is_alive():
+            self.session.artifact_store.close()
 
     def __enter__(self) -> "KBService":
         return self.start()

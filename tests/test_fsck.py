@@ -12,7 +12,6 @@ equivalence by re-running the producer.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import sqlite3
@@ -258,10 +257,10 @@ class TestArtifacts:
         artifacts = ArtifactStore(tmp_path / "artifacts")
         artifacts.put(["stage", 2], {"payload": "two"})
         directory, path = artifacts.directory, database(artifacts)
-        # Collecting the only handle closes its connection, which folds
-        # the WAL back into the file before the bytes are clobbered.
-        del artifacts
-        gc.collect()
+        # Closing the only handle's connection folds the WAL back into
+        # the file before the bytes are clobbered.
+        artifacts.close()
+        assert not path.with_name(path.name + "-wal").exists()
         path.write_bytes(b"not a database" * 300)
         report = run_fsck(directory)
         assert not report.clean

@@ -280,6 +280,130 @@ def test_random_mutation_sequences_stay_equivalent(
         _assert_equivalent(store, result)
 
 
+#: One snapshot step: a write by the session's own store handle
+#: ("insert", "replace", "skip", "error", "remove") or by another handle
+#: on the same directory ("foreign-*"), with an index resolved modulo.
+_SNAPSHOT_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "insert", "replace", "skip", "error", "remove",
+                "foreign-insert", "foreign-replace", "foreign-remove",
+            ]
+        ),
+        st.integers(min_value=0, max_value=63),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _small_table(table_id: str, revision: int) -> WebTable:
+    return WebTable(
+        table_id=table_id,
+        header=("name", "value"),
+        rows=[(f"{table_id} row", str(revision))],
+        url=f"http://snapshot.example/{table_id}",
+    )
+
+
+@given(steps=_SNAPSHOT_STEPS)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[
+        HealthCheck.function_scoped_fixture,
+        HealthCheck.too_slow,
+    ],
+)
+def test_patched_snapshot_equals_a_fresh_read(
+    tmp_path_factory, song_world, steps
+):
+    """Own-handle writes patch the session's snapshot; writes through
+    another handle make it read again.  Either way the snapshot equals
+    what a freshly opened handle reads, order included, and equal
+    epochs name equal snapshots."""
+    from repro.obs import Tracer, span_index
+
+    directory = tmp_path_factory.mktemp("snapshots") / "store"
+    own = CorpusStore.create(directory, shards=2)
+    own.ingest([_small_table(f"t{number}", 0) for number in range(6)])
+    session = RunSession(
+        knowledge_base=song_world.knowledge_base, corpus=own.as_corpus()
+    )
+    present = [f"t{number}" for number in range(6)]
+    fresh_ids = iter(range(100, 1000))
+    revision = 0
+    # Another handle's inserts take ``seq`` values this handle will
+    # reuse, so after one its own writes may be read instead of patched.
+    foreign_seen = False
+    snapshots: dict[str, list] = {}
+
+    def guard() -> tuple[list, str]:
+        tracer = Tracer()
+        state, epoch = session._guard_corpus_epoch(tracer)
+        (span,) = [
+            span for span in span_index(tracer.events()).values()
+            if span["name"] == "corpus_guard"
+        ]
+        fresh = CorpusStore.open(directory)
+        try:
+            expected = list(fresh.content_hashes().items())
+        finally:
+            fresh.close()
+        assert list(state.items()) == expected
+        assert list(own.content_hashes().items()) == expected
+        assert snapshots.setdefault(epoch, expected) == expected
+        return span["attrs"]["snapshot"], epoch
+
+    guard()
+    for op, raw_index in steps:
+        revision += 1
+        handle = own
+        if op.startswith("foreign-"):
+            handle = CorpusStore.open(directory)
+            op = op[len("foreign-"):]
+        wrote = True
+        if op == "insert":
+            table_id = f"t{next(fresh_ids)}"
+            handle.ingest([_small_table(table_id, revision)])
+            present.append(table_id)
+        elif op in ("replace", "skip"):
+            table_id = present[raw_index % len(present)]
+            report = handle.ingest(
+                [_small_table(table_id, revision)],
+                on_conflict="replace" if op == "replace" else "skip",
+            )
+            assert report.conflicts == (op == "skip")
+            wrote = op == "replace"
+        elif op == "error":
+            table_id = f"t{next(fresh_ids)}"
+            clash = present[raw_index % len(present)]
+            # The first batch is written; the second raises untouched.
+            with pytest.raises(ValueError):
+                handle.ingest(
+                    [_small_table(table_id, revision),
+                     _small_table(clash, revision)],
+                    on_conflict="error",
+                    batch_size=1,
+                )
+            present.append(table_id)
+        elif len(present) > 1:
+            handle.remove_tables([present.pop(raw_index % len(present))])
+        else:
+            wrote = False
+        if handle is not own:
+            handle.close()
+            foreign_seen = foreign_seen or op in ("insert", "error")
+        how, __ = guard()
+        if not wrote:
+            assert how == "cached"
+        elif handle is not own:
+            assert how == "read"
+        elif not foreign_seen:
+            assert how == "patched"
+
+
 class TestArtifactStore:
     def test_roundtrip_and_stats(self, tmp_path):
         store = ArtifactStore(tmp_path / "artifacts")
@@ -477,6 +601,89 @@ class TestFingerprints:
         assert fingerprint_records(records) != fingerprint_records(
             records[::-1]
         )
+
+
+    def test_a_cached_run_fingerprints_each_input_once(
+        self, tmp_path, song_world, world_tables, monkeypatch
+    ):
+        """Per iteration, each kind of stage input is fingerprinted at
+        most once, each entity at most once, and an output a stage hit
+        loaded never."""
+        import repro.pipeline.artifacts as artifacts
+        import repro.pipeline.delta as delta
+        from repro.pipeline.stages import PipelineObserver
+
+        names = (
+            "fingerprint_records",
+            "fingerprint_mapping",
+            "fingerprint_tables",
+            "fingerprint_clusters",
+            "fingerprint_entities",
+            "fingerprint_entity",
+            "fingerprint_evidence",
+        )
+        calls: list[tuple[str, int, int]] = []
+        iteration = [0]
+
+        class Iterations(PipelineObserver):
+            def on_iteration_started(self, class_name, number):
+                iteration[0] = number
+
+        for name in names:
+            original = getattr(delta, name, None)
+            if original is None:
+                continue
+
+            def counting(subject, *args, name=name, original=original, **kw):
+                calls.append((name, iteration[0], id(subject)))
+                return original(subject, *args, **kw)
+
+            monkeypatch.setattr(delta, name, counting)
+            monkeypatch.setattr(artifacts, name, counting, raising=False)
+
+        def counts(kind: str) -> dict[int, int]:
+            tally: dict[int, int] = {}
+            for name, number, __ in calls:
+                if name == kind:
+                    tally[number] = tally.get(number, 0) + 1
+            return tally
+
+        def assert_once_per_value() -> None:
+            for name in names:
+                if name != "fingerprint_entity":
+                    assert all(n <= 1 for n in counts(name).values()), name
+            entities = [(n, subject) for name, n, subject in calls
+                        if name == "fingerprint_entity"]
+            assert len(entities) == len(set(entities))
+
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(
+            store, observers=[Iterations()]
+        )
+        session.run(CLASS_NAME)  # every stage misses
+        assert_once_per_value()
+        assert counts("fingerprint_records") == {1: 1, 2: 1}
+        assert counts("fingerprint_entities") == {1: 1, 2: 1}
+        calls.clear()
+        # A long-tail table changes the epoch, not the class: schema
+        # matching misses, and every later stage hits.
+        store.ingest(_filler_tables(0, 1))
+        session.run(CLASS_NAME)
+        events = session.last_incremental_report.stage_events
+        assert [kind for name, __, kind in events if name != "schema_match"] == [
+            "hit"
+        ] * 6
+        assert_once_per_value()
+        for loaded in ("fingerprint_clusters", "fingerprint_entities",
+                       "fingerprint_entity"):
+            assert counts(loaded) == {}, loaded
+        assert counts("fingerprint_records") == {1: 1, 2: 1}
+        calls.clear()
+        # Nothing changed: every stage hits and no output is digested.
+        session.run(CLASS_NAME)
+        assert session.last_incremental_report.stage_misses() == 0
+        assert {name for name, *__ in calls} <= {"fingerprint_evidence"}
+        assert_once_per_value()
 
 
 class TestDirtySetDispatch:
@@ -705,6 +912,46 @@ class TestSessionGuards:
         assert [s for s in statements if "FROM changes" in s]
         assert [s for s in statements if "content_hash FROM tables" in s] == []
 
+    def test_own_ingest_reaches_the_next_run_without_a_snapshot_read(
+        self, tmp_path, song_world, world_tables
+    ):
+        """An ingest through the session's own store handle patches the
+        handle's snapshot, so the next run's guard issues no snapshot
+        ``SELECT`` on ``tables`` and digests the patch, not the corpus."""
+        import repro.api as api
+
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        session.run(CLASS_NAME)
+        store.ingest(
+            [_mutated(world_tables[1], salt=6), *_filler_tables(0, 2)],
+            on_conflict="replace",
+        )
+        statements: list[str] = []
+        for connections in store._connections_by_thread.values():
+            for connection in connections.values():
+                connection.set_trace_callback(statements.append)
+        whole_digests = []
+        fingerprint = api.fingerprint_corpus_state
+
+        def counting(state, order=None):
+            whole_digests.append(len(state))
+            return fingerprint(state, order=order)
+
+        api.fingerprint_corpus_state = counting
+        try:
+            result = session.run(CLASS_NAME)
+        finally:
+            api.fingerprint_corpus_state = fingerprint
+            for connections in store._connections_by_thread.values():
+                for connection in connections.values():
+                    connection.set_trace_callback(None)
+        assert [s for s in statements if "FROM changes" in s]
+        assert [s for s in statements if "content_hash FROM tables" in s] == []
+        assert whole_digests == []
+        assert session.last_incremental_report.analysis_computed == 3
+        _assert_equivalent(store, result)
+
     def test_replace_evicts_only_that_id_from_the_view(
         self, tmp_path, song_world, world_tables
     ):
@@ -745,6 +992,7 @@ class TestSessionGuards:
         session.run(CLASS_NAME, trace=first)
         attrs = guard_span(first)
         assert attrs["reused"] is False
+        assert attrs["snapshot"] == "read"
         assert attrs["changed"] == N_BASE
         assert "corpus_guard" not in trace_summary(first.events())[
             "stage_seconds"
@@ -753,6 +1001,7 @@ class TestSessionGuards:
         session.run(CLASS_NAME, trace=repeat)
         assert guard_span(repeat) == {
             "reused": True,
+            "snapshot": "cached",
             "changed": 0,
             "removed": 0,
             "memo_pruned": 0,
@@ -767,6 +1016,7 @@ class TestSessionGuards:
         session.run(CLASS_NAME, trace=delta)
         attrs = guard_span(delta)
         assert attrs["reused"] is False
+        assert attrs["snapshot"] == "patched"
         assert (attrs["changed"], attrs["removed"]) == (1, 1)
         assert attrs["memo_pruned"] == 2
 
