@@ -49,11 +49,10 @@ from repro.pipeline.artifacts import (
     IncrementalRunReport,
 )
 from repro.pipeline.delta import (
-    SnapshotOrder,
+    advance_corpus_epoch,
     corpus_patch,
     corpus_state,
     digest,
-    fingerprint_corpus_patch,
     fingerprint_corpus_state,
     fingerprint_kb,
     pickle_digest,
@@ -238,8 +237,6 @@ class RunSession:
         self._corpus_epoch: str | None = None
         #: The snapshot the epoch was taken from (shared, read-only).
         self._corpus_snapshot: dict[str, str] | None = None
-        #: The snapshot ids' ranks, kept in step with the snapshot.
-        self._corpus_order: SnapshotOrder | None = None
         self._kb_fp: str | None = None
         self._models_fps: dict[int, str] = {}
 
@@ -443,7 +440,6 @@ class RunSession:
                 self.artifact_store,
                 corpus_state=state,
                 corpus_fp=epoch,
-                corpus_order=self._corpus_order,
                 analyses=self.analysis_memo,
                 kb_fp=self._kb_fingerprint(),
                 models_fp=self._models_fingerprint(models),
@@ -697,34 +693,33 @@ class RunSession:
     ) -> tuple[dict[str, str], str]:
         """Snapshot the corpus; the session's corpus-epoch guard.
 
-        Taken by every run, cached or not.  When the snapshot is the
-        previous one (a store handle hands back the very same mapping
-        when no shard changed) the previous epoch stays, with no digest.
-        When the session's own store handle made every change since —
-        the service's ingest, say — the handle patched the snapshot and
-        names the patch (:func:`~repro.pipeline.delta.corpus_patch`):
-        the new epoch is digested from the previous epoch and the patch
-        (:func:`~repro.pipeline.delta.fingerprint_corpus_patch`), and
-        the changed and removed ids come from the patch, so the guard's
-        work follows the delta, not the corpus.  A snapshot that was
-        read instead — the session's first run, a write by another
-        handle or process, an in-memory corpus — is compared with the
-        previous one and, if its ``(table id, content hash)`` sequence
-        differs, digested whole, its delta taken by a set difference.
+        Taken by every run, cached or not.  The epoch is a set hash of
+        the snapshot's ``(table id, content hash)`` pairs
+        (:func:`~repro.pipeline.delta.fingerprint_corpus_state`), so no
+        table order enters it and every session over the same content
+        gets the same epoch.  The session's first snapshot is digested
+        whole.  After that the guard names the ids whose pair changed
+        and moves the previous epoch over them alone
+        (:func:`~repro.pipeline.delta.advance_corpus_epoch`).  When the
+        snapshot is the previous one (a store handle hands back the very
+        same mapping when no shard changed) nothing is compared.  When
+        the session's own store handle made every change since — the
+        service's ingest, say — the handle patched the snapshot and
+        names the patch (:func:`~repro.pipeline.delta.corpus_patch`), so
+        the guard's work follows the delta, not the corpus.  A snapshot
+        that was read instead — a write by another handle or process, an
+        in-memory corpus — is compared with the previous one by a set
+        difference.
 
-        A new epoch evicts the ids whose content changed or went away
-        from the analysis memo and from a live store-backed corpus
+        A changed snapshot evicts the ids whose content changed or went
+        away from the analysis memo and from a live store-backed corpus
         view's table cache, so no run reads a table the store has since
         replaced, and the kernel memos age (:meth:`KernelCache.age`),
         which retires what no run used since the change before.  The
-        session's first run empties the view's cache and the memo whole
-        (``_corpus_epoch`` starts as None).  Stored artifacts stay:
-        their keys embed content fingerprints or epochs, so none of them
-        can go stale.  An epoch names one snapshot, but one snapshot may
-        get several epochs — a fresh session digests whole what this one
-        patched — which costs a ``schema_match`` stage miss served from
-        the per-table artifacts.  Returns the snapshot and its epoch,
-        which the run's backend keys on.
+        session's first run empties the view's cache and the memo whole.
+        Stored artifacts stay: their keys embed content fingerprints or
+        epochs, so none of them can go stale.  Returns the snapshot and
+        its epoch, which the run's backend keys on.
 
         With a ``tracer``, a ``corpus_guard`` span (kind ``guard``, not
         a stage) under ``run_span`` records whether the epoch was
@@ -740,6 +735,7 @@ class RunSession:
             )
         state = corpus_state(self.corpus)
         previous = self._corpus_snapshot
+        epoch = self._corpus_epoch
         attrs = {
             "reused": True,
             "snapshot": "cached",
@@ -749,53 +745,34 @@ class RunSession:
             "view_evicted": 0,
             "kernel_retired": 0,
         }
-        if state is previous:
-            epoch = self._corpus_epoch
-        elif (patch := corpus_patch(self.corpus, previous, state)) is not None:
-            attrs["snapshot"] = "patched"
-            epoch = fingerprint_corpus_patch(self._corpus_epoch, patch)
-            touched = dict.fromkeys(table_id for table_id, __ in patch)
-            attrs.update(
-                self._start_epoch(
-                    changed=[
-                        table_id for table_id in touched
-                        if table_id in state
-                        and previous.get(table_id) != state[table_id]
-                    ],
-                    removed=[
-                        table_id for table_id in touched
-                        if table_id in previous and table_id not in state
-                    ],
-                )
-            )
-            self._corpus_order.apply(patch)
-            self._corpus_epoch, self._corpus_snapshot = epoch, state
-        else:
+        if previous is None:
             attrs["snapshot"] = "read"
-            # Order-sensitive, as the fingerprint is: the same pairs in
-            # another ingest order are another epoch.
-            if previous is not None and list(state.items()) == list(
-                previous.items()
-            ):
-                epoch = self._corpus_epoch
-                self._corpus_snapshot = state
+            epoch = fingerprint_corpus_state(state)
+            attrs.update(self._start_epoch(changed=state, removed=()))
+        elif state is not previous:
+            patch = corpus_patch(self.corpus, previous, state)
+            if patch is not None:
+                attrs["snapshot"] = "patched"
+                touched = dict.fromkeys(table_id for table_id, __ in patch)
             else:
-                epoch = fingerprint_corpus_state(state, order=list(state))
-                if previous is None:
-                    attrs.update(self._start_epoch(changed=state, removed=()))
-                else:
-                    attrs.update(
-                        self._start_epoch(
-                            changed={
-                                table_id
-                                for table_id, __ in state.items()
-                                - previous.items()
-                            },
-                            removed=previous.keys() - state.keys(),
-                        )
-                    )
-                self._corpus_order = SnapshotOrder(state)
-                self._corpus_epoch, self._corpus_snapshot = epoch, state
+                attrs["snapshot"] = "read"
+                touched = {
+                    table_id for table_id, __ in state.items() - previous.items()
+                }.union(previous.keys() - state.keys())
+            changed = [
+                table_id for table_id in touched
+                if table_id in state and previous.get(table_id) != state[table_id]
+            ]
+            removed = [
+                table_id for table_id in touched
+                if table_id in previous and table_id not in state
+            ]
+            if changed or removed:
+                epoch = advance_corpus_epoch(
+                    epoch, previous, state, [*changed, *removed]
+                )
+                attrs.update(self._start_epoch(changed, removed))
+        self._corpus_epoch, self._corpus_snapshot = epoch, state
         if span is not None:
             tracer.end(span, attrs)
         return state, epoch

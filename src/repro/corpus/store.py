@@ -122,26 +122,6 @@ def _decode(table_id: str, url: str, payload: str) -> WebTable:
     )
 
 
-def apply_patch(
-    snapshot: dict[str, str], patch: list[tuple[str, str | None]]
-) -> dict[str, str]:
-    """``snapshot`` with ``patch`` applied, as a new mapping.
-
-    Each ``(table id, content hash)`` entry updates a known id in place
-    and appends a new one; ``(table id, None)`` removes the id.  The
-    result, order included, is a function of the two arguments alone,
-    which is what lets an epoch be derived from the previous epoch and
-    the patch (see :func:`repro.pipeline.delta.fingerprint_corpus_patch`).
-    """
-    patched = dict(snapshot)
-    for table_id, chash in patch:
-        if chash is None:
-            patched.pop(table_id, None)
-        else:
-            patched[table_id] = chash
-    return patched
-
-
 #: A shard's change mark (see ``CorpusStore._change_marks``).
 _MARK_SQL = "SELECT token, counter FROM changes"
 
@@ -152,8 +132,6 @@ class _Snapshot:
 
     marks: tuple
     hashes: dict[str, str]
-    #: No table of ``hashes`` has a larger ``seq``.
-    max_seq: int
 
 
 def _connect(path: Path, schema: str = _SHARD_SCHEMA) -> sqlite3.Connection:
@@ -274,7 +252,7 @@ class CorpusStore:
             int, dict[int, sqlite3.Connection]
         ] = {}
         self._connections_guard = threading.Lock()
-        self._next_seq = self._max_seq() + 1
+        self._next_seq = self._last_seq() + 1
         #: The last :meth:`content_hashes` result and the shards' change
         #: marks it is valid at; shared by every thread of this handle.
         #: This handle's own writes patch it (see ``_patch_snapshot``).
@@ -473,7 +451,7 @@ class CorpusStore:
                 base,
                 marks,
                 [
-                    (record["table_id"], record["content_hash"], record["seq"])
+                    (record["table_id"], record["content_hash"])
                     for record in written
                 ],
             )
@@ -587,7 +565,7 @@ class CorpusStore:
             raise
         if removed:
             self._patch_snapshot(
-                base, marks, [(table_id, None, 0) for table_id in removed]
+                base, marks, [(table_id, None) for table_id in removed]
             )
         return removed
 
@@ -622,38 +600,30 @@ class CorpusStore:
         self,
         base: _Snapshot | None,
         marks: list | None,
-        written: list[tuple[str, str | None, int]],
+        patch: list[tuple[str, str | None]],
     ) -> None:
         """Apply one call's committed writes to the cached snapshot.
 
-        ``written`` holds ``(table id, content hash, seq)`` per stored
-        record and ``(table id, None, 0)`` per removed table, in write
-        order.  Sorted by ``seq``, stored records become the patch that
-        :func:`apply_patch` applies: a replaced id
-        keeps its ``seq`` and so its place, a new id goes to the end in
-        ``seq`` order, as a full read sorts them.  That holds only if
-        ``base`` is still the cached snapshot, every write started from
-        its marks, and every new id's ``seq`` follows every ``seq`` in
-        it; in any other case the snapshot is dropped.  A patch makes a
-        new mapping; no caller's is mutated.
+        ``patch`` holds ``(table id, content hash)`` per stored record
+        and ``(table id, None)`` per removed table, in write order.  The
+        snapshot is patched only if ``base`` is still the cached one and
+        every write started from its marks; if a write did not, another
+        writer came between and the snapshot is dropped.  A patch makes
+        a new mapping; no caller's is mutated.
         """
         with self._snapshot_guard:
             if base is None or self._snapshot is not base:
                 return
-            written = sorted(written, key=lambda entry: entry[2])
-            fresh = [
-                seq for table_id, chash, seq in written
-                if chash is not None and table_id not in base.hashes
-            ]
-            if marks is None or (fresh and fresh[0] <= base.max_seq):
-                self._snapshot = None
-                self._lineage = None
+            if marks is None:
+                self._snapshot = self._lineage = None
                 return
-            patch = [(table_id, chash) for table_id, chash, __ in written]
-            hashes = apply_patch(base.hashes, patch)
-            self._snapshot = _Snapshot(
-                tuple(marks), hashes, max([base.max_seq, *fresh])
-            )
+            hashes = dict(base.hashes)
+            for table_id, chash in patch:
+                if chash is None:
+                    hashes.pop(table_id, None)
+                else:
+                    hashes[table_id] = chash
+            self._snapshot = _Snapshot(tuple(marks), hashes)
             lineage = self._lineage
             if lineage is not None:
                 pending = lineage[1] + patch
@@ -680,7 +650,7 @@ class CorpusStore:
         a write of this handle's (see ``_patch_snapshot``).  Otherwise
         ``None``.  Either way the next call answers for ``snapshot``.
         The session's epoch guard is the one caller: it holds
-        ``previous`` and derives the next epoch from the patch.
+        ``previous`` and takes the ids the patch touched from it.
         """
         with self._snapshot_guard:
             cached = self._snapshot
@@ -694,7 +664,7 @@ class CorpusStore:
 
     # -- read API -------------------------------------------------------
     def content_hashes(self) -> dict[str, str]:
-        """``{table_id: content_hash}`` for every table, in ingest order.
+        """``{table_id: content_hash}`` for every table, in no fixed order.
 
         Served straight from the shard metadata — no payload is decoded —
         so the corpus snapshot every run takes at its start is cheap even
@@ -713,20 +683,16 @@ class CorpusStore:
             cached = self._snapshot
             if cached is not None and cached.marks == marks:
                 return cached.hashes
-            entries: list[tuple[int, str, str]] = []
+            snapshot: dict[str, str] = {}
             for shard in range(self.n_shards):
-                entries.extend(
+                snapshot.update(
                     self._connection(shard).execute(
-                        "SELECT seq, table_id, content_hash FROM tables"
+                        "SELECT table_id, content_hash FROM tables"
                     )
                 )
-            entries.sort()
-            snapshot = {table_id: chash for _seq, table_id, chash in entries}
             # The marks were read first: a write racing the reads above
             # leaves them behind, so the next call reads again.
-            self._snapshot = _Snapshot(
-                marks, snapshot, entries[-1][0] if entries else 0
-            )
+            self._snapshot = _Snapshot(marks, snapshot)
             self._lineage = (snapshot, [])
             return snapshot
 
@@ -852,7 +818,7 @@ class CorpusStore:
                 except sqlite3.ProgrammingError:  # pragma: no cover
                     pass
 
-    def _max_seq(self) -> int:
+    def _last_seq(self) -> int:
         highest = 0
         for shard in range(self.n_shards):
             if not self._shard_path(shard).exists():

@@ -23,7 +23,7 @@ observers time them and its errors name the failing tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping
 
 from repro.datatypes import DataType
 from repro.datatypes.detection import detect_column_type
@@ -98,12 +98,10 @@ class TableWalk:
     the corpus (an incremental run's matcher, warmed by
     :meth:`repro.pipeline.artifacts.IncrementalBackend.warm_matcher`)."""
 
-    #: Tables without a cached class decision, in corpus order.
+    #: Tables without a cached class decision.
     pending: list[str]
     #: Tables whose cached decision names a class (read-only).
     classed: Collection[str]
-    #: Puts table ids in corpus order.
-    order: Callable[[Iterable[str]], list[str]]
 
 
 class _Layer(dict):
@@ -327,13 +325,12 @@ class SchemaMatcher:
         passes the ids of its corpus snapshot, so the store is not
         listed again.  A ``walk`` replaces both passes over the tables:
         phase A visits only its pending tables, and the mapping is built
-        from its classed tables and the pending ones phase A classed, in
-        corpus order — the same entries in the same order, with no pass
-        over every table.  It needs ``table_ids`` and ``known_classes``
-        left as ``None``.
+        from its classed tables and the pending ones phase A classed —
+        the same entries, with no pass over every table.  It needs
+        ``table_ids`` and ``known_classes`` left as ``None``.
 
-        The returned mapping has an entry for every table
-        matched to a KB class, and none for the others: their class
+        The returned mapping has an entry, in table-id order, for every
+        table matched to a KB class, and none for the others: their class
         decisions stay in the matcher's cache.  Its column types are
         copied from the analysis cache, which an incremental run shares
         with the session's analysis memo.
@@ -379,15 +376,13 @@ class SchemaMatcher:
                     self._class_cache[table.table_id] = decision
         self.analyzed = [table_id for table_id, __ in pending]
         if walk is not None:
-            ids = walk.order(
-                {
-                    *walk.classed,
-                    *(
-                        table_id for table_id in self.analyzed
-                        if self._class_cache[table_id][0] is not None
-                    ),
-                }
-            )
+            ids = {
+                *walk.classed,
+                *(
+                    table_id for table_id in self.analyzed
+                    if self._class_cache[table_id][0] is not None
+                ),
+            }
         # The base entry of every table matched to a KB class — on a
         # realistic web corpus most tables match nothing, and nothing
         # downstream reads an unclassed table's entry.  The cached
@@ -397,7 +392,7 @@ class SchemaMatcher:
             kb_class.name for kb_class in self.kb.schema.classes()
         )
         matched: dict[str, TableMapping] = {}
-        for table_id in ids:
+        for table_id in sorted(ids):
             if known_classes is not None and table_id in known_classes:
                 class_name, class_score = known_classes[table_id], 1.0
             else:

@@ -71,7 +71,6 @@ from repro.pipeline import delta
 # ``fingerprint_corpus_state`` by this module path, and callers import
 # ``fingerprint_evidence`` from it.
 from repro.pipeline.delta import (  # noqa: F401 - see above
-    SnapshotOrder,
     digest,
     fingerprint_corpus_state,
     fingerprint_evidence,
@@ -419,12 +418,20 @@ class IncrementalRunReport:
 
     #: ``(stage name, iteration, "hit" | "miss")`` in execution order.
     stage_events: list[tuple[str, int, str]] = field(default_factory=list)
-    analysis_loaded: int = 0
+    #: Table analyses the run's matcher read from the session's memo.
+    analyses_from_memo: int = 0
+    #: Table analyses read from the artifact store (each fills the memo).
+    analyses_from_store: int = 0
     analysis_computed: int = 0
     attributes_loaded: int = 0
     attributes_computed: int = 0
     entities_loaded: int = 0
     entities_computed: int = 0
+
+    @property
+    def analysis_loaded(self) -> int:
+        """Analyses loaded from either the memo or the store."""
+        return self.analyses_from_memo + self.analyses_from_store
 
     def stage_hits(self) -> int:
         return sum(1 for *_, kind in self.stage_events if kind == "hit")
@@ -439,6 +446,8 @@ class IncrementalRunReport:
             "stage_hits": self.stage_hits(),
             "stage_misses": self.stage_misses(),
             "analyses_loaded": self.analysis_loaded,
+            "analyses_from_memo": self.analyses_from_memo,
+            "analyses_from_store": self.analyses_from_store,
             "analyses_computed": self.analysis_computed,
             "attributes_loaded": self.attributes_loaded,
             "attributes_computed": self.attributes_computed,
@@ -451,7 +460,9 @@ class IncrementalRunReport:
             [
                 f"stages: {self.stage_hits()} served from store, "
                 f"{self.stage_misses()} recomputed",
-                f"tables: {self.analysis_loaded} analyses loaded, "
+                f"tables: {self.analysis_loaded} analyses loaded "
+                f"({self.analyses_from_memo} from memory, "
+                f"{self.analyses_from_store} from store), "
                 f"{self.analysis_computed} computed; "
                 f"{self.attributes_loaded} attribute maps loaded, "
                 f"{self.attributes_computed} computed",
@@ -469,9 +480,8 @@ class IncrementalBackend:
     session-level fingerprints, and collect the reuse statistics for the
     :class:`IncrementalRunReport`.  ``corpus_state`` is the session's
     snapshot, shared and read-only; ``corpus_fp`` is its epoch, as the
-    session's epoch guard computed it; ``corpus_order`` ranks its ids;
-    ``analyses`` is the session's :class:`AnalysisMemo`, which holds
-    analyses of that snapshot only.
+    session's epoch guard computed it; ``analyses`` is the session's
+    :class:`AnalysisMemo`, which holds analyses of that snapshot only.
 
     Every stage input is fingerprinted at most once per value: each
     kind's latest fingerprint is kept with the objects it was taken of
@@ -487,7 +497,6 @@ class IncrementalBackend:
         *,
         corpus_state: Mapping[str, str],
         corpus_fp: str,
-        corpus_order: SnapshotOrder,
         analyses: AnalysisMemo,
         kb_fp: str,
         models_fp: str,
@@ -498,7 +507,6 @@ class IncrementalBackend:
         self.store = store
         self.corpus_state = corpus_state
         self.corpus_fp = corpus_fp
-        self.corpus_order = corpus_order
         self.analyses = analyses
         self.kb_fp = kb_fp
         self.models_fp = models_fp
@@ -721,10 +729,10 @@ class IncrementalBackend:
         after a snapshot patch, the patch's new and changed ids.  Only
         the session's first run over a snapshot walks the snapshot to
         find them.  Each of them that has no analysis costs a store read
-        (a hit fills the memo); loads from either count as loaded.  The
-        second iteration's call finds every table iteration one warmed
-        or computed already in the memo.  The memo's values are
-        read-only.
+        (a hit fills the memo); the run's report counts memo and store
+        loads apart.  The second iteration's call finds every table
+        iteration one warmed or computed already in the memo.  The
+        memo's values are read-only.
         """
         from repro.matching.schema_matcher import TableWalk
 
@@ -734,13 +742,14 @@ class IncrementalBackend:
         if not self._bulk_warmed:
             self._bulk_warmed = True
             matcher.share(view.analyses, view.decisions)
-            self.report.analysis_loaded += len(view.analyses)
+            self.report.analyses_from_memo += len(view.analyses)
         if view.missing is None:
             view.missing = {
                 table_id for table_id in self.corpus_state
                 if table_id not in view.decisions
             }
-        missing = self.corpus_order.sort(view.missing)
+        # In id order only so that the dispatch is deterministic.
+        missing = sorted(view.missing)
         for table_id in missing:
             if table_id in view.contents:
                 continue  # analysed; its decision is left to compute
@@ -751,14 +760,13 @@ class IncrementalBackend:
             if artifact is None:
                 continue
             self.analyses.remember(table_id, content, limit, artifact)
-            self.report.analysis_loaded += 1
+            self.report.analyses_from_store += 1
         return TableWalk(
             pending=[
                 table_id for table_id in missing
                 if table_id not in view.decisions
             ],
             classed=view.classed,
-            order=self.corpus_order.sort,
         )
 
     def harvest_matcher(self, matcher: "SchemaMatcher") -> None:

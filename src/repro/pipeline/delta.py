@@ -14,11 +14,12 @@ Two layers live here:
 * **Corpus snapshots** — :func:`corpus_state` reads any corpus as a
   ``{table_id: content_hash}`` mapping (see
   :meth:`repro.corpus.store.CorpusStore.content_hashes`), and
-  :func:`fingerprint_corpus_state` digests it, ingest order included.
-  When a store handle patched its snapshot with its own writes,
-  :func:`corpus_patch` names the patch and
-  :func:`fingerprint_corpus_patch` derives the next digest from the
-  previous one and the patch, without reading the whole snapshot.
+  :func:`fingerprint_corpus_state` digests it into the corpus epoch, a
+  set hash that no table order enters.  :func:`advance_corpus_epoch`
+  moves an epoch over the ids a change touched, in O(delta); when a
+  store handle patched its snapshot with its own writes,
+  :func:`corpus_patch` names those ids without a pass over the
+  snapshot.
 * **Fingerprints** — canonical digests for every stage input: row
   records, schema mappings, clusters, entities, duplicate evidence,
   table subsets, the knowledge base, and arbitrary picklable model
@@ -43,9 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.matching.matchers import DuplicateEvidence
 
 __all__ = [
+    "advance_corpus_epoch",
     "corpus_patch",
     "corpus_state",
-    "fingerprint_corpus_patch",
     "fingerprint_corpus_state",
     "fingerprint_evidence",
     "fingerprint_records",
@@ -57,7 +58,6 @@ __all__ = [
     "fingerprint_tables",
     "implicit_payload",
     "pickle_digest",
-    "SnapshotOrder",
     "digest",
 ]
 
@@ -114,17 +114,57 @@ def corpus_state(corpus) -> dict[str, str]:
     }
 
 
-def fingerprint_corpus_state(
-    state: Mapping[str, str], order: Sequence[str] | None = None
-) -> str:
-    """Digest of a corpus snapshot, sensitive to ingest order.
+#: Each snapshot pair's SHA-256 is added modulo this to make the epoch.
+_EPOCH_MODULUS = 1 << 256
 
-    Ingest order is part of pipeline semantics (it fixes the record
-    order the clustering shuffle permutes), so two stores holding the
-    same tables in different orders must not share artifacts.
+
+def _pairs_sum(state: Mapping[str, str], table_ids: Iterable[str]) -> int:
+    """The sum of the ``(table id, content hash)`` pairs' SHA-256s."""
+    total = 0
+    for table_id in table_ids:
+        # Length-prefixed, so no two pairs encode alike.
+        pair = f"{len(table_id)}:{table_id}{state[table_id]}"
+        total += int.from_bytes(
+            hashlib.sha256(pair.encode("utf-8")).digest(), "big"
+        )
+    return total
+
+
+def _epoch(count: int, total: int) -> str:
+    return f"{count}:{total % _EPOCH_MODULUS:064x}"
+
+
+def fingerprint_corpus_state(state: Mapping[str, str]) -> str:
+    """The corpus epoch of a snapshot: its table count and the sum
+    modulo 2**256 of each ``(table id, content hash)`` pair's SHA-256.
+
+    A function of the set of pairs: no ingest order enters it, because
+    no output depends on the order a corpus lists its tables.  Like the
+    SHA-1 content hashes it is built from, it is a cache key for
+    non-adversarial input: equal epochs are taken to mean equal
+    snapshots.
     """
-    ids = list(order) if order is not None else list(state)
-    return digest([[table_id, state[table_id]] for table_id in ids])
+    return _epoch(len(state), _pairs_sum(state, state))
+
+
+def advance_corpus_epoch(
+    epoch: str,
+    previous: Mapping[str, str],
+    state: Mapping[str, str],
+    touched: Iterable[str],
+) -> str:
+    """The epoch of ``state``, given ``epoch``, the epoch of
+    ``previous``, and distinct ids that include every id whose pair
+    differs between them: each id's old pair is subtracted and its new
+    one added, so the work follows the change, not the corpus.  Equal
+    to ``fingerprint_corpus_state(state)``."""
+    touched = list(touched)
+    total = (
+        int(epoch.partition(":")[2], 16)
+        - _pairs_sum(previous, [t for t in touched if t in previous])
+        + _pairs_sum(state, [t for t in touched if t in state])
+    )
+    return _epoch(len(state), total)
 
 
 def corpus_patch(
@@ -141,47 +181,6 @@ def corpus_patch(
     if previous is None or patch_since is None:
         return None
     return patch_since(previous, state)
-
-
-def fingerprint_corpus_patch(
-    epoch: str, patch: Sequence[tuple[str, str | None]]
-) -> str:
-    """The digest of ``apply_patch(previous, patch)`` given ``epoch``,
-    the digest of ``previous``.
-
-    Sound because :func:`repro.corpus.store.apply_patch` is a function
-    of the snapshot and the patch alone, order included: equal digests
-    mean equal previous snapshots and equal patches, hence equal
-    snapshots.  The leading tag keeps this input apart from a whole
-    snapshot's (a list of pairs).  The same snapshot reached another
-    way (a full read, another sequence of patches) gets another digest,
-    which costs a stage miss, never a wrong hit.
-    """
-    return digest(["patch", epoch, [list(entry) for entry in patch]])
-
-
-class SnapshotOrder:
-    """Each snapshot table's rank in snapshot order, kept in step with
-    patches, so a few ids can be put in snapshot order without walking
-    the snapshot."""
-
-    __slots__ = ("rank", "_next")
-
-    def __init__(self, state: Iterable[str]) -> None:
-        self.rank = {table_id: number for number, table_id in enumerate(state)}
-        self._next = len(self.rank)
-
-    def apply(self, patch: Iterable[tuple[str, str | None]]) -> None:
-        """Follow a patch, by the rule of :func:`~repro.corpus.store.apply_patch`."""
-        for table_id, content in patch:
-            if content is None:
-                self.rank.pop(table_id, None)
-            elif table_id not in self.rank:
-                self.rank[table_id] = self._next
-                self._next += 1
-
-    def sort(self, table_ids: Iterable[str]) -> list[str]:
-        return sorted(table_ids, key=self.rank.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,8 @@ class PipelineState:
     #: Stages share it with the similarity kernels they build.  Purely a
     #: speed lever — outputs are identical with any cache state.
     kernels: KernelCache
-    #: The table ids of the run's corpus snapshot, in ingest order (set
-    #: by ``RunSession.run``, as the snapshot mapping itself); schema
+    #: The table ids of the run's corpus snapshot (set by
+    #: ``RunSession.run``, as the snapshot mapping itself); schema
     #: matching walks these instead of listing the corpus again.
     #: ``None`` lists the corpus.
     corpus_ids: Iterable[str] | None = None

@@ -39,6 +39,7 @@ from repro.io.serialize import WORLD_KB_FILE
 from repro.parallel import ExecutorObserver, dispatch_dirty, make_executor
 from repro.pipeline.artifacts import ArtifactStore, fingerprint_evidence
 from repro.pipeline.delta import (
+    advance_corpus_epoch,
     corpus_state,
     fingerprint_corpus_state,
     fingerprint_records,
@@ -320,9 +321,10 @@ def test_patched_snapshot_equals_a_fresh_read(
     tmp_path_factory, song_world, steps
 ):
     """Own-handle writes patch the session's snapshot; writes through
-    another handle make it read again.  Either way the snapshot equals
-    what a freshly opened handle reads, order included, and equal
-    epochs name equal snapshots."""
+    another handle make it read again.  Either way the snapshot holds
+    the pairs a freshly opened handle reads, its epoch is the one a
+    whole digest of that read gives, and equal epochs name equal
+    snapshots, both ways round."""
     from repro.obs import Tracer, span_index
 
     directory = tmp_path_factory.mktemp("snapshots") / "store"
@@ -334,10 +336,8 @@ def test_patched_snapshot_equals_a_fresh_read(
     present = [f"t{number}" for number in range(6)]
     fresh_ids = iter(range(100, 1000))
     revision = 0
-    # Another handle's inserts take ``seq`` values this handle will
-    # reuse, so after one its own writes may be read instead of patched.
-    foreign_seen = False
-    snapshots: dict[str, list] = {}
+    snapshots: dict[str, dict] = {}
+    epochs: dict[frozenset, str] = {}
 
     def guard() -> tuple[list, str]:
         tracer = Tracer()
@@ -348,12 +348,14 @@ def test_patched_snapshot_equals_a_fresh_read(
         ]
         fresh = CorpusStore.open(directory)
         try:
-            expected = list(fresh.content_hashes().items())
+            expected = fresh.content_hashes()
         finally:
             fresh.close()
-        assert list(state.items()) == expected
-        assert list(own.content_hashes().items()) == expected
+        assert state == expected
+        assert own.content_hashes() == expected
+        assert epoch == fingerprint_corpus_state(expected)
         assert snapshots.setdefault(epoch, expected) == expected
+        assert epochs.setdefault(frozenset(expected.items()), epoch) == epoch
         return span["attrs"]["snapshot"], epoch
 
     guard()
@@ -394,13 +396,12 @@ def test_patched_snapshot_equals_a_fresh_read(
             wrote = False
         if handle is not own:
             handle.close()
-            foreign_seen = foreign_seen or op in ("insert", "error")
         how, __ = guard()
         if not wrote:
             assert how == "cached"
         elif handle is not own:
             assert how == "read"
-        elif not foreign_seen:
+        else:
             assert how == "patched"
 
 
@@ -558,15 +559,23 @@ class TestArtifactStore:
 
 
 class TestFingerprints:
-    def test_snapshot_fingerprint_is_order_sensitive(self):
+    def test_snapshot_fingerprint_is_order_free(self):
+        """The epoch is a function of the set of pairs; a patch moves it
+        to the whole digest of the patched snapshot."""
         forward = {"a": "1", "b": "2"}
         backward = {"b": "2", "a": "1"}
-        assert fingerprint_corpus_state(forward) != fingerprint_corpus_state(
-            backward
-        )
-        assert fingerprint_corpus_state(
-            forward, order=["a", "b"]
-        ) == fingerprint_corpus_state(backward, order=["a", "b"])
+        epoch = fingerprint_corpus_state(forward)
+        assert epoch == fingerprint_corpus_state(backward)
+        assert len({
+            epoch,
+            fingerprint_corpus_state({"a": "2", "b": "1"}),
+            fingerprint_corpus_state({"a": "1"}),
+            fingerprint_corpus_state({}),
+        }) == 4
+        patched = {"b": "3", "c": "4"}
+        assert advance_corpus_epoch(
+            epoch, forward, patched, ["a", "b", "c"]
+        ) == fingerprint_corpus_state(patched)
 
     def test_store_state_matches_generic_snapshot(self, tmp_path):
         table = WebTable(
@@ -801,9 +810,11 @@ class TestSessionGuards:
     def test_epoch_guard_digests_only_a_changed_snapshot(
         self, song_world, monkeypatch
     ):
-        """An unchanged ``(id, content)`` sequence reuses the previous
-        epoch; the same pairs in another order are another epoch."""
+        """Only the first snapshot is digested whole.  The same pairs,
+        in any order, reuse the previous epoch and evict nothing; a
+        changed pair moves the epoch to the new snapshot's digest."""
         import repro.api as api
+        from repro.obs import Tracer, span_index
 
         class Snapshots:
             state = {"a": "1", "b": "2"}
@@ -818,9 +829,9 @@ class TestSessionGuards:
         digests = []
         fingerprint = api.fingerprint_corpus_state
 
-        def counting(state, order=None):
+        def counting(state):
             digests.append(list(state.items()))
-            return fingerprint(state, order=order)
+            return fingerprint(state)
 
         monkeypatch.setattr(api, "fingerprint_corpus_state", counting)
         __, first = session._guard_corpus_epoch()
@@ -828,9 +839,64 @@ class TestSessionGuards:
         assert again == first
         assert len(digests) == 1
         corpus.state = {"b": "2", "a": "1"}
-        __, reordered = session._guard_corpus_epoch()
-        assert reordered != first
-        assert len(digests) == 2
+        tracer = Tracer()
+        __, reordered = session._guard_corpus_epoch(tracer)
+        assert reordered == first
+        (span,) = [
+            span for span in span_index(tracer.events()).values()
+            if span["name"] == "corpus_guard"
+        ]
+        assert span["attrs"]["reused"] is True
+        assert span["attrs"]["memo_pruned"] == 0
+        corpus.state = {"b": "2", "a": "3"}
+        __, changed = session._guard_corpus_epoch()
+        assert changed == fingerprint(corpus.state) != first
+        assert len(digests) == 1
+
+    def test_stores_ingested_in_opposite_orders_share_an_epoch(
+        self, tmp_path, song_world, world_tables
+    ):
+        tables = world_tables[:N_BASE]
+        forward = CorpusStore.create(tmp_path / "forward", shards=2)
+        forward.ingest(tables)
+        backward = CorpusStore.create(tmp_path / "backward", shards=3)
+        backward.ingest(tables[::-1])
+        assert forward.table_ids() == backward.table_ids()[::-1]
+        epochs = [
+            RunSession(
+                knowledge_base=song_world.knowledge_base,
+                corpus=store.as_corpus(),
+            )._guard_corpus_epoch()[1]
+            for store in (forward, backward)
+        ]
+        assert epochs[0] == epochs[1]
+
+    def test_a_fresh_session_reuses_what_own_ingests_produced(
+        self, tmp_path, song_world, world_tables
+    ):
+        """Runs after own-handle ingests key their stages on a patched
+        epoch; a new process reads the same content whole and gets the
+        same epoch, so every stage is a hit, ``schema_match`` included."""
+        from repro.obs import Tracer, span_index
+
+        store = _make_store(tmp_path, song_world, world_tables[:N_BASE])
+        session = RunSession.from_corpus_store(store)
+        session.run(CLASS_NAME)
+        store.ingest(world_tables[N_BASE:N_BASE + 2])
+        store.ingest([_mutated(world_tables[1], salt=7)], on_conflict="replace")
+        tracer = Tracer()
+        expected = session.run(CLASS_NAME, trace=tracer).canonical_json()
+        (guard,) = [
+            span for span in span_index(tracer.events()).values()
+            if span["name"] == "corpus_guard"
+        ]
+        assert guard["attrs"]["snapshot"] == "patched"
+        fresh = RunSession.from_corpus_store(store.directory)
+        result = fresh.run(CLASS_NAME)
+        assert result.canonical_json() == expected
+        report = fresh.last_incremental_report
+        assert ("schema_match", 1, "hit") in report.stage_events
+        assert report.stage_misses() == 0
 
     def test_replace_through_a_second_handle_reaches_the_next_run(
         self, tmp_path, song_world, world_tables
@@ -934,9 +1000,9 @@ class TestSessionGuards:
         whole_digests = []
         fingerprint = api.fingerprint_corpus_state
 
-        def counting(state, order=None):
+        def counting(state):
             whole_digests.append(len(state))
-            return fingerprint(state, order=order)
+            return fingerprint(state)
 
         api.fingerprint_corpus_state = counting
         try:
@@ -1191,6 +1257,8 @@ class TestAnalysisMemo:
         assert analysis_gets == []
         report = session.last_incremental_report
         assert report.analysis_loaded == len(tiny_world.corpus)
+        assert report.analyses_from_memo == len(tiny_world.corpus)
+        assert report.analyses_from_store == 0
         assert report.analysis_computed == 0
         assert session.service_stats()["analysis_memo"] == len(
             tiny_world.corpus
@@ -1235,6 +1303,10 @@ class TestAnalysisMemo:
         assert len(analysis_gets) == len(store)
         report = fresh.last_incremental_report
         assert report.analysis_loaded == len(store)
+        assert (report.analyses_from_memo, report.analyses_from_store) == (
+            0, len(store)
+        )
+        assert report.to_dict()["analyses_from_store"] == len(store)
         assert report.analysis_computed == 0
         assert _memo_tables(fresh) == set(store.content_hashes().items())
 

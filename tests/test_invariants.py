@@ -14,17 +14,20 @@ from repro.api import RunSession
 from repro.clustering import build_blocks, greedy_correlation_clustering, klj_refine
 from repro.clustering.metrics import LabelMetric
 from repro.clustering.similarity import RowSimilarity
+from repro.corpus.store import CorpusStore
 from repro.datatypes import DataType
 from repro.fusion.entity import CandidateValue
 from repro.fusion.fuser import fuse_values
 from repro.matching.records import RowRecord
 from repro.ml.aggregation import StaticWeightedAggregator
+from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.ranking import ranked_evaluation
 from repro.synthesis.api import build_world
 from repro.synthesis.profiles import WorldScale
 from repro.text.tokenize import tokenize
 from repro.text.vectors import term_vector
 from repro.webtables.corpus import TableCorpus
+from repro.webtables.table import WebTable
 
 label_strategy = st.sampled_from(
     ["alpha one", "alpha one", "beta two", "gamma three", "alpha ones", "delta"]
@@ -161,37 +164,165 @@ class TestRankingInvariants:
         assert scores.map_at_cutoff == 1.0
 
 
-@pytest.fixture(scope="module")
-def song_world():
-    return build_world(seed=11, scale=WorldScale(0.08), classes=["Song"])
+CLASSES = ("Song", "Settlement", "GridironFootballPlayer")
 
 
 @pytest.fixture(scope="module")
-def song_in_corpus_order(song_world):
-    return RunSession(song_world).run("Song", use_cache=False).canonical_json()
+def worlds():
+    """One small world per class, as the invariance probes use them."""
+    return {
+        class_name: build_world(
+            seed=11, scale=WorldScale(0.08), classes=[class_name]
+        )
+        for class_name in CLASSES
+    }
+
+
+@pytest.fixture(scope="module")
+def song_world(worlds):
+    return worlds["Song"]
+
+
+@pytest.fixture(scope="module")
+def in_corpus_order(worlds):
+    """Each class's canonical bytes over its corpus in generated order."""
+    return {
+        class_name: RunSession(world).run(
+            class_name, use_cache=False
+        ).canonical_json()
+        for class_name, world in worlds.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def song_in_corpus_order(in_corpus_order):
+    return in_corpus_order["Song"]
+
+
+def _shuffled_run(world, class_name: str, shuffle_seed: int) -> str:
+    tables = list(world.corpus)
+    random.Random(shuffle_seed).shuffle(tables)
+    session = RunSession(
+        knowledge_base=world.knowledge_base, corpus=TableCorpus(tables)
+    )
+    return session.run(class_name, use_cache=False).canonical_json()
+
+
+#: No shrinking: a smaller shuffle seed is not a simpler shuffle, and
+#: every example is a full pipeline run.
+_SHUFFLES = settings(
+    max_examples=5,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
 
 
 class TestCorpusOrderInvariance:
-    # No shrinking: a smaller shuffle seed is not a simpler shuffle, and
-    # every example is a full pipeline run.
     @given(st.integers(0, 2**32 - 1))
-    @settings(
-        max_examples=5,
-        deadline=None,
-        phases=[Phase.explicit, Phase.reuse, Phase.generate],
-    )
+    @_SHUFFLES
     def test_shuffled_corpus_gives_the_same_bytes(
         self, song_world, song_in_corpus_order, shuffle_seed
     ):
         """No decision depends on the order the corpus lists its tables."""
-        tables = list(song_world.corpus)
-        random.Random(shuffle_seed).shuffle(tables)
-        session = RunSession(
-            knowledge_base=song_world.knowledge_base,
-            corpus=TableCorpus(tables),
+        assert (
+            _shuffled_run(song_world, "Song", shuffle_seed)
+            == song_in_corpus_order
         )
-        result = session.run("Song", use_cache=False)
-        assert result.canonical_json() == song_in_corpus_order
+
+    @pytest.mark.parametrize("class_name", CLASSES[1:])
+    @given(shuffle_seed=st.integers(0, 2**32 - 1))
+    @_SHUFFLES
+    def test_every_class_ignores_corpus_order(
+        self, worlds, in_corpus_order, class_name, shuffle_seed
+    ):
+        assert (
+            _shuffled_run(worlds[class_name], class_name, shuffle_seed)
+            == in_corpus_order[class_name]
+        )
+
+    @pytest.mark.parametrize("class_name", CLASSES)
+    def test_store_ingest_order_is_not_an_input(
+        self, tmp_path, worlds, in_corpus_order, class_name
+    ):
+        """Cached sessions over stores ingested in two shuffled orders
+        give the in-order bytes, and the second is served every stage
+        by the artifacts the first stored."""
+        world = worlds[class_name]
+        tables = list(world.corpus)
+        random.Random(class_name).shuffle(tables)
+        shared = ArtifactStore()
+        reports = []
+        for name, order in (("shuffled", tables), ("reversed", tables[::-1])):
+            store = CorpusStore.create(tmp_path / name, shards=2)
+            store.ingest(order)
+            session = RunSession.from_corpus_store(
+                store, knowledge_base=world.knowledge_base, artifacts=False
+            )
+            session.attach_artifact_store(shared)
+            result = session.run(class_name, use_cache=True)
+            assert result.canonical_json() == in_corpus_order[class_name]
+            reports.append(session.last_incremental_report)
+            store.close()
+        assert reports[0].stage_misses() > 0
+        assert reports[1].stage_misses() == 0
+
+
+def _set_view(result, prefix: str = "") -> list:
+    """Each iteration's clusters as row-id sets, and each entity's facts,
+    labels and decision keyed by its row-id set, with ``prefix`` taken
+    off every table id."""
+
+    def rows(row_ids) -> frozenset:
+        assert all(table_id.startswith(prefix) for table_id, __ in row_ids)
+        return frozenset(
+            (table_id[len(prefix):], index) for table_id, index in row_ids
+        )
+
+    view = []
+    for artifacts in result.iterations:
+        detection = artifacts.detection
+        view.append((
+            {rows(cluster.row_ids()) for cluster in artifacts.clusters},
+            {
+                rows(entity.row_ids()): (
+                    sorted(
+                        (name, repr(value))
+                        for name, value in entity.facts.items()
+                    ),
+                    sorted(entity.labels),
+                    detection.classifications[entity.entity_id].name,
+                    repr(detection.best_scores.get(entity.entity_id)),
+                    detection.correspondences.get(entity.entity_id),
+                )
+                for entity in artifacts.entities
+            },
+        ))
+    return view
+
+
+class TestTableIdRenameInvariance:
+    """Outputs do not depend on the table ids' text.  The rename keeps
+    the ids' sort order, which fusion and clustering tie-breaks read."""
+
+    @pytest.mark.parametrize("class_name", CLASSES)
+    def test_order_keeping_rename_gives_the_same_sets(
+        self, worlds, class_name
+    ):
+        world = worlds[class_name]
+        renamed = TableCorpus([
+            WebTable(
+                table_id=f"a_{table.table_id}",
+                header=table.header,
+                rows=table.rows,
+                url=table.url,
+            )
+            for table in world.corpus
+        ])
+        original = RunSession(world).run(class_name, use_cache=False)
+        result = RunSession(
+            knowledge_base=world.knowledge_base, corpus=renamed
+        ).run(class_name, use_cache=False)
+        assert _set_view(result, prefix="a_") == _set_view(original)
 
 
 SRC = Path(repro.__file__).resolve().parent
